@@ -184,33 +184,6 @@ def newton_rhs(mesh: CartesianMesh, material, state: State, table: BoundaryTable
 
 
 # ----------------------------------------------------------------------
-# face linearisation (single-face view, used by tests and diagnostics)
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FaceLinearisation:
-    """Per-face ingredients of the flux linearisation."""
-
-    v: np.ndarray          # geometric vector w = S @ N
-    g: np.ndarray          # (3, 3) direction vectors, row d pairs with T[d]
-    h: np.ndarray          # tangential projections of the directions
-    v_t: np.ndarray        # tangential projection of v
-    t: np.ndarray          # (3, 3, 3) coupling tensors, t[d]
-    h_n: np.ndarray        # normal coefficient (v.N) I + sum_d (g_d.N) T[d]
-
-
-def face_linearisation(mesh: CartesianMesh, material, state: State,
-                       face: int) -> FaceLinearisation:
-    f_face, s_face, _ = face_states(mesh, material, state)
-    normal = mesh.face_normal[face]
-    w, t = material.face_linearisation(f_face[face], s_face[face], normal)
-    g = np.array(IDENTITY)
-    proj = IDENTITY - np.outer(normal, normal)
-    h_n = np.dot(w, normal) * IDENTITY + np.einsum("d,dij->ij", g @ normal, t)
-    return FaceLinearisation(v=w, g=g, h=g @ proj.T, v_t=proj @ w, t=t, h_n=h_n)
-
-
-# ----------------------------------------------------------------------
 # block system
 # ----------------------------------------------------------------------
 

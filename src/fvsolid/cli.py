@@ -31,15 +31,15 @@ import numpy as np
 
 from . import output
 from .assembly import DISPLACEMENT, TRACTION, BoundaryCondition
+from .linsolve import METHODS as LINEAR_METHODS
 from .linsolve import LinearSolverConfig
 from .material import Lame, LinearElastic, NeoHookean, lame_from_E_nu
 from .mesh import BOTTOM, LEFT, RIGHT, TOP, CartesianMesh, build_mesh
-from .solver import RunReport, SolveConfig, run
+from .solver import METHODS, RunReport, SolveConfig, run
 from .verification import (MMSCase, cantilever_deflection, compute_errors,
                            mms_bcs)
 
 CASES = ("cantilever", "uniaxial", "shear")
-METHODS = ("nlbc", "bc", "seg")
 
 
 class ConfigError(Exception):
@@ -58,18 +58,16 @@ class CaseConfig:
     E: float = None
     nu: float = None
     regime: str = "plane_strain"
-    rho0: float = 0.0                 # parsed for completeness; quasi-static
     material: str = ""                # neo | linear, defaulted per case
     traction: float = 1e6             # cantilever end load (Pa)
     tolerance: float = 1e-7
     max_corrections: int = 200
     load_steps: int = 1
     relaxation: float = 0.9
-    linear_solver: str = "auto"
+    linear_solver: str = "direct"
     linear_tolerance: float = 1e-10
     linear_max_iterations: int = 4000
     gmres_restart: int = 50
-    direct_limit: int = 5000
     out: str = "."
     dump_matrix: bool = False
 
@@ -80,10 +78,10 @@ _CASE_DEFAULTS = {
     "shear": dict(E=0.02e9, nu=0.3, mesh=(16, 16), material="neo"),
 }
 
-_FLOAT_KEYS = {"stretch", "shear_factor", "E", "nu", "rho0", "traction",
+_FLOAT_KEYS = {"stretch", "shear_factor", "E", "nu", "traction",
                "tolerance", "relaxation", "linear_tolerance"}
 _INT_KEYS = {"max_corrections", "load_steps", "linear_max_iterations",
-             "gmres_restart", "direct_limit"}
+             "gmres_restart"}
 
 
 def _parse_mesh(text: str) -> tuple:
@@ -153,6 +151,11 @@ def _validate(cfg: CaseConfig) -> None:
         raise ConfigError(f"config needs case = one of {', '.join(CASES)}")
     if cfg.method not in METHODS:
         raise ConfigError(f"unknown method {cfg.method!r}")
+    if cfg.linear_solver not in LINEAR_METHODS:
+        raise ConfigError(f"unknown linear_solver {cfg.linear_solver!r}; "
+                          f"use one of {', '.join(LINEAR_METHODS)}")
+    if cfg.load_steps < 1:
+        raise ConfigError(f"'load_steps' must be at least 1, got {cfg.load_steps}")
     defaults = _CASE_DEFAULTS[cfg.case]
     if not cfg.mesh:
         cfg.mesh = defaults["mesh"]
@@ -189,8 +192,7 @@ def _solve_config(cfg: CaseConfig, out_dir: str) -> SolveConfig:
     linear = LinearSolverConfig(method=cfg.linear_solver,
                                 tolerance=cfg.linear_tolerance,
                                 max_iterations=cfg.linear_max_iterations,
-                                gmres_restart=cfg.gmres_restart,
-                                direct_limit=cfg.direct_limit)
+                                gmres_restart=cfg.gmres_restart)
     return SolveConfig(method=cfg.method, outer_tolerance=cfg.tolerance,
                        max_corrections=cfg.max_corrections,
                        n_load_steps=cfg.load_steps, relaxation=cfg.relaxation,

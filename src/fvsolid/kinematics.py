@@ -70,12 +70,6 @@ def advance_state(mesh: CartesianMesh, state: State, increment: np.ndarray) -> S
     return State(disp, grad)
 
 
-def compose_gradient(grad_increment: np.ndarray, f_old: np.ndarray) -> np.ndarray:
-    """Pull a gradient taken against the previously deformed configuration
-    back to the reference one: grad_ref = grad_def @ F_old."""
-    return grad_increment @ f_old
-
-
 def boundary_face_gradient(grad_cell: np.ndarray, u_cell: np.ndarray,
                            u_face: np.ndarray, normal: np.ndarray,
                            distance: np.ndarray) -> np.ndarray:

@@ -9,8 +9,7 @@ gradient (or the deformation gradient reconstructed from it):
 - ``face_linearisation``: the geometric vector ``w`` and the stack of
   coupling tensors ``T`` that linearise the flux: a perturbation ``B`` of
   the displacement gradient changes the flux by ``B @ w + sum_d T[d] @ (B @ e_d)``
-- plain tensor-level building blocks (``second_piola``, ``elasticity_tensor``
-  and friends) used by tests and by the closed-form/contraction cross-checks
+- ``first_piola``: the stress that the manufactured boundary tractions use
 
 The linear model keeps the geometry frozen (F = I, w = 0) so the coupled
 solver reduces to one exact small-strain solve.
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import IDENTITY, IDENTITY4_SYM, outer
+from .tensors import IDENTITY
 
 
 @dataclass(frozen=True)
@@ -85,35 +84,10 @@ class NeoHookean:
         return (self.mu * (IDENTITY - c_inv)
                 + self.lam * log_j[..., None, None] * c_inv)
 
-    def elasticity_tensor(self, c: np.ndarray) -> np.ndarray:
-        """Material elasticity dS/dE as a fourth-order tensor."""
-        c_inv = np.linalg.inv(c)
-        log_j = 0.5 * np.log(np.linalg.det(c))
-        term_vol = self.lam * np.einsum("...ij,...kl->...ijkl", c_inv, c_inv)
-        j_sym = 0.5 * (np.einsum("...ik,...jl->...ijkl", c_inv, c_inv)
-                       + np.einsum("...il,...jk->...ijkl", c_inv, c_inv))
-        coef = 2.0 * (self.mu - self.lam * log_j)
-        return term_vol + coef[..., None, None, None, None] * j_sym
-
-    def transformed_elasticity(self, f: np.ndarray) -> np.ndarray:
-        """Push the material tangent to mixed form: M_aJdL = F_aI C_IJKL F_dK."""
-        c = np.einsum("...ki,...kj->...ij", f, f)
-        cc = self.elasticity_tensor(c)
-        return np.einsum("...aI,...IJKL,...dK->...aJdL", f, cc, f)
-
     def first_piola(self, grad_u: np.ndarray) -> np.ndarray:
         f = IDENTITY + grad_u
         c = np.einsum("...ki,...kj->...ij", f, f)
         return f @ self.second_piola(c)
-
-    def dP_apply(self, grad_u: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """Directional derivative of the first Piola stress along a gradient
-        perturbation ``a``: a @ S plus the material-tangent contraction."""
-        f = IDENTITY + grad_u
-        c = np.einsum("...ki,...kj->...ij", f, f)
-        s = self.second_piola(c)
-        m = self.transformed_elasticity(f)
-        return a @ s + np.einsum("...aJdL,...dL->...aJ", m, a)
 
     # -- solver surface ------------------------------------------------
 
@@ -132,9 +106,8 @@ class NeoHookean:
 
             T_d = lam (a x A e_d) + (mu - lam ln J) (b_d I + A e_d x a)
 
-        with A = F^-T, a = A N and b = C^-1 N.  The generic route contracts
-        the transformed tangent with N; the property tests hold the two
-        routes against each other.
+        with A = F^-T, a = A N and b = C^-1 N.  The property tests hold it
+        against the brute contraction of the transformed tangent with N.
         """
         w = np.einsum("...ij,...j->...i", s, n)
         a_mat = np.linalg.inv(np.swapaxes(f, -1, -2))        # F^-T
@@ -146,33 +119,6 @@ class NeoHookean:
              + coef * (np.einsum("...d,ij->...dij", b, IDENTITY)
                        + np.einsum("...id,...j->...dij", a_mat, a)))
         return w, t
-
-    def t_tensor(self, f: np.ndarray, n: np.ndarray, d: int) -> np.ndarray:
-        """Row-d traction-coupling tensor in closed form.
-
-        T^d_aL contracts the transformed tangent with the face normal over
-        its second slot while fixing the third slot at d.  With A = F C^-1,
-        a = A N, b = C^-1 N this collapses to
-
-            T^d = lam (a x A_d) + (mu - lam ln J) (e_d x b + a_d A)
-
-        because A F^T = I exactly.
-        """
-        c = np.einsum("...ki,...kj->...ij", f, f)
-        a_mat = f @ np.linalg.inv(c)
-        a = np.einsum("...ij,...j->...i", a_mat, n)
-        b = np.einsum("...ji,...j->...i", a_mat, a)
-        log_j = np.log(np.linalg.det(f))
-        e_d = IDENTITY[d]
-        coef = (self.mu - self.lam * log_j)[..., None, None]
-        return (self.lam * outer(a, a_mat[..., d, :])
-                + coef * (outer(np.broadcast_to(e_d, a.shape), b)
-                          + a[..., d, None, None] * a_mat))
-
-    def t_tensor_contracted(self, f: np.ndarray, n: np.ndarray, d: int) -> np.ndarray:
-        """Same tensor by brute contraction of the transformed tangent."""
-        m = self.transformed_elasticity(f)
-        return np.einsum("...aJdL,...J->...adL", m, n)[..., d, :]
 
 
 class LinearElastic:
@@ -207,6 +153,3 @@ class LinearElastic:
 
     def first_piola(self, grad_u: np.ndarray) -> np.ndarray:
         return self.stress(grad_u)
-
-    def dP_apply(self, grad_u: np.ndarray, a: np.ndarray) -> np.ndarray:
-        return self.stress(a)

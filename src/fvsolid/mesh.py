@@ -9,7 +9,7 @@ of boundary face b is ``n_cells + b``.
 Each face is a rectangle of in-plane length times unit depth.  Only the two
 depth edges at the face endpoints carry tangential-derivative information
 for plane-strain fields (the in-plane edges have binormal e_z, orthogonal to
-every in-plane vector), so faces expose exactly those two edges.  Edge
+every in-plane vector), so only the two endpoint vertices matter.  Vertex
 values are interpolated from the unknowns with fixed vertex stencils:
 
 - interior vertex: the four surrounding cells, weight 1/4 each
@@ -20,37 +20,10 @@ values are interpolated from the unknowns with fixed vertex stencils:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 LEFT, RIGHT, BOTTOM, TOP = 0, 1, 2, 3
 PATCH_NAMES = ("left", "right", "bottom", "top")
-
-
-@dataclass(frozen=True)
-class FaceEdge:
-    """Depth edge of a face: length, outward binormal and the interpolation
-    stencil (unknown indices and weights) for values at the edge."""
-
-    length: float
-    binormal: np.ndarray
-    stencil_ids: np.ndarray
-    stencil_weights: np.ndarray
-
-
-@dataclass(frozen=True)
-class Face:
-    index: int
-    owner: int
-    neighbour: int          # -1 on the boundary
-    normal: np.ndarray      # unit, outward from the owner cell
-    area: float
-    centroid: np.ndarray
-    distance: float         # centroid distance to the across-face unknown
-    patch: int              # -1 for interior faces
-    boundary_index: int     # -1 for interior faces
-    edges: tuple[FaceEdge, FaceEdge]
 
 
 class CartesianMesh:
@@ -271,27 +244,6 @@ class CartesianMesh:
         """Unknown indices and weights interpolating a value at a vertex."""
         lo, hi = self.stencil_ptr[vertex], self.stencil_ptr[vertex + 1]
         return self.stencil_ids[lo:hi], self.stencil_weights[lo:hi]
-
-    def _edge(self, face: int, vertex: int, sign: float) -> FaceEdge:
-        sid, sw = self.edge_stencil(vertex)
-        return FaceEdge(length=1.0, binormal=sign * self.face_tangent[face],
-                        stencil_ids=sid, stencil_weights=sw)
-
-    def face(self, index: int) -> Face:
-        """Face record with its two depth edges, built on demand."""
-        return Face(
-            index=index,
-            owner=int(self.face_owner[index]),
-            neighbour=int(self.face_neighbour[index]),
-            normal=self.face_normal[index],
-            area=float(self.face_area[index]),
-            centroid=self.face_centroid[index],
-            distance=float(self.face_distance[index]),
-            patch=int(self.face_patch[index]),
-            boundary_index=int(self.face_boundary_index[index]),
-            edges=(self._edge(index, int(self.face_vertex_lo[index]), -1.0),
-                   self._edge(index, int(self.face_vertex_hi[index]), +1.0)),
-        )
 
     def patch_faces(self, patch: int) -> np.ndarray:
         """Face ids of a boundary patch, in boundary-index order."""

@@ -42,15 +42,10 @@ def write_report(path, report: dict) -> None:
         handle.write("\n")
 
 
-def vertex_displacements(mesh: CartesianMesh, displacement: np.ndarray) -> np.ndarray:
-    """Interpolate the unknowns to mesh vertices with the vertex stencils."""
-    return vertex_values(mesh, displacement)
-
-
 def write_vtk(path, mesh: CartesianMesh, displacement: np.ndarray,
               title: str = "deformed configuration") -> None:
     """Legacy ASCII VTK unstructured grid of the displaced vertices."""
-    moved = mesh.vertices + vertex_displacements(mesh, displacement)
+    moved = mesh.vertices + vertex_values(mesh, displacement)
     nx, ny = mesh.nx, mesh.ny
     with open(path, "w") as handle:
         handle.write("# vtk DataFile Version 3.0\n")

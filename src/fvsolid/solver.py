@@ -1,15 +1,17 @@
-"""Outer drivers: coupled Newton corrections and the segregated baseline.
+"""Outer driver: one correction loop for the coupled and segregated methods.
 
-Three methods share the bookkeeping here:
+Three methods share the loop and differ only in how each load step
+linearises the momentum residual and solves for the increment:
 
 - ``nlbc``: Newton-Raphson on the momentum residual with the full block
   system reassembled and solved each correction
-- ``bc``: the same loop with the material replaced by its small-strain
-  linear counterpart, so one correction solves the problem
+- ``bc``: the same linearisation with the material replaced by its
+  small-strain linear counterpart, so one correction solves the problem
 - ``seg``: component-by-component scalar solves with a constant implicit
-  operator, all coupling evaluated from the previous iterate, and a fixed
-  under-relaxation on the update of the force-balance unknowns (prescribed
-  boundary values are assignments and take their full solved value)
+  operator, factorised once per load step, all coupling evaluated from the
+  previous iterate, and a fixed under-relaxation on the update of the
+  force-balance unknowns (prescribed boundary values are assignments and
+  take their full solved value)
 
 Residual bookkeeping: every correction's right-hand side is reduced to a
 force-like norm (boundary rows rescaled by the weights the assembly
@@ -20,7 +22,7 @@ normalisation and block convergence before the first correction, but
 their post-solve defect is linear-solver forward error, which no outer
 iteration controls, so it never vetoes convergence afterwards.  A run is
 declared diverged after five consecutive residual increases, an inverted
-element, or exhausting the correction budget.
+element, a failed linear solve, or exhausting the correction budget.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import linsolve
-from .assembly import (assemble_scalar_operator, assemble_system,
-                       build_boundary_table, face_states, force_row_mask,
-                       newton_rhs)
+from .assembly import (BoundaryTable, assemble_scalar_operator,
+                       assemble_system, build_boundary_table, face_states,
+                       force_row_mask, newton_rhs)
 from .kinematics import State, advance_state, zero_state
 from .material import InvertedElementError, Lame, LinearElastic
 from .mesh import CartesianMesh
@@ -49,6 +51,10 @@ class SolveConfig:
     relaxation: float = 0.9         # seg only, on force-balance unknowns
     linear: linsolve.LinearSolverConfig = linsolve.LinearSolverConfig()
     dump_dir: str | None = None
+
+    def __post_init__(self):
+        if self.n_load_steps < 1:
+            raise ValueError(f"n_load_steps must be at least 1, got {self.n_load_steps}")
 
 
 @dataclass
@@ -104,117 +110,49 @@ class _Monitor:
         return "continue"
 
 
-def run(mesh: CartesianMesh, material, bcs: dict, cfg: SolveConfig) -> RunReport:
-    if cfg.method in ("nlbc", "bc"):
-        mat = LinearElastic(Lame(material.mu, material.lam)) \
-            if cfg.method == "bc" else material
-        return _run_coupled(mesh, mat, bcs, cfg)
-    if cfg.method == "seg":
-        return _run_segregated(mesh, material, bcs, cfg)
-    raise ValueError(f"unknown method {cfg.method!r}")
+def _coupled(mesh: CartesianMesh, material, table: BoundaryTable,
+             force_rows: np.ndarray, cfg: SolveConfig):
+    """nlbc and bc: reassemble the block system and solve it each correction.
 
+    Every method's load-step setup returns ``linearise(state)``, giving the
+    residual right-hand side, its norm weights, the system the increment
+    solves (for the dump hook) and ``solve()`` for the (N, 3) increment.
+    """
 
-def _report(cfg, converged, failure, n_corr, histories, state, start) -> RunReport:
-    return RunReport(method=cfg.method, converged=converged, failure=failure,
-                     n_corr=n_corr, residual_history=histories, state=state,
-                     wall_time=time.perf_counter() - start)
+    def linearise(state: State):
+        system = assemble_system(mesh, material, state, table)
+        flat = system.flat_rhs()
 
-
-def _run_coupled(mesh, material, bcs, cfg: SolveConfig) -> RunReport:
-    start = time.perf_counter()
-    state = zero_state(mesh)
-    floor = material.mu * min(mesh.dx, mesh.dy)
-    n_corr: list[int] = []
-    histories: list[list[float]] = []
-    failure = None
-
-    for step in range(cfg.n_load_steps):
-        t = (step + 1) / cfg.n_load_steps
-        table = build_boundary_table(mesh, bcs, t)
-        monitor = _Monitor(cfg.outer_tolerance, floor)
-        force_rows = force_row_mask(mesh, table)
-        corrections = 0
-        step_converged = False
-        while True:
-            try:
-                system = assemble_system(mesh, material, state, table)
-            except InvertedElementError as err:
-                failure = str(err)
-                break
-            verdict = monitor.update(
-                residual_norm(system.rhs, system.row_scale, force_rows),
-                residual_norm(system.rhs, system.row_scale))
-            if verdict == "converged":
-                step_converged = True
-                break
-            if verdict == "diverged":
-                failure = "residual rose over 5 consecutive corrections"
-                break
-            if corrections >= cfg.max_corrections:
-                failure = f"no convergence within {cfg.max_corrections} corrections"
-                break
-            if cfg.dump_dir and step == 0 and corrections == 0:
-                linsolve.dump_system(cfg.dump_dir, system.matrix, system.flat_rhs())
-            try:
-                solution = linsolve.solve(system.matrix, system.flat_rhs(), cfg.linear)
-            except linsolve.LinearSolveError as err:
-                failure = f"linear solve failed: {err}"
-                break
+        def solve() -> np.ndarray:
+            x = linsolve.solve(system.matrix, flat, cfg.linear).x
             increment = np.zeros((mesh.n_unknowns, 3))
-            increment[:, :2] = solution.x.reshape(-1, 2)
-            state = advance_state(mesh, state, increment)
-            corrections += 1
-        n_corr.append(corrections)
-        histories.append(monitor.history)
-        if not step_converged:
-            return _report(cfg, False, failure, n_corr, histories, state, start)
-    return _report(cfg, True, None, n_corr, histories, state, start)
+            increment[:, :2] = x.reshape(-1, 2)
+            return increment
+
+        return system.rhs, system.row_scale, (system.matrix, flat), solve
+
+    return linearise
 
 
-def _run_segregated(mesh, material, bcs, cfg: SolveConfig) -> RunReport:
-    start = time.perf_counter()
-    state = zero_state(mesh)
+def _segregated(mesh: CartesianMesh, material, table: BoundaryTable,
+                force_rows: np.ndarray, cfg: SolveConfig):
+    """seg: frozen scalar factors per component, relaxed force rows.  The
+    dumped system is the x-component scalar operator."""
     coefficient = 2.0 * material.mu + material.lam
-    floor = material.mu * min(mesh.dx, mesh.dy)
-    n_corr: list[int] = []
-    histories: list[list[float]] = []
-    failure = None
+    operators = [assemble_scalar_operator(mesh, table, coefficient, comp)
+                 for comp in (0, 1)]
+    # Equilibrate before factorising: the identity boundary rows are tiny
+    # next to the Laplacian rows and would otherwise soak up the
+    # elimination noise of the stiff rows.
+    scaled = [linsolve.equilibrate(op) for op in operators]
+    factors = [spla.splu(mat.tocsc()) for mat, _ in scaled]
+    row_scales = [s for _, s in scaled]
 
-    for step in range(cfg.n_load_steps):
-        t = (step + 1) / cfg.n_load_steps
-        table = build_boundary_table(mesh, bcs, t)
-        operators = [assemble_scalar_operator(mesh, table, coefficient, comp)
-                     for comp in (0, 1)]
-        # Equilibrate before factorising: the identity boundary rows are
-        # tiny next to the Laplacian rows and would otherwise soak up the
-        # elimination noise of the stiff rows.
-        scaled = [linsolve.equilibrate(op) for op in operators]
-        factors = [spla.splu(mat.tocsc()) for mat, _ in scaled]
-        row_scales = [s for _, s in scaled]
-        monitor = _Monitor(cfg.outer_tolerance, floor)
-        force_rows = force_row_mask(mesh, table)
-        corrections = 0
-        step_converged = False
-        while True:
-            try:
-                _, _, flux_density = face_states(mesh, material, state)
-            except InvertedElementError as err:
-                failure = str(err)
-                break
-            rhs, row_scale = newton_rhs(mesh, material, state, table, flux_density)
-            if cfg.dump_dir and step == 0 and corrections == 0:
-                linsolve.dump_system(cfg.dump_dir, operators[0], rhs[:, 0])
-            verdict = monitor.update(residual_norm(rhs, row_scale, force_rows),
-                                     residual_norm(rhs, row_scale))
-            if verdict == "converged":
-                step_converged = True
-                break
-            if verdict == "diverged":
-                failure = "residual rose over 5 consecutive corrections"
-                break
-            if corrections >= cfg.max_corrections:
-                failure = f"no convergence within {cfg.max_corrections} corrections"
-                break
+    def linearise(state: State):
+        _, _, flux_density = face_states(mesh, material, state)
+        rhs, row_scale = newton_rhs(mesh, material, state, table, flux_density)
+
+        def solve() -> np.ndarray:
             increment = np.zeros((mesh.n_unknowns, 3))
             for comp in (0, 1):
                 increment[:, comp] = factors[comp].solve(row_scales[comp]
@@ -222,10 +160,66 @@ def _run_segregated(mesh, material, bcs, cfg: SolveConfig) -> RunReport:
             # Prescribed-displacement rows are assignments of known values;
             # only the force-balance unknowns are under-relaxed.
             increment[force_rows] *= cfg.relaxation
+            return increment
+
+        return rhs, row_scale, (operators[0], rhs[:, 0]), solve
+
+    return linearise
+
+
+_LINEARISATIONS = {"nlbc": _coupled, "bc": _coupled, "seg": _segregated}
+METHODS = tuple(_LINEARISATIONS)
+
+
+def run(mesh: CartesianMesh, material, bcs: dict, cfg: SolveConfig) -> RunReport:
+    if cfg.method not in METHODS:
+        raise ValueError(f"unknown method {cfg.method!r}")
+    if cfg.method == "bc":
+        material = LinearElastic(Lame(material.mu, material.lam))
+    start = time.perf_counter()
+    state = zero_state(mesh)
+    floor = material.mu * min(mesh.dx, mesh.dy)
+    n_corr: list[int] = []
+    histories: list[list[float]] = []
+    failure = None
+
+    for step in range(cfg.n_load_steps):
+        table = build_boundary_table(mesh, bcs, (step + 1) / cfg.n_load_steps)
+        force_rows = force_row_mask(mesh, table)
+        linearise = _LINEARISATIONS[cfg.method](mesh, material, table,
+                                                force_rows, cfg)
+        monitor = _Monitor(cfg.outer_tolerance, floor)
+        corrections = 0
+        while True:
+            try:
+                rhs, row_scale, system, solve = linearise(state)
+            except InvertedElementError as err:
+                failure = str(err)
+                break
+            verdict = monitor.update(residual_norm(rhs, row_scale, force_rows),
+                                     residual_norm(rhs, row_scale))
+            if verdict == "converged":
+                break
+            if verdict == "diverged":
+                failure = "residual rose over 5 consecutive corrections"
+                break
+            if corrections >= cfg.max_corrections:
+                failure = f"no convergence within {cfg.max_corrections} corrections"
+                break
+            if cfg.dump_dir and step == 0 and corrections == 0:
+                linsolve.dump_system(cfg.dump_dir, *system)
+            try:
+                increment = solve()
+            except linsolve.LinearSolveError as err:
+                failure = f"linear solve failed: {err}"
+                break
             state = advance_state(mesh, state, increment)
             corrections += 1
         n_corr.append(corrections)
         histories.append(monitor.history)
-        if not step_converged:
-            return _report(cfg, False, failure, n_corr, histories, state, start)
-    return _report(cfg, True, None, n_corr, histories, state, start)
+        if failure is not None:
+            break
+    return RunReport(method=cfg.method, converged=failure is None,
+                     failure=failure, n_corr=n_corr,
+                     residual_history=histories, state=state,
+                     wall_time=time.perf_counter() - start)

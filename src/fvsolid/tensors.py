@@ -1,9 +1,8 @@
-"""Small dense tensor algebra used throughout the solver.
+"""Small dense tensor helpers used throughout the solver.
 
-Second-order tensors are plain numpy arrays of shape (..., 3, 3) and
-fourth-order tensors of shape (..., 3, 3, 3, 3); every routine accepts
-arbitrary batch dimensions in front so per-cell and per-face quantities can
-be processed in one call.
+Second-order tensors are plain numpy arrays of shape (..., 3, 3); every
+routine accepts arbitrary batch dimensions in front so per-cell and
+per-face quantities can be processed in one call.
 """
 
 from __future__ import annotations
@@ -12,43 +11,7 @@ import numpy as np
 
 IDENTITY = np.eye(3)
 
-# Fourth-order symmetric identity: Id4 : A = sym(A).
-IDENTITY4_SYM = 0.5 * (
-    np.einsum("ik,jl->ijkl", IDENTITY, IDENTITY)
-    + np.einsum("il,jk->ijkl", IDENTITY, IDENTITY)
-)
-
-
-def det(t: np.ndarray) -> np.ndarray:
-    """Determinant of (batched) 3x3 tensors."""
-    return np.linalg.det(t)
-
-
-def inverse(t: np.ndarray) -> np.ndarray:
-    """Inverse of (batched) 3x3 tensors."""
-    return np.linalg.inv(t)
-
-
-def sym(t: np.ndarray) -> np.ndarray:
-    """Symmetric part 0.5*(T + T^t)."""
-    return 0.5 * (t + np.swapaxes(t, -1, -2))
-
 
 def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dyadic product a_i b_j of (batched) vectors."""
     return np.einsum("...i,...j->...ij", a, b)
-
-
-def double_contract(c4: np.ndarray, t2: np.ndarray) -> np.ndarray:
-    """Double contraction (C : T)_ij = C_ijkl T_kl."""
-    return np.einsum("...ijkl,...kl->...ij", c4, t2)
-
-
-def contract_third(f: np.ndarray, c4: np.ndarray) -> np.ndarray:
-    """Transform the first and third slots of a fourth-order tensor by f.
-
-    Returns M with M_ajdl = f_aI C_IjKl f_dK.  With f the deformation
-    gradient and C the material elasticity this is the spatial-coupled
-    elasticity used by the face linearisation.
-    """
-    return np.einsum("...aI,...IjKl,...dK->...ajdl", f, c4, f)

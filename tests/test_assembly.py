@@ -19,7 +19,6 @@ from fvsolid.assembly import (
     assemble_scalar_operator,
     assemble_system,
     build_boundary_table,
-    face_linearisation,
     face_states,
     force_row_mask,
     newton_rhs,
@@ -261,28 +260,6 @@ def test_zero_state_zero_load_rhs(mesh_small):
     npt.assert_allclose(system.rhs, 0.0)
     assert system.n_block_rows == mesh_small.n_unknowns
     assert system.flat_rhs().shape == (2 * mesh_small.n_unknowns,)
-
-
-# ---------------------------------------------------------------------------
-# single-face linearisation view
-# ---------------------------------------------------------------------------
-
-
-def test_face_linearisation_components(mesh_small, rng):
-    g = random_gradients(rng, 1)[0]
-    state = consistent_state(mesh_small, linear_field(mesh_small, g))
-    face = int(mesh_small.interior_faces[2])
-    lin = face_linearisation(mesh_small, UNIT, state, face)
-    n = mesh_small.face_normal[face]
-
-    f = np.eye(3) + g
-    s = UNIT.second_piola(f.T @ f)
-    npt.assert_allclose(lin.v, s @ n, atol=1e-13)
-    npt.assert_allclose(lin.v_t @ n, 0.0, atol=1e-13)
-    npt.assert_allclose(lin.h @ n, 0.0, atol=1e-13)
-    expected_hn = (lin.v @ n) * np.eye(3) + np.einsum(
-        "d,dij->ij", lin.g @ n, lin.t)
-    npt.assert_allclose(lin.h_n, expected_hn, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------

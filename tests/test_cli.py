@@ -84,6 +84,7 @@ def test_parse_config_sweep(tmp_path):
     ("case = shear\nmaterial = rubber\n", "unknown material"),
     ("case = cantilever\nsweep = 3,8\n", "not sweep"),
     ("case = shear\nregime = beam\n", "unknown regime"),
+    ("case = shear\nrho0 = 1000\n", "unknown config key 'rho0'"),
 ])
 def test_parse_config_rejects(tmp_path, text, message):
     path = write_cfg(tmp_path, text)
@@ -212,20 +213,23 @@ def test_run_case_reruns_are_byte_identical(tmp_path):
 
 
 def test_dump_matrix_writes_loadable_system(tmp_path):
-    out = tmp_path / "dump"
-    path = write_cfg(tmp_path, f"""
-        case = shear
-        mesh = 4x4
-        dump_matrix = true
-        out = {out}
-    """)
-    assert run_case(parse_config(path)) == 0
-    matrix = scipy.io.mmread(out / "A.mtx").tocsr()
-    n = 2 * (16 + 16)           # cells + boundary faces, two components
-    assert matrix.shape == (n, n)
-    rhs = np.asarray(scipy.io.mmread(out / "R.mtx")).ravel()
-    assert rhs.shape == (n,)
-    assert np.isfinite(rhs).all()
+    n = 16 + 16                 # cells + boundary faces
+    # nlbc dumps the two-component block system, seg its x-component operator
+    for method, rows in (("nlbc", 2 * n), ("seg", n)):
+        out = tmp_path / method
+        path = write_cfg(tmp_path, f"""
+            case = shear
+            mesh = 4x4
+            method = {method}
+            dump_matrix = true
+            out = {out}
+        """)
+        assert run_case(parse_config(path)) == 0
+        matrix = scipy.io.mmread(out / "A.mtx").tocsr()
+        assert matrix.shape == (rows, rows)
+        rhs = np.asarray(scipy.io.mmread(out / "R.mtx")).ravel()
+        assert rhs.shape == (rows,)
+        assert np.isfinite(rhs).all()
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +252,20 @@ def test_main_reports_config_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "stretch" in err
+
+
+@pytest.mark.parametrize("line", [
+    "linear_solver = foo",
+    "linear_solver = auto",
+    "load_steps = 0",
+])
+def test_main_rejects_bad_solver_settings(tmp_path, capsys, line):
+    path = write_cfg(tmp_path, f"case = shear\nmesh = 4x4\n{line}\n")
+    assert main(["--config", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_requires_config_flag():

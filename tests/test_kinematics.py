@@ -9,7 +9,6 @@ from fvsolid import State, advance_state, zero_state
 from fvsolid.kinematics import (
     boundary_face_gradient,
     cell_gradient,
-    compose_gradient,
     deformation_gradient,
     vertex_values,
 )
@@ -93,21 +92,6 @@ def test_advance_state_leaves_input_untouched(mesh_small):
     s0 = zero_state(mesh_small)
     advance_state(mesh_small, s0, np.ones((mesh_small.n_unknowns, 3)))
     assert not s0.displacement.any()
-
-
-def test_compose_gradient_identity(rng):
-    """Incremental composition: (I + g_def) F_old = I + g_old + g_def F_old."""
-    g_old = random_gradients(rng, 8)
-    g_def = random_gradients(rng, 8, scale=0.1)
-    f_old = deformation_gradient(g_old)
-    composed = deformation_gradient(g_old + compose_gradient(g_def, f_old))
-    direct = (np.broadcast_to(np.eye(3), (8, 3, 3)) + g_def) @ f_old
-    npt.assert_allclose(composed, direct, atol=1e-14)
-
-
-def test_compose_gradient_reference_start(rng):
-    g = random_gradients(rng, 3)
-    npt.assert_allclose(compose_gradient(g, np.eye(3)), g)
 
 
 def test_boundary_face_gradient_exact_for_linear_fields(mesh_small, rng):

@@ -188,16 +188,3 @@ def test_corner_vertex_stencil(mesh_small):
     npt.assert_allclose(w, [1.0])
     ids, _ = m.edge_stencil(m.vertex_index(m.nx, m.ny))
     npt.assert_array_equal(ids, [m.n_cells + m.ny + (m.ny - 1)])
-
-
-def test_face_record_consistency(mesh_small):
-    m = mesh_small
-    f = m.face(int(m.interior_faces[0]))
-    assert f.neighbour >= 0 and f.patch == -1
-    lo, hi = f.edges
-    npt.assert_allclose(lo.binormal, -hi.binormal)
-    assert lo.length == hi.length == 1.0
-    b = m.face(int(m.patch_faces(TOP)[0]))
-    assert b.neighbour == -1
-    assert b.patch == TOP
-    assert b.boundary_index >= 0

@@ -12,7 +12,6 @@ from fvsolid.output import (
     CONVERGENCE_COLUMNS,
     ERRORS_COLUMNS,
     _fmt,
-    vertex_displacements,
     write_csv,
     write_report,
     write_vtk,
@@ -69,12 +68,19 @@ def test_write_report_is_sorted_json(tmp_path):
     assert json.loads(text) == {"zeta": 1, "alpha": {"n_corr": [2, 1]}}
 
 
-def test_vertex_displacements_linear_exactness(rng):
+def test_vertex_displacements_linear_exactness(tmp_path):
+    """The VTK vertex displacements of a linear field are exact away from
+    the four corners (which carry the nearest boundary-face value)."""
     mesh = build_mesh(5, 3, 1.0, 0.6)
     g = np.array([[0.1, 0.3, 0.0], [-0.2, 0.05, 0.0], [0.0, 0.0, 0.0]])
     points = np.vstack([mesh.cell_centroids,
                         mesh.face_centroid[mesh.bface_face]])
-    out = vertex_displacements(mesh, points @ g.T)
+    path = tmp_path / "linear.vtk"
+    write_vtk(path, mesh, points @ g.T)
+    lines, sections = parse_vtk(path)
+    start, _ = sections["VECTORS"]
+    out = np.array([line.split() for line in
+                    lines[start + 1: start + 1 + mesh.n_vertices]], dtype=float)
     corners = [mesh.vertex_index(i, j) for i in (0, mesh.nx)
                for j in (0, mesh.ny)]
     regular = np.setdiff1d(np.arange(mesh.n_vertices), corners)

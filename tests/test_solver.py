@@ -160,6 +160,12 @@ def test_unknown_method_rejected(mesh8, neo):
         run(mesh8, neo, ZERO_DISPLACEMENT, SolveConfig(method="fem"))
 
 
+def test_zero_load_steps_rejected():
+    # a run with no load step would report success without solving
+    with pytest.raises(ValueError, match="n_load_steps must be at least 1"):
+        SolveConfig(n_load_steps=0)
+
+
 # ---------------------------------------------------------------------------
 # segregated method
 # ---------------------------------------------------------------------------
@@ -192,23 +198,6 @@ def test_seg_relaxation_spares_prescribed_rows(mesh8, neo):
     assert mean_error(mesh8, report, case) < 1e-8
 
 
-def test_seg_budget_exhaustion_reports_failure(mesh8, neo):
-    case = MMSCase("uniaxial", TRACTION, 2.0)
-    cfg = SolveConfig(method="seg", max_corrections=10)
-    report = run(mesh8, neo, mms_bcs(case, neo), cfg)
-    assert not report.converged
-    assert report.failure == "no convergence within 10 corrections"
-    assert report.n_corr == [10]
-
-
-def test_seg_divergence_reports_inversion(neo):
-    mesh = build_mesh(16, 16, 1.0, 1.0)
-    case = MMSCase("shear", TRACTION, 0.45)
-    report = run(mesh, neo, mms_bcs(case, neo), SolveConfig(method="seg"))
-    assert not report.converged
-    assert "inverted element" in report.failure
-
-
 def test_histories_track_normalised_residuals(mesh8, neo):
     case = MMSCase("uniaxial", DISPLACEMENT, 1.2)
     cfg = SolveConfig(method="seg", relaxation=0.9)
@@ -217,3 +206,37 @@ def test_histories_track_normalised_residuals(mesh8, neo):
     assert history[0] == pytest.approx(1.0)
     assert history[-1] < 1e-7
     assert len(history) == report.n_corr[0] + 1
+
+
+# ---------------------------------------------------------------------------
+# failure modes, shared by every method
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("method", ["nlbc", "bc", "seg"])
+def test_budget_exhaustion_reports_failure(mesh8, neo, method):
+    # a zero tolerance is never met, and three corrections are too few for
+    # the five consecutive rises that would call the run diverged
+    case = MMSCase("uniaxial", TRACTION, 2.0)
+    cfg = SolveConfig(method=method, max_corrections=3, outer_tolerance=0.0)
+    report = run(mesh8, neo, mms_bcs(case, neo), cfg)
+    assert not report.converged
+    assert report.failure == "no convergence within 3 corrections"
+    assert report.n_corr == [3]
+    assert len(report.residual_history[0]) == report.n_corr[0] + 1
+
+
+@pytest.mark.parametrize("method,n,kind,amplitude", [
+    ("nlbc", 8, "uniaxial", 0.3),
+    ("seg", 16, "shear", 0.45),
+])
+def test_divergence_reports_inversion(neo, method, n, kind, amplitude):
+    """bc is absent: its Hookean material freezes the geometry, so no
+    element can invert under it."""
+    mesh = build_mesh(n, n, 1.0, 1.0)
+    case = MMSCase(kind, TRACTION, amplitude)
+    report = run(mesh, neo, mms_bcs(case, neo), SolveConfig(method=method))
+    assert not report.converged
+    assert "inverted element" in report.failure
+    # the inverted state is rejected before its residual is recorded
+    assert len(report.residual_history[-1]) == report.n_corr[-1]

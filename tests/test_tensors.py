@@ -8,33 +8,6 @@ import numpy.testing as npt
 from fvsolid import tensors
 
 
-def test_identity4_sym_projects_to_symmetric_part(rng):
-    for _ in range(10):
-        a = rng.normal(size=(3, 3))
-        npt.assert_allclose(
-            tensors.double_contract(tensors.IDENTITY4_SYM, a),
-            tensors.sym(a),
-            atol=1e-15,
-        )
-
-
-def test_det_and_inverse_batched(rng):
-    t = rng.normal(size=(7, 3, 3)) + 3.0 * np.eye(3)
-    npt.assert_allclose(tensors.det(t), [np.linalg.det(m) for m in t])
-    npt.assert_allclose(
-        np.einsum("bij,bjk->bik", t, tensors.inverse(t)),
-        np.broadcast_to(np.eye(3), (7, 3, 3)),
-        atol=1e-12,
-    )
-
-
-def test_sym_is_idempotent_and_symmetric(rng):
-    a = rng.normal(size=(4, 3, 3))
-    s = tensors.sym(a)
-    npt.assert_allclose(s, np.swapaxes(s, -1, -2))
-    npt.assert_allclose(tensors.sym(s), s)
-
-
 def test_outer_product_components(rng):
     a = rng.normal(size=3)
     b = rng.normal(size=3)
@@ -48,33 +21,3 @@ def test_outer_batched_shape(rng):
     out = tensors.outer(a, b)
     assert out.shape == (5, 3, 3)
     npt.assert_allclose(out[2], np.outer(a[2], b[2]))
-
-
-def test_double_contract_matches_loops(rng):
-    c4 = rng.normal(size=(3, 3, 3, 3))
-    t2 = rng.normal(size=(3, 3))
-    expected = np.zeros((3, 3))
-    for i in range(3):
-        for j in range(3):
-            expected[i, j] = np.sum(c4[i, j] * t2)
-    npt.assert_allclose(tensors.double_contract(c4, t2), expected)
-
-
-def test_contract_third_matches_loops(rng):
-    f = rng.normal(size=(3, 3))
-    c4 = rng.normal(size=(3, 3, 3, 3))
-    m = tensors.contract_third(f, c4)
-    expected = np.zeros((3, 3, 3, 3))
-    for a in range(3):
-        for j in range(3):
-            for d in range(3):
-                for l in range(3):
-                    expected[a, j, d, l] = np.einsum(
-                        "I,IK,K->", f[a], c4[:, j, :, l], f[d]
-                    )
-    npt.assert_allclose(m, expected, atol=1e-12)
-
-
-def test_contract_third_identity_passthrough(rng):
-    c4 = rng.normal(size=(3, 3, 3, 3))
-    npt.assert_allclose(tensors.contract_third(np.eye(3), c4), c4)
