@@ -39,8 +39,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .kinematics import State, boundary_face_gradient, vertex_values
+from .material import check_positive_jacobian
 from .mesh import CartesianMesh
-from .tensors import IDENTITY, outer
+from .tensors import IDENTITY, det3, outer
 
 DISPLACEMENT = "displacement"
 TRACTION = "traction"
@@ -51,7 +52,9 @@ _KIND_CODE = {DISPLACEMENT: 0, TRACTION: 1, SYMMETRY: 2}
 @dataclass(frozen=True)
 class BoundaryCondition:
     """Per-patch condition; ``value`` is a constant 3-vector or a callable
-    value(X, t) evaluated at face centroids for load scalar t."""
+    value(X, t) for load scalar t, called once per patch with the (n, 3)
+    stack of the patch's face centroids and returning (n, 3) values or one
+    3-vector for the whole patch."""
 
     kind: str
     value: object = None
@@ -69,13 +72,13 @@ def build_boundary_table(mesh: CartesianMesh, bcs: dict, t: float = 1.0) -> Boun
     for patch, bc in bcs.items():
         if bc.kind not in _KIND_CODE:
             raise ValueError(f"unknown boundary kind {bc.kind!r} on patch {patch}")
-        for face in mesh.patch_faces(patch):
-            b = mesh.face_boundary_index[face]
-            kind[b] = _KIND_CODE[bc.kind]
-            if callable(bc.value):
-                value[b] = bc.value(mesh.face_centroid[face], t)
-            elif bc.value is not None:
-                value[b] = np.asarray(bc.value, dtype=float) * t
+        faces = mesh.patch_faces(patch)
+        b = mesh.face_boundary_index[faces]
+        kind[b] = _KIND_CODE[bc.kind]
+        if callable(bc.value):
+            value[b] = bc.value(mesh.face_centroid[faces], t)
+        elif bc.value is not None:
+            value[b] = np.asarray(bc.value, dtype=float) * t
     missing = set(range(4)) - set(bcs)
     if missing:
         raise ValueError(f"patches without a boundary condition: {sorted(missing)}")
@@ -110,10 +113,12 @@ def face_states(mesh: CartesianMesh, material, state: State):
     gradient and replace its normal column with the quotient against the
     face's own displacement unknown.  The material is evaluated at the
     reconstructed gradients, so the assembled coefficients are the exact
-    derivative of the flux each face reports.
+    derivative of the flux each face reports.  Cell states only get the
+    inversion check (det F > 0).
     """
     u = state.displacement
-    material.stress_state(state.grad, "cell")   # cell-inversion check
+    if not material.linear:     # frozen geometry cannot invert
+        check_positive_jacobian(det3(IDENTITY + state.grad), "cell")
     vert_u = vertex_values(mesh, u)
     f_face = np.empty((mesh.n_faces, 3, 3))
     s_face = np.empty((mesh.n_faces, 3, 3))
@@ -135,7 +140,7 @@ def face_states(mesh: CartesianMesh, material, state: State):
         mesh.face_normal[boundary], mesh.face_distance[boundary])
     f_face[boundary], s_face[boundary] = material.stress_state(grad_b, "boundary face")
 
-    flux_density = np.einsum("fij,fjk,fk->fi", f_face, s_face, mesh.face_normal)
+    flux_density = (f_face @ (s_face @ mesh.face_normal[:, :, None]))[:, :, 0]
     return f_face, s_face, flux_density
 
 
@@ -149,10 +154,7 @@ def newton_rhs(mesh: CartesianMesh, material, state: State, table: BoundaryTable
     by the shear modulus so the norm is uniformly force-like.
     """
     rhs = np.zeros((mesh.n_unknowns, 3))
-    flux = mesh.face_area[:, None] * flux_density
-    np.subtract.at(rhs, mesh.face_owner, flux)
-    interior = mesh.interior_faces
-    np.add.at(rhs, mesh.face_neighbour[interior], flux[interior])
+    rhs[:mesh.n_cells] = -(mesh.cell_divergence @ flux_density)
 
     row_scale = np.ones(mesh.n_unknowns)
     boundary = mesh.boundary_faces

@@ -23,6 +23,7 @@ deformed*.vtk per mesh, and A.mtx/R.mtx with --dump-matrix.  Exit status:
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -165,6 +166,10 @@ def _validate(cfg: CaseConfig) -> None:
         cfg.nu = defaults["nu"]
     if not cfg.material:
         cfg.material = defaults["material"]
+    if not (math.isfinite(cfg.E) and cfg.E > 0):
+        raise ConfigError(f"'E' must be finite and positive, got {cfg.E}")
+    if not -1 < cfg.nu < 0.5:
+        raise ConfigError(f"'nu' must lie in (-1, 0.5), got {cfg.nu}")
     if cfg.case == "uniaxial" and cfg.stretch is None:
         raise ConfigError("case 'uniaxial' requires key 'stretch'")
     if cfg.case == "uniaxial" and cfg.stretch <= 0:

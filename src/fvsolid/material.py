@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import IDENTITY
+from .tensors import IDENTITY, det3, inv3
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,14 @@ def lame_from_E_nu(E: float, nu: float, regime: str = "plane_strain") -> Lame:
     """Lame parameters from Young's modulus and Poisson ratio.
 
     ``regime`` selects the 2-D reduction: plane strain keeps the 3-D lambda,
-    plane stress substitutes the usual reduced value.
+    plane stress substitutes the usual reduced value.  E must be finite
+    and positive and nu must lie in (-1, 0.5), the range where the shear
+    and bulk moduli are finite and positive.
     """
+    if not (np.isfinite(E) and E > 0.0):
+        raise ValueError(f"Young's modulus E must be finite and positive, got {E}")
+    if not -1.0 < nu < 0.5:
+        raise ValueError(f"Poisson ratio nu must lie in (-1, 0.5), got {nu}")
     mu = E / (2.0 * (1.0 + nu))
     if regime == "plane_strain":
         lam = E * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
@@ -55,7 +61,8 @@ class InvertedElementError(RuntimeError):
         super().__init__(f"inverted element: det(F) = {det_f:.6e} at {label} {index}")
 
 
-def _check_positive_jacobian(det_f: np.ndarray, label: str) -> None:
+def check_positive_jacobian(det_f: np.ndarray, label: str) -> None:
+    """Raise InvertedElementError at the smallest det(F) if it is not positive."""
     det_f = np.atleast_1d(det_f)
     if det_f.size == 0:
         return
@@ -78,25 +85,27 @@ class NeoHookean:
 
     # -- tensor-level pieces -------------------------------------------
 
-    def second_piola(self, c: np.ndarray) -> np.ndarray:
-        c_inv = np.linalg.inv(c)
-        log_j = 0.5 * np.log(np.linalg.det(c))
+    def _stress(self, c_inv: np.ndarray, log_j: np.ndarray) -> np.ndarray:
+        """S from C^-1 and ln J, so callers that hold det F reuse it."""
         return (self.mu * (IDENTITY - c_inv)
                 + self.lam * log_j[..., None, None] * c_inv)
 
+    def second_piola(self, c: np.ndarray) -> np.ndarray:
+        c_inv, det_c = inv3(c)
+        return self._stress(c_inv, 0.5 * np.log(det_c))
+
     def first_piola(self, grad_u: np.ndarray) -> np.ndarray:
         f = IDENTITY + grad_u
-        c = np.einsum("...ki,...kj->...ij", f, f)
-        return f @ self.second_piola(c)
+        return f @ self.second_piola(np.swapaxes(f, -1, -2) @ f)
 
     # -- solver surface ------------------------------------------------
 
     def stress_state(self, grad_u: np.ndarray, label: str = "cell"):
         f = IDENTITY + grad_u
-        det_f = np.linalg.det(f)
-        _check_positive_jacobian(det_f, label)
-        c = np.einsum("...ki,...kj->...ij", f, f)
-        return f, self.second_piola(c)
+        det_f = det3(f)
+        check_positive_jacobian(det_f, label)
+        c_inv, _ = inv3(np.swapaxes(f, -1, -2) @ f)
+        return f, self._stress(c_inv, np.log(det_f))
 
     def face_linearisation(self, f: np.ndarray, s: np.ndarray, n: np.ndarray):
         """Geometric vector and coupling-tensor stack for a face state.
@@ -110,10 +119,11 @@ class NeoHookean:
         against the brute contraction of the transformed tangent with N.
         """
         w = np.einsum("...ij,...j->...i", s, n)
-        a_mat = np.linalg.inv(np.swapaxes(f, -1, -2))        # F^-T
+        f_inv, det_f = inv3(f)
+        a_mat = np.swapaxes(f_inv, -1, -2)                   # F^-T
         a = np.einsum("...ij,...j->...i", a_mat, n)
         b = np.einsum("...ji,...j->...i", a_mat, a)          # F^-1 a = C^-1 N
-        log_j = np.log(np.linalg.det(f))
+        log_j = np.log(det_f)
         coef = (self.mu - self.lam * log_j)[..., None, None, None]
         t = (self.lam * np.einsum("...i,...jd->...dij", a, a_mat)
              + coef * (np.einsum("...d,ij->...dij", b, IDENTITY)

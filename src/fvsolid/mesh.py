@@ -16,11 +16,19 @@ values are interpolated from the unknowns with fixed vertex stencils:
 - boundary vertex inside a patch: the two adjacent boundary faces, 1/2 each
 - corner vertex: the nearest boundary face of the adjacent patch that comes
   first in the patch order (weight 1)
+
+Three sparse operators turn the face and stencil arrays into single
+products for the residual path: ``face_average`` (unknowns to faces),
+``cell_divergence`` (faces to cells) and ``vertex_stencil`` (unknowns to
+vertices).  Each is built on first use and then kept with the mesh.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
+import scipy.sparse as sp
 
 LEFT, RIGHT, BOTTOM, TOP = 0, 1, 2, 3
 PATCH_NAMES = ("left", "right", "bottom", "top")
@@ -235,6 +243,44 @@ class CartesianMesh:
         self.stencil_ptr = np.asarray(ptr, dtype=np.int64)
         self.stencil_ids = np.asarray(ids, dtype=np.int64)
         self.stencil_weights = np.asarray(weights)
+
+    # ------------------------------------------------------------------
+    # sparse operators
+    # ------------------------------------------------------------------
+
+    @cached_property
+    def face_average(self) -> sp.csr_matrix:
+        """(n_faces, n_unknowns) face values of a per-unknown field: the
+        two-cell average on interior faces, the face's own unknown on the
+        boundary."""
+        interior, boundary = self.interior_faces, self.boundary_faces
+        rows = np.concatenate((interior, interior, boundary))
+        cols = np.concatenate((self.face_owner[interior],
+                               self.face_neighbour[interior],
+                               self.face_across[boundary]))
+        vals = np.concatenate((np.full(2 * interior.size, 0.5),
+                               np.ones(boundary.size)))
+        return sp.csr_matrix((vals, (rows, cols)),
+                             shape=(self.n_faces, self.n_unknowns))
+
+    @cached_property
+    def cell_divergence(self) -> sp.csr_matrix:
+        """(n_cells, n_faces) net outward surface integral per cell: each
+        face value times its area, added to the owner and subtracted from
+        the neighbour."""
+        interior = self.interior_faces
+        rows = np.concatenate((self.face_owner, self.face_neighbour[interior]))
+        cols = np.concatenate((np.arange(self.n_faces), interior))
+        vals = np.concatenate((self.face_area, -self.face_area[interior]))
+        return sp.csr_matrix((vals, (rows, cols)),
+                             shape=(self.n_cells, self.n_faces))
+
+    @cached_property
+    def vertex_stencil(self) -> sp.csr_matrix:
+        """(n_vertices, n_unknowns) the fixed vertex stencils as rows."""
+        return sp.csr_matrix((self.stencil_weights, self.stencil_ids,
+                              self.stencil_ptr),
+                             shape=(self.n_vertices, self.n_unknowns))
 
     # ------------------------------------------------------------------
     # queries

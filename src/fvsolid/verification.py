@@ -52,8 +52,9 @@ def mms_deformation_gradient(case: MMSCase, t: float) -> np.ndarray:
 
 
 def dirichlet_data(case: MMSCase, t: float, x: np.ndarray) -> np.ndarray:
-    """Exact displacement U = (F(t) - I) X."""
-    return (mms_deformation_gradient(case, t) - IDENTITY) @ np.asarray(x)
+    """Exact displacement U = (F(t) - I) X at one point (3,) or a stack of
+    points (n, 3)."""
+    return np.asarray(x) @ (mms_deformation_gradient(case, t) - IDENTITY).T
 
 
 def traction_data(case: MMSCase, material, t: float, normal: np.ndarray) -> np.ndarray:

@@ -1,10 +1,14 @@
-"""Reference tangents the tests compare the solver's closed forms against.
+"""Reference routes the tests compare the solver's fast forms against.
 
-These are the generic routes: the material elasticity dS/dE as a full
-fourth-order tensor, its push to mixed form, the directional derivative of
-the first Piola stress built from it, and the row-d traction-coupling
-tensor both in closed form and by brute contraction.  The solver itself
-only uses ``face_linearisation``; these stay here as independent oracles.
+Tangents: the material elasticity dS/dE as a full fourth-order tensor, its
+push to mixed form, the directional derivative of the first Piola stress
+built from it, and the row-d traction-coupling tensor both in closed form
+and by brute contraction.  The solver itself only uses
+``face_linearisation``.
+
+Mesh scatters: the Gauss cell gradient, the vertex interpolation and the
+face-to-cell force sum written as index loops with ``np.add.at``, against
+which the solver's prebuilt sparse operators are held.
 """
 
 from __future__ import annotations
@@ -72,3 +76,38 @@ def t_tensor_contracted(material, f: np.ndarray, n: np.ndarray, d: int) -> np.nd
     """Same tensor by brute contraction of the transformed tangent."""
     m = transformed_elasticity(material, f)
     return np.einsum("...aJdL,...J->...adL", m, n)[..., d, :]
+
+
+def cell_gradient(mesh, values: np.ndarray) -> np.ndarray:
+    """Gauss cell gradient by scattering each face's area-weighted
+    value x normal onto its owner (+) and neighbour (-)."""
+    face_vals = np.empty((mesh.n_faces, values.shape[1]))
+    interior = mesh.interior_faces
+    face_vals[interior] = 0.5 * (values[mesh.face_owner[interior]]
+                                 + values[mesh.face_neighbour[interior]])
+    boundary = mesh.boundary_faces
+    face_vals[boundary] = values[mesh.face_across[boundary]]
+    weighted = mesh.face_area[:, None, None] * outer(face_vals, mesh.face_normal)
+    grad = np.zeros((mesh.n_cells, values.shape[1], 3))
+    np.add.at(grad, mesh.face_owner, weighted)
+    np.subtract.at(grad, mesh.face_neighbour[interior], weighted[interior])
+    return grad / mesh.cell_volume[:, None, None]
+
+
+def vertex_values(mesh, values: np.ndarray) -> np.ndarray:
+    """Vertex interpolation by scattering the stencil entries row by row."""
+    out = np.zeros((mesh.n_vertices, values.shape[1]))
+    counts = np.diff(mesh.stencil_ptr)
+    rows = np.repeat(np.arange(mesh.n_vertices), counts)
+    np.add.at(out, rows, mesh.stencil_weights[:, None] * values[mesh.stencil_ids])
+    return out
+
+
+def cell_force_rows(mesh, flux_density: np.ndarray) -> np.ndarray:
+    """Cell rows of the residual: minus the net outward surface force."""
+    rows = np.zeros((mesh.n_cells, flux_density.shape[1]))
+    flux = mesh.face_area[:, None] * flux_density
+    np.subtract.at(rows, mesh.face_owner, flux)
+    interior = mesh.interior_faces
+    np.add.at(rows, mesh.face_neighbour[interior], flux[interior])
+    return rows

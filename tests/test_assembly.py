@@ -11,7 +11,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from fvsolid import BOTTOM, LEFT, RIGHT, TOP, BoundaryCondition, build_mesh
+from fvsolid import (BOTTOM, LEFT, RIGHT, TOP, BoundaryCondition, MMSCase,
+                     build_mesh, mms_bcs)
 from fvsolid.assembly import (
     DISPLACEMENT,
     SYMMETRY,
@@ -25,6 +26,7 @@ from fvsolid.assembly import (
 )
 from fvsolid.kinematics import State, cell_gradient, zero_state
 from fvsolid.material import InvertedElementError, Lame, NeoHookean
+from tests import oracles
 from tests.conftest import random_gradients
 
 UNIT = NeoHookean(Lame(mu=0.8, lam=1.3))
@@ -76,12 +78,33 @@ def test_boundary_table_kinds_and_scaling(mesh_small):
 def test_boundary_table_callable_values(mesh_small):
     bcs = dict(ALL_DISPLACEMENT)
     bcs[TOP] = BoundaryCondition(DISPLACEMENT,
-                                 lambda x, t: np.array([t * x[0], 0.0, 0.0]))
+                                 lambda x, t: x * [t, 0.0, 0.0])
     table = build_boundary_table(mesh_small, bcs, t=2.0)
     faces = mesh_small.patch_faces(TOP)
     b = mesh_small.face_boundary_index[faces]
     npt.assert_allclose(table.value[b, 0],
                         2.0 * mesh_small.face_centroid[faces, 0])
+
+
+def test_boundary_table_matches_per_face_evaluation():
+    """One call per patch gives the same table, bit for bit, as calling
+    each face's value on its own centroid."""
+    mesh = build_mesh(4, 3, 1.0, 0.75)
+    bcs = mms_bcs(MMSCase("shear", TRACTION, 0.4), UNIT)   # displacement left
+    bcs[BOTTOM] = BoundaryCondition(SYMMETRY)
+    table = build_boundary_table(mesh, bcs, t=0.7)
+    kind = np.empty(mesh.n_bfaces, dtype=np.int8)
+    value = np.zeros((mesh.n_bfaces, 3))
+    codes = {DISPLACEMENT: 0, TRACTION: 1, SYMMETRY: 2}
+    for patch, bc in bcs.items():
+        for face in mesh.patch_faces(patch):
+            b = mesh.face_boundary_index[face]
+            kind[b] = codes[bc.kind]
+            if bc.value is not None:
+                value[b] = bc.value(mesh.face_centroid[face], 0.7)
+    npt.assert_array_equal(table.kind, kind)
+    npt.assert_array_equal(table.value, value)
+    assert np.abs(value[mesh.patch_bfaces(LEFT), 0]).max() > 0.0
 
 
 def test_boundary_table_rejects_unknown_kind(mesh_small):
@@ -131,8 +154,24 @@ def test_face_states_reproduce_homogeneous_gradient(mesh_small, rng):
 def test_face_states_reject_inverted_cells(mesh_small):
     state = zero_state(mesh_small)
     state.grad[3] = np.diag([-2.0, 0.0, 0.0])
-    with pytest.raises(InvertedElementError, match="cell 3"):
+    with pytest.raises(InvertedElementError, match="cell 3") as err:
         face_states(mesh_small, UNIT, state)
+    assert (err.value.index, err.value.det_f) == (3, -1.0)
+
+
+@pytest.mark.parametrize("row,shift,label,index,det_f", [
+    (4, (-1.0, 0.0, 0.0), "face", 1, -1.0),
+    (15, (0.5, 0.0, 0.0), "boundary face", 3, -1.0),
+])
+def test_face_states_reject_inverted_faces(mesh_small, row, shift, label,
+                                           index, det_f):
+    """A displaced cell (row 4) folds its west face; a displaced left-patch
+    unknown (row 15, boundary face 3) folds that face.  Cells stay intact."""
+    state = zero_state(mesh_small)
+    state.displacement[row] = shift
+    with pytest.raises(InvertedElementError, match=f"at {label} {index}$") as err:
+        face_states(mesh_small, UNIT, state)
+    assert (err.value.index, err.value.det_f) == (index, det_f)
 
 
 def test_homogeneous_state_residual_vanishes(mesh_small, rng):
@@ -141,7 +180,7 @@ def test_homogeneous_state_residual_vanishes(mesh_small, rng):
     p = UNIT.first_piola(g)
 
     def disp(x, t):
-        return g @ x
+        return x @ g.T
 
     def trac(n):
         return lambda x, t, v=p @ n: v
@@ -168,6 +207,15 @@ def test_newton_rhs_row_scales(mesh_small):
     npt.assert_allclose(row_scale[m.n_cells + m.patch_bfaces(LEFT)], UNIT.mu)
     right = m.patch_faces(RIGHT)
     npt.assert_allclose(row_scale[m.face_across[right]], m.face_area[right])
+
+
+def test_newton_rhs_cell_rows_match_scatter_oracle(mesh_small, mesh16, rng):
+    for mesh in (mesh_small, mesh16):
+        table = build_boundary_table(mesh, ALL_DISPLACEMENT)
+        flux = rng.normal(size=(mesh.n_faces, 3))
+        rhs, _ = newton_rhs(mesh, UNIT, zero_state(mesh), table, flux)
+        ref = oracles.cell_force_rows(mesh, flux)
+        assert np.abs(rhs[:mesh.n_cells] - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_newton_rhs_displacement_defect(mesh_small):

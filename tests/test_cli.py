@@ -258,6 +258,10 @@ def test_main_reports_config_errors(tmp_path, capsys):
     "linear_solver = foo",
     "linear_solver = auto",
     "load_steps = 0",
+    "nu = 0.5",
+    "nu = -1",
+    "E = nan",
+    "E = 0",
 ])
 def test_main_rejects_bad_solver_settings(tmp_path, capsys, line):
     path = write_cfg(tmp_path, f"case = shear\nmesh = 4x4\n{line}\n")

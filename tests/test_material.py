@@ -43,6 +43,15 @@ def test_lame_unknown_regime():
         lame_from_E_nu(1.0, 0.3, "axisymmetric")
 
 
+@pytest.mark.parametrize("E,nu", [
+    (1.0, 0.5), (1.0, -1.0), (1.0, 0.7), (np.nan, 0.3), (np.inf, 0.3),
+    (0.0, 0.3), (-1.0, 0.3), (1.0, np.nan),
+])
+def test_lame_rejects_bad_moduli(E, nu):
+    with pytest.raises(ValueError, match="must"):
+        lame_from_E_nu(E, nu)
+
+
 def test_inverted_element_error_message():
     err = InvertedElementError(17, -0.25, label="boundary face")
     assert err.index == 17

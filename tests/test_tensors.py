@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 
 from fvsolid import tensors
 
@@ -21,3 +22,50 @@ def test_outer_batched_shape(rng):
     out = tensors.outer(a, b)
     assert out.shape == (5, 3, 3)
     npt.assert_allclose(out[2], np.outer(a[2], b[2]))
+
+
+def _batch(rng, kind, n=200):
+    """Random, rotated-and-stretched, or nearly singular 3x3 stacks."""
+    a = rng.normal(size=(n, 3, 3))
+    if kind == "rotated":
+        q, _ = np.linalg.qr(a)
+        q *= np.sign(np.linalg.det(q))[:, None, None]    # proper rotations
+        a = q * rng.uniform(0.5, 2.0, size=(n, 1, 3))
+    elif kind == "near_singular":
+        a[:, 2] = (a[:, 0] - 2.0 * a[:, 1]
+                   + 1e-9 * rng.normal(size=(n, 3)))
+    return a
+
+
+@pytest.mark.parametrize("kind", ["random", "rotated", "near_singular"])
+def test_det3_matches_lapack(rng, kind):
+    a = _batch(rng, kind)
+    # rounding in either route is a few ulps of the largest cofactor
+    # product, bounded by the product of the row norms (Hadamard)
+    scale = np.prod(np.linalg.norm(a, axis=-1), axis=-1)
+    err = np.abs(tensors.det3(a) - np.linalg.det(a))
+    assert (err <= 1e-14 * scale).all()
+
+
+@pytest.mark.parametrize("kind", ["random", "rotated", "near_singular"])
+def test_inv3_matches_lapack(rng, kind):
+    a = _batch(rng, kind)
+    inv, det = tensors.inv3(a)
+    npt.assert_array_equal(det, tensors.det3(a))
+    ref = np.linalg.inv(a)
+    # both routes carry a forward error of order cond(a) * eps
+    cond = np.linalg.cond(a)
+    err = (np.linalg.norm(inv - ref, axis=(-2, -1))
+           / np.linalg.norm(ref, axis=(-2, -1)))
+    assert (err <= 1e-14 * cond).all()
+    if kind == "rotated":
+        npt.assert_allclose(det, np.prod(np.linalg.svd(a, compute_uv=False), axis=-1),
+                            rtol=1e-13)
+
+
+def test_inv3_and_det3_take_a_single_matrix():
+    a = np.array([[2.0, 1.0, 0.0], [0.0, 3.0, 0.0], [1.0, 0.0, 4.0]])
+    inv, det = tensors.inv3(a)
+    assert inv.shape == (3, 3) and np.ndim(det) == 0
+    npt.assert_allclose(inv @ a, np.eye(3), atol=1e-15)
+    assert det == tensors.det3(a) == 24.0
