@@ -1,8 +1,7 @@
 """Linearised momentum assembly: the block system one Newton correction solves.
 
-Unknown layout: one 2-vector per cell followed by one 2-vector per boundary
-face (z is carried through the tensor algebra but never enters the system;
-plane strain makes that truncation exact).
+Unknown layout: one in-plane 2-vector per cell followed by one 2-vector
+per boundary face; every face tensor is the 2x2 in-plane block.
 
 Cell rows balance the surface-force increments against the accumulated
 surface force.  For a face with outward normal N, geometric vector
@@ -41,7 +40,7 @@ import scipy.sparse as sp
 from .kinematics import State, boundary_face_gradient, vertex_values
 from .material import check_positive_jacobian
 from .mesh import CartesianMesh
-from .tensors import IDENTITY, det3, outer
+from .tensors import IDENTITY, det2, outer
 
 DISPLACEMENT = "displacement"
 TRACTION = "traction"
@@ -51,10 +50,11 @@ _KIND_CODE = {DISPLACEMENT: 0, TRACTION: 1, SYMMETRY: 2}
 
 @dataclass(frozen=True)
 class BoundaryCondition:
-    """Per-patch condition; ``value`` is a constant 3-vector or a callable
-    value(X, t) for load scalar t, called once per patch with the (n, 3)
-    stack of the patch's face centroids and returning (n, 3) values or one
-    3-vector for the whole patch."""
+    """Per-patch condition; ``value`` is a constant vector or a callable
+    value(X, t) for load scalar t, called once per patch with the (n, 2)
+    stack of the patch's face centroids and returning (n, 2) values or one
+    vector for the whole patch.  Only the first two components of a value
+    are read, so a third (out-of-plane) component is ignored."""
 
     kind: str
     value: object = None
@@ -63,12 +63,12 @@ class BoundaryCondition:
 @dataclass
 class BoundaryTable:
     kind: np.ndarray    # (n_bfaces,) codes per _KIND_CODE
-    value: np.ndarray   # (n_bfaces, 3) prescribed data at the current load
+    value: np.ndarray   # (n_bfaces, 2) prescribed data at the current load
 
 
 def build_boundary_table(mesh: CartesianMesh, bcs: dict, t: float = 1.0) -> BoundaryTable:
     kind = np.empty(mesh.n_bfaces, dtype=np.int8)
-    value = np.zeros((mesh.n_bfaces, 3))
+    value = np.zeros((mesh.n_bfaces, 2))
     for patch, bc in bcs.items():
         if bc.kind not in _KIND_CODE:
             raise ValueError(f"unknown boundary kind {bc.kind!r} on patch {patch}")
@@ -76,9 +76,9 @@ def build_boundary_table(mesh: CartesianMesh, bcs: dict, t: float = 1.0) -> Boun
         b = mesh.face_boundary_index[faces]
         kind[b] = _KIND_CODE[bc.kind]
         if callable(bc.value):
-            value[b] = bc.value(mesh.face_centroid[faces], t)
+            value[b] = np.asarray(bc.value(mesh.face_centroid[faces], t))[..., :2]
         elif bc.value is not None:
-            value[b] = np.asarray(bc.value, dtype=float) * t
+            value[b] = np.asarray(bc.value, dtype=float)[..., :2] * t
     missing = set(range(4)) - set(bcs)
     if missing:
         raise ValueError(f"patches without a boundary condition: {sorted(missing)}")
@@ -118,10 +118,10 @@ def face_states(mesh: CartesianMesh, material, state: State):
     """
     u = state.displacement
     if not material.linear:     # frozen geometry cannot invert
-        check_positive_jacobian(det3(IDENTITY + state.grad), "cell")
+        check_positive_jacobian(det2(IDENTITY + state.grad), "cell")
     vert_u = vertex_values(mesh, u)
-    f_face = np.empty((mesh.n_faces, 3, 3))
-    s_face = np.empty((mesh.n_faces, 3, 3))
+    f_face = np.empty((mesh.n_faces, 2, 2))
+    s_face = np.empty((mesh.n_faces, 2, 2))
 
     interior = mesh.interior_faces
     own, nb = mesh.face_owner[interior], mesh.face_neighbour[interior]
@@ -153,7 +153,7 @@ def newton_rhs(mesh: CartesianMesh, material, state: State, table: BoundaryTable
     the weights rescale traction rows by face area and displacement rows
     by the shear modulus so the norm is uniformly force-like.
     """
-    rhs = np.zeros((mesh.n_unknowns, 3))
+    rhs = np.zeros((mesh.n_unknowns, 2))
     rhs[:mesh.n_cells] = -(mesh.cell_divergence @ flux_density)
 
     row_scale = np.ones(mesh.n_unknowns)
@@ -192,27 +192,8 @@ def newton_rhs(mesh: CartesianMesh, material, state: State, table: BoundaryTable
 @dataclass
 class BlockSystem:
     matrix: sp.csr_matrix      # scalar form, (2N, 2N)
-    rhs: np.ndarray            # (N, 3); z column identically zero
+    rhs: np.ndarray            # (N, 2)
     row_scale: np.ndarray      # (N,) residual-norm weights
-
-    @property
-    def n_block_rows(self) -> int:
-        return self.rhs.shape[0]
-
-    def flat_rhs(self) -> np.ndarray:
-        return self.rhs[:, :2].ravel()
-
-
-def _expand_stencils(mesh: CartesianMesh, verts: np.ndarray):
-    """Flatten the vertex stencils of ``verts``: returns (group, ids, weights)
-    where group maps each flattened entry back to its position in verts."""
-    starts = mesh.stencil_ptr[verts]
-    counts = mesh.stencil_ptr[verts + 1] - starts
-    total = int(counts.sum())
-    group = np.repeat(np.arange(verts.size), counts)
-    prefix = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    flat = np.repeat(starts, counts) + (np.arange(total) - np.repeat(prefix, counts))
-    return group, mesh.stencil_ids[flat], mesh.stencil_weights[flat]
 
 
 class _BlockBuilder:
@@ -242,23 +223,20 @@ class _BlockBuilder:
         return coo.tocsr()
 
 
-def _tangential(builder: _BlockBuilder, mesh: CartesianMesh, faces: np.ndarray,
-                rows_per_face: np.ndarray, coef: np.ndarray) -> None:
-    """Scatter coef[f] @ (dU_hi - dU_lo) onto the rows, expanding the vertex
-    stencils of both face endpoints."""
-    if faces.size == 0:
-        return
-    for verts, sign in ((mesh.face_vertex_hi[faces], 1.0),
-                        (mesh.face_vertex_lo[faces], -1.0)):
-        group, ids, wts = _expand_stencils(mesh, verts)
-        builder.add(rows_per_face[group], ids,
-                    sign * wts[:, None, None] * coef[group])
+def _tangential(builder: _BlockBuilder, endpoints: tuple, rows_per_face: np.ndarray,
+                coef: np.ndarray) -> None:
+    """Scatter coef[f] @ (dU_hi - dU_lo) onto the rows; ``endpoints`` holds
+    the vertex stencils of the faces' hi and lo endpoints in COO form, one
+    row per face."""
+    for stencils, sign in zip(endpoints, (1.0, -1.0)):
+        builder.add(rows_per_face[stencils.row], stencils.col,
+                    sign * stencils.data[:, None, None] * coef[stencils.row])
 
 
 def _h_block(w: np.ndarray, t: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Directional flux coefficient H(m) = (w.m) I + sum_d m_d T[d], linear
     in the direction m."""
-    eye = np.broadcast_to(IDENTITY, t.shape[:-3] + (3, 3))
+    eye = np.broadcast_to(IDENTITY, t.shape[:-3] + (2, 2))
     return (np.einsum("...i,...i->...", w, m)[..., None, None] * eye
             + np.einsum("...d,...dij->...ij", m, t))
 
@@ -266,7 +244,7 @@ def _h_block(w: np.ndarray, t: np.ndarray, m: np.ndarray) -> np.ndarray:
 def _owner_gradient_chain(builder: _BlockBuilder, mesh: CartesianMesh,
                           faces: np.ndarray, rows: np.ndarray,
                           w_f: np.ndarray, t_f: np.ndarray,
-                          scale: np.ndarray, proj2: np.ndarray | None = None) -> None:
+                          scale: np.ndarray, proj: np.ndarray | None = None) -> None:
     """Exact derivative of a boundary face's tangential reconstruction.
 
     The reconstruction keeps the owner-cell Gauss gradient outside the
@@ -286,9 +264,9 @@ def _owner_gradient_chain(builder: _BlockBuilder, mesh: CartesianMesh,
         nk = mesh.face_normal[fk]
         m = nk - np.einsum("bi,bi->b", nk, n_face)[:, None] * n_face
         coef = scale * sk * mesh.face_area[fk] / vol
-        block = coef[:, None, None] * _h_block(w_f, t_f, m)[:, :2, :2]
-        if proj2 is not None:
-            block = proj2 @ block
+        block = coef[:, None, None] * _h_block(w_f, t_f, m)
+        if proj is not None:
+            block = proj @ block
         inter = mesh.face_neighbour[fk] >= 0
         fi = fk[inter]
         other = mesh.face_owner[fi] + mesh.face_neighbour[fi] - own[inter]
@@ -310,27 +288,25 @@ def assemble_system(mesh: CartesianMesh, material, state: State,
     h_t = _h_block(w, t, tangent)
     a_n = (mesh.face_area / mesh.face_distance)[:, None, None] * h_n
 
-    an2 = np.ascontiguousarray(a_n[:, :2, :2])
-    ht2 = np.ascontiguousarray(h_t[:, :2, :2])
-    hn2 = np.ascontiguousarray(h_n[:, :2, :2])
-
     builder = _BlockBuilder()
     owner, across = mesh.face_owner, mesh.face_across
     boundary = mesh.boundary_faces
 
     # Normal difference quotients, owner rows for every face.
-    builder.add(owner, across, an2)
-    builder.add(owner, owner, -an2)
+    builder.add(owner, across, a_n)
+    builder.add(owner, owner, -a_n)
     # Mirrored neighbour rows on interior faces.
     interior = mesh.interior_faces
     nb = mesh.face_neighbour[interior]
-    builder.add(nb, owner[interior], an2[interior])
-    builder.add(nb, nb, -an2[interior])
+    builder.add(nb, owner[interior], a_n[interior])
+    builder.add(nb, nb, -a_n[interior])
 
     # Tangential terms on cell rows: endpoint differences for interior
     # faces, the owner-gradient chain for boundary ones.
-    _tangential(builder, mesh, interior, owner[interior], ht2[interior])
-    _tangential(builder, mesh, interior, nb, -ht2[interior])
+    endpoints = tuple(mesh.vertex_stencil[verts[interior]].tocoo()
+                      for verts in (mesh.face_vertex_hi, mesh.face_vertex_lo))
+    _tangential(builder, endpoints, owner[interior], h_t[interior])
+    _tangential(builder, endpoints, nb, -h_t[interior])
     _owner_gradient_chain(builder, mesh, boundary, owner[boundary],
                           w[boundary], t[boundary], mesh.face_area[boundary])
 
@@ -341,13 +317,12 @@ def assemble_system(mesh: CartesianMesh, material, state: State,
 
     disp = boundary[kind == _KIND_CODE[DISPLACEMENT]]
     disp_rows = mesh.n_cells + mesh.face_boundary_index[disp]
-    eye2 = np.broadcast_to(np.eye(2), (disp.size, 2, 2))
-    builder.add(disp_rows, disp_rows, eye2)
+    builder.add(disp_rows, disp_rows, np.broadcast_to(IDENTITY, (disp.size, 2, 2)))
 
     trac = boundary[kind == _KIND_CODE[TRACTION]]
     if trac.size:
         trac_rows = mesh.n_cells + mesh.face_boundary_index[trac]
-        bn = hn2[trac] / mesh.face_distance[trac, None, None]
+        bn = h_n[trac] / mesh.face_distance[trac, None, None]
         builder.add(trac_rows, trac_rows, bn)
         builder.add(trac_rows, owner[trac], -bn)
         _owner_gradient_chain(builder, mesh, trac, trac_rows,
@@ -356,14 +331,13 @@ def assemble_system(mesh: CartesianMesh, material, state: State,
     symm = boundary[kind == _KIND_CODE[SYMMETRY]]
     if symm.size:
         symm_rows = mesh.n_cells + mesh.face_boundary_index[symm]
-        n2 = normal[symm, :2]
-        nn = np.einsum("bi,bj->bij", n2, n2)
-        proj = np.eye(2) - nn
-        bn = proj @ (hn2[symm] / mesh.face_distance[symm, None, None])
+        nn = outer(normal[symm], normal[symm])
+        proj = IDENTITY - nn
+        bn = proj @ (h_n[symm] / mesh.face_distance[symm, None, None])
         builder.add(symm_rows, symm_rows, nn + bn)
         builder.add(symm_rows, owner[symm], -bn)
         _owner_gradient_chain(builder, mesh, symm, symm_rows,
-                              w[symm], t[symm], np.ones(symm.size), proj2=proj)
+                              w[symm], t[symm], np.ones(symm.size), proj=proj)
 
     rhs, row_scale = newton_rhs(mesh, material, state, table, flux_density)
     matrix = builder.to_csr(mesh.n_unknowns)

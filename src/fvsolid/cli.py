@@ -4,8 +4,8 @@ Usage:
     fvsolid --config case.cfg [--method nlbc|bc|seg] [--mesh NXxNY]
             [--sweep n1,n2,...] [--dump-matrix] [--out dir]
 
-The config file is flat ``key = value`` text (# starts a comment).  Three
-cases are registered:
+The config file is flat ``key = value`` text (# starts a comment), each
+key at most once.  Three cases are registered:
 
 - ``cantilever``: end-loaded thin beam, linear-elastic by default, judged
   against the analytic end deflection
@@ -104,6 +104,7 @@ def parse_config(path: str, overrides: dict | None = None) -> CaseConfig:
     """Read a key = value file, apply flag overrides, validate."""
     known = {f.name for f in fields(CaseConfig)}
     raw: dict = {}
+    first_line: dict = {}
     try:
         with open(path) as handle:
             for lineno, line in enumerate(handle, 1):
@@ -115,6 +116,10 @@ def parse_config(path: str, overrides: dict | None = None) -> CaseConfig:
                 key, value = (part.strip() for part in line.split("=", 1))
                 if key not in known:
                     raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+                if key in first_line:
+                    raise ConfigError(f"{path}:{lineno}: duplicate config key {key!r} "
+                                      f"(first set on line {first_line[key]})")
+                first_line[key] = lineno
                 raw[key] = value
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
@@ -157,6 +162,16 @@ def _validate(cfg: CaseConfig) -> None:
                           f"use one of {', '.join(LINEAR_METHODS)}")
     if cfg.load_steps < 1:
         raise ConfigError(f"'load_steps' must be at least 1, got {cfg.load_steps}")
+    for key in ("tolerance", "relaxation"):
+        value = getattr(cfg, key)
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{key!r} must be finite and positive, got {value}")
+    if min(cfg.mesh, default=1) < 1:
+        raise ConfigError("'mesh' needs at least one cell per direction, "
+                          f"got {'x'.join(map(str, cfg.mesh))}")
+    if min(cfg.sweep, default=1) < 1:
+        raise ConfigError("'sweep' sizes must be at least 1, "
+                          f"got {','.join(map(str, cfg.sweep))}")
     defaults = _CASE_DEFAULTS[cfg.case]
     if not cfg.mesh:
         cfg.mesh = defaults["mesh"]
@@ -207,10 +222,10 @@ def _solve_config(cfg: CaseConfig, out_dir: str) -> SolveConfig:
 
 def _cantilever_bcs(cfg: CaseConfig) -> dict:
     return {
-        LEFT: BoundaryCondition(DISPLACEMENT, np.zeros(3)),
-        RIGHT: BoundaryCondition(TRACTION, np.array([0.0, cfg.traction, 0.0])),
-        BOTTOM: BoundaryCondition(TRACTION, np.zeros(3)),
-        TOP: BoundaryCondition(TRACTION, np.zeros(3)),
+        LEFT: BoundaryCondition(DISPLACEMENT, np.zeros(2)),
+        RIGHT: BoundaryCondition(TRACTION, np.array([0.0, cfg.traction])),
+        BOTTOM: BoundaryCondition(TRACTION, np.zeros(2)),
+        TOP: BoundaryCondition(TRACTION, np.zeros(2)),
     }
 
 

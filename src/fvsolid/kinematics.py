@@ -1,10 +1,10 @@
 """Displacement state and the gradient operations that evolve it.
 
-The solver state holds one displacement vector per unknown (cells first,
-boundary faces after) and one accumulated displacement gradient per cell.
-Everything lives on the fixed reference mesh, so cell gradients of each
-correction's increment add straight onto the stored gradient and
-F = I + grad(U) at any time.
+The solver state holds one in-plane displacement 2-vector per unknown
+(cells first, boundary faces after) and one accumulated 2x2 displacement
+gradient per cell.  Everything lives on the fixed reference mesh, so cell
+gradients of each correction's increment add straight onto the stored
+gradient and F = I + grad(U) at any time.
 
 The Gauss gradient and the vertex interpolation are products with the
 mesh's prebuilt sparse operators: ``face_average`` then
@@ -24,12 +24,12 @@ from .tensors import outer
 
 @dataclass
 class State:
-    displacement: np.ndarray   # (n_unknowns, 3)
-    grad: np.ndarray           # (n_cells, 3, 3)
+    displacement: np.ndarray   # (n_unknowns, 2)
+    grad: np.ndarray           # (n_cells, 2, 2)
 
 
 def zero_state(mesh: CartesianMesh) -> State:
-    return State(np.zeros((mesh.n_unknowns, 3)), np.zeros((mesh.n_cells, 3, 3)))
+    return State(np.zeros((mesh.n_unknowns, 2)), np.zeros((mesh.n_cells, 2, 2)))
 
 
 def cell_gradient(mesh: CartesianMesh, values: np.ndarray) -> np.ndarray:
@@ -40,7 +40,7 @@ def cell_gradient(mesh: CartesianMesh, values: np.ndarray) -> np.ndarray:
     """
     weighted = outer(mesh.face_average @ values, mesh.face_normal)
     flat = mesh.cell_divergence @ weighted.reshape(mesh.n_faces, -1)
-    return flat.reshape(mesh.n_cells, -1, 3) / mesh.cell_volume[:, None, None]
+    return flat.reshape(mesh.n_cells, -1, 2) / mesh.cell_volume[:, None, None]
 
 
 def vertex_values(mesh: CartesianMesh, values: np.ndarray) -> np.ndarray:

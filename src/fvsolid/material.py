@@ -13,6 +13,10 @@ gradient (or the deformation gradient reconstructed from it):
 
 The linear model keeps the geometry frozen (F = I, w = 0) so the coupled
 solver reduces to one exact small-strain solve.
+
+Every tensor is the in-plane 2x2 block.  Plane strain fixes F_33 = 1, so
+J is the 2x2 determinant, C^-1 is block diagonal, and the in-plane blocks
+of S, P and T are exactly the 2-D formulas below.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import IDENTITY, det3, inv3
+from .tensors import IDENTITY, det2, inv2
 
 
 @dataclass(frozen=True)
@@ -91,7 +95,7 @@ class NeoHookean:
                 + self.lam * log_j[..., None, None] * c_inv)
 
     def second_piola(self, c: np.ndarray) -> np.ndarray:
-        c_inv, det_c = inv3(c)
+        c_inv, det_c = inv2(c)
         return self._stress(c_inv, 0.5 * np.log(det_c))
 
     def first_piola(self, grad_u: np.ndarray) -> np.ndarray:
@@ -102,16 +106,16 @@ class NeoHookean:
 
     def stress_state(self, grad_u: np.ndarray, label: str = "cell"):
         f = IDENTITY + grad_u
-        det_f = det3(f)
+        det_f = det2(f)
         check_positive_jacobian(det_f, label)
-        c_inv, _ = inv3(np.swapaxes(f, -1, -2) @ f)
+        c_inv, _ = inv2(np.swapaxes(f, -1, -2) @ f)
         return f, self._stress(c_inv, np.log(det_f))
 
     def face_linearisation(self, f: np.ndarray, s: np.ndarray, n: np.ndarray):
         """Geometric vector and coupling-tensor stack for a face state.
 
-        Returns ``w = S @ N`` and ``T`` with ``T[..., d, :, :]`` the 3x3
-        tensor tied to direction d, in the closed form
+        Returns ``w = S @ N`` and ``T`` with ``T[..., d, :, :]`` the 2x2
+        tensor tied to in-plane direction d, in the closed form
 
             T_d = lam (a x A e_d) + (mu - lam ln J) (b_d I + A e_d x a)
 
@@ -119,7 +123,7 @@ class NeoHookean:
         against the brute contraction of the transformed tangent with N.
         """
         w = np.einsum("...ij,...j->...i", s, n)
-        f_inv, det_f = inv3(f)
+        f_inv, det_f = inv2(f)
         a_mat = np.swapaxes(f_inv, -1, -2)                   # F^-T
         a = np.einsum("...ij,...j->...i", a_mat, n)
         b = np.einsum("...ji,...j->...i", a_mat, a)          # F^-1 a = C^-1 N
@@ -155,11 +159,11 @@ class LinearElastic:
         return f, self.stress(grad_u)
 
     def face_linearisation(self, f: np.ndarray, s: np.ndarray, n: np.ndarray):
-        w = np.zeros(f.shape[:-2] + (3,))
+        w = np.zeros(f.shape[:-2] + (2,))
         t = (self.lam * np.einsum("...i,jd->...dij", n, IDENTITY)
              + self.mu * (np.einsum("...d,ij->...dij", n, IDENTITY)
                           + np.einsum("id,...j->...dij", IDENTITY, n)))
-        return w, np.broadcast_to(t, f.shape[:-2] + (3, 3, 3))
+        return w, np.broadcast_to(t, f.shape[:-2] + (2, 2, 2))
 
     def first_piola(self, grad_u: np.ndarray) -> np.ndarray:
         return self.stress(grad_u)

@@ -31,7 +31,6 @@ import numpy as np
 import scipy.sparse as sp
 
 LEFT, RIGHT, BOTTOM, TOP = 0, 1, 2, 3
-PATCH_NAMES = ("left", "right", "bottom", "top")
 
 
 class CartesianMesh:
@@ -53,16 +52,9 @@ class CartesianMesh:
 
         self._build_geometry()
         self._build_faces()
-        self._build_stencils()
-        for arr in (self.cell_centroids, self.vertices, self.face_owner,
-                    self.face_neighbour, self.face_normal, self.face_area,
-                    self.face_centroid, self.face_distance, self.face_patch,
-                    self.face_boundary_index, self.face_tangent,
-                    self.face_vertex_lo, self.face_vertex_hi,
-                    self.face_across, self.cell_volume, self.bface_face,
-                    self.cell_faces, self.cell_face_sign,
-                    self.stencil_ptr, self.stencil_ids, self.stencil_weights):
-            arr.flags.writeable = False
+        for arr in vars(self).values():
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
 
     # ------------------------------------------------------------------
     # construction
@@ -71,15 +63,12 @@ class CartesianMesh:
     def _build_geometry(self) -> None:
         nx, ny, dx, dy = self.nx, self.ny, self.dx, self.dy
         ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="xy")
-        self.cell_centroids = np.zeros((self.n_cells, 3))
-        self.cell_centroids[:, 0] = ((ii + 0.5) * dx).ravel()
-        self.cell_centroids[:, 1] = ((jj + 0.5) * dy).ravel()
+        self.cell_centroids = np.column_stack((((ii + 0.5) * dx).ravel(),
+                                               ((jj + 0.5) * dy).ravel()))
         self.cell_volume = np.full(self.n_cells, dx * dy)
 
         vi, vj = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), indexing="xy")
-        self.vertices = np.zeros((self.n_vertices, 3))
-        self.vertices[:, 0] = (vi * dx).ravel()
-        self.vertices[:, 1] = (vj * dy).ravel()
+        self.vertices = np.column_stack(((vi * dx).ravel(), (vj * dy).ravel()))
 
     def cell_index(self, i: int, j: int) -> int:
         return j * self.nx + i
@@ -90,159 +79,65 @@ class CartesianMesh:
     def _build_faces(self) -> None:
         nx, ny, dx, dy = self.nx, self.ny, self.dx, self.dy
         n_vertical = (nx + 1) * ny
-        n_horizontal = nx * (ny + 1)
-        nf = n_vertical + n_horizontal
-        self.n_faces = nf
+        self.n_faces = n_vertical + nx * (ny + 1)
 
-        owner = np.empty(nf, dtype=np.int64)
-        neigh = np.full(nf, -1, dtype=np.int64)
-        normal = np.zeros((nf, 3))
-        area = np.empty(nf)
-        centroid = np.zeros((nf, 3))
-        distance = np.empty(nf)
-        patch = np.full(nf, -1, dtype=np.int64)
-        bindex = np.full(nf, -1, dtype=np.int64)
-        tangent = np.zeros((nf, 3))
-        vlo = np.empty(nf, dtype=np.int64)
-        vhi = np.empty(nf, dtype=np.int64)
+        # Vertical faces (in-plane segment along y), id = i*ny + j, then
+        # horizontal faces (segment along x), id = n_vertical + j*nx + i.
+        vi, vj = (a.ravel() for a in np.meshgrid(np.arange(nx + 1), np.arange(ny),
+                                                  indexing="ij"))
+        hi, hj = (a.ravel() for a in np.meshgrid(np.arange(nx), np.arange(ny + 1),
+                                                  indexing="xy"))
+        v_lo, v_hi = vi == 0, vi == nx
+        h_lo, h_hi = hj == 0, hj == ny
+        v_in, h_in = ~(v_lo | v_hi), ~(h_lo | h_hi)
 
-        # Vertical faces (in-plane segment along y), id = i*ny + j.
-        for i in range(nx + 1):
-            for j in range(ny):
-                f = i * ny + j
-                area[f] = dy
-                centroid[f] = (i * dx, (j + 0.5) * dy, 0.0)
-                tangent[f] = (0.0, 1.0, 0.0)
-                vlo[f] = self.vertex_index(i, j)
-                vhi[f] = self.vertex_index(i, j + 1)
-                if i == 0:
-                    owner[f] = self.cell_index(0, j)
-                    normal[f] = (-1.0, 0.0, 0.0)
-                    distance[f] = 0.5 * dx
-                    patch[f] = LEFT
-                    bindex[f] = j
-                elif i == nx:
-                    owner[f] = self.cell_index(nx - 1, j)
-                    normal[f] = (1.0, 0.0, 0.0)
-                    distance[f] = 0.5 * dx
-                    patch[f] = RIGHT
-                    bindex[f] = ny + j
-                else:
-                    owner[f] = self.cell_index(i - 1, j)
-                    neigh[f] = self.cell_index(i, j)
-                    normal[f] = (1.0, 0.0, 0.0)
-                    distance[f] = dx
-
-        # Horizontal faces (segment along x), id = n_vertical + j*nx + i.
-        for j in range(ny + 1):
-            for i in range(nx):
-                f = n_vertical + j * nx + i
-                area[f] = dx
-                centroid[f] = ((i + 0.5) * dx, j * dy, 0.0)
-                tangent[f] = (1.0, 0.0, 0.0)
-                vlo[f] = self.vertex_index(i, j)
-                vhi[f] = self.vertex_index(i + 1, j)
-                if j == 0:
-                    owner[f] = self.cell_index(i, 0)
-                    normal[f] = (0.0, -1.0, 0.0)
-                    distance[f] = 0.5 * dy
-                    patch[f] = BOTTOM
-                    bindex[f] = 2 * ny + i
-                elif j == ny:
-                    owner[f] = self.cell_index(i, ny - 1)
-                    normal[f] = (0.0, 1.0, 0.0)
-                    distance[f] = 0.5 * dy
-                    patch[f] = TOP
-                    bindex[f] = 2 * ny + nx + i
-                else:
-                    owner[f] = self.cell_index(i, j - 1)
-                    neigh[f] = self.cell_index(i, j)
-                    normal[f] = (0.0, 1.0, 0.0)
-                    distance[f] = dy
-
-        self.face_owner = owner
-        self.face_neighbour = neigh
-        self.face_normal = normal
-        self.face_area = area
-        self.face_centroid = centroid
-        self.face_distance = distance
-        self.face_patch = patch
+        self.face_owner = np.concatenate((vj * nx + np.maximum(vi - 1, 0),
+                                          np.maximum(hj - 1, 0) * nx + hi))
+        self.face_neighbour = np.concatenate((np.where(v_in, vj * nx + vi, -1),
+                                              np.where(h_in, hj * nx + hi, -1)))
+        self.face_normal = np.concatenate((
+            np.column_stack((np.where(v_lo, -1.0, 1.0), np.zeros(vi.size))),
+            np.column_stack((np.zeros(hi.size), np.where(h_lo, -1.0, 1.0)))))
+        self.face_tangent = np.concatenate((np.tile((0.0, 1.0), (vi.size, 1)),
+                                            np.tile((1.0, 0.0), (hi.size, 1))))
+        self.face_area = np.concatenate((np.full(vi.size, dy), np.full(hi.size, dx)))
+        self.face_centroid = np.concatenate((
+            np.column_stack((vi * dx, (vj + 0.5) * dy)),
+            np.column_stack(((hi + 0.5) * dx, hj * dy))))
+        self.face_distance = np.concatenate((np.where(v_in, dx, 0.5 * dx),
+                                             np.where(h_in, dy, 0.5 * dy)))
+        self.face_vertex_lo = np.concatenate((vj * (nx + 1) + vi, hj * (nx + 1) + hi))
+        self.face_vertex_hi = np.concatenate(((vj + 1) * (nx + 1) + vi,
+                                              hj * (nx + 1) + hi + 1))
+        self.face_patch = np.concatenate((np.select((v_lo, v_hi), (LEFT, RIGHT), -1),
+                                          np.select((h_lo, h_hi), (BOTTOM, TOP), -1)))
+        # Boundary index: patch-major (left, right, bottom, top), then along
+        # the patch.
+        bindex = np.concatenate((np.select((v_lo, v_hi), (vj, ny + vj), -1),
+                                 np.select((h_lo, h_hi), (2 * ny + hi, 2 * ny + nx + hi), -1)))
         self.face_boundary_index = bindex
-        self.face_tangent = tangent
-        self.face_vertex_lo = vlo
-        self.face_vertex_hi = vhi
 
         # Across-face unknown: neighbour cell, or the boundary-face unknown.
-        across = neigh.copy()
         on_boundary = bindex >= 0
-        across[on_boundary] = self.n_cells + bindex[on_boundary]
-        self.face_across = across
+        self.face_across = np.where(on_boundary, self.n_cells + bindex,
+                                    self.face_neighbour)
 
         # Per-cell face list (west, east, south, north) with the sign that
         # makes sign * normal point outward from the cell.
-        cell_faces = np.empty((self.n_cells, 4), dtype=np.int64)
-        cell_face_sign = np.empty((self.n_cells, 4))
-        for j in range(ny):
-            for i in range(nx):
-                c = self.cell_index(i, j)
-                cell_faces[c] = (i * ny + j, (i + 1) * ny + j,
-                                 n_vertical + j * nx + i,
-                                 n_vertical + (j + 1) * nx + i)
-                cell_face_sign[c] = (-1.0 if i > 0 else 1.0, 1.0,
-                                     -1.0 if j > 0 else 1.0, 1.0)
-        self.cell_faces = cell_faces
-        self.cell_face_sign = cell_face_sign
+        ci, cj = (a.ravel() for a in np.meshgrid(np.arange(nx), np.arange(ny),
+                                                  indexing="xy"))
+        self.cell_faces = np.column_stack((ci * ny + cj, (ci + 1) * ny + cj,
+                                           n_vertical + cj * nx + ci,
+                                           n_vertical + (cj + 1) * nx + ci))
+        ones = np.ones(self.n_cells)
+        self.cell_face_sign = np.column_stack((np.where(ci > 0, -1.0, 1.0), ones,
+                                               np.where(cj > 0, -1.0, 1.0), ones))
 
         self.interior_faces = np.flatnonzero(~on_boundary)
         self.boundary_faces = np.flatnonzero(on_boundary)
         bface_face = np.empty(self.n_bfaces, dtype=np.int64)
         bface_face[bindex[on_boundary]] = self.boundary_faces
         self.bface_face = bface_face
-
-    def _vertex_stencil(self, i: int, j: int) -> tuple[list[int], list[float]]:
-        nx, ny, nc = self.nx, self.ny, self.n_cells
-        on_left, on_right = i == 0, i == nx
-        on_bottom, on_top = j == 0, j == ny
-        n_on = sum((on_left, on_right, on_bottom, on_top))
-
-        if n_on == 0:
-            cells = [self.cell_index(i - 1, j - 1), self.cell_index(i, j - 1),
-                     self.cell_index(i - 1, j), self.cell_index(i, j)]
-            return cells, [0.25] * 4
-
-        if n_on == 1:
-            if on_left:
-                ids = [nc + (j - 1), nc + j]
-            elif on_right:
-                ids = [nc + ny + (j - 1), nc + ny + j]
-            elif on_bottom:
-                ids = [nc + 2 * ny + (i - 1), nc + 2 * ny + i]
-            else:
-                ids = [nc + 2 * ny + nx + (i - 1), nc + 2 * ny + nx + i]
-            return ids, [0.5, 0.5]
-
-        # Corner: single nearest boundary face of the first patch in the
-        # fixed order left < right < bottom < top.
-        if on_left:
-            b = 0 if on_bottom else ny - 1
-        else:
-            b = ny + (0 if on_bottom else ny - 1)
-        return [nc + b], [1.0]
-
-    def _build_stencils(self) -> None:
-        nx, ny = self.nx, self.ny
-        ptr = [0]
-        ids: list[int] = []
-        weights: list[float] = []
-        for j in range(ny + 1):
-            for i in range(nx + 1):
-                sid, sw = self._vertex_stencil(i, j)
-                ids.extend(sid)
-                weights.extend(sw)
-                ptr.append(len(ids))
-        self.stencil_ptr = np.asarray(ptr, dtype=np.int64)
-        self.stencil_ids = np.asarray(ids, dtype=np.int64)
-        self.stencil_weights = np.asarray(weights)
 
     # ------------------------------------------------------------------
     # sparse operators
@@ -277,29 +172,40 @@ class CartesianMesh:
 
     @cached_property
     def vertex_stencil(self) -> sp.csr_matrix:
-        """(n_vertices, n_unknowns) the fixed vertex stencils as rows."""
-        return sp.csr_matrix((self.stencil_weights, self.stencil_ids,
-                              self.stencil_ptr),
+        """(n_vertices, n_unknowns) the fixed vertex stencils as rows, each
+        row's unknowns in ascending order."""
+        nx, ny, nc = self.nx, self.ny, self.n_cells
+        vi, vj = (a.ravel() for a in np.meshgrid(np.arange(nx + 1), np.arange(ny + 1),
+                                                  indexing="xy"))
+        on_x, on_y = (vi == 0) | (vi == nx), (vj == 0) | (vj == ny)
+        inner = ~(on_x | on_y)
+        corner = on_x & on_y
+        # Boundary vertices take the boundary face of their patch just
+        # below (left, right) or just left of (bottom, top) them and the
+        # next one.  Corners take the nearest face of the first patch in the
+        # order left < right < bottom < top: an end face of the left or
+        # right patch.
+        side = np.where(vi == 0, 0, ny)
+        first = np.where(on_x, side + vj - 1, 2 * ny + np.where(vj == 0, 0, nx) + vi - 1)
+        first = np.where(corner, side + np.where(vj == 0, 0, ny - 1), first)
+        counts = np.where(inner, 4, np.where(corner, 1, 2))
+        cols = np.where(inner[:, None],
+                        ((vj - 1) * nx + vi - 1)[:, None] + np.array([0, 1, nx, nx + 1]),
+                        nc + first[:, None] + np.arange(4))
+        keep = np.arange(4) < counts[:, None]
+        weights = np.broadcast_to(1.0 / counts[:, None], keep.shape)
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        return sp.csr_matrix((weights[keep], cols[keep], indptr),
                              shape=(self.n_vertices, self.n_unknowns))
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
 
-    def edge_stencil(self, vertex: int) -> tuple[np.ndarray, np.ndarray]:
-        """Unknown indices and weights interpolating a value at a vertex."""
-        lo, hi = self.stencil_ptr[vertex], self.stencil_ptr[vertex + 1]
-        return self.stencil_ids[lo:hi], self.stencil_weights[lo:hi]
-
     def patch_faces(self, patch: int) -> np.ndarray:
         """Face ids of a boundary patch, in boundary-index order."""
         faces = self.boundary_faces
         return faces[self.face_patch[faces] == patch]
-
-    def patch_bfaces(self, patch: int) -> np.ndarray:
-        """Boundary-face indices belonging to a patch."""
-        faces = self.patch_faces(patch)
-        return self.face_boundary_index[faces]
 
 
 def build_mesh(nx: int, ny: int, lx: float, ly: float) -> CartesianMesh:

@@ -44,7 +44,8 @@ def write_report(path, report: dict) -> None:
 
 def write_vtk(path, mesh: CartesianMesh, displacement: np.ndarray,
               title: str = "deformed configuration") -> None:
-    """Legacy ASCII VTK unstructured grid of the displaced vertices."""
+    """Legacy ASCII VTK unstructured grid of the displaced vertices; points
+    and vectors carry a literal 0 as their z component."""
     moved = mesh.vertices + vertex_values(mesh, displacement)
     nx, ny = mesh.nx, mesh.ny
     with open(path, "w") as handle:
@@ -53,7 +54,7 @@ def write_vtk(path, mesh: CartesianMesh, displacement: np.ndarray,
         handle.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         handle.write(f"POINTS {mesh.n_vertices} double\n")
         for p in moved:
-            handle.write(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
+            handle.write(f"{p[0]:.17g} {p[1]:.17g} 0\n")
         handle.write(f"CELLS {mesh.n_cells} {5 * mesh.n_cells}\n")
         for j in range(ny):
             for i in range(nx):
@@ -64,6 +65,5 @@ def write_vtk(path, mesh: CartesianMesh, displacement: np.ndarray,
             handle.write("9\n")
         handle.write(f"POINT_DATA {mesh.n_vertices}\n")
         handle.write("VECTORS displacement double\n")
-        shift = moved - mesh.vertices
-        for u in shift:
-            handle.write(f"{u[0]:.17g} {u[1]:.17g} {u[2]:.17g}\n")
+        for u in moved - mesh.vertices:
+            handle.write(f"{u[0]:.17g} {u[1]:.17g} 0\n")

@@ -75,7 +75,7 @@ class RunReport:
 def residual_norm(rhs: np.ndarray, row_scale: np.ndarray,
                   rows: np.ndarray | slice = slice(None)) -> float:
     """Force-like 2-norm of (a row subset of) a block right-hand side."""
-    scaled = rhs[rows, :2] * row_scale[rows, None]
+    scaled = rhs[rows] * row_scale[rows, None]
     return float(np.linalg.norm(scaled))
 
 
@@ -116,18 +116,15 @@ def _coupled(mesh: CartesianMesh, material, table: BoundaryTable,
 
     Every method's load-step setup returns ``linearise(state)``, giving the
     residual right-hand side, its norm weights, the system the increment
-    solves (for the dump hook) and ``solve()`` for the (N, 3) increment.
+    solves (for the dump hook) and ``solve()`` for the (N, 2) increment.
     """
 
     def linearise(state: State):
         system = assemble_system(mesh, material, state, table)
-        flat = system.flat_rhs()
+        flat = system.rhs.ravel()
 
         def solve() -> np.ndarray:
-            x = linsolve.solve(system.matrix, flat, cfg.linear).x
-            increment = np.zeros((mesh.n_unknowns, 3))
-            increment[:, :2] = x.reshape(-1, 2)
-            return increment
+            return linsolve.solve(system.matrix, flat, cfg.linear).x.reshape(-1, 2)
 
         return system.rhs, system.row_scale, (system.matrix, flat), solve
 
@@ -153,7 +150,7 @@ def _segregated(mesh: CartesianMesh, material, table: BoundaryTable,
         rhs, row_scale = newton_rhs(mesh, material, state, table, flux_density)
 
         def solve() -> np.ndarray:
-            increment = np.zeros((mesh.n_unknowns, 3))
+            increment = np.empty((mesh.n_unknowns, 2))
             for comp in (0, 1):
                 increment[:, comp] = factors[comp].solve(row_scales[comp]
                                                          * rhs[:, comp])

@@ -52,8 +52,8 @@ def mms_deformation_gradient(case: MMSCase, t: float) -> np.ndarray:
 
 
 def dirichlet_data(case: MMSCase, t: float, x: np.ndarray) -> np.ndarray:
-    """Exact displacement U = (F(t) - I) X at one point (3,) or a stack of
-    points (n, 3)."""
+    """Exact displacement U = (F(t) - I) X at one point (2,) or a stack of
+    points (n, 2)."""
     return np.asarray(x) @ (mms_deformation_gradient(case, t) - IDENTITY).T
 
 
@@ -80,9 +80,9 @@ def mms_bcs(case: MMSCase, material) -> dict:
 
     return {
         LEFT: BoundaryCondition(DISPLACEMENT, dirichlet),
-        RIGHT: BoundaryCondition(TRACTION, traction_for(np.array([1.0, 0.0, 0.0]))),
-        BOTTOM: BoundaryCondition(TRACTION, traction_for(np.array([0.0, -1.0, 0.0]))),
-        TOP: BoundaryCondition(TRACTION, traction_for(np.array([0.0, 1.0, 0.0]))),
+        RIGHT: BoundaryCondition(TRACTION, traction_for(np.array([1.0, 0.0]))),
+        BOTTOM: BoundaryCondition(TRACTION, traction_for(np.array([0.0, -1.0]))),
+        TOP: BoundaryCondition(TRACTION, traction_for(np.array([0.0, 1.0]))),
     }
 
 

@@ -40,11 +40,10 @@ def mesh_small():
 def random_gradients(rng, n, scale=0.2):
     """Displacement gradients bounded away from inverted configurations.
 
-    In-plane random entries of the given scale; det(I + G) stays positive
-    for every draw the suite uses (checked here so a failure is loud).
+    Random 2x2 entries of the given scale; det(I + G) stays positive for
+    every draw the suite uses (checked here so a failure is loud).
     """
-    g = np.zeros((n, 3, 3))
-    g[:, :2, :2] = scale * rng.uniform(-1.0, 1.0, (n, 2, 2))
-    det = np.linalg.det(np.eye(3) + g)
+    g = scale * rng.uniform(-1.0, 1.0, (n, 2, 2))
+    det = np.linalg.det(np.eye(2) + g)
     assert det.min() > 0.1, "random state generator produced a near-inverted F"
     return g

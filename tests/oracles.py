@@ -4,18 +4,33 @@ Tangents: the material elasticity dS/dE as a full fourth-order tensor, its
 push to mixed form, the directional derivative of the first Piola stress
 built from it, and the row-d traction-coupling tensor both in closed form
 and by brute contraction.  The solver itself only uses
-``face_linearisation``.
+``face_linearisation``.  The tangent routes work in any dimension: fed 2x2
+tensors they give the solver's in-plane formulas, fed the 3x3 plane-strain
+embedding (F_33 = 1) they give the 3-D ones.
 
 Mesh scatters: the Gauss cell gradient, the vertex interpolation and the
 face-to-cell force sum written as index loops with ``np.add.at``, against
 which the solver's prebuilt sparse operators are held.
+
+Mesh construction: the face, cell-face and vertex-stencil arrays built face
+by face and vertex by vertex, against which the mesh's vectorised index
+arithmetic is held.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from fvsolid.tensors import IDENTITY, outer
+from fvsolid.tensors import outer
+
+
+def second_piola(material, c: np.ndarray) -> np.ndarray:
+    """Neo-Hookean S = mu (I - C^-1) + lam ln(J) C^-1 by LAPACK inverse and
+    determinant."""
+    c_inv = np.linalg.inv(c)
+    log_j = 0.5 * np.log(np.linalg.det(c))
+    return (material.mu * (np.eye(c.shape[-1]) - c_inv)
+            + material.lam * log_j[..., None, None] * c_inv)
 
 
 def elasticity_tensor(material, c: np.ndarray) -> np.ndarray:
@@ -42,9 +57,9 @@ def dP_apply(material, grad_u: np.ndarray, a: np.ndarray) -> np.ndarray:
     neo-Hookean solid, the Hookean stress of ``a`` for the linear one."""
     if material.linear:
         return material.stress(a)
-    f = IDENTITY + grad_u
+    f = np.eye(grad_u.shape[-1]) + grad_u
     c = np.einsum("...ki,...kj->...ij", f, f)
-    s = material.second_piola(c)
+    s = second_piola(material, c)
     m = transformed_elasticity(material, f)
     return a @ s + np.einsum("...aJdL,...dL->...aJ", m, a)
 
@@ -65,7 +80,7 @@ def t_tensor(material, f: np.ndarray, n: np.ndarray, d: int) -> np.ndarray:
     a = np.einsum("...ij,...j->...i", a_mat, n)
     b = np.einsum("...ji,...j->...i", a_mat, a)
     log_j = np.log(np.linalg.det(f))
-    e_d = IDENTITY[d]
+    e_d = np.eye(f.shape[-1])[d]
     coef = (material.mu - material.lam * log_j)[..., None, None]
     return (material.lam * outer(a, a_mat[..., d, :])
             + coef * (outer(np.broadcast_to(e_d, a.shape), b)
@@ -88,7 +103,7 @@ def cell_gradient(mesh, values: np.ndarray) -> np.ndarray:
     boundary = mesh.boundary_faces
     face_vals[boundary] = values[mesh.face_across[boundary]]
     weighted = mesh.face_area[:, None, None] * outer(face_vals, mesh.face_normal)
-    grad = np.zeros((mesh.n_cells, values.shape[1], 3))
+    grad = np.zeros((mesh.n_cells, values.shape[1], 2))
     np.add.at(grad, mesh.face_owner, weighted)
     np.subtract.at(grad, mesh.face_neighbour[interior], weighted[interior])
     return grad / mesh.cell_volume[:, None, None]
@@ -97,9 +112,9 @@ def cell_gradient(mesh, values: np.ndarray) -> np.ndarray:
 def vertex_values(mesh, values: np.ndarray) -> np.ndarray:
     """Vertex interpolation by scattering the stencil entries row by row."""
     out = np.zeros((mesh.n_vertices, values.shape[1]))
-    counts = np.diff(mesh.stencil_ptr)
-    rows = np.repeat(np.arange(mesh.n_vertices), counts)
-    np.add.at(out, rows, mesh.stencil_weights[:, None] * values[mesh.stencil_ids])
+    stencils = mesh.vertex_stencil
+    rows = np.repeat(np.arange(mesh.n_vertices), np.diff(stencils.indptr))
+    np.add.at(out, rows, stencils.data[:, None] * values[stencils.indices])
     return out
 
 
@@ -111,3 +126,100 @@ def cell_force_rows(mesh, flux_density: np.ndarray) -> np.ndarray:
     interior = mesh.interior_faces
     np.add.at(rows, mesh.face_neighbour[interior], flux[interior])
     return rows
+
+
+def mesh_arrays(mesh) -> dict:
+    """Face, cell-face and vertex-stencil arrays of a Cartesian mesh built
+    face by face and vertex by vertex in Python loops, the reference for the
+    mesh's index arithmetic."""
+    nx, ny, nc, dx, dy = mesh.nx, mesh.ny, mesh.n_cells, mesh.dx, mesh.dy
+    n_vertical = (nx + 1) * ny
+    nf = n_vertical + nx * (ny + 1)
+    out = {
+        "face_owner": np.empty(nf, dtype=np.int64),
+        "face_neighbour": np.full(nf, -1, dtype=np.int64),
+        "face_normal": np.zeros((nf, 2)),
+        "face_area": np.empty(nf),
+        "face_centroid": np.zeros((nf, 2)),
+        "face_distance": np.empty(nf),
+        "face_patch": np.full(nf, -1, dtype=np.int64),
+        "face_boundary_index": np.full(nf, -1, dtype=np.int64),
+        "face_tangent": np.zeros((nf, 2)),
+        "face_vertex_lo": np.empty(nf, dtype=np.int64),
+        "face_vertex_hi": np.empty(nf, dtype=np.int64),
+        "cell_faces": np.empty((nc, 4), dtype=np.int64),
+        "cell_face_sign": np.empty((nc, 4)),
+    }
+
+    def cell(i, j):
+        return j * nx + i
+
+    def vertex(i, j):
+        return j * (nx + 1) + i
+
+    def face(f, area, centroid, tangent, lo, hi, owner, normal, distance,
+             neighbour=-1, patch=-1, bindex=-1):
+        for key, value in (("face_area", area), ("face_centroid", centroid),
+                           ("face_tangent", tangent), ("face_vertex_lo", lo),
+                           ("face_vertex_hi", hi), ("face_owner", owner),
+                           ("face_normal", normal), ("face_distance", distance),
+                           ("face_neighbour", neighbour), ("face_patch", patch),
+                           ("face_boundary_index", bindex)):
+            out[key][f] = value
+
+    for i in range(nx + 1):            # vertical faces, id = i*ny + j
+        for j in range(ny):
+            common = (dy, (i * dx, (j + 0.5) * dy), (0.0, 1.0),
+                      vertex(i, j), vertex(i, j + 1))
+            if i == 0:
+                face(i * ny + j, *common, cell(0, j), (-1.0, 0.0), 0.5 * dx,
+                     patch=0, bindex=j)
+            elif i == nx:
+                face(i * ny + j, *common, cell(nx - 1, j), (1.0, 0.0), 0.5 * dx,
+                     patch=1, bindex=ny + j)
+            else:
+                face(i * ny + j, *common, cell(i - 1, j), (1.0, 0.0), dx,
+                     neighbour=cell(i, j))
+    for j in range(ny + 1):            # horizontal faces
+        for i in range(nx):
+            f = n_vertical + j * nx + i
+            common = (dx, ((i + 0.5) * dx, j * dy), (1.0, 0.0),
+                      vertex(i, j), vertex(i + 1, j))
+            if j == 0:
+                face(f, *common, cell(i, 0), (0.0, -1.0), 0.5 * dy,
+                     patch=2, bindex=2 * ny + i)
+            elif j == ny:
+                face(f, *common, cell(i, ny - 1), (0.0, 1.0), 0.5 * dy,
+                     patch=3, bindex=2 * ny + nx + i)
+            else:
+                face(f, *common, cell(i, j - 1), (0.0, 1.0), dy,
+                     neighbour=cell(i, j))
+    for j in range(ny):
+        for i in range(nx):
+            out["cell_faces"][cell(i, j)] = (i * ny + j, (i + 1) * ny + j,
+                                             n_vertical + j * nx + i,
+                                             n_vertical + (j + 1) * nx + i)
+            out["cell_face_sign"][cell(i, j)] = (-1.0 if i > 0 else 1.0, 1.0,
+                                                 -1.0 if j > 0 else 1.0, 1.0)
+
+    ptr, ids, weights = [0], [], []
+    for j in range(ny + 1):
+        for i in range(nx + 1):
+            on = (i == 0, i == nx, j == 0, j == ny)
+            if not any(on):
+                sid = [cell(i - 1, j - 1), cell(i, j - 1), cell(i - 1, j), cell(i, j)]
+            elif sum(on) == 2:         # corner: end face of the left/right patch
+                sid = [nc + (0 if i == 0 else ny) + (0 if j == 0 else ny - 1)]
+            elif i == 0 or i == nx:
+                base = nc + (0 if i == 0 else ny)
+                sid = [base + j - 1, base + j]
+            else:
+                base = nc + 2 * ny + (0 if j == 0 else nx)
+                sid = [base + i - 1, base + i]
+            ids.extend(sid)
+            weights.extend([1.0 / len(sid)] * len(sid))
+            ptr.append(len(ids))
+    out["vertex_stencil.indptr"] = np.asarray(ptr)
+    out["vertex_stencil.indices"] = np.asarray(ids)
+    out["vertex_stencil.data"] = np.asarray(weights)
+    return out

@@ -199,27 +199,24 @@ def test_criterion_8_property_suite(rng):
     # (a) closed-form stress derivative against central differences
     h = 1e-6
     for _ in range(20):
-        g = np.zeros((3, 3))
-        g[:2, :2] = 0.2 * rng.uniform(-1.0, 1.0, (2, 2))
-        b = np.zeros((3, 3))
-        b[:2, :2] = rng.standard_normal((2, 2))
+        g = 0.2 * rng.uniform(-1.0, 1.0, (2, 2))
+        b = rng.standard_normal((2, 2))
         fd = (SOFT.first_piola(g + h * b) - SOFT.first_piola(g - h * b)) / (2 * h)
         exact = oracles.dP_apply(SOFT, g, b)
         rel = np.linalg.norm(exact - fd) / np.linalg.norm(fd)
         assert rel < 1e-5, f"dP mismatch {rel:.3e}"
 
     # (b) right minor symmetry of the material tangent
-    g = np.zeros((4, 3, 3))
-    g[:, :2, :2] = 0.2 * rng.uniform(-1.0, 1.0, (4, 2, 2))
-    f = np.eye(3) + g
+    g = 0.2 * rng.uniform(-1.0, 1.0, (4, 2, 2))
+    f = np.eye(2) + g
     c = np.einsum("bki,bkj->bij", f, f)
     cc = oracles.elasticity_tensor(SOFT, c)
     sym_gap = np.abs(cc - cc.transpose(0, 1, 2, 4, 3)).max() / np.abs(cc).max()
     assert sym_gap < 1e-14, f"minor symmetry broken at {sym_gap:.3e}"
 
     # (c) closed-form coupling tensors against the brute contraction
-    n = np.broadcast_to([1.0, 0.0, 0.0], (4, 3))
-    for d in range(3):
+    n = np.broadcast_to([1.0, 0.0], (4, 2))
+    for d in range(2):
         closed = oracles.t_tensor(SOFT, f, n, d)
         brute = oracles.t_tensor_contracted(SOFT, f, n, d)
         gap = np.abs(closed - brute).max() / max(np.abs(brute).max(), 1.0)
@@ -233,13 +230,12 @@ def test_criterion_8_property_suite(rng):
     assert np.abs(total).max() < 1e-14, "cell surfaces do not close"
 
     # (e) homogeneous states satisfy the interior equations
-    grad = np.zeros((3, 3))
-    grad[:2, :2] = [[0.3, 0.1], [-0.05, -0.2]]
+    grad = np.array([[0.3, 0.1], [-0.05, -0.2]])
     points = np.vstack([mesh.cell_centroids,
                         mesh.face_centroid[mesh.bface_face]])
     u = points @ grad.T
     state = State(u, cell_gradient(mesh, u))
-    bcs = {p: BoundaryCondition(DISPLACEMENT, (0.0, 0.0, 0.0))
+    bcs = {p: BoundaryCondition(DISPLACEMENT, (0.0, 0.0))
            for p in (LEFT, RIGHT, BOTTOM, TOP)}
     table = build_boundary_table(mesh, bcs)
     _, _, flux = face_states(mesh, SOFT, state)
@@ -256,20 +252,18 @@ def test_criterion_8_property_suite(rng):
     answers = {}
     for method in ("direct", "bicgstab", "gmres"):
         cfg = LinearSolverConfig(method=method, tolerance=1e-12)
-        answers[method] = linsolve.solve(system.matrix, system.flat_rhs(), cfg).x
+        answers[method] = linsolve.solve(system.matrix, system.rhs.ravel(), cfg).x
     scale = np.linalg.norm(answers["direct"])
     for method in ("bicgstab", "gmres"):
         gap = np.linalg.norm(answers[method] - answers["direct"]) / scale
         assert gap < 1e-8, f"{method} deviates from direct by {gap:.3e}"
 
     # (g) incremental gradient composition
-    g_old = np.zeros((6, 3, 3))
-    g_old[:, :2, :2] = 0.25 * rng.uniform(-1.0, 1.0, (6, 2, 2))
-    g_inc = np.zeros((6, 3, 3))
-    g_inc[:, :2, :2] = 0.1 * rng.uniform(-1.0, 1.0, (6, 2, 2))
-    f_old = np.eye(3) + g_old
-    composed = np.eye(3) + (g_old + g_inc @ f_old)
-    direct = (np.eye(3) + g_inc) @ f_old
+    g_old = 0.25 * rng.uniform(-1.0, 1.0, (6, 2, 2))
+    g_inc = 0.1 * rng.uniform(-1.0, 1.0, (6, 2, 2))
+    f_old = np.eye(2) + g_old
+    composed = np.eye(2) + (g_old + g_inc @ f_old)
+    direct = (np.eye(2) + g_inc) @ f_old
     assert np.abs(composed - direct).max() < 1e-14, "composition identity broken"
 
     elapsed = time.perf_counter() - start

@@ -32,17 +32,17 @@ from tests.conftest import random_gradients
 UNIT = NeoHookean(Lame(mu=0.8, lam=1.3))
 
 ALL_DISPLACEMENT = {
-    LEFT: BoundaryCondition(DISPLACEMENT, (0.0, 0.0, 0.0)),
-    RIGHT: BoundaryCondition(DISPLACEMENT, (0.0, 0.0, 0.0)),
-    BOTTOM: BoundaryCondition(DISPLACEMENT, (0.0, 0.0, 0.0)),
-    TOP: BoundaryCondition(DISPLACEMENT, (0.0, 0.0, 0.0)),
+    LEFT: BoundaryCondition(DISPLACEMENT, (0.0, 0.0)),
+    RIGHT: BoundaryCondition(DISPLACEMENT, (0.0, 0.0)),
+    BOTTOM: BoundaryCondition(DISPLACEMENT, (0.0, 0.0)),
+    TOP: BoundaryCondition(DISPLACEMENT, (0.0, 0.0)),
 }
 
 MIXED = {
-    LEFT: BoundaryCondition(DISPLACEMENT, (0.0, 0.0, 0.0)),
-    RIGHT: BoundaryCondition(TRACTION, (0.1, 0.05, 0.0)),
+    LEFT: BoundaryCondition(DISPLACEMENT, (0.0, 0.0)),
+    RIGHT: BoundaryCondition(TRACTION, (0.1, 0.05)),
     BOTTOM: BoundaryCondition(SYMMETRY),
-    TOP: BoundaryCondition(TRACTION, (0.0, -0.02, 0.0)),
+    TOP: BoundaryCondition(TRACTION, (0.0, -0.02)),
 }
 
 
@@ -56,6 +56,11 @@ def consistent_state(mesh, u):
     return State(u, cell_gradient(mesh, u))
 
 
+def bfaces(mesh, patch):
+    """Boundary-face indices of a patch."""
+    return mesh.face_boundary_index[mesh.patch_faces(patch)]
+
+
 # ---------------------------------------------------------------------------
 # boundary table
 # ---------------------------------------------------------------------------
@@ -63,22 +68,44 @@ def consistent_state(mesh, u):
 
 def test_boundary_table_kinds_and_scaling(mesh_small):
     table = build_boundary_table(mesh_small, MIXED, t=0.5)
-    b_left = mesh_small.patch_bfaces(LEFT)
-    b_right = mesh_small.patch_bfaces(RIGHT)
-    b_bottom = mesh_small.patch_bfaces(BOTTOM)
+    b_left = bfaces(mesh_small, LEFT)
+    b_right = bfaces(mesh_small, RIGHT)
+    b_bottom = bfaces(mesh_small, BOTTOM)
     assert (table.kind[b_left] == 0).all()
     assert (table.kind[b_right] == 1).all()
     assert (table.kind[b_bottom] == 2).all()
     # constant values scale with the load factor
     npt.assert_allclose(table.value[b_right],
-                        np.tile([0.05, 0.025, 0.0], (len(b_right), 1)))
+                        np.tile([0.05, 0.025], (len(b_right), 1)))
     npt.assert_allclose(table.value[b_bottom], 0.0)
+
+
+def test_boundary_table_ignores_out_of_plane_component(mesh_small):
+    """A third value component, constant or returned by a callable, is
+    dropped: the table equals the one built from the in-plane parts."""
+    def with_z(value):
+        return value if value is None else (*value, 7.0)
+
+    def field(x, t):
+        return t * x[:, ::-1]
+
+    bcs2 = dict(MIXED)
+    bcs2[LEFT] = BoundaryCondition(DISPLACEMENT, field)
+    bcs3 = {p: BoundaryCondition(bc.kind, with_z(bc.value)) for p, bc in MIXED.items()}
+    bcs3[LEFT] = BoundaryCondition(DISPLACEMENT, lambda x, t: np.column_stack(
+        (field(x, t), np.ones(len(x)))))
+    for t in (1.0, 0.5):
+        reference = build_boundary_table(mesh_small, bcs2, t)
+        table = build_boundary_table(mesh_small, bcs3, t)
+        assert table.value.shape == (mesh_small.n_bfaces, 2)
+        npt.assert_array_equal(table.kind, reference.kind)
+        npt.assert_array_equal(table.value, reference.value)
 
 
 def test_boundary_table_callable_values(mesh_small):
     bcs = dict(ALL_DISPLACEMENT)
     bcs[TOP] = BoundaryCondition(DISPLACEMENT,
-                                 lambda x, t: x * [t, 0.0, 0.0])
+                                 lambda x, t: x * [t, 0.0])
     table = build_boundary_table(mesh_small, bcs, t=2.0)
     faces = mesh_small.patch_faces(TOP)
     b = mesh_small.face_boundary_index[faces]
@@ -94,7 +121,7 @@ def test_boundary_table_matches_per_face_evaluation():
     bcs[BOTTOM] = BoundaryCondition(SYMMETRY)
     table = build_boundary_table(mesh, bcs, t=0.7)
     kind = np.empty(mesh.n_bfaces, dtype=np.int8)
-    value = np.zeros((mesh.n_bfaces, 3))
+    value = np.zeros((mesh.n_bfaces, 2))
     codes = {DISPLACEMENT: 0, TRACTION: 1, SYMMETRY: 2}
     for patch, bc in bcs.items():
         for face in mesh.patch_faces(patch):
@@ -104,7 +131,7 @@ def test_boundary_table_matches_per_face_evaluation():
                 value[b] = bc.value(mesh.face_centroid[face], 0.7)
     npt.assert_array_equal(table.kind, kind)
     npt.assert_array_equal(table.value, value)
-    assert np.abs(value[mesh.patch_bfaces(LEFT), 0]).max() > 0.0
+    assert np.abs(value[bfaces(mesh, LEFT), 0]).max() > 0.0
 
 
 def test_boundary_table_rejects_unknown_kind(mesh_small):
@@ -125,9 +152,9 @@ def test_force_row_mask(mesh_small):
     table = build_boundary_table(mesh_small, MIXED)
     mask = force_row_mask(mesh_small, table)
     assert mask[: mesh_small.n_cells].all()
-    left_rows = mesh_small.n_cells + mesh_small.patch_bfaces(LEFT)
-    right_rows = mesh_small.n_cells + mesh_small.patch_bfaces(RIGHT)
-    bottom_rows = mesh_small.n_cells + mesh_small.patch_bfaces(BOTTOM)
+    left_rows = mesh_small.n_cells + bfaces(mesh_small, LEFT)
+    right_rows = mesh_small.n_cells + bfaces(mesh_small, RIGHT)
+    bottom_rows = mesh_small.n_cells + bfaces(mesh_small, BOTTOM)
     assert not mask[left_rows].any()
     assert mask[right_rows].all()
     assert mask[bottom_rows].all()
@@ -153,15 +180,15 @@ def test_face_states_reproduce_homogeneous_gradient(mesh_small, rng):
 
 def test_face_states_reject_inverted_cells(mesh_small):
     state = zero_state(mesh_small)
-    state.grad[3] = np.diag([-2.0, 0.0, 0.0])
+    state.grad[3] = np.diag([-2.0, 0.0])
     with pytest.raises(InvertedElementError, match="cell 3") as err:
         face_states(mesh_small, UNIT, state)
     assert (err.value.index, err.value.det_f) == (3, -1.0)
 
 
 @pytest.mark.parametrize("row,shift,label,index,det_f", [
-    (4, (-1.0, 0.0, 0.0), "face", 1, -1.0),
-    (15, (0.5, 0.0, 0.0), "boundary face", 3, -1.0),
+    (4, (-1.0, 0.0), "face", 1, -1.0),
+    (15, (0.5, 0.0), "boundary face", 3, -1.0),
 ])
 def test_face_states_reject_inverted_faces(mesh_small, row, shift, label,
                                            index, det_f):
@@ -187,8 +214,8 @@ def test_homogeneous_state_residual_vanishes(mesh_small, rng):
 
     bcs = {LEFT: BoundaryCondition(DISPLACEMENT, disp),
            BOTTOM: BoundaryCondition(DISPLACEMENT, disp),
-           RIGHT: BoundaryCondition(TRACTION, trac(np.array([1.0, 0, 0]))),
-           TOP: BoundaryCondition(TRACTION, trac(np.array([0, 1.0, 0])))}
+           RIGHT: BoundaryCondition(TRACTION, trac(np.array([1.0, 0]))),
+           TOP: BoundaryCondition(TRACTION, trac(np.array([0, 1.0])))}
     table = build_boundary_table(mesh_small, bcs)
     state = consistent_state(mesh_small, linear_field(mesh_small, g))
     _, _, flux = face_states(mesh_small, UNIT, state)
@@ -204,7 +231,7 @@ def test_newton_rhs_row_scales(mesh_small):
     _, row_scale = newton_rhs(mesh_small, UNIT, state, table, flux)
     m = mesh_small
     npt.assert_allclose(row_scale[: m.n_cells], 1.0)
-    npt.assert_allclose(row_scale[m.n_cells + m.patch_bfaces(LEFT)], UNIT.mu)
+    npt.assert_allclose(row_scale[m.n_cells + bfaces(m, LEFT)], UNIT.mu)
     right = m.patch_faces(RIGHT)
     npt.assert_allclose(row_scale[m.face_across[right]], m.face_area[right])
 
@@ -212,7 +239,7 @@ def test_newton_rhs_row_scales(mesh_small):
 def test_newton_rhs_cell_rows_match_scatter_oracle(mesh_small, mesh16, rng):
     for mesh in (mesh_small, mesh16):
         table = build_boundary_table(mesh, ALL_DISPLACEMENT)
-        flux = rng.normal(size=(mesh.n_faces, 3))
+        flux = rng.normal(size=(mesh.n_faces, 2))
         rhs, _ = newton_rhs(mesh, UNIT, zero_state(mesh), table, flux)
         ref = oracles.cell_force_rows(mesh, flux)
         assert np.abs(rhs[:mesh.n_cells] - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -221,10 +248,10 @@ def test_newton_rhs_cell_rows_match_scatter_oracle(mesh_small, mesh16, rng):
 def test_newton_rhs_displacement_defect(mesh_small):
     table = build_boundary_table(mesh_small, ALL_DISPLACEMENT)
     state = zero_state(mesh_small)
-    state.displacement[mesh_small.n_cells + 2] = (0.02, -0.01, 0.0)
+    state.displacement[mesh_small.n_cells + 2] = (0.02, -0.01)
     _, _, flux = face_states(mesh_small, UNIT, state)
     rhs, _ = newton_rhs(mesh_small, UNIT, state, table, flux)
-    npt.assert_allclose(rhs[mesh_small.n_cells + 2], [-0.02, 0.01, 0.0])
+    npt.assert_allclose(rhs[mesh_small.n_cells + 2], [-0.02, 0.01])
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +264,7 @@ def residual_function(mesh, material, table):
         state = consistent_state(mesh, u)
         _, _, flux = face_states(mesh, material, state)
         rhs, _ = newton_rhs(mesh, material, state, table, flux)
-        return rhs[:, :2]
+        return rhs
     return rhs_of
 
 
@@ -249,7 +276,6 @@ def test_matrix_is_derivative_of_residual(bcs, rng):
     g = random_gradients(rng, 1, scale=0.15)[0]
     u = linear_field(mesh, g)
     u += 0.01 * rng.standard_normal(u.shape)
-    u[:, 2] = 0.0
     state = consistent_state(mesh, u)
 
     table = build_boundary_table(mesh, bcs)
@@ -261,7 +287,7 @@ def test_matrix_is_derivative_of_residual(bcs, rng):
     fd = np.zeros_like(dense)
     for block in range(mesh.n_unknowns):
         for comp in range(2):
-            du = np.zeros((mesh.n_unknowns, 3))
+            du = np.zeros((mesh.n_unknowns, 2))
             du[block, comp] = h
             # the residual's derivative is minus the matrix
             fd[:, 2 * block + comp] = -(
@@ -286,10 +312,10 @@ def test_matrix_annihilates_translations(mesh_small, rng):
     cells = np.arange(mesh_small.n_cells)
     npt.assert_allclose(out[cells], 0.0, atol=1e-12 * scale)
     for patch in (RIGHT, TOP):   # traction rows
-        rows = mesh_small.n_cells + mesh_small.patch_bfaces(patch)
+        rows = mesh_small.n_cells + bfaces(mesh_small, patch)
         npt.assert_allclose(out[rows], 0.0, atol=1e-12 * scale)
     # prescribed-displacement rows are identities and report the shift
-    rows = mesh_small.n_cells + mesh_small.patch_bfaces(LEFT)
+    rows = mesh_small.n_cells + bfaces(mesh_small, LEFT)
     npt.assert_allclose(out[rows], np.tile([0.7, -0.4], (len(rows), 1)))
 
 
@@ -306,8 +332,8 @@ def test_zero_state_zero_load_rhs(mesh_small):
     table = build_boundary_table(mesh_small, ALL_DISPLACEMENT)
     system = assemble_system(mesh_small, UNIT, zero_state(mesh_small), table)
     npt.assert_allclose(system.rhs, 0.0)
-    assert system.n_block_rows == mesh_small.n_unknowns
-    assert system.flat_rhs().shape == (2 * mesh_small.n_unknowns,)
+    assert system.rhs.shape == (mesh_small.n_unknowns, 2)
+    assert system.matrix.shape == (2 * mesh_small.n_unknowns,) * 2
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +367,7 @@ def test_scalar_operator_boundary_rows(mesh_small):
         expected[r] = 2.5 / m.face_distance[f]
         npt.assert_allclose(op[r], expected)
     # symmetry on the bottom fixes the normal (y) component only
-    bottom_rows = m.n_cells + m.patch_bfaces(BOTTOM)
+    bottom_rows = m.n_cells + bfaces(m, BOTTOM)
     op_y = assemble_scalar_operator(m, table, 2.5, 1).toarray()
     for r in bottom_rows:
         assert op_y[r, r] == 1.0

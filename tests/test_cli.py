@@ -85,6 +85,12 @@ def test_parse_config_sweep(tmp_path):
     ("case = cantilever\nsweep = 3,8\n", "not sweep"),
     ("case = shear\nregime = beam\n", "unknown regime"),
     ("case = shear\nrho0 = 1000\n", "unknown config key 'rho0'"),
+    ("case = shear\nmesh = 0x4\n", "'mesh' needs at least one cell per direction, got 0x4"),
+    ("case = shear\nsweep = 0,4\n", "'sweep' sizes must be at least 1, got 0,4"),
+    ("case = shear\ntolerance = -1\n", "'tolerance' must be finite and positive"),
+    ("case = shear\nrelaxation = 0\n", "'relaxation' must be finite and positive"),
+    ("case = uniaxial\nstretch = 2\nstretch = 3\n",
+     r"case\.cfg:3: duplicate config key 'stretch' \(first set on line 2\)"),
 ])
 def test_parse_config_rejects(tmp_path, text, message):
     path = write_cfg(tmp_path, text)
@@ -262,6 +268,11 @@ def test_main_reports_config_errors(tmp_path, capsys):
     "nu = -1",
     "E = nan",
     "E = 0",
+    "sweep = 0,4",
+    "tolerance = -1",
+    "tolerance = nan",
+    "relaxation = 0",
+    "mesh = 8x8",       # a second mesh key
 ])
 def test_main_rejects_bad_solver_settings(tmp_path, capsys, line):
     path = write_cfg(tmp_path, f"case = shear\nmesh = 4x4\n{line}\n")

@@ -15,7 +15,7 @@ from tests import oracles
 from tests.conftest import random_gradients
 
 
-def linear_field(mesh, g, shift=(0.0, 0.0, 0.0)):
+def linear_field(mesh, g, shift=(0.0, 0.0)):
     """Per-unknown samples of U(X) = g @ X + shift at cell and face centroids."""
     points = np.vstack([mesh.cell_centroids,
                         mesh.face_centroid[mesh.bface_face]])
@@ -24,34 +24,34 @@ def linear_field(mesh, g, shift=(0.0, 0.0, 0.0)):
 
 def test_zero_state_shapes(mesh_small):
     s = zero_state(mesh_small)
-    assert s.displacement.shape == (mesh_small.n_unknowns, 3)
-    assert s.grad.shape == (mesh_small.n_cells, 3, 3)
+    assert s.displacement.shape == (mesh_small.n_unknowns, 2)
+    assert s.grad.shape == (mesh_small.n_cells, 2, 2)
     assert not s.displacement.any() and not s.grad.any()
 
 
 def test_cell_gradient_exact_for_linear_fields(mesh_small, rng):
     g = random_gradients(rng, 1)[0]
-    u = linear_field(mesh_small, g, shift=(0.3, -0.1, 0.0))
+    u = linear_field(mesh_small, g, shift=(0.3, -0.1))
     grad = cell_gradient(mesh_small, u)
     npt.assert_allclose(grad, np.broadcast_to(g, grad.shape), atol=1e-13)
 
 
 def test_cell_gradient_kills_constants(mesh_small):
-    u = np.tile([0.7, -0.2, 0.0], (mesh_small.n_unknowns, 1))
+    u = np.tile([0.7, -0.2], (mesh_small.n_unknowns, 1))
     grad = cell_gradient(mesh_small, u)
     npt.assert_allclose(grad, 0.0, atol=1e-15)
 
 
 def test_cell_gradient_matches_scatter_oracle(mesh_small, mesh16, rng):
     for mesh in (mesh_small, mesh16):
-        u = rng.normal(size=(mesh.n_unknowns, 3))
+        u = rng.normal(size=(mesh.n_unknowns, 2))
         ref = oracles.cell_gradient(mesh, u)
         assert np.abs(cell_gradient(mesh, u) - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_vertex_values_match_scatter_oracle(mesh_small, mesh16, rng):
     for mesh in (mesh_small, mesh16):
-        u = rng.normal(size=(mesh.n_unknowns, 3))
+        u = rng.normal(size=(mesh.n_unknowns, 2))
         ref = oracles.vertex_values(mesh, u)
         assert np.abs(vertex_values(mesh, u) - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -68,14 +68,14 @@ def test_vertex_values_exact_for_linear_fields(mesh_small, rng):
     regular = np.setdiff1d(np.arange(m.n_vertices), corners)
     npt.assert_allclose(at_vertices[regular], expected[regular], atol=1e-14)
     for v in corners:
-        ids, _ = m.edge_stencil(v)
-        npt.assert_allclose(at_vertices[v], u[ids[0]])
+        first = m.vertex_stencil.indices[m.vertex_stencil.indptr[v]]
+        npt.assert_allclose(at_vertices[v], u[first])
 
 
 def test_vertex_values_preserve_constants(mesh16):
-    u = np.tile([1.5, 2.5, 0.0], (mesh16.n_unknowns, 1))
+    u = np.tile([1.5, 2.5], (mesh16.n_unknowns, 1))
     out = vertex_values(mesh16, u)
-    npt.assert_allclose(out, np.tile([1.5, 2.5, 0.0], (mesh16.n_vertices, 1)))
+    npt.assert_allclose(out, np.tile([1.5, 2.5], (mesh16.n_vertices, 1)))
 
 
 def test_advance_state_accumulates(mesh_small, rng):
@@ -95,7 +95,7 @@ def test_advance_state_accumulates(mesh_small, rng):
 
 def test_advance_state_leaves_input_untouched(mesh_small):
     s0 = zero_state(mesh_small)
-    advance_state(mesh_small, s0, np.ones((mesh_small.n_unknowns, 3)))
+    advance_state(mesh_small, s0, np.ones((mesh_small.n_unknowns, 2)))
     assert not s0.displacement.any()
 
 
@@ -104,7 +104,7 @@ def test_boundary_face_gradient_exact_for_linear_fields(mesh_small, rng):
     m = mesh_small
     u = linear_field(m, g)
     bnd = m.boundary_faces
-    grad_cell = np.broadcast_to(g, (len(bnd), 3, 3))
+    grad_cell = np.broadcast_to(g, (len(bnd), 2, 2))
     out = boundary_face_gradient(
         grad_cell,
         u[m.face_owner[bnd]],
@@ -116,14 +116,13 @@ def test_boundary_face_gradient_exact_for_linear_fields(mesh_small, rng):
 
 
 def test_boundary_face_gradient_replaces_normal_column():
-    normal = np.array([1.0, 0.0, 0.0])
-    grad_cell = np.array([[0.5, 0.2, 0.0],
-                          [0.1, 0.3, 0.0],
-                          [0.0, 0.0, 0.0]])
-    u_cell = np.array([0.0, 0.0, 0.0])
-    u_face = np.array([0.25, -0.1, 0.0])
+    normal = np.array([1.0, 0.0])
+    grad_cell = np.array([[0.5, 0.2],
+                          [0.1, 0.3]])
+    u_cell = np.array([0.0, 0.0])
+    u_face = np.array([0.25, -0.1])
     out = boundary_face_gradient(grad_cell, u_cell, u_face, normal,
                                  np.asarray(0.5))
-    # normal column becomes the quotient, tangential columns survive
+    # normal column becomes the quotient, the tangential column survives
     npt.assert_allclose(out[:, 0], (u_face - u_cell) / 0.5)
     npt.assert_allclose(out[:, 1:], grad_cell[:, 1:])

@@ -34,13 +34,13 @@ def assembled_system(rng):
     """Small momentum system with mixed displacement/traction rows."""
     mesh = build_mesh(3, 3, 1.0, 1.0)
     mat = NeoHookean(Lame(mu=0.8, lam=1.3))
-    bcs = {LEFT: BoundaryCondition(DISPLACEMENT, (0.0, 0.0, 0.0)),
-           RIGHT: BoundaryCondition(TRACTION, (0.2, 0.1, 0.0)),
-           BOTTOM: BoundaryCondition(DISPLACEMENT, (0.0, 0.0, 0.0)),
-           TOP: BoundaryCondition(TRACTION, (0.0, 0.0, 0.0))}
+    bcs = {LEFT: BoundaryCondition(DISPLACEMENT, (0.0, 0.0)),
+           RIGHT: BoundaryCondition(TRACTION, (0.2, 0.1)),
+           BOTTOM: BoundaryCondition(DISPLACEMENT, (0.0, 0.0)),
+           TOP: BoundaryCondition(TRACTION, (0.0, 0.0))}
     table = build_boundary_table(mesh, bcs)
     system = assemble_system(mesh, mat, zero_state(mesh), table)
-    return system.matrix, system.flat_rhs() + 0.01 * rng.standard_normal(
+    return system.matrix, system.rhs.ravel() + 0.01 * rng.standard_normal(
         2 * mesh.n_unknowns)
 
 

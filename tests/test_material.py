@@ -61,8 +61,8 @@ def test_inverted_element_error_message():
 
 
 def test_stress_state_raises_on_inversion():
-    grad = np.zeros((3, 3, 3))
-    grad[1] = np.diag([-1.5, 0.0, 0.0])
+    grad = np.zeros((3, 2, 2))
+    grad[1] = np.diag([-1.5, 0.0])
     with pytest.raises(InvertedElementError, match="cell 1"):
         UNIT.stress_state(grad)
     # the same gradients pass under the geometry-frozen linear model
@@ -75,27 +75,27 @@ def test_stress_state_raises_on_inversion():
 
 
 def test_second_piola_stress_free_at_identity():
-    s = UNIT.second_piola(np.eye(3))
+    s = UNIT.second_piola(np.eye(2))
     npt.assert_allclose(s, 0.0, atol=1e-15)
 
 
 def test_second_piola_uniaxial_hand_value():
-    """F = diag(2, 1, 1) evaluated from the model's scalar definition."""
-    c = np.diag([4.0, 1.0, 1.0])
+    """F = diag(2, 1) evaluated from the model's scalar definition."""
+    c = np.diag([4.0, 1.0])
     s = UNIT.second_piola(c)
     log_j = 0.5 * np.log(4.0)
     expected = np.diag([
         UNIT.mu * (1.0 - 0.25) + UNIT.lam * log_j * 0.25,
-        UNIT.lam * log_j,
         UNIT.lam * log_j,
     ])
     npt.assert_allclose(s, expected, rtol=1e-14)
 
 
 def _strain_energy(material, c):
-    """Stored energy density, written out independently of the stress code."""
+    """Stored energy density, written out independently of the stress code;
+    in plane strain C_33 = 1 adds one to the trace."""
     j = np.sqrt(np.linalg.det(c))
-    return (0.5 * material.mu * (np.trace(c) - 3.0)
+    return (0.5 * material.mu * (np.trace(c) + 1.0 - 3.0)
             - material.mu * np.log(j)
             + 0.5 * material.lam * np.log(j) ** 2)
 
@@ -105,32 +105,32 @@ def test_second_piola_is_energy_gradient(rng):
     h = 1e-6
     for _ in range(5):
         g = random_gradients(rng, 1)[0]
-        f = np.eye(3) + g
+        f = np.eye(2) + g
         c = f.T @ f
         s = UNIT.second_piola(c)
-        fd = np.zeros((3, 3))
-        for k in range(3):
-            for l in range(3):
-                dc = np.zeros((3, 3))
+        fd = np.zeros((2, 2))
+        for k in range(2):
+            for l in range(2):
+                dc = np.zeros((2, 2))
                 dc[k, l] = dc[l, k] = h
                 fd[k, l] = (_strain_energy(UNIT, c + dc)
                             - _strain_energy(UNIT, c - dc)) / (2.0 * h)
         # off-diagonal probes perturb two entries, so they pick up both
         # symmetric sensitivities at once: S_kl = fd_kl there, 2 fd_kk on
         # the diagonal
-        npt.assert_allclose(s, fd * (1.0 + np.eye(3)), rtol=1e-6, atol=1e-8)
+        npt.assert_allclose(s, fd * (1.0 + np.eye(2)), rtol=1e-6, atol=1e-8)
 
 
 def test_elasticity_tensor_matches_finite_differences(rng):
     """dS = C : dE checked entry by entry around random states."""
     h = 1e-6
     g = random_gradients(rng, 1)[0]
-    f = np.eye(3) + g
+    f = np.eye(2) + g
     c = f.T @ f
     cc = oracles.elasticity_tensor(UNIT, c)
-    for k in range(3):
-        for l in range(3):
-            dc = np.zeros((3, 3))
+    for k in range(2):
+        for l in range(2):
+            dc = np.zeros((2, 2))
             dc[k, l] += h
             dc[l, k] += h
             fd = (UNIT.second_piola(c + dc) - UNIT.second_piola(c - dc)) / (2.0 * h)
@@ -139,7 +139,7 @@ def test_elasticity_tensor_matches_finite_differences(rng):
 
 def test_elasticity_tensor_symmetries(rng):
     g = random_gradients(rng, 4)
-    f = np.eye(3) + g
+    f = np.eye(2) + g
     c = np.einsum("bki,bkj->bij", f, f)
     cc = oracles.elasticity_tensor(UNIT, c)
     scale = np.abs(cc).max()
@@ -151,11 +151,11 @@ def test_elasticity_tensor_symmetries(rng):
 
 def test_t_tensor_closed_form_matches_contraction(rng):
     g = random_gradients(rng, 6)
-    f = np.eye(3) + g
-    n = np.zeros((6, 3))
+    f = np.eye(2) + g
+    n = np.zeros((6, 2))
     angles = rng.uniform(0.0, 2.0 * np.pi, 6)
     n[:, 0], n[:, 1] = np.cos(angles), np.sin(angles)
-    for d in range(3):
+    for d in range(2):
         closed = oracles.t_tensor(UNIT, f, n, d)
         brute = oracles.t_tensor_contracted(UNIT, f, n, d)
         npt.assert_allclose(closed, brute, rtol=1e-12, atol=1e-12)
@@ -165,8 +165,7 @@ def test_dp_apply_matches_finite_differences(rng):
     h = 1e-7
     for _ in range(20):
         g = random_gradients(rng, 1)[0]
-        b = rng.normal(size=(3, 3))
-        b[2] = b[:, 2] = 0.0
+        b = rng.normal(size=(2, 2))
         fd = (UNIT.first_piola(g + h * b) - UNIT.first_piola(g - h * b)) / (2.0 * h)
         exact = oracles.dP_apply(UNIT, g, b)
         npt.assert_allclose(exact, fd, rtol=1e-5, atol=1e-6)
@@ -176,16 +175,15 @@ def test_face_linearisation_reproduces_flux_derivative(rng):
     """B @ w + sum_d T[d] @ (B e_d) equals (dP : B) @ N exactly."""
     g = random_gradients(rng, 5)
     f, s = UNIT.stress_state(g)
-    n = np.zeros((5, 3))
+    n = np.zeros((5, 2))
     n[:, 0] = 1.0
-    n[2:, :] = [0.0, 1.0, 0.0]
+    n[2:, :] = [0.0, 1.0]
     w, t = UNIT.face_linearisation(f, s, n)
     npt.assert_allclose(w, np.einsum("bij,bj->bi", s, n), rtol=1e-14)
     for _ in range(4):
-        b = rng.normal(size=(3, 3))
-        b[2] = b[:, 2] = 0.0
+        b = rng.normal(size=(2, 2))
         for k in range(5):
-            face_route = b @ w[k] + sum(t[k, d] @ b[:, d] for d in range(3))
+            face_route = b @ w[k] + sum(t[k, d] @ b[:, d] for d in range(2))
             exact = np.einsum("ij,j->i", oracles.dP_apply(UNIT, g[k], b),
                               n[k])
             npt.assert_allclose(face_route, exact, rtol=1e-11, atol=1e-11)
@@ -194,11 +192,10 @@ def test_face_linearisation_reproduces_flux_derivative(rng):
 def test_t_tensor_row_contract_matches_flux_derivative(rng):
     """sum_d T^d @ B[d] row-assembles the same directional flux change."""
     g = random_gradients(rng, 1)[0]
-    f = np.eye(3) + g
-    n = np.array([0.0, 1.0, 0.0])
-    b = rng.normal(size=(3, 3))
-    b[2] = b[:, 2] = 0.0
-    total = sum(oracles.t_tensor(UNIT, f, n, d) @ b[d] for d in range(3))
+    f = np.eye(2) + g
+    n = np.array([0.0, 1.0])
+    b = rng.normal(size=(2, 2))
+    total = sum(oracles.t_tensor(UNIT, f, n, d) @ b[d] for d in range(2))
     s = UNIT.second_piola(f.T @ f)
     exact = oracles.dP_apply(UNIT, g, b) @ n - b @ (s @ n)
     npt.assert_allclose(total, exact, rtol=1e-11, atol=1e-11)
@@ -206,21 +203,83 @@ def test_t_tensor_row_contract_matches_flux_derivative(rng):
 
 def test_rigid_rotation_is_stress_free():
     angle = 0.3
-    rot = np.array([[np.cos(angle), -np.sin(angle), 0.0],
-                    [np.sin(angle), np.cos(angle), 0.0],
-                    [0.0, 0.0, 1.0]])
-    p = UNIT.first_piola(rot - np.eye(3))
+    rot = np.array([[np.cos(angle), -np.sin(angle)],
+                    [np.sin(angle), np.cos(angle)]])
+    p = UNIT.first_piola(rot - np.eye(2))
     npt.assert_allclose(p, 0.0, atol=1e-14)
 
 
 def test_closed_forms_scale_with_moduli(rng, neo):
     """The physical material is a unit-modulus material times E: pure scaling."""
     g = random_gradients(rng, 3)
-    f = np.eye(3) + g
+    f = np.eye(2) + g
     c = np.einsum("bki,bkj->bij", f, f)
     unit_like = NeoHookean(Lame(mu=neo.mu / 0.02e9, lam=neo.lam / 0.02e9))
     npt.assert_allclose(neo.second_piola(c),
                         0.02e9 * unit_like.second_piola(c), rtol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# plane strain: the 2-D forms are the in-plane blocks of the 3-D ones
+# ---------------------------------------------------------------------------
+
+
+def _plane_strain(g):
+    """3x3 displacement gradients of a plane-strain state (F_33 = 1)."""
+    g3 = np.zeros(g.shape[:-2] + (3, 3))
+    g3[..., :2, :2] = g
+    return g3
+
+
+def _assert_rel(actual, reference, rtol=1e-14):
+    assert np.abs(actual - reference).max() <= rtol * np.abs(reference).max()
+
+
+def test_neo_hookean_is_in_plane_block_of_3d_oracles(rng):
+    """stress_state, first_piola and face_linearisation against the 3-D
+    oracle formulas (LAPACK inverse and determinant) on the plane-strain
+    embedding, in-plane block, for both unit and physical moduli."""
+    g = random_gradients(rng, 50)
+    angles = rng.uniform(0.0, 2.0 * np.pi, 50)
+    n = np.column_stack((np.cos(angles), np.sin(angles)))
+    n3 = np.column_stack((n, np.zeros(50)))
+    f3 = np.eye(3) + _plane_strain(g)
+    for mat in (UNIT, NeoHookean(lame_from_E_nu(0.02e9, 0.3))):
+        s3 = oracles.second_piola(mat, np.swapaxes(f3, -1, -2) @ f3)
+        f, s = mat.stress_state(g)
+        npt.assert_array_equal(f, f3[:, :2, :2])
+        _assert_rel(s, s3[:, :2, :2])
+        _assert_rel(mat.first_piola(g), (f3 @ s3)[:, :2, :2])
+        w, t = mat.face_linearisation(f, s, n)
+        _assert_rel(w, np.einsum("bij,bj->bi", s3, n3)[:, :2])
+        # The oracles index by the row of B (flux_i = T^d_iL B_dL), the
+        # material by its column (flux_i = T[d]_ij B_jd): T[d]_ij = T^j_id.
+        for oracle in (oracles.t_tensor, oracles.t_tensor_contracted):
+            t3 = np.stack([oracle(mat, f3, n3, j) for j in range(3)], axis=-1)
+            _assert_rel(t, t3.transpose(0, 2, 1, 3)[:, :2, :2, :2])
+
+
+def test_linear_elastic_is_in_plane_block_of_3d_hooke(rng):
+    """Hooke's law and its flux coupling in 3-D, at zero out-of-plane
+    strain, reduce to the 2-D stress and T-stack."""
+    mat = LinearElastic(Lame(mu=2.0, lam=3.0))
+    g = rng.normal(size=(6, 2, 2))
+    g3 = _plane_strain(g)
+    eye3 = np.eye(3)
+    sigma3 = (2.0 * (g3 + np.swapaxes(g3, -1, -2))
+              + 3.0 * np.trace(g3, axis1=-2, axis2=-1)[:, None, None] * eye3)
+    f, s = mat.stress_state(g)
+    _assert_rel(s, sigma3[:, :2, :2])
+    _assert_rel(mat.first_piola(g), sigma3[:, :2, :2])
+    n = np.array([[0.6, 0.8]] * 6)
+    n3 = np.column_stack((n, np.zeros(6)))
+    # T_d[i, j] = d(sigma(B) N)_i / dB_jd for the 3-D Hookean stress
+    t3 = (3.0 * np.einsum("bi,jd->bdij", n3, eye3)
+          + 2.0 * (np.einsum("bd,ij->bdij", n3, eye3)
+                   + np.einsum("id,bj->bdij", eye3, n3)))
+    w, t = mat.face_linearisation(f, s, n)
+    npt.assert_array_equal(w, 0.0)
+    _assert_rel(t, t3[:, :2, :2, :2])
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +289,8 @@ def test_closed_forms_scale_with_moduli(rng, neo):
 
 def test_linear_stress_formula(rng):
     mat = LinearElastic(Lame(mu=2.0, lam=3.0))
-    g = rng.normal(size=(3, 3))
-    expected = 2.0 * (g + g.T) + 3.0 * np.trace(g) * np.eye(3)
+    g = rng.normal(size=(2, 2))
+    expected = 2.0 * (g + g.T) + 3.0 * np.trace(g) * np.eye(2)
     npt.assert_allclose(mat.stress(g), expected)
     npt.assert_allclose(mat.first_piola(g), expected)
     npt.assert_allclose(oracles.dP_apply(mat, g, g), expected)
@@ -239,20 +298,20 @@ def test_linear_stress_formula(rng):
 
 def test_linear_stress_state_freezes_geometry(rng):
     mat = LinearElastic(Lame(mu=2.0, lam=3.0))
-    g = rng.normal(size=(4, 3, 3))
+    g = rng.normal(size=(4, 2, 2))
     f, s = mat.stress_state(g)
-    npt.assert_allclose(f, np.broadcast_to(np.eye(3), (4, 3, 3)))
+    npt.assert_allclose(f, np.broadcast_to(np.eye(2), (4, 2, 2)))
     npt.assert_allclose(s, mat.stress(g))
 
 
 def test_linear_face_linearisation_contract(rng):
     mat = LinearElastic(Lame(mu=2.0, lam=3.0))
-    n = np.array([1.0, 0.0, 0.0])
-    f, s = mat.stress_state(np.zeros((1, 3, 3)))
-    w, t = mat.face_linearisation(f, s, np.broadcast_to(n, (1, 3)))
+    n = np.array([1.0, 0.0])
+    f, s = mat.stress_state(np.zeros((1, 2, 2)))
+    w, t = mat.face_linearisation(f, s, np.broadcast_to(n, (1, 2)))
     npt.assert_allclose(w, 0.0)
-    b = rng.normal(size=(3, 3))
-    face_route = b @ w[0] + sum(t[0, d] @ b[:, d] for d in range(3))
+    b = rng.normal(size=(2, 2))
+    face_route = b @ w[0] + sum(t[0, d] @ b[:, d] for d in range(2))
     npt.assert_allclose(face_route, mat.stress(b) @ n, rtol=1e-14)
 
 

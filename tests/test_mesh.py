@@ -7,7 +7,17 @@ import numpy.testing as npt
 import pytest
 
 from fvsolid import BOTTOM, LEFT, RIGHT, TOP, build_mesh
-from fvsolid.mesh import PATCH_NAMES
+from tests import oracles
+
+
+def stencil(m, vertex):
+    """Unknown indices and weights of one vertex stencil (a CSR row)."""
+    lo, hi = m.vertex_stencil.indptr[vertex:vertex + 2]
+    return m.vertex_stencil.indices[lo:hi], m.vertex_stencil.data[lo:hi]
+
+
+def patch_bfaces(m, patch):
+    return m.face_boundary_index[m.patch_faces(patch)]
 
 # ---------------------------------------------------------------------------
 # counts and geometry
@@ -43,7 +53,7 @@ def test_spacings(mesh_small):
 def test_centroids_row_major(mesh_small):
     m = mesh_small
     c = m.cell_index(2, 1)
-    npt.assert_allclose(m.cell_centroids[c], [2.5 * m.dx, 1.5 * m.dy, 0.0])
+    npt.assert_allclose(m.cell_centroids[c], [2.5 * m.dx, 1.5 * m.dy])
 
 
 def test_normals_are_unit_and_axis_aligned(mesh_small):
@@ -59,8 +69,8 @@ def test_normals_are_unit_and_axis_aligned(mesh_small):
 
 def test_patch_normals_point_outward(mesh_small):
     m = mesh_small
-    outward = {LEFT: [-1, 0, 0], RIGHT: [1, 0, 0],
-               BOTTOM: [0, -1, 0], TOP: [0, 1, 0]}
+    outward = {LEFT: [-1, 0], RIGHT: [1, 0],
+               BOTTOM: [0, -1], TOP: [0, 1]}
     for patch, direction in outward.items():
         faces = m.patch_faces(patch)
         assert len(faces) == (m.ny if patch in (LEFT, RIGHT) else m.nx)
@@ -118,11 +128,10 @@ def test_boundary_across_is_bface_unknown(mesh_small):
 def test_patch_bface_ranges(mesh_small):
     m = mesh_small
     ny, nx = m.ny, m.nx
-    npt.assert_array_equal(m.patch_bfaces(LEFT), np.arange(ny))
-    npt.assert_array_equal(m.patch_bfaces(RIGHT), ny + np.arange(ny))
-    npt.assert_array_equal(m.patch_bfaces(BOTTOM), 2 * ny + np.arange(nx))
-    npt.assert_array_equal(m.patch_bfaces(TOP), 2 * ny + nx + np.arange(nx))
-    assert PATCH_NAMES == ("left", "right", "bottom", "top")
+    npt.assert_array_equal(patch_bfaces(m, LEFT), np.arange(ny))
+    npt.assert_array_equal(patch_bfaces(m, RIGHT), ny + np.arange(ny))
+    npt.assert_array_equal(patch_bfaces(m, BOTTOM), 2 * ny + np.arange(nx))
+    npt.assert_array_equal(patch_bfaces(m, TOP), 2 * ny + nx + np.arange(nx))
 
 
 def test_face_distances(mesh_small):
@@ -147,6 +156,19 @@ def test_owner_distance_matches_geometry(mesh_small):
         npt.assert_allclose(np.linalg.norm(gap), m.face_distance[f])
 
 
+@pytest.mark.parametrize("dims", [(3, 4, 1.5, 1.0), (1, 1, 1.0, 1.0),
+                                  (7, 2, 2.0, 0.1)])
+def test_arrays_match_loop_construction(dims):
+    """The index arithmetic builds exactly the arrays of the face by
+    face and vertex by vertex reference loops."""
+    m = build_mesh(*dims)
+    for name, ref in oracles.mesh_arrays(m).items():
+        owner, _, part = name.partition(".")
+        actual = getattr(getattr(m, owner), part) if part else getattr(m, owner)
+        assert actual.shape == ref.shape and actual.dtype.kind == ref.dtype.kind, name
+        npt.assert_array_equal(actual, ref, err_msg=name)
+
+
 def test_arrays_are_frozen(mesh_small):
     with pytest.raises(ValueError):
         mesh_small.face_area[0] = 99.0
@@ -160,14 +182,14 @@ def test_arrays_are_frozen(mesh_small):
 def test_stencil_weights_sum_to_one(mesh_small):
     m = mesh_small
     for v in range(m.n_vertices):
-        ids, w = m.edge_stencil(v)
+        ids, w = stencil(m, v)
         assert w.sum() == pytest.approx(1.0)
         assert (ids >= 0).all() and (ids < m.n_unknowns).all()
 
 
 def test_interior_vertex_stencil(mesh_small):
     m = mesh_small
-    ids, w = m.edge_stencil(m.vertex_index(1, 1))
+    ids, w = stencil(m, m.vertex_index(1, 1))
     expected = {m.cell_index(0, 0), m.cell_index(1, 0),
                 m.cell_index(0, 1), m.cell_index(1, 1)}
     assert set(ids) == expected
@@ -176,15 +198,15 @@ def test_interior_vertex_stencil(mesh_small):
 
 def test_edge_vertex_stencil_uses_boundary_faces(mesh_small):
     m = mesh_small
-    ids, w = m.edge_stencil(m.vertex_index(0, 2))
+    ids, w = stencil(m, m.vertex_index(0, 2))
     assert set(ids) == {m.n_cells + 1, m.n_cells + 2}
     npt.assert_allclose(w, 0.5)
 
 
 def test_corner_vertex_stencil(mesh_small):
     m = mesh_small
-    ids, w = m.edge_stencil(m.vertex_index(0, 0))
+    ids, w = stencil(m, m.vertex_index(0, 0))
     npt.assert_array_equal(ids, [m.n_cells + 0])
     npt.assert_allclose(w, [1.0])
-    ids, _ = m.edge_stencil(m.vertex_index(m.nx, m.ny))
+    ids, _ = stencil(m, m.vertex_index(m.nx, m.ny))
     npt.assert_array_equal(ids, [m.n_cells + m.ny + (m.ny - 1)])

@@ -25,34 +25,45 @@ def test_outer_batched_shape(rng):
 
 
 def _batch(rng, kind, n=200):
-    """Random, rotated-and-stretched, or nearly singular 3x3 stacks."""
-    a = rng.normal(size=(n, 3, 3))
+    """Random, rotated-and-stretched, or nearly singular 2x2 stacks."""
+    a = rng.normal(size=(n, 2, 2))
     if kind == "rotated":
         q, _ = np.linalg.qr(a)
-        q *= np.sign(np.linalg.det(q))[:, None, None]    # proper rotations
-        a = q * rng.uniform(0.5, 2.0, size=(n, 1, 3))
+        q[..., 0] *= np.sign(np.linalg.det(q))[:, None]  # proper rotations
+        a = q * rng.uniform(0.5, 2.0, size=(n, 1, 2))
     elif kind == "near_singular":
-        a[:, 2] = (a[:, 0] - 2.0 * a[:, 1]
-                   + 1e-9 * rng.normal(size=(n, 3)))
+        a[:, 1] = -2.0 * a[:, 0] + 1e-9 * rng.normal(size=(n, 2))
     return a
+
+
+def _plane_strain(a):
+    """The 3x3 plane-strain embedding diag(a, 1) of a 2x2 stack."""
+    out = np.zeros(a.shape[:-2] + (3, 3))
+    out[..., :2, :2] = a
+    out[..., 2, 2] = 1.0
+    return out
 
 
 @pytest.mark.parametrize("kind", ["random", "rotated", "near_singular"])
 def test_det3_matches_lapack(rng, kind):
+    """det2 of a 2x2 block is LAPACK's determinant of its 3x3 plane-strain
+    embedding."""
     a = _batch(rng, kind)
     # rounding in either route is a few ulps of the largest cofactor
     # product, bounded by the product of the row norms (Hadamard)
     scale = np.prod(np.linalg.norm(a, axis=-1), axis=-1)
-    err = np.abs(tensors.det3(a) - np.linalg.det(a))
+    err = np.abs(tensors.det2(a) - np.linalg.det(_plane_strain(a)))
     assert (err <= 1e-14 * scale).all()
 
 
 @pytest.mark.parametrize("kind", ["random", "rotated", "near_singular"])
 def test_inv3_matches_lapack(rng, kind):
+    """inv2 of a 2x2 block is the in-plane block of LAPACK's inverse of its
+    3x3 plane-strain embedding."""
     a = _batch(rng, kind)
-    inv, det = tensors.inv3(a)
-    npt.assert_array_equal(det, tensors.det3(a))
-    ref = np.linalg.inv(a)
+    inv, det = tensors.inv2(a)
+    npt.assert_array_equal(det, tensors.det2(a))
+    ref = np.linalg.inv(_plane_strain(a))[:, :2, :2]
     # both routes carry a forward error of order cond(a) * eps
     cond = np.linalg.cond(a)
     err = (np.linalg.norm(inv - ref, axis=(-2, -1))
@@ -63,9 +74,9 @@ def test_inv3_matches_lapack(rng, kind):
                             rtol=1e-13)
 
 
-def test_inv3_and_det3_take_a_single_matrix():
-    a = np.array([[2.0, 1.0, 0.0], [0.0, 3.0, 0.0], [1.0, 0.0, 4.0]])
-    inv, det = tensors.inv3(a)
-    assert inv.shape == (3, 3) and np.ndim(det) == 0
-    npt.assert_allclose(inv @ a, np.eye(3), atol=1e-15)
-    assert det == tensors.det3(a) == 24.0
+def test_inv2_and_det2_take_a_single_matrix():
+    a = np.array([[2.0, 1.0], [0.0, 3.0]])
+    inv, det = tensors.inv2(a)
+    assert inv.shape == (2, 2) and np.ndim(det) == 0
+    npt.assert_allclose(inv @ a, np.eye(2), atol=1e-15)
+    assert det == tensors.det2(a) == 6.0

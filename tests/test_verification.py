@@ -19,17 +19,17 @@ from fvsolid.verification import (
 
 def test_uniaxial_gradient_interpolates_in_load():
     case = MMSCase("uniaxial", DISPLACEMENT, 2.0)
-    npt.assert_allclose(mms_deformation_gradient(case, 0.0), np.eye(3))
+    npt.assert_allclose(mms_deformation_gradient(case, 0.0), np.eye(2))
     npt.assert_allclose(mms_deformation_gradient(case, 0.5),
-                        np.diag([1.5, 1.0, 1.0]))
+                        np.diag([1.5, 1.0]))
     npt.assert_allclose(mms_deformation_gradient(case, 1.0),
-                        np.diag([2.0, 1.0, 1.0]))
+                        np.diag([2.0, 1.0]))
 
 
 def test_shear_gradient_fills_upper_entry():
     case = MMSCase("shear", DISPLACEMENT, 0.45)
     f = mms_deformation_gradient(case, 1.0)
-    expected = np.eye(3)
+    expected = np.eye(2)
     expected[0, 1] = 0.45
     npt.assert_allclose(f, expected)
     npt.assert_allclose(mms_deformation_gradient(case, 0.2)[0, 1], 0.09)
@@ -37,12 +37,12 @@ def test_shear_gradient_fills_upper_entry():
 
 def test_dirichlet_data_hand_values():
     stretch = MMSCase("uniaxial", DISPLACEMENT, 2.0)
-    npt.assert_allclose(dirichlet_data(stretch, 1.0, [1.0, 0.5, 0.0]),
-                        [1.0, 0.0, 0.0])
+    npt.assert_allclose(dirichlet_data(stretch, 1.0, [1.0, 0.5]),
+                        [1.0, 0.0])
     shear = MMSCase("shear", DISPLACEMENT, 0.45)
-    npt.assert_allclose(dirichlet_data(shear, 1.0, [0.5, 1.0, 0.0]),
-                        [0.45, 0.0, 0.0])
-    npt.assert_allclose(dirichlet_data(shear, 0.0, [0.5, 1.0, 0.0]), 0.0)
+    npt.assert_allclose(dirichlet_data(shear, 1.0, [0.5, 1.0]),
+                        [0.45, 0.0])
+    npt.assert_allclose(dirichlet_data(shear, 0.0, [0.5, 1.0]), 0.0)
 
 
 def test_traction_data_from_scalar_formulas(neo):
@@ -51,18 +51,18 @@ def test_traction_data_from_scalar_formulas(neo):
     phi, mu, lam = 2.0, neo.mu, neo.lam
     s11 = mu * (1.0 - 1.0 / phi**2) + lam * np.log(phi) / phi**2
     s22 = lam * np.log(phi)
-    t_right = traction_data(case, neo, 1.0, np.array([1.0, 0.0, 0.0]))
-    npt.assert_allclose(t_right, [phi * s11, 0.0, 0.0], rtol=1e-14)
-    t_top = traction_data(case, neo, 1.0, np.array([0.0, 1.0, 0.0]))
-    npt.assert_allclose(t_top, [0.0, s22, 0.0], rtol=1e-14)
+    t_right = traction_data(case, neo, 1.0, np.array([1.0, 0.0]))
+    npt.assert_allclose(t_right, [phi * s11, 0.0], rtol=1e-14)
+    t_top = traction_data(case, neo, 1.0, np.array([0.0, 1.0]))
+    npt.assert_allclose(t_top, [0.0, s22], rtol=1e-14)
 
 
 def test_shear_traction_is_exactly_mu_omega(neo):
     """Simple shear of this model carries P12 = mu * omega on the top face."""
     case = MMSCase("shear", TRACTION, 0.45)
-    t_top = traction_data(case, neo, 1.0, np.array([0.0, 1.0, 0.0]))
+    t_top = traction_data(case, neo, 1.0, np.array([0.0, 1.0]))
     npt.assert_allclose(t_top[0], neo.mu * 0.45, rtol=1e-14)
-    t_right = traction_data(case, neo, 1.0, np.array([1.0, 0.0, 0.0]))
+    t_right = traction_data(case, neo, 1.0, np.array([1.0, 0.0]))
     npt.assert_allclose(t_right[1], neo.mu * 0.45, rtol=1e-14)
 
 
@@ -71,8 +71,8 @@ def test_mms_bcs_displacement_covers_all_patches(neo):
     bcs = mms_bcs(case, neo)
     assert set(bcs) == {LEFT, RIGHT, BOTTOM, TOP}
     assert all(bc.kind == DISPLACEMENT for bc in bcs.values())
-    npt.assert_allclose(bcs[RIGHT].value(np.array([1.0, 0.3, 0.0]), 1.0),
-                        [0.3, 0.0, 0.0])
+    npt.assert_allclose(bcs[RIGHT].value(np.array([1.0, 0.3]), 1.0),
+                        [0.3, 0.0])
 
 
 def test_mms_bcs_traction_pins_left_patch(neo):
@@ -82,8 +82,8 @@ def test_mms_bcs_traction_pins_left_patch(neo):
     for patch in (RIGHT, BOTTOM, TOP):
         assert bcs[patch].kind == TRACTION
     # outward data: bottom carries minus the top traction
-    top = bcs[TOP].value(np.zeros(3), 1.0)
-    bottom = bcs[BOTTOM].value(np.zeros(3), 1.0)
+    top = bcs[TOP].value(np.zeros(2), 1.0)
+    bottom = bcs[BOTTOM].value(np.zeros(2), 1.0)
     npt.assert_allclose(bottom, -top)
 
 
@@ -99,14 +99,14 @@ def test_mms_case_validation():
 def test_compute_errors_metrics():
     mesh = build_mesh(4, 4, 1.0, 1.0)
     case = MMSCase("uniaxial", DISPLACEMENT, 1.5)
-    grad = np.diag([0.5, 0.0, 0.0])
+    grad = np.diag([0.5, 0.0])
     exact = np.vstack([mesh.cell_centroids,
                        mesh.face_centroid[mesh.bface_face]]) @ grad.T
     metrics = compute_errors(mesh, exact, case)
     assert metrics.mean == metrics.max == metrics.min == 0.0
 
     shifted = exact.copy()
-    shifted[: mesh.n_cells] += [3e-4, 4e-4, 0.0]
+    shifted[: mesh.n_cells] += [3e-4, 4e-4]
     metrics = compute_errors(mesh, shifted, case)
     npt.assert_allclose([metrics.mean, metrics.max, metrics.min], 5e-4)
 
@@ -114,7 +114,7 @@ def test_compute_errors_metrics():
 def test_compute_errors_partial_load():
     mesh = build_mesh(3, 3, 1.0, 1.0)
     case = MMSCase("shear", DISPLACEMENT, 0.4)
-    u = np.zeros((mesh.n_unknowns, 3))
+    u = np.zeros((mesh.n_unknowns, 2))
     u[: mesh.n_cells, 0] = 0.2 * mesh.cell_centroids[:, 1]
     assert compute_errors(mesh, u, case, t=0.5).max < 1e-15
 
