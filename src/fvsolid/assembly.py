@@ -3,31 +3,34 @@
 Unknown layout: one in-plane 2-vector per cell followed by one 2-vector
 per boundary face; every face tensor is the 2x2 in-plane block.
 
-Cell rows balance the surface-force increments against the accumulated
-surface force.  For a face with outward normal N, geometric vector
-``w = S @ N`` and coupling tensors ``T[d]``, a gradient perturbation B of
-the displacement changes the flux density by ``B @ w + sum_d T[d] @ B e_d``.
-With ``H(m) = (w.m) I + sum_d m_d T[d]`` the matrix rows are the exact
-derivative of the residual's face reconstructions:
+Every face gradient comes from the same two face-derivative operators of
+the mesh, ``Q = face_quotient`` (normal difference quotient) and
+``Dt = face_tangential`` (endpoint-vertex difference inside, owner Gauss
+gradient along the tangent on the boundary):
 
-- interior faces reconstruct their gradient face-locally, a normal
-  difference quotient plus a tangential difference of the two endpoint
-  vertex values, so their flux varies by
-  ``(area/|d|) H(N) (dU_across - dU_owner) + H(t) (dU_hi - dU_lo)``
-  with the endpoint values expanded through the vertex stencils
-- boundary faces reconstruct from the owner-cell gradient with the
-  normal column replaced by the face quotient, so their flux varies by
-  ``(area/|d|) H(N) (dU_face - dU_owner)`` plus the chain through the
-  owner's Gauss gradient, ``area sum_f' (s' a'/V) H((I - N x N) N') dU_f'``
-  over the owner's faces (two-cell averages inside, boundary unknowns on
-  the outline)
+    grad U_f = (Q U)_f x N_f + (Dt U)_f x t_f
 
-Boundary rows impose the conditions on the boundary-face unknowns:
-identity rows for prescribed displacement, the same one-sided linearised
-traction as above in stress units for prescribed traction (the residual
-norm rescales them), and a normal/tangential mix for symmetry planes.
-Matching every row to the derivative of the residual it zeroes keeps the
-outer iteration a true Newton method.
+The residual collects the face fluxes onto the unknown rows with
+``face_rows`` (cell divergence, then each boundary face's own flux) and
+mixes each row with its boundary condition through per-row 2x2 weights:
+
+    r = (I - D) (face_rows @ flux) + D U - b
+
+with D = 0 on cell and traction rows, I on prescribed-displacement rows
+and N x N on symmetry planes; b holds the prescribed values.  The
+right-hand side is -r.
+
+For a face with geometric vector ``w = S @ N`` and coupling tensors
+``T[d]``, a gradient perturbation a x m changes the flux density by
+``H(m) a`` with ``H(m) = (w.m) I + sum_d m_d T[d]``.  The matrix is
+therefore the exact derivative of r, built from the same operators:
+
+    dr/dU = blocks(face_rows, I - D) @ (blocks(Q, H(N)) + blocks(Dt, H(t)))
+            + blockdiag(D)
+
+where ``blocks(A, W)`` is the block-sparse matrix with block (i, j) equal
+to ``A[i, j] * W[i]``.  Traction and symmetry rows stay in stress units;
+the residual norm rescales them.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .kinematics import State, boundary_face_gradient, vertex_values
+from .kinematics import State, cell_gradient
 from .material import check_positive_jacobian
 from .mesh import CartesianMesh
 from .tensors import IDENTITY, det2, outer
@@ -100,6 +103,23 @@ def force_row_mask(mesh: CartesianMesh, table: BoundaryTable) -> np.ndarray:
     return mask
 
 
+def _row_weights(mesh: CartesianMesh, table: BoundaryTable):
+    """Per-row 2x2 weights (I - D, D) of the force and the displacement
+    parts of each row: D = I on prescribed-displacement rows, N x N on
+    symmetry planes, zero elsewhere."""
+    rows = mesh.n_cells + np.arange(mesh.n_bfaces)
+    symm = table.kind == _KIND_CODE[SYMMETRY]
+    normal = mesh.face_normal[mesh.bface_face[symm]]
+    disp = np.zeros((mesh.n_unknowns, 2, 2))
+    disp[rows[table.kind == _KIND_CODE[DISPLACEMENT]]] = IDENTITY
+    disp[rows[symm]] = outer(normal, normal)
+    return IDENTITY - disp, disp
+
+
+def _apply(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    return np.einsum("nij,nj->ni", weights, vectors)
+
+
 # ----------------------------------------------------------------------
 # face states and right-hand side
 # ----------------------------------------------------------------------
@@ -107,81 +127,44 @@ def force_row_mask(mesh: CartesianMesh, table: BoundaryTable) -> np.ndarray:
 def face_states(mesh: CartesianMesh, material, state: State):
     """Deformation gradient, second Piola stress and flux density per face.
 
-    Interior faces reconstruct their gradient face-locally: normal part
-    from the two-cell difference quotient, tangential part from the face's
-    endpoint vertex values.  Boundary faces start from the owner-cell
-    gradient and replace its normal column with the quotient against the
-    face's own displacement unknown.  The material is evaluated at the
-    reconstructed gradients, so the assembled coefficients are the exact
-    derivative of the flux each face reports.  Cell states only get the
-    inversion check (det F > 0).
+    Face gradients are ``(Q U) x N + (Dt U) x t``.  The material is
+    evaluated at them, so the assembled coefficients are the exact
+    derivative of the flux each face reports.  Cells only get the
+    inversion check (det F > 0) on their Gauss gradient.
     """
     u = state.displacement
     if not material.linear:     # frozen geometry cannot invert
-        check_positive_jacobian(det2(IDENTITY + state.grad), "cell")
-    vert_u = vertex_values(mesh, u)
+        check_positive_jacobian(det2(IDENTITY + cell_gradient(mesh, u)), "cell")
+    grad = (outer(mesh.face_quotient @ u, mesh.face_normal)
+            + outer(mesh.face_tangential @ u, mesh.face_tangent))
     f_face = np.empty((mesh.n_faces, 2, 2))
     s_face = np.empty((mesh.n_faces, 2, 2))
-
-    interior = mesh.interior_faces
-    own, nb = mesh.face_owner[interior], mesh.face_neighbour[interior]
-    quot = (u[nb] - u[own]) / mesh.face_distance[interior, None]
-    tang = ((vert_u[mesh.face_vertex_hi[interior]]
-             - vert_u[mesh.face_vertex_lo[interior]])
-            / mesh.face_area[interior, None])
-    grad_i = (outer(quot, mesh.face_normal[interior])
-              + outer(tang, mesh.face_tangent[interior]))
-    f_face[interior], s_face[interior] = material.stress_state(grad_i, "face")
-
-    boundary = mesh.boundary_faces
-    own_b = mesh.face_owner[boundary]
-    grad_b = boundary_face_gradient(
-        state.grad[own_b], u[own_b], u[mesh.face_across[boundary]],
-        mesh.face_normal[boundary], mesh.face_distance[boundary])
-    f_face[boundary], s_face[boundary] = material.stress_state(grad_b, "boundary face")
-
+    for faces, label in ((mesh.interior_faces, "face"),
+                         (mesh.boundary_faces, "boundary face")):
+        f_face[faces], s_face[faces] = material.stress_state(grad[faces], label)
     flux_density = (f_face @ (s_face @ mesh.face_normal[:, :, None]))[:, :, 0]
     return f_face, s_face, flux_density
 
 
 def newton_rhs(mesh: CartesianMesh, material, state: State, table: BoundaryTable,
                flux_density: np.ndarray):
-    """Residual right-hand side and the per-row weights of its norm.
+    """Residual right-hand side -r and the per-row weights of its norm.
 
     Cell rows carry the negative accumulated surface force (force units).
     Boundary rows carry the boundary-condition defect in its native units;
     the weights rescale traction rows by face area and displacement rows
     by the shear modulus so the norm is uniformly force-like.
     """
-    rhs = np.zeros((mesh.n_unknowns, 2))
-    rhs[:mesh.n_cells] = -(mesh.cell_divergence @ flux_density)
+    force, disp = _row_weights(mesh, table)
+    target = np.zeros((mesh.n_unknowns, 2))
+    target[mesh.n_cells:] = np.where((table.kind == _KIND_CODE[SYMMETRY])[:, None],
+                                     0.0, table.value)
+    rhs = (target - _apply(force, mesh.face_rows @ flux_density)
+           - _apply(disp, state.displacement))
 
     row_scale = np.ones(mesh.n_unknowns)
-    boundary = mesh.boundary_faces
-    b = mesh.face_boundary_index[boundary]
-    rows = mesh.n_cells + b
-    kind = table.kind[b]
-    normal = mesh.face_normal[boundary]
-
-    disp = kind == _KIND_CODE[DISPLACEMENT]
-    rhs[rows[disp]] = table.value[b[disp]] - state.displacement[rows[disp]]
-    row_scale[rows[disp]] = material.mu
-
-    trac = kind == _KIND_CODE[TRACTION]
-    rhs[rows[trac]] = table.value[b[trac]] - flux_density[boundary[trac]]
-    row_scale[rows[trac]] = mesh.face_area[boundary[trac]]
-
-    symm = kind == _KIND_CODE[SYMMETRY]
-    if symm.any():
-        n_s = normal[symm]
-        u_s = state.displacement[rows[symm]]
-        t_res = -flux_density[boundary[symm]]
-        un = np.einsum("bi,bi->b", u_s, n_s)
-        tn = np.einsum("bi,bi->b", t_res, n_s)
-        rhs[rows[symm]] = (-un[:, None] * n_s
-                           + t_res - tn[:, None] * n_s)
-        row_scale[rows[symm]] = mesh.face_area[boundary[symm]]
-
+    row_scale[mesh.n_cells:] = np.where(table.kind == _KIND_CODE[DISPLACEMENT],
+                                        material.mu, mesh.face_area[mesh.bface_face])
     return rhs, row_scale
 
 
@@ -196,41 +179,11 @@ class BlockSystem:
     row_scale: np.ndarray      # (N,) residual-norm weights
 
 
-class _BlockBuilder:
-    def __init__(self):
-        self.rows: list[np.ndarray] = []
-        self.cols: list[np.ndarray] = []
-        self.mats: list[np.ndarray] = []
-
-    def add(self, rows, cols, mats):
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        if rows.size == 0:
-            return
-        self.rows.append(rows)
-        self.cols.append(cols)
-        self.mats.append(mats)
-
-    def to_csr(self, n_blocks: int) -> sp.csr_matrix:
-        rows = np.concatenate(self.rows)
-        cols = np.concatenate(self.cols)
-        mats = np.concatenate(self.mats)
-        ii, jj = np.meshgrid((0, 1), (0, 1), indexing="ij")
-        r = (2 * rows)[:, None, None] + ii
-        c = (2 * cols)[:, None, None] + jj
-        coo = sp.coo_matrix((mats.ravel(), (r.ravel(), c.ravel())),
-                            shape=(2 * n_blocks, 2 * n_blocks))
-        return coo.tocsr()
-
-
-def _tangential(builder: _BlockBuilder, endpoints: tuple, rows_per_face: np.ndarray,
-                coef: np.ndarray) -> None:
-    """Scatter coef[f] @ (dU_hi - dU_lo) onto the rows; ``endpoints`` holds
-    the vertex stencils of the faces' hi and lo endpoints in COO form, one
-    row per face."""
-    for stencils, sign in zip(endpoints, (1.0, -1.0)):
-        builder.add(rows_per_face[stencils.row], stencils.col,
-                    sign * stencils.data[:, None, None] * coef[stencils.row])
+def _blocks(op: sp.csr_matrix, weights: np.ndarray) -> sp.bsr_matrix:
+    """Block-sparse matrix whose block (i, j) is op[i, j] * weights[i]."""
+    rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
+    return sp.bsr_matrix((op.data[:, None, None] * weights[rows], op.indices, op.indptr),
+                         shape=(2 * op.shape[0], 2 * op.shape[1]))
 
 
 def _h_block(w: np.ndarray, t: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -241,106 +194,17 @@ def _h_block(w: np.ndarray, t: np.ndarray, m: np.ndarray) -> np.ndarray:
             + np.einsum("...d,...dij->...ij", m, t))
 
 
-def _owner_gradient_chain(builder: _BlockBuilder, mesh: CartesianMesh,
-                          faces: np.ndarray, rows: np.ndarray,
-                          w_f: np.ndarray, t_f: np.ndarray,
-                          scale: np.ndarray, proj: np.ndarray | None = None) -> None:
-    """Exact derivative of a boundary face's tangential reconstruction.
-
-    The reconstruction keeps the owner-cell Gauss gradient outside the
-    face-normal column, so perturbing any face value dU_f' of the owner
-    changes the flux density by (s' a'/V) H((I - N x N) N') dU_f'.  Adds
-    scale[f] times those blocks; interior face values split evenly over
-    the two cells, boundary ones bind their own bface unknown.
-    """
-    if faces.size == 0:
-        return
-    own = mesh.face_owner[faces]
-    n_face = mesh.face_normal[faces]
-    vol = mesh.cell_volume[own]
-    for k in range(4):
-        fk = mesh.cell_faces[own, k]
-        sk = mesh.cell_face_sign[own, k]
-        nk = mesh.face_normal[fk]
-        m = nk - np.einsum("bi,bi->b", nk, n_face)[:, None] * n_face
-        coef = scale * sk * mesh.face_area[fk] / vol
-        block = coef[:, None, None] * _h_block(w_f, t_f, m)
-        if proj is not None:
-            block = proj @ block
-        inter = mesh.face_neighbour[fk] >= 0
-        fi = fk[inter]
-        other = mesh.face_owner[fi] + mesh.face_neighbour[fi] - own[inter]
-        builder.add(rows[inter], own[inter], 0.5 * block[inter])
-        builder.add(rows[inter], other, 0.5 * block[inter])
-        outline = ~inter
-        builder.add(rows[outline], mesh.face_across[fk[outline]], block[outline])
-
-
 def assemble_system(mesh: CartesianMesh, material, state: State,
                     table: BoundaryTable) -> BlockSystem:
     """Assemble one Newton correction's matrix and right-hand side."""
     f_face, s_face, flux_density = face_states(mesh, material, state)
-    normal = mesh.face_normal
-    tangent = mesh.face_tangent
-    w, t = material.face_linearisation(f_face, s_face, normal)
-
-    h_n = _h_block(w, t, normal)
-    h_t = _h_block(w, t, tangent)
-    a_n = (mesh.face_area / mesh.face_distance)[:, None, None] * h_n
-
-    builder = _BlockBuilder()
-    owner, across = mesh.face_owner, mesh.face_across
-    boundary = mesh.boundary_faces
-
-    # Normal difference quotients, owner rows for every face.
-    builder.add(owner, across, a_n)
-    builder.add(owner, owner, -a_n)
-    # Mirrored neighbour rows on interior faces.
-    interior = mesh.interior_faces
-    nb = mesh.face_neighbour[interior]
-    builder.add(nb, owner[interior], a_n[interior])
-    builder.add(nb, nb, -a_n[interior])
-
-    # Tangential terms on cell rows: endpoint differences for interior
-    # faces, the owner-gradient chain for boundary ones.
-    endpoints = tuple(mesh.vertex_stencil[verts[interior]].tocoo()
-                      for verts in (mesh.face_vertex_hi, mesh.face_vertex_lo))
-    _tangential(builder, endpoints, owner[interior], h_t[interior])
-    _tangential(builder, endpoints, nb, -h_t[interior])
-    _owner_gradient_chain(builder, mesh, boundary, owner[boundary],
-                          w[boundary], t[boundary], mesh.face_area[boundary])
-
-    # Boundary-condition rows.
-    b = mesh.face_boundary_index[boundary]
-    rows = mesh.n_cells + b
-    kind = table.kind[b]
-
-    disp = boundary[kind == _KIND_CODE[DISPLACEMENT]]
-    disp_rows = mesh.n_cells + mesh.face_boundary_index[disp]
-    builder.add(disp_rows, disp_rows, np.broadcast_to(IDENTITY, (disp.size, 2, 2)))
-
-    trac = boundary[kind == _KIND_CODE[TRACTION]]
-    if trac.size:
-        trac_rows = mesh.n_cells + mesh.face_boundary_index[trac]
-        bn = h_n[trac] / mesh.face_distance[trac, None, None]
-        builder.add(trac_rows, trac_rows, bn)
-        builder.add(trac_rows, owner[trac], -bn)
-        _owner_gradient_chain(builder, mesh, trac, trac_rows,
-                              w[trac], t[trac], np.ones(trac.size))
-
-    symm = boundary[kind == _KIND_CODE[SYMMETRY]]
-    if symm.size:
-        symm_rows = mesh.n_cells + mesh.face_boundary_index[symm]
-        nn = outer(normal[symm], normal[symm])
-        proj = IDENTITY - nn
-        bn = proj @ (h_n[symm] / mesh.face_distance[symm, None, None])
-        builder.add(symm_rows, symm_rows, nn + bn)
-        builder.add(symm_rows, owner[symm], -bn)
-        _owner_gradient_chain(builder, mesh, symm, symm_rows,
-                              w[symm], t[symm], np.ones(symm.size), proj=proj)
-
+    w, t = material.face_linearisation(f_face, s_face, mesh.face_normal)
+    flux_derivative = (_blocks(mesh.face_quotient, _h_block(w, t, mesh.face_normal))
+                       + _blocks(mesh.face_tangential, _h_block(w, t, mesh.face_tangent)))
+    force, disp = _row_weights(mesh, table)
+    matrix = (_blocks(mesh.face_rows, force) @ flux_derivative
+              + _blocks(sp.identity(mesh.n_unknowns, format="csr"), disp)).tocsr()
     rhs, row_scale = newton_rhs(mesh, material, state, table, flux_density)
-    matrix = builder.to_csr(mesh.n_unknowns)
     return BlockSystem(matrix=matrix, rhs=rhs, row_scale=row_scale)
 
 
@@ -361,38 +225,12 @@ def assemble_scalar_operator(mesh: CartesianMesh, table: BoundaryTable,
     row is diagonal at quotient scale.  Symmetry planes pick whichever of
     the two fits the component.
     """
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-
-    def add(r, c, v):
-        rows.append(np.asarray(r, dtype=np.int64))
-        cols.append(np.asarray(c, dtype=np.int64))
-        vals.append(np.asarray(v, dtype=float))
-
-    quot = coefficient * mesh.face_area / mesh.face_distance
-    owner, across = mesh.face_owner, mesh.face_across
-    add(owner, across, quot)
-    add(owner, owner, -quot)
-    interior = mesh.interior_faces
-    nb = mesh.face_neighbour[interior]
-    add(nb, owner[interior], quot[interior])
-    add(nb, nb, -quot[interior])
-
-    boundary = mesh.boundary_faces
-    b_rows = mesh.n_cells + mesh.face_boundary_index[boundary]
-    kind = table.kind[mesh.face_boundary_index[boundary]]
-    normal_dominant = np.abs(mesh.face_normal[boundary, component]) > 0.5
-    fixed = (kind == _KIND_CODE[DISPLACEMENT]) | (
-        (kind == _KIND_CODE[SYMMETRY]) & normal_dominant)
-    free = ~fixed
-
-    add(b_rows[fixed], b_rows[fixed], np.ones(int(fixed.sum())))
-    bquot = coefficient / mesh.face_distance[boundary[free]]
-    add(b_rows[free], b_rows[free], bquot)
-
-    n = mesh.n_unknowns
-    coo = sp.coo_matrix((np.concatenate(vals),
-                         (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(n, n))
-    return coo.tocsr()
+    bfaces = mesh.bface_face
+    normal_dominant = np.abs(mesh.face_normal[bfaces, component]) > 0.5
+    fixed = (table.kind == _KIND_CODE[DISPLACEMENT]) | (
+        (table.kind == _KIND_CODE[SYMMETRY]) & normal_dominant)
+    diagonal = np.zeros(mesh.n_unknowns)
+    diagonal[mesh.n_cells:] = np.where(fixed, 1.0, coefficient / mesh.face_distance[bfaces])
+    matrix = coefficient * (mesh.cell_divergence @ mesh.face_quotient)
+    matrix.resize(mesh.n_unknowns, mesh.n_unknowns)
+    return (matrix + sp.diags(diagonal)).tocsr()

@@ -26,7 +26,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from . import output
 from .assembly import DISPLACEMENT, TRACTION, BoundaryCondition
 from .linsolve import METHODS as LINEAR_METHODS
 from .linsolve import LinearSolverConfig
-from .material import Lame, LinearElastic, NeoHookean, lame_from_E_nu
+from .material import LinearElastic, NeoHookean, lame_from_E_nu
 from .mesh import BOTTOM, LEFT, RIGHT, TOP, CartesianMesh, build_mesh
 from .solver import METHODS, RunReport, SolveConfig, run
 from .verification import (MMSCase, cantilever_deflection, compute_errors,
@@ -160,9 +160,11 @@ def _validate(cfg: CaseConfig) -> None:
     if cfg.linear_solver not in LINEAR_METHODS:
         raise ConfigError(f"unknown linear_solver {cfg.linear_solver!r}; "
                           f"use one of {', '.join(LINEAR_METHODS)}")
-    if cfg.load_steps < 1:
-        raise ConfigError(f"'load_steps' must be at least 1, got {cfg.load_steps}")
-    for key in ("tolerance", "relaxation"):
+    for key, least in (("load_steps", 1), ("max_corrections", 0),
+                       ("linear_max_iterations", 1), ("gmres_restart", 1)):
+        if getattr(cfg, key) < least:
+            raise ConfigError(f"{key!r} must be at least {least}, got {getattr(cfg, key)}")
+    for key in ("tolerance", "relaxation", "linear_tolerance"):
         value = getattr(cfg, key)
         if not (math.isfinite(value) and value > 0):
             raise ConfigError(f"{key!r} must be finite and positive, got {value}")

@@ -1,10 +1,10 @@
-"""Displacement state and the gradient operations that evolve it.
+"""Displacement state and the gradient operations on it.
 
 The solver state holds one in-plane displacement 2-vector per unknown
-(cells first, boundary faces after) and one accumulated 2x2 displacement
-gradient per cell.  Everything lives on the fixed reference mesh, so cell
-gradients of each correction's increment add straight onto the stored
-gradient and F = I + grad(U) at any time.
+(cells first, boundary faces after).  Everything lives on the fixed
+reference mesh, so F = I + grad(U) at any time, with the gradient taken
+from the current displacement: the Gauss cell gradient here, the face
+gradients from the mesh's face-derivative operators in ``assembly``.
 
 The Gauss gradient and the vertex interpolation are products with the
 mesh's prebuilt sparse operators: ``face_average`` then
@@ -25,11 +25,10 @@ from .tensors import outer
 @dataclass
 class State:
     displacement: np.ndarray   # (n_unknowns, 2)
-    grad: np.ndarray           # (n_cells, 2, 2)
 
 
 def zero_state(mesh: CartesianMesh) -> State:
-    return State(np.zeros((mesh.n_unknowns, 2)), np.zeros((mesh.n_cells, 2, 2)))
+    return State(np.zeros((mesh.n_unknowns, 2)))
 
 
 def cell_gradient(mesh: CartesianMesh, values: np.ndarray) -> np.ndarray:
@@ -50,23 +49,6 @@ def vertex_values(mesh: CartesianMesh, values: np.ndarray) -> np.ndarray:
     return mesh.vertex_stencil @ values
 
 
-def advance_state(mesh: CartesianMesh, state: State, increment: np.ndarray) -> State:
-    """Apply a displacement increment: add it to the unknowns and fold its
-    cell gradient into the accumulated gradient."""
-    disp = state.displacement + increment
-    grad = state.grad + cell_gradient(mesh, increment)
-    return State(disp, grad)
-
-
-def boundary_face_gradient(grad_cell: np.ndarray, u_cell: np.ndarray,
-                           u_face: np.ndarray, normal: np.ndarray,
-                           distance: np.ndarray) -> np.ndarray:
-    """One-sided displacement gradient at boundary faces.
-
-    Starts from the adjacent cell gradient and replaces its normal
-    component with the difference quotient between the face and cell
-    values, keeping the tangential part.
-    """
-    quotient = (u_face - u_cell) / distance[..., None]
-    normal_part = np.einsum("...ij,...j->...i", grad_cell, normal)
-    return grad_cell + outer(quotient - normal_part, normal)
+def advance_state(state: State, increment: np.ndarray) -> State:
+    """Apply a displacement increment to the unknowns."""
+    return State(state.displacement + increment)

@@ -14,6 +14,7 @@ iterative failure raises with the residual history attached.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,10 @@ class LinearSolverConfig:
     tolerance: float = 1e-10
     max_iterations: int = 4000
     gmres_restart: int = 50
+
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise ValueError(f"unknown linear solver {self.method!r}")
 
 
 class LinearSolveError(RuntimeError):
@@ -132,8 +137,6 @@ def solve(matrix: sp.csr_matrix, rhs: np.ndarray,
     if norm_rhs == 0.0:
         return LinearSolution(np.zeros_like(rhs), 0, 0.0)
 
-    if cfg.method not in METHODS:
-        raise ValueError(f"unknown linear solver {cfg.method!r}")
     history: list[float] = []
     if cfg.method == "direct":
         x = _solve_direct(matrix, rhs)
@@ -153,7 +156,6 @@ def solve(matrix: sp.csr_matrix, rhs: np.ndarray,
 
 def dump_system(directory, matrix: sp.csr_matrix, rhs: np.ndarray) -> None:
     """Write the system in Matrix Market form (A.mtx, R.mtx) for inspection."""
-    import os
     scipy.io.mmwrite(os.path.join(directory, "A.mtx"), matrix.tocoo())
     scipy.io.mmwrite(os.path.join(directory, "R.mtx"),
                      np.asarray(rhs, dtype=float).reshape(-1, 1))

@@ -17,10 +17,12 @@ values are interpolated from the unknowns with fixed vertex stencils:
 - corner vertex: the nearest boundary face of the adjacent patch that comes
   first in the patch order (weight 1)
 
-Three sparse operators turn the face and stencil arrays into single
-products for the residual path: ``face_average`` (unknowns to faces),
-``cell_divergence`` (faces to cells) and ``vertex_stencil`` (unknowns to
-vertices).  Each is built on first use and then kept with the mesh.
+Sparse operators turn the face and stencil arrays into single products
+for the residual and its Jacobian: ``face_average`` (unknowns to faces),
+``cell_divergence`` (faces to cells), ``vertex_stencil`` (unknowns to
+vertices), the two face-derivative operators ``face_quotient`` (normal)
+and ``face_tangential`` (tangential), and ``face_rows`` (faces to unknown
+rows).  Each is built on first use and then kept with the mesh.
 """
 
 from __future__ import annotations
@@ -197,6 +199,45 @@ class CartesianMesh:
         indptr = np.concatenate(([0], np.cumsum(counts)))
         return sp.csr_matrix((weights[keep], cols[keep], indptr),
                              shape=(self.n_vertices, self.n_unknowns))
+
+    @cached_property
+    def face_quotient(self) -> sp.csr_matrix:
+        """(n_faces, n_unknowns) normal difference quotient per face: the
+        across unknown minus the owner cell, over their distance."""
+        faces = np.arange(self.n_faces)
+        inv_d = 1.0 / self.face_distance
+        return sp.csr_matrix((np.concatenate((-inv_d, inv_d)),
+                              (np.concatenate((faces, faces)),
+                               np.concatenate((self.face_owner, self.face_across)))),
+                             shape=(self.n_faces, self.n_unknowns))
+
+    @cached_property
+    def face_tangential(self) -> sp.csr_matrix:
+        """(n_faces, n_unknowns) tangential derivative per face: the
+        endpoint-vertex difference over the face length inside, the owner
+        cell's Gauss gradient along the face tangent on the boundary."""
+        on_boundary = (self.face_boundary_index >= 0).astype(float)
+        stencil = self.vertex_stencil
+        out = (sp.diags((1.0 - on_boundary) / self.face_area)
+               @ (stencil[self.face_vertex_hi] - stencil[self.face_vertex_lo]))
+        to_cells = sp.diags(1.0 / self.cell_volume) @ self.cell_divergence
+        for d in (0, 1):
+            gauss_d = to_cells @ sp.diags(self.face_normal[:, d]) @ self.face_average
+            along_t = sp.diags(on_boundary * self.face_tangent[:, d])
+            out = out + along_t @ gauss_d[self.face_owner]
+        out = out.tocsr()
+        out.eliminate_zeros()
+        return out
+
+    @cached_property
+    def face_rows(self) -> sp.csr_matrix:
+        """(n_unknowns, n_faces) face values onto unknown rows:
+        ``cell_divergence`` on the cell rows, each boundary face's own value
+        on its boundary-face row."""
+        select = sp.csr_matrix((np.ones(self.n_bfaces), self.bface_face,
+                                np.arange(self.n_bfaces + 1)),
+                               shape=(self.n_bfaces, self.n_faces))
+        return sp.vstack((self.cell_divergence, select), format="csr")
 
     # ------------------------------------------------------------------
     # queries

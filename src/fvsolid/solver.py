@@ -210,7 +210,7 @@ def run(mesh: CartesianMesh, material, bcs: dict, cfg: SolveConfig) -> RunReport
             except linsolve.LinearSolveError as err:
                 failure = f"linear solve failed: {err}"
                 break
-            state = advance_state(mesh, state, increment)
+            state = advance_state(state, increment)
             corrections += 1
         n_corr.append(corrections)
         histories.append(monitor.history)

@@ -9,8 +9,9 @@ tensors they give the solver's in-plane formulas, fed the 3x3 plane-strain
 embedding (F_33 = 1) they give the 3-D ones.
 
 Mesh scatters: the Gauss cell gradient, the vertex interpolation and the
-face-to-cell force sum written as index loops with ``np.add.at``, against
-which the solver's prebuilt sparse operators are held.
+face-to-cell force sum written as index loops with ``np.add.at``, and the
+face-gradient reconstruction written face by face, against which the
+solver's prebuilt sparse operators are held.
 
 Mesh construction: the face, cell-face and vertex-stencil arrays built face
 by face and vertex by vertex, against which the mesh's vectorised index
@@ -116,6 +117,26 @@ def vertex_values(mesh, values: np.ndarray) -> np.ndarray:
     rows = np.repeat(np.arange(mesh.n_vertices), np.diff(stencils.indptr))
     np.add.at(out, rows, stencils.data[:, None] * values[stencils.indices])
     return out
+
+
+def face_gradients(mesh, values: np.ndarray) -> np.ndarray:
+    """Face displacement gradients reconstructed face by face: the normal
+    quotient plus the endpoint-vertex difference along the tangent on
+    interior faces; on boundary faces the owner's cell gradient with its
+    normal column replaced by the quotient against the face unknown."""
+    grad = np.empty((mesh.n_faces, 2, 2))
+    verts = vertex_values(mesh, values)
+    cells = cell_gradient(mesh, values)
+    for f in range(mesh.n_faces):
+        normal, own = mesh.face_normal[f], mesh.face_owner[f]
+        quotient = (values[mesh.face_across[f]] - values[own]) / mesh.face_distance[f]
+        if mesh.face_neighbour[f] >= 0:
+            tangential = (verts[mesh.face_vertex_hi[f]]
+                          - verts[mesh.face_vertex_lo[f]]) / mesh.face_area[f]
+            grad[f] = outer(quotient, normal) + outer(tangential, mesh.face_tangent[f])
+        else:
+            grad[f] = cells[own] + outer(quotient - cells[own] @ normal, normal)
+    return grad
 
 
 def cell_force_rows(mesh, flux_density: np.ndarray) -> np.ndarray:

@@ -39,11 +39,7 @@ from fvsolid.assembly import (
     face_states,
     newton_rhs,
 )
-from fvsolid.kinematics import (
-    State,
-    cell_gradient,
-    zero_state,
-)
+from fvsolid.kinematics import State, zero_state
 from fvsolid.solver import run
 from tests import oracles
 
@@ -234,7 +230,7 @@ def test_criterion_8_property_suite(rng):
     points = np.vstack([mesh.cell_centroids,
                         mesh.face_centroid[mesh.bface_face]])
     u = points @ grad.T
-    state = State(u, cell_gradient(mesh, u))
+    state = State(u)
     bcs = {p: BoundaryCondition(DISPLACEMENT, (0.0, 0.0))
            for p in (LEFT, RIGHT, BOTTOM, TOP)}
     table = build_boundary_table(mesh, bcs)

@@ -24,12 +24,14 @@ from fvsolid.assembly import (
     force_row_mask,
     newton_rhs,
 )
-from fvsolid.kinematics import State, cell_gradient, zero_state
-from fvsolid.material import InvertedElementError, Lame, NeoHookean
+from fvsolid.kinematics import State, zero_state
+from fvsolid.material import InvertedElementError, Lame, LinearElastic, NeoHookean
+from fvsolid.tensors import IDENTITY
 from tests import oracles
 from tests.conftest import random_gradients
 
 UNIT = NeoHookean(Lame(mu=0.8, lam=1.3))
+HOOKE = LinearElastic(Lame(mu=0.8, lam=1.3))
 
 ALL_DISPLACEMENT = {
     LEFT: BoundaryCondition(DISPLACEMENT, (0.0, 0.0)),
@@ -50,10 +52,6 @@ def linear_field(mesh, g):
     points = np.vstack([mesh.cell_centroids,
                         mesh.face_centroid[mesh.bface_face]])
     return points @ g.T
-
-
-def consistent_state(mesh, u):
-    return State(u, cell_gradient(mesh, u))
 
 
 def bfaces(mesh, patch):
@@ -167,7 +165,7 @@ def test_force_row_mask(mesh_small):
 
 def test_face_states_reproduce_homogeneous_gradient(mesh_small, rng):
     g = random_gradients(rng, 1)[0]
-    state = consistent_state(mesh_small, linear_field(mesh_small, g))
+    state = State(linear_field(mesh_small, g))
     f_face, s_face, flux = face_states(mesh_small, UNIT, state)
     f_exp, s_exp = UNIT.stress_state(np.broadcast_to(g, f_face.shape))
     npt.assert_allclose(f_face, f_exp, atol=1e-13)
@@ -179,26 +177,43 @@ def test_face_states_reproduce_homogeneous_gradient(mesh_small, rng):
 
 
 def test_face_states_reject_inverted_cells(mesh_small):
+    """Moving the left-patch unknown of boundary face 1 (row 13) by +1 in
+    x gives cell 3, its owner, du_x/dx = -2.  Cells are checked before
+    faces, so the error names the cell."""
     state = zero_state(mesh_small)
-    state.grad[3] = np.diag([-2.0, 0.0])
+    state.displacement[13] = (1.0, 0.0)
     with pytest.raises(InvertedElementError, match="cell 3") as err:
         face_states(mesh_small, UNIT, state)
     assert (err.value.index, err.value.det_f) == (3, -1.0)
 
 
 @pytest.mark.parametrize("row,shift,label,index,det_f", [
-    (4, (-1.0, 0.0), "face", 1, -1.0),
-    (15, (0.5, 0.0), "boundary face", 3, -1.0),
+    (4, (-0.75, 0.0), "face", 1, -0.5),
+    (15, (0.375, 0.0), "boundary face", 3, -0.5),
 ])
 def test_face_states_reject_inverted_faces(mesh_small, row, shift, label,
                                            index, det_f):
     """A displaced cell (row 4) folds its west face; a displaced left-patch
-    unknown (row 15, boundary face 3) folds that face.  Cells stay intact."""
+    unknown (row 15, boundary face 3) folds that face.  The Gauss gradients
+    of the cells see half the jump and stay positive."""
     state = zero_state(mesh_small)
     state.displacement[row] = shift
     with pytest.raises(InvertedElementError, match=f"at {label} {index}$") as err:
         face_states(mesh_small, UNIT, state)
     assert (err.value.index, err.value.det_f) == (index, det_f)
+
+
+def test_face_gradients_match_reconstruction_oracle(mesh_small, mesh16, rng):
+    """The face-derivative operators give the reconstruction written out
+    face by face: vertex differences inside, cell gradient with the normal
+    column replaced by the face quotient on the boundary."""
+    for mesh in (mesh_small, mesh16):
+        g = random_gradients(rng, 1)[0]
+        u = linear_field(mesh, g) + 0.01 * mesh.dx * rng.standard_normal(
+            (mesh.n_unknowns, 2))
+        f_face, _, _ = face_states(mesh, UNIT, State(u))
+        ref = oracles.face_gradients(mesh, u)
+        assert np.abs(f_face - IDENTITY - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_homogeneous_state_residual_vanishes(mesh_small, rng):
@@ -217,7 +232,7 @@ def test_homogeneous_state_residual_vanishes(mesh_small, rng):
            RIGHT: BoundaryCondition(TRACTION, trac(np.array([1.0, 0]))),
            TOP: BoundaryCondition(TRACTION, trac(np.array([0, 1.0])))}
     table = build_boundary_table(mesh_small, bcs)
-    state = consistent_state(mesh_small, linear_field(mesh_small, g))
+    state = State(linear_field(mesh_small, g))
     _, _, flux = face_states(mesh_small, UNIT, state)
     rhs, row_scale = newton_rhs(mesh_small, UNIT, state, table, flux)
     scale = np.abs(p).max() * mesh_small.face_area.max()
@@ -261,28 +276,30 @@ def test_newton_rhs_displacement_defect(mesh_small):
 
 def residual_function(mesh, material, table):
     def rhs_of(u):
-        state = consistent_state(mesh, u)
+        state = State(u)
         _, _, flux = face_states(mesh, material, state)
         rhs, _ = newton_rhs(mesh, material, state, table, flux)
         return rhs
     return rhs_of
 
 
-@pytest.mark.parametrize("bcs", [ALL_DISPLACEMENT, MIXED],
-                         ids=["displacement", "mixed"])
-def test_matrix_is_derivative_of_residual(bcs, rng):
-    """Central differences of the residual reproduce every matrix column."""
+@pytest.mark.parametrize("bcs,material", [(ALL_DISPLACEMENT, UNIT), (MIXED, UNIT),
+                                          (MIXED, HOOKE)],
+                         ids=["displacement", "mixed", "mixed-linear"])
+def test_matrix_is_derivative_of_residual(bcs, material, rng):
+    """Central differences of the residual reproduce every matrix column,
+    for the neo-Hookean (nlbc) and the linear (bc) material."""
     mesh = build_mesh(3, 4, 1.5, 1.0)
     g = random_gradients(rng, 1, scale=0.15)[0]
     u = linear_field(mesh, g)
     u += 0.01 * rng.standard_normal(u.shape)
-    state = consistent_state(mesh, u)
+    state = State(u)
 
     table = build_boundary_table(mesh, bcs)
-    system = assemble_system(mesh, UNIT, state, table)
+    system = assemble_system(mesh, material, state, table)
     dense = system.matrix.toarray()
 
-    rhs_of = residual_function(mesh, UNIT, table)
+    rhs_of = residual_function(mesh, material, table)
     h = 1e-6
     fd = np.zeros_like(dense)
     for block in range(mesh.n_unknowns):
@@ -301,7 +318,7 @@ def test_matrix_annihilates_translations(mesh_small, rng):
     """Rigid translations produce no force residual change: cell and traction
     rows of the matrix sum to zero over any constant vector."""
     g = random_gradients(rng, 1)[0]
-    state = consistent_state(mesh_small, linear_field(mesh_small, g))
+    state = State(linear_field(mesh_small, g))
     table = build_boundary_table(mesh_small, MIXED)
     system = assemble_system(mesh_small, UNIT, state, table)
 

@@ -273,6 +273,11 @@ def test_main_reports_config_errors(tmp_path, capsys):
     "tolerance = nan",
     "relaxation = 0",
     "mesh = 8x8",       # a second mesh key
+    "gmres_restart = 0",
+    "linear_max_iterations = 0",
+    "linear_tolerance = -1",
+    "linear_tolerance = nan",
+    "max_corrections = -1",
 ])
 def test_main_rejects_bad_solver_settings(tmp_path, capsys, line):
     path = write_cfg(tmp_path, f"case = shear\nmesh = 4x4\n{line}\n")

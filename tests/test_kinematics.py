@@ -5,12 +5,8 @@ from __future__ import annotations
 import numpy as np
 import numpy.testing as npt
 
-from fvsolid import State, advance_state, zero_state
-from fvsolid.kinematics import (
-    boundary_face_gradient,
-    cell_gradient,
-    vertex_values,
-)
+from fvsolid import advance_state, zero_state
+from fvsolid.kinematics import cell_gradient, vertex_values
 from tests import oracles
 from tests.conftest import random_gradients
 
@@ -25,8 +21,7 @@ def linear_field(mesh, g, shift=(0.0, 0.0)):
 def test_zero_state_shapes(mesh_small):
     s = zero_state(mesh_small)
     assert s.displacement.shape == (mesh_small.n_unknowns, 2)
-    assert s.grad.shape == (mesh_small.n_cells, 2, 2)
-    assert not s.displacement.any() and not s.grad.any()
+    assert not s.displacement.any()
 
 
 def test_cell_gradient_exact_for_linear_fields(mesh_small, rng):
@@ -82,47 +77,15 @@ def test_advance_state_accumulates(mesh_small, rng):
     g1 = random_gradients(rng, 1)[0]
     g2 = random_gradients(rng, 1)[0]
     s0 = zero_state(mesh_small)
-    s1 = advance_state(mesh_small, s0, linear_field(mesh_small, g1))
-    s2 = advance_state(mesh_small, s1, linear_field(mesh_small, g2))
+    s1 = advance_state(s0, linear_field(mesh_small, g1))
+    s2 = advance_state(s1, linear_field(mesh_small, g2))
     npt.assert_allclose(s2.displacement,
                         linear_field(mesh_small, g1 + g2), atol=1e-13)
-    npt.assert_allclose(s2.grad,
-                        np.broadcast_to(g1 + g2, s2.grad.shape), atol=1e-13)
-    # grad always equals the cell gradient of the total displacement
-    npt.assert_allclose(s2.grad, cell_gradient(mesh_small, s2.displacement),
-                        atol=1e-13)
+    grad = cell_gradient(mesh_small, s2.displacement)
+    npt.assert_allclose(grad, np.broadcast_to(g1 + g2, grad.shape), atol=1e-13)
 
 
 def test_advance_state_leaves_input_untouched(mesh_small):
     s0 = zero_state(mesh_small)
-    advance_state(mesh_small, s0, np.ones((mesh_small.n_unknowns, 2)))
+    advance_state(s0, np.ones((mesh_small.n_unknowns, 2)))
     assert not s0.displacement.any()
-
-
-def test_boundary_face_gradient_exact_for_linear_fields(mesh_small, rng):
-    g = random_gradients(rng, 1)[0]
-    m = mesh_small
-    u = linear_field(m, g)
-    bnd = m.boundary_faces
-    grad_cell = np.broadcast_to(g, (len(bnd), 2, 2))
-    out = boundary_face_gradient(
-        grad_cell,
-        u[m.face_owner[bnd]],
-        u[m.face_across[bnd]],
-        m.face_normal[bnd],
-        m.face_distance[bnd],
-    )
-    npt.assert_allclose(out, grad_cell, atol=1e-12)
-
-
-def test_boundary_face_gradient_replaces_normal_column():
-    normal = np.array([1.0, 0.0])
-    grad_cell = np.array([[0.5, 0.2],
-                          [0.1, 0.3]])
-    u_cell = np.array([0.0, 0.0])
-    u_face = np.array([0.25, -0.1])
-    out = boundary_face_gradient(grad_cell, u_cell, u_face, normal,
-                                 np.asarray(0.5))
-    # normal column becomes the quotient, the tangential column survives
-    npt.assert_allclose(out[:, 0], (u_face - u_cell) / 0.5)
-    npt.assert_allclose(out[:, 1:], grad_cell[:, 1:])

@@ -113,6 +113,15 @@ def test_unknown_method_rejected(rng):
             linsolve.solve(matrix, rhs, LinearSolverConfig(method=method))
 
 
+def test_unknown_method_rejected_with_zero_rhs(rng):
+    """The configuration itself is checked, so a zero right-hand side, which
+    short-circuits the solve, cannot let an unknown method through."""
+    matrix, _, _ = random_block_system(rng)
+    with pytest.raises(ValueError, match="unknown linear solver"):
+        linsolve.solve(matrix, np.zeros(matrix.shape[0]),
+                       LinearSolverConfig(method="cholesky"))
+
+
 def test_explicit_method_failure_is_fatal(rng):
     matrix, rhs = assembled_system(rng)
     cfg = LinearSolverConfig(method="bicgstab", tolerance=1e-14,

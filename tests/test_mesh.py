@@ -210,3 +210,27 @@ def test_corner_vertex_stencil(mesh_small):
     npt.assert_allclose(w, [1.0])
     ids, _ = stencil(m, m.vertex_index(m.nx, m.ny))
     npt.assert_array_equal(ids, [m.n_cells + m.ny + (m.ny - 1)])
+
+
+# ---------------------------------------------------------------------------
+# face-derivative operators
+# ---------------------------------------------------------------------------
+
+
+def test_face_derivatives_exact_for_linear_fields(mesh_small, rng):
+    """For U = g X + c the normal quotient gives g N and the tangential
+    operator g t on every face, boundary faces included."""
+    m = mesh_small
+    g = rng.uniform(-1.0, 1.0, (2, 2))
+    points = np.vstack([m.cell_centroids, m.face_centroid[m.bface_face]])
+    u = points @ g.T + (0.3, -0.1)
+    npt.assert_allclose(m.face_quotient @ u, m.face_normal @ g.T, atol=1e-13)
+    npt.assert_allclose(m.face_tangential @ u, m.face_tangent @ g.T, atol=1e-13)
+
+
+def test_face_rows_stack_divergence_over_boundary_faces(mesh_small, rng):
+    m = mesh_small
+    flux = rng.normal(size=(m.n_faces, 2))
+    out = m.face_rows @ flux
+    npt.assert_array_equal(out[:m.n_cells], m.cell_divergence @ flux)
+    npt.assert_array_equal(out[m.n_cells:], flux[m.bface_face])
