@@ -1,4 +1,4 @@
-"""Linearised momentum assembly: the block system one Newton correction solves.
+"""Linearised momentum assembly: residual and block matrix of a Newton correction.
 
 Unknown layout: one in-plane 2-vector per cell followed by one 2-vector
 per boundary face; every face tensor is the 2x2 in-plane block.
@@ -172,13 +172,6 @@ def newton_rhs(mesh: CartesianMesh, material, state: State, table: BoundaryTable
 # block system
 # ----------------------------------------------------------------------
 
-@dataclass
-class BlockSystem:
-    matrix: sp.csr_matrix      # scalar form, (2N, 2N)
-    rhs: np.ndarray            # (N, 2)
-    row_scale: np.ndarray      # (N,) residual-norm weights
-
-
 def _blocks(op: sp.csr_matrix, weights: np.ndarray) -> sp.bsr_matrix:
     """Block-sparse matrix whose block (i, j) is op[i, j] * weights[i]."""
     rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
@@ -194,18 +187,15 @@ def _h_block(w: np.ndarray, t: np.ndarray, m: np.ndarray) -> np.ndarray:
             + np.einsum("...d,...dij->...ij", m, t))
 
 
-def assemble_system(mesh: CartesianMesh, material, state: State,
-                    table: BoundaryTable) -> BlockSystem:
-    """Assemble one Newton correction's matrix and right-hand side."""
-    f_face, s_face, flux_density = face_states(mesh, material, state)
+def assemble_system(mesh: CartesianMesh, material, table: BoundaryTable,
+                    f_face: np.ndarray, s_face: np.ndarray) -> sp.csr_matrix:
+    """One Newton correction's (2N, 2N) matrix from ``face_states``' F and S."""
     w, t = material.face_linearisation(f_face, s_face, mesh.face_normal)
     flux_derivative = (_blocks(mesh.face_quotient, _h_block(w, t, mesh.face_normal))
                        + _blocks(mesh.face_tangential, _h_block(w, t, mesh.face_tangent)))
     force, disp = _row_weights(mesh, table)
-    matrix = (_blocks(mesh.face_rows, force) @ flux_derivative
-              + _blocks(sp.identity(mesh.n_unknowns, format="csr"), disp)).tocsr()
-    rhs, row_scale = newton_rhs(mesh, material, state, table, flux_density)
-    return BlockSystem(matrix=matrix, rhs=rhs, row_scale=row_scale)
+    return (_blocks(mesh.face_rows, force) @ flux_derivative
+            + _blocks(sp.identity(mesh.n_unknowns, format="csr"), disp)).tocsr()
 
 
 # ----------------------------------------------------------------------

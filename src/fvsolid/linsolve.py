@@ -2,8 +2,10 @@
 
 The coupled matrix is held in scalar CSR form (2x2 blocks flattened).  The
 default solver is a sparse LU factorisation with one round of iterative
-refinement; no preconditioned Krylov method has yet measured faster on
-these matrices, which are not diagonally dominant (plain CG is out).
+refinement, in SuperLU's symmetric mode for the structurally symmetric
+stencil (minimum degree on A+A^T, diagonal pivots); a tiny pivot fails the
+post-check, with no partial-pivoting retry.  No preconditioned Krylov
+method has yet measured faster on these matrices (not diagonally dominant).
 BiCGStab and GMRES with a block-Jacobi preconditioner built from the 2x2
 diagonal blocks stay available on explicit request, and their failure is
 fatal to the correction.
@@ -86,8 +88,14 @@ def equilibrate(matrix: sp.csr_matrix):
     return sp.diags(scale) @ matrix, scale
 
 
+def factorise(matrix: sp.spmatrix):
+    """Symmetric-mode sparse LU: minimum degree on A+A^T, diagonal pivots."""
+    return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+
+
 def _solve_direct(matrix: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
-    lu = spla.splu(matrix.tocsc())
+    lu = factorise(matrix)
     x = lu.solve(rhs)
     # One round of iterative refinement for ill-conditioned systems
     # (thin-beam meshes, mixed row scales).

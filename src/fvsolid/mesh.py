@@ -72,12 +72,6 @@ class CartesianMesh:
         vi, vj = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), indexing="xy")
         self.vertices = np.column_stack(((vi * dx).ravel(), (vj * dy).ravel()))
 
-    def cell_index(self, i: int, j: int) -> int:
-        return j * self.nx + i
-
-    def vertex_index(self, i: int, j: int) -> int:
-        return j * (self.nx + 1) + i
-
     def _build_faces(self) -> None:
         nx, ny, dx, dy = self.nx, self.ny, self.dx, self.dy
         n_vertical = (nx + 1) * ny

@@ -3,15 +3,16 @@
 Three methods share the loop and differ only in how each load step
 linearises the momentum residual and solves for the increment:
 
-- ``nlbc``: Newton-Raphson on the momentum residual with the full block
-  system reassembled and solved each correction
+- ``nlbc``: Newton-Raphson on the momentum residual; the block matrix is
+  assembled only for a correction that is solved, never for the converged
+  check that ends a load step
 - ``bc``: the same linearisation with the material replaced by its
   small-strain linear counterpart, so one correction solves the problem
 - ``seg``: component-by-component scalar solves with a constant implicit
-  operator, factorised once per load step, all coupling evaluated from the
-  previous iterate, and a fixed under-relaxation on the update of the
-  force-balance unknowns (prescribed boundary values are assignments and
-  take their full solved value)
+  operator, factorised (symmetric-mode LU) once per load step, all
+  coupling evaluated from the previous iterate, and a fixed
+  under-relaxation on the update of the force-balance unknowns (prescribed
+  boundary values are assignments and take their full solved value)
 
 Residual bookkeeping: every correction's right-hand side is reduced to a
 force-like norm (boundary rows rescaled by the weights the assembly
@@ -27,11 +28,11 @@ element, a failed linear solve, or exhausting the correction budget.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import linsolve
 from .assembly import (BoundaryTable, assemble_scalar_operator,
@@ -112,21 +113,26 @@ class _Monitor:
 
 def _coupled(mesh: CartesianMesh, material, table: BoundaryTable,
              force_rows: np.ndarray, cfg: SolveConfig):
-    """nlbc and bc: reassemble the block system and solve it each correction.
+    """nlbc and bc: solve the block system of the current iterate.
 
     Every method's load-step setup returns ``linearise(state)``, giving the
-    residual right-hand side, its norm weights, the system the increment
-    solves (for the dump hook) and ``solve()`` for the (N, 2) increment.
+    residual right-hand side, its norm weights, ``system()`` for the dump
+    hook and ``solve()`` for the (N, 2) increment.  Both build the matrix
+    once, on first use, from the face states of the residual.
     """
 
     def linearise(state: State):
-        system = assemble_system(mesh, material, state, table)
-        flat = system.rhs.ravel()
+        f_face, s_face, flux_density = face_states(mesh, material, state)
+        rhs, row_scale = newton_rhs(mesh, material, state, table, flux_density)
+
+        @functools.cache
+        def system():
+            return assemble_system(mesh, material, table, f_face, s_face), rhs.ravel()
 
         def solve() -> np.ndarray:
-            return linsolve.solve(system.matrix, flat, cfg.linear).x.reshape(-1, 2)
+            return linsolve.solve(*system(), cfg.linear).x.reshape(-1, 2)
 
-        return system.rhs, system.row_scale, (system.matrix, flat), solve
+        return rhs, row_scale, system, solve
 
     return linearise
 
@@ -142,7 +148,7 @@ def _segregated(mesh: CartesianMesh, material, table: BoundaryTable,
     # next to the Laplacian rows and would otherwise soak up the
     # elimination noise of the stiff rows.
     scaled = [linsolve.equilibrate(op) for op in operators]
-    factors = [spla.splu(mat.tocsc()) for mat, _ in scaled]
+    factors = [linsolve.factorise(mat) for mat, _ in scaled]
     row_scales = [s for _, s in scaled]
 
     def linearise(state: State):
@@ -159,7 +165,7 @@ def _segregated(mesh: CartesianMesh, material, table: BoundaryTable,
             increment[force_rows] *= cfg.relaxation
             return increment
 
-        return rhs, row_scale, (operators[0], rhs[:, 0]), solve
+        return rhs, row_scale, lambda: (operators[0], rhs[:, 0]), solve
 
     return linearise
 
@@ -204,7 +210,7 @@ def run(mesh: CartesianMesh, material, bcs: dict, cfg: SolveConfig) -> RunReport
                 failure = f"no convergence within {cfg.max_corrections} corrections"
                 break
             if cfg.dump_dir and step == 0 and corrections == 0:
-                linsolve.dump_system(cfg.dump_dir, *system)
+                linsolve.dump_system(cfg.dump_dir, *system())
             try:
                 increment = solve()
             except linsolve.LinearSolveError as err:

@@ -296,8 +296,8 @@ def test_matrix_is_derivative_of_residual(bcs, material, rng):
     state = State(u)
 
     table = build_boundary_table(mesh, bcs)
-    system = assemble_system(mesh, material, state, table)
-    dense = system.matrix.toarray()
+    f_face, s_face, _ = face_states(mesh, material, state)
+    dense = assemble_system(mesh, material, table, f_face, s_face).toarray()
 
     rhs_of = residual_function(mesh, material, table)
     h = 1e-6
@@ -320,11 +320,12 @@ def test_matrix_annihilates_translations(mesh_small, rng):
     g = random_gradients(rng, 1)[0]
     state = State(linear_field(mesh_small, g))
     table = build_boundary_table(mesh_small, MIXED)
-    system = assemble_system(mesh_small, UNIT, state, table)
+    f_face, s_face, _ = face_states(mesh_small, UNIT, state)
+    matrix = assemble_system(mesh_small, UNIT, table, f_face, s_face)
 
     shift = np.tile([0.7, -0.4], mesh_small.n_unknowns)
-    out = (system.matrix @ shift).reshape(-1, 2)
-    scale = np.abs(system.matrix.data).max()
+    out = (matrix @ shift).reshape(-1, 2)
+    scale = np.abs(matrix.data).max()
 
     cells = np.arange(mesh_small.n_cells)
     npt.assert_allclose(out[cells], 0.0, atol=1e-12 * scale)
@@ -340,17 +341,21 @@ def test_assemble_single_cell_mesh():
     """No interior faces at all: the empty-batch paths must hold."""
     mesh = build_mesh(1, 1, 1.0, 1.0)
     table = build_boundary_table(mesh, MIXED)
-    system = assemble_system(mesh, UNIT, zero_state(mesh), table)
-    assert system.matrix.shape == (2 * mesh.n_unknowns,) * 2
-    assert np.isfinite(system.matrix.data).all()
+    f_face, s_face, _ = face_states(mesh, UNIT, zero_state(mesh))
+    matrix = assemble_system(mesh, UNIT, table, f_face, s_face)
+    assert matrix.shape == (2 * mesh.n_unknowns,) * 2
+    assert np.isfinite(matrix.data).all()
 
 
 def test_zero_state_zero_load_rhs(mesh_small):
     table = build_boundary_table(mesh_small, ALL_DISPLACEMENT)
-    system = assemble_system(mesh_small, UNIT, zero_state(mesh_small), table)
-    npt.assert_allclose(system.rhs, 0.0)
-    assert system.rhs.shape == (mesh_small.n_unknowns, 2)
-    assert system.matrix.shape == (2 * mesh_small.n_unknowns,) * 2
+    state = zero_state(mesh_small)
+    f_face, s_face, flux = face_states(mesh_small, UNIT, state)
+    rhs, _ = newton_rhs(mesh_small, UNIT, state, table, flux)
+    matrix = assemble_system(mesh_small, UNIT, table, f_face, s_face)
+    npt.assert_allclose(rhs, 0.0)
+    assert rhs.shape == (mesh_small.n_unknowns, 2)
+    assert matrix.shape == (2 * mesh_small.n_unknowns,) * 2
 
 
 # ---------------------------------------------------------------------------

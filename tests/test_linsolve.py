@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 import scipy.io
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from fvsolid import BOTTOM, LEFT, RIGHT, TOP, BoundaryCondition, LinearSolverConfig
 from fvsolid import linsolve
@@ -15,6 +16,8 @@ from fvsolid.assembly import (
     TRACTION,
     assemble_system,
     build_boundary_table,
+    face_states,
+    newton_rhs,
 )
 from fvsolid.kinematics import zero_state
 from fvsolid.material import Lame, NeoHookean
@@ -39,9 +42,11 @@ def assembled_system(rng):
            BOTTOM: BoundaryCondition(DISPLACEMENT, (0.0, 0.0)),
            TOP: BoundaryCondition(TRACTION, (0.0, 0.0))}
     table = build_boundary_table(mesh, bcs)
-    system = assemble_system(mesh, mat, zero_state(mesh), table)
-    return system.matrix, system.rhs.ravel() + 0.01 * rng.standard_normal(
-        2 * mesh.n_unknowns)
+    state = zero_state(mesh)
+    f_face, s_face, flux = face_states(mesh, mat, state)
+    rhs, _ = newton_rhs(mesh, mat, state, table, flux)
+    return (assemble_system(mesh, mat, table, f_face, s_face),
+            rhs.ravel() + 0.01 * rng.standard_normal(2 * mesh.n_unknowns))
 
 
 def test_equilibrate_normalises_rows(rng):
@@ -136,6 +141,35 @@ def test_post_check_rejects_bad_solutions(rng, monkeypatch):
                         lambda m, r: np.full_like(r, 7.0))
     with pytest.raises(linsolve.LinearSolveError, match="post-check"):
         linsolve.solve(matrix, rhs, LinearSolverConfig(method="direct"))
+
+
+def test_tiny_static_pivot_is_fatal(monkeypatch):
+    """Symmetric mode keeps every pivot on the diagonal, so a tiny diagonal
+    is eliminated as it stands and wipes out the rest of the matrix.  The
+    post-check must reject the result after a single factorisation: no
+    retry with partial pivoting, which would solve this system.  (In 2x2,
+    such as [[1e-20, 1], [1, 1]], the ordering puts the good pivot first
+    and one refinement step recovers any tiny-pivot factor exactly, so the
+    case needs three unknowns.)"""
+    dense = np.ones((3, 3))
+    np.fill_diagonal(dense, 1e-20)
+    matrix = sp.csr_matrix(dense)
+    rhs = np.array([1.0, 2.0, 3.0])
+    partial = spla.splu(matrix.tocsc())
+    npt.assert_allclose(matrix @ partial.solve(rhs), rhs, rtol=1e-12)
+
+    calls = []
+    splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(kwargs)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    with pytest.raises(linsolve.LinearSolveError, match="direct post-check failed"):
+        linsolve.solve(matrix, rhs, LinearSolverConfig(method="direct"))
+    assert len(calls) == 1
+    assert calls[0]["diag_pivot_thresh"] == 0.0
 
 
 def test_dump_system_roundtrip(tmp_path, rng):

@@ -52,7 +52,7 @@ def test_spacings(mesh_small):
 
 def test_centroids_row_major(mesh_small):
     m = mesh_small
-    c = m.cell_index(2, 1)
+    c = 1 * m.nx + 2            # cell (i, j) = (2, 1), row-major
     npt.assert_allclose(m.cell_centroids[c], [2.5 * m.dx, 1.5 * m.dy])
 
 
@@ -189,26 +189,25 @@ def test_stencil_weights_sum_to_one(mesh_small):
 
 def test_interior_vertex_stencil(mesh_small):
     m = mesh_small
-    ids, w = stencil(m, m.vertex_index(1, 1))
-    expected = {m.cell_index(0, 0), m.cell_index(1, 0),
-                m.cell_index(0, 1), m.cell_index(1, 1)}
+    ids, w = stencil(m, 1 * (m.nx + 1) + 1)
+    expected = {0 * m.nx + 0, 0 * m.nx + 1, 1 * m.nx + 0, 1 * m.nx + 1}
     assert set(ids) == expected
     npt.assert_allclose(w, 0.25)
 
 
 def test_edge_vertex_stencil_uses_boundary_faces(mesh_small):
     m = mesh_small
-    ids, w = stencil(m, m.vertex_index(0, 2))
+    ids, w = stencil(m, 2 * (m.nx + 1) + 0)
     assert set(ids) == {m.n_cells + 1, m.n_cells + 2}
     npt.assert_allclose(w, 0.5)
 
 
 def test_corner_vertex_stencil(mesh_small):
     m = mesh_small
-    ids, w = stencil(m, m.vertex_index(0, 0))
+    ids, w = stencil(m, 0)
     npt.assert_array_equal(ids, [m.n_cells + 0])
     npt.assert_allclose(w, [1.0])
-    ids, _ = stencil(m, m.vertex_index(m.nx, m.ny))
+    ids, _ = stencil(m, m.ny * (m.nx + 1) + m.nx)
     npt.assert_array_equal(ids, [m.n_cells + m.ny + (m.ny - 1)])
 
 

@@ -81,7 +81,7 @@ def test_vertex_displacements_linear_exactness(tmp_path):
     start, _ = sections["VECTORS"]
     out = np.array([line.split() for line in
                     lines[start + 1: start + 1 + mesh.n_vertices]], dtype=float)
-    corners = [mesh.vertex_index(i, j) for i in (0, mesh.nx)
+    corners = [j * (mesh.nx + 1) + i for i in (0, mesh.nx)
                for j in (0, mesh.ny)]
     regular = np.setdiff1d(np.arange(mesh.n_vertices), corners)
     npt.assert_allclose(out[regular, :2], (mesh.vertices @ g.T)[regular],

@@ -19,6 +19,7 @@ from fvsolid import (
     mms_bcs,
 )
 from fvsolid.assembly import DISPLACEMENT, TRACTION
+from fvsolid import solver
 from fvsolid.solver import _Monitor, residual_norm, run
 
 ZERO_DISPLACEMENT = {
@@ -153,6 +154,56 @@ def test_traction_driven_newton_converges(mesh8, neo):
     report = run(mesh8, neo, mms_bcs(case, neo), SolveConfig(method="nlbc"))
     assert report.converged
     assert mean_error(mesh8, report, case) < 1e-6
+
+
+def count_assemblies(monkeypatch) -> list:
+    calls = []
+    assemble = solver.assemble_system
+
+    def counting_assemble(*args, **kwargs):
+        calls.append(1)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "assemble_system", counting_assemble)
+    return calls
+
+
+def test_converged_check_builds_no_matrix(mesh8, neo, linear_mat, monkeypatch,
+                                          tmp_path):
+    """The matrix is assembled once per solved correction and never for the
+    residual check that ends a load step, also when the first correction's
+    system is dumped before it is solved."""
+    calls = count_assemblies(monkeypatch)
+    case = MMSCase("uniaxial", TRACTION, 1.3)
+    report = run(mesh8, neo, mms_bcs(case, neo),
+                 SolveConfig(method="nlbc", n_load_steps=4))
+    assert report.converged and len(report.n_corr) == 4
+    assert len(calls) == report.total_corrections
+
+    beam = build_mesh(8, 8, 2.0, 0.1)
+    bcs = {LEFT: BoundaryCondition(DISPLACEMENT, (0.0, 0.0)),
+           RIGHT: BoundaryCondition(TRACTION, (0.0, 1e4)),
+           BOTTOM: BoundaryCondition(TRACTION, (0.0, 0.0)),
+           TOP: BoundaryCondition(TRACTION, (0.0, 0.0))}
+    for cfg in (SolveConfig(method="bc"),
+                SolveConfig(method="nlbc", dump_dir=str(tmp_path))):
+        calls.clear()
+        report = run(beam, linear_mat, bcs, cfg)
+        assert report.converged and report.n_corr == [1]
+        assert len(calls) == report.total_corrections
+    assert (tmp_path / "A.mtx").is_file()
+
+
+def test_pure_traction_fails_cleanly(mesh8, neo):
+    """With no displacement constraint the rigid-body modes leave the system
+    singular.  Under static pivots the run must still end as a reported
+    failure, not an exception."""
+    bcs = {p: BoundaryCondition(TRACTION, (0.0, 0.0))
+           for p in (LEFT, BOTTOM, TOP)}
+    bcs[RIGHT] = BoundaryCondition(TRACTION, (1e5, 0.0))
+    report = run(mesh8, neo, bcs, SolveConfig(method="nlbc"))
+    assert not report.converged
+    assert report.failure.startswith(("inverted element", "linear solve failed"))
 
 
 def test_unknown_method_rejected(mesh8, neo):
