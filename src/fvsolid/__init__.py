@@ -8,7 +8,7 @@ manufactured-solution verification harness.
 from .assembly import (BoundaryCondition, assemble_system,
                        build_boundary_table)
 from .kinematics import State, advance_state, zero_state
-from .linsolve import LinearSolverConfig, solve
+from .linsolve import solve
 from .material import (InvertedElementError, Lame, LinearElastic, NeoHookean,
                        lame_from_E_nu)
 from .mesh import BOTTOM, LEFT, RIGHT, TOP, CartesianMesh, build_mesh
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryCondition", "assemble_system", "build_boundary_table",
     "State", "advance_state", "zero_state",
-    "LinearSolverConfig", "solve",
+    "solve",
     "InvertedElementError", "Lame", "LinearElastic", "NeoHookean",
     "lame_from_E_nu",
     "BOTTOM", "LEFT", "RIGHT", "TOP", "CartesianMesh", "build_mesh",

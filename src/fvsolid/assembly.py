@@ -63,6 +63,10 @@ class BoundaryCondition:
     value: object = None
 
 
+class RigidBodyModeError(ValueError):
+    """The boundary conditions leave a rigid-body motion unconstrained."""
+
+
 @dataclass
 class BoundaryTable:
     kind: np.ndarray    # (n_bfaces,) codes per _KIND_CODE
@@ -85,7 +89,32 @@ def build_boundary_table(mesh: CartesianMesh, bcs: dict, t: float = 1.0) -> Boun
     missing = set(range(4)) - set(bcs)
     if missing:
         raise ValueError(f"patches without a boundary condition: {sorted(missing)}")
+    _check_rigid_body_modes(mesh, kind)
     return BoundaryTable(kind, value)
+
+
+def _check_rigid_body_modes(mesh: CartesianMesh, kind: np.ndarray) -> None:
+    """Raise unless the displacement and symmetry faces fix both
+    translations and the rotation.  A rigid motion u = a + theta (-y, x)
+    meets the constraint d . u(p) = 0 for direction d at point p through
+    the row [d_x, d_y, d_y p_x - d_x p_y]: two rows (e_x, e_y) per
+    displacement face, one (the normal) per symmetry face."""
+    faces = mesh.bface_face
+    # Centred and scaled by the domain size, so that the rotation column is
+    # as large as the translation ones and the rank test is well posed.
+    point = ((mesh.face_centroid[faces] - (mesh.lx / 2, mesh.ly / 2))
+             / max(mesh.lx, mesh.ly))
+    fixed = point[kind == _KIND_CODE[DISPLACEMENT]]
+    sliding = kind == _KIND_CODE[SYMMETRY]
+    d = np.concatenate((np.tile((1.0, 0.0), (len(fixed), 1)),
+                        np.tile((0.0, 1.0), (len(fixed), 1)),
+                        mesh.face_normal[faces[sliding]]))
+    p = np.concatenate((fixed, fixed, point[sliding]))
+    rows = np.column_stack((d, d[:, 1] * p[:, 0] - d[:, 0] * p[:, 1]))
+    if np.linalg.matrix_rank(rows) < 3:
+        raise RigidBodyModeError(
+            "boundary conditions leave a rigid-body mode free: displacement "
+            "and symmetry patches must fix both translations and the rotation")
 
 
 def force_row_mask(mesh: CartesianMesh, table: BoundaryTable) -> np.ndarray:

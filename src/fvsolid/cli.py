@@ -31,9 +31,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import output
-from .assembly import DISPLACEMENT, TRACTION, BoundaryCondition
-from .linsolve import METHODS as LINEAR_METHODS
-from .linsolve import LinearSolverConfig
+from .assembly import (DISPLACEMENT, TRACTION, BoundaryCondition,
+                       RigidBodyModeError)
 from .material import LinearElastic, NeoHookean, lame_from_E_nu
 from .mesh import BOTTOM, LEFT, RIGHT, TOP, CartesianMesh, build_mesh
 from .solver import METHODS, RunReport, SolveConfig, run
@@ -65,10 +64,6 @@ class CaseConfig:
     max_corrections: int = 200
     load_steps: int = 1
     relaxation: float = 0.9
-    linear_solver: str = "direct"
-    linear_tolerance: float = 1e-10
-    linear_max_iterations: int = 4000
-    gmres_restart: int = 50
     out: str = "."
     dump_matrix: bool = False
 
@@ -80,9 +75,8 @@ _CASE_DEFAULTS = {
 }
 
 _FLOAT_KEYS = {"stretch", "shear_factor", "E", "nu", "traction",
-               "tolerance", "relaxation", "linear_tolerance"}
-_INT_KEYS = {"max_corrections", "load_steps", "linear_max_iterations",
-             "gmres_restart"}
+               "tolerance", "relaxation"}
+_INT_KEYS = {"max_corrections", "load_steps"}
 
 
 def _parse_mesh(text: str) -> tuple:
@@ -106,7 +100,7 @@ def parse_config(path: str, overrides: dict | None = None) -> CaseConfig:
     raw: dict = {}
     first_line: dict = {}
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             for lineno, line in enumerate(handle, 1):
                 line = line.split("#", 1)[0].strip()
                 if not line:
@@ -121,7 +115,7 @@ def parse_config(path: str, overrides: dict | None = None) -> CaseConfig:
                                       f"(first set on line {first_line[key]})")
                 first_line[key] = lineno
                 raw[key] = value
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
 
     for key, value in (overrides or {}).items():
@@ -157,17 +151,17 @@ def _validate(cfg: CaseConfig) -> None:
         raise ConfigError(f"config needs case = one of {', '.join(CASES)}")
     if cfg.method not in METHODS:
         raise ConfigError(f"unknown method {cfg.method!r}")
-    if cfg.linear_solver not in LINEAR_METHODS:
-        raise ConfigError(f"unknown linear_solver {cfg.linear_solver!r}; "
-                          f"use one of {', '.join(LINEAR_METHODS)}")
-    for key, least in (("load_steps", 1), ("max_corrections", 0),
-                       ("linear_max_iterations", 1), ("gmres_restart", 1)):
+    for key, least in (("load_steps", 1), ("max_corrections", 0)):
         if getattr(cfg, key) < least:
             raise ConfigError(f"{key!r} must be at least {least}, got {getattr(cfg, key)}")
-    for key in ("tolerance", "relaxation", "linear_tolerance"):
+    for key in ("tolerance", "relaxation"):
         value = getattr(cfg, key)
         if not (math.isfinite(value) and value > 0):
             raise ConfigError(f"{key!r} must be finite and positive, got {value}")
+    for key in ("stretch", "shear_factor", "traction"):
+        value = getattr(cfg, key)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{key!r} must be finite, got {value}")
     if min(cfg.mesh, default=1) < 1:
         raise ConfigError("'mesh' needs at least one cell per direction, "
                           f"got {'x'.join(map(str, cfg.mesh))}")
@@ -211,14 +205,9 @@ def _make_material(cfg: CaseConfig):
 
 
 def _solve_config(cfg: CaseConfig, out_dir: str) -> SolveConfig:
-    linear = LinearSolverConfig(method=cfg.linear_solver,
-                                tolerance=cfg.linear_tolerance,
-                                max_iterations=cfg.linear_max_iterations,
-                                gmres_restart=cfg.gmres_restart)
     return SolveConfig(method=cfg.method, outer_tolerance=cfg.tolerance,
                        max_corrections=cfg.max_corrections,
                        n_load_steps=cfg.load_steps, relaxation=cfg.relaxation,
-                       linear=linear,
                        dump_dir=out_dir if cfg.dump_matrix else None)
 
 
@@ -347,7 +336,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return run_case(cfg)
-    except OSError as err:
+    except (OSError, RigidBodyModeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

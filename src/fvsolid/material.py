@@ -70,8 +70,8 @@ def check_positive_jacobian(det_f: np.ndarray, label: str) -> None:
     det_f = np.atleast_1d(det_f)
     if det_f.size == 0:
         return
-    bad = int(np.argmin(det_f))
-    if det_f[bad] <= 0.0:
+    bad = int(np.argmin(det_f))     # the first NaN, if there is one
+    if not det_f[bad] > 0.0:
         raise InvertedElementError(bad, float(det_f[bad]), label)
 
 

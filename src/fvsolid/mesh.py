@@ -118,17 +118,6 @@ class CartesianMesh:
         self.face_across = np.where(on_boundary, self.n_cells + bindex,
                                     self.face_neighbour)
 
-        # Per-cell face list (west, east, south, north) with the sign that
-        # makes sign * normal point outward from the cell.
-        ci, cj = (a.ravel() for a in np.meshgrid(np.arange(nx), np.arange(ny),
-                                                  indexing="xy"))
-        self.cell_faces = np.column_stack((ci * ny + cj, (ci + 1) * ny + cj,
-                                           n_vertical + cj * nx + ci,
-                                           n_vertical + (cj + 1) * nx + ci))
-        ones = np.ones(self.n_cells)
-        self.cell_face_sign = np.column_stack((np.where(ci > 0, -1.0, 1.0), ones,
-                                               np.where(cj > 0, -1.0, 1.0), ones))
-
         self.interior_faces = np.flatnonzero(~on_boundary)
         self.boundary_faces = np.flatnonzero(on_boundary)
         bface_face = np.empty(self.n_bfaces, dtype=np.int64)

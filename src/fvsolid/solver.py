@@ -3,9 +3,10 @@
 Three methods share the loop and differ only in how each load step
 linearises the momentum residual and solves for the increment:
 
-- ``nlbc``: Newton-Raphson on the momentum residual; the block matrix is
-  assembled only for a correction that is solved, never for the converged
-  check that ends a load step
+- ``nlbc``: Newton-Raphson on the momentum residual, one block-coupled
+  ``linsolve.solve`` (symmetric-mode LU, post-checked) per correction; the
+  block matrix is assembled only for a correction that is solved, never
+  for the converged check that ends a load step
 - ``bc``: the same linearisation with the material replaced by its
   small-strain linear counterpart, so one correction solves the problem
 - ``seg``: component-by-component scalar solves with a constant implicit
@@ -23,7 +24,9 @@ normalisation and block convergence before the first correction, but
 their post-solve defect is linear-solver forward error, which no outer
 iteration controls, so it never vetoes convergence afterwards.  A run is
 declared diverged after five consecutive residual increases, an inverted
-element, a failed linear solve, or exhausting the correction budget.
+element, a failed linear solve, or exhausting the correction budget.  A
+boundary map that leaves a rigid-body mode free is rejected (ValueError)
+before the first correction.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ class SolveConfig:
     max_corrections: int = 200
     n_load_steps: int = 1
     relaxation: float = 0.9         # seg only, on force-balance unknowns
-    linear: linsolve.LinearSolverConfig = linsolve.LinearSolverConfig()
     dump_dir: str | None = None
 
     def __post_init__(self):
@@ -130,7 +132,7 @@ def _coupled(mesh: CartesianMesh, material, table: BoundaryTable,
             return assemble_system(mesh, material, table, f_face, s_face), rhs.ravel()
 
         def solve() -> np.ndarray:
-            return linsolve.solve(*system(), cfg.linear).x.reshape(-1, 2)
+            return linsolve.solve(*system()).x.reshape(-1, 2)
 
         return rhs, row_scale, system, solve
 

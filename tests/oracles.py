@@ -150,7 +150,7 @@ def cell_force_rows(mesh, flux_density: np.ndarray) -> np.ndarray:
 
 
 def mesh_arrays(mesh) -> dict:
-    """Face, cell-face and vertex-stencil arrays of a Cartesian mesh built
+    """Face and vertex-stencil arrays of a Cartesian mesh built
     face by face and vertex by vertex in Python loops, the reference for the
     mesh's index arithmetic."""
     nx, ny, nc, dx, dy = mesh.nx, mesh.ny, mesh.n_cells, mesh.dx, mesh.dy
@@ -168,8 +168,6 @@ def mesh_arrays(mesh) -> dict:
         "face_tangent": np.zeros((nf, 2)),
         "face_vertex_lo": np.empty(nf, dtype=np.int64),
         "face_vertex_hi": np.empty(nf, dtype=np.int64),
-        "cell_faces": np.empty((nc, 4), dtype=np.int64),
-        "cell_face_sign": np.empty((nc, 4)),
     }
 
     def cell(i, j):
@@ -215,13 +213,6 @@ def mesh_arrays(mesh) -> dict:
             else:
                 face(f, *common, cell(i, j - 1), (0.0, 1.0), dy,
                      neighbour=cell(i, j))
-    for j in range(ny):
-        for i in range(nx):
-            out["cell_faces"][cell(i, j)] = (i * ny + j, (i + 1) * ny + j,
-                                             n_vertical + j * nx + i,
-                                             n_vertical + (j + 1) * nx + i)
-            out["cell_face_sign"][cell(i, j)] = (-1.0 if i > 0 else 1.0, 1.0,
-                                                 -1.0 if j > 0 else 1.0, 1.0)
 
     ptr, ids, weights = [0], [], []
     for j in range(ny + 1):

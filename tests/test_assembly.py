@@ -146,6 +146,25 @@ def test_boundary_table_requires_all_patches(mesh_small):
         build_boundary_table(mesh_small, bcs)
 
 
+def test_boundary_table_rejects_free_rigid_body_modes(mesh_small):
+    """Traction everywhere leaves all three rigid motions free; symmetry on
+    two opposite sides leaves the translation along them free; one fixed
+    face leaves the rotation about it free.  Symmetry on two adjacent
+    sides fixes all three."""
+    traction = BoundaryCondition(TRACTION, (0.0, 0.0))
+    one_face = build_mesh(4, 1, 1.0, 0.25)
+    for mesh, patches in ((mesh_small, {}),
+                          (mesh_small, {LEFT: SYMMETRY, RIGHT: SYMMETRY}),
+                          (one_face, {LEFT: DISPLACEMENT})):
+        bcs = {p: BoundaryCondition(patches.get(p, TRACTION), traction.value)
+               for p in (LEFT, RIGHT, BOTTOM, TOP)}
+        with pytest.raises(ValueError, match="rigid-body mode"):
+            build_boundary_table(mesh, bcs)
+    bcs = {LEFT: BoundaryCondition(SYMMETRY), BOTTOM: BoundaryCondition(SYMMETRY),
+           RIGHT: traction, TOP: traction}
+    assert (build_boundary_table(mesh_small, bcs).kind == 2).sum() == 3 + 4
+
+
 def test_force_row_mask(mesh_small):
     table = build_boundary_table(mesh_small, MIXED)
     mask = force_row_mask(mesh_small, table)

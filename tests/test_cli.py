@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 import scipy.io
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fvsolid.cli import ConfigError, main, parse_config, run_case
+from fvsolid.cli import CaseConfig, ConfigError, main, parse_config, run_case
 
 
 def write_cfg(tmp_path, text, name="case.cfg"):
@@ -85,6 +89,8 @@ def test_parse_config_sweep(tmp_path):
     ("case = cantilever\nsweep = 3,8\n", "not sweep"),
     ("case = shear\nregime = beam\n", "unknown regime"),
     ("case = shear\nrho0 = 1000\n", "unknown config key 'rho0'"),
+    ("case = shear\nlinear_solver = direct\n", "unknown config key 'linear_solver'"),
+    ("case = uniaxial\nstretch = nan\n", "'stretch' must be finite"),
     ("case = shear\nmesh = 0x4\n", "'mesh' needs at least one cell per direction, got 0x4"),
     ("case = shear\nsweep = 0,4\n", "'sweep' sizes must be at least 1, got 0,4"),
     ("case = shear\ntolerance = -1\n", "'tolerance' must be finite and positive"),
@@ -278,6 +284,11 @@ def test_main_reports_config_errors(tmp_path, capsys):
     "linear_tolerance = -1",
     "linear_tolerance = nan",
     "max_corrections = -1",
+    "linear_solver = direct",
+    "stretch = nan",
+    "stretch = inf",
+    "shear_factor = nan",
+    "traction = inf",
 ])
 def test_main_rejects_bad_solver_settings(tmp_path, capsys, line):
     path = write_cfg(tmp_path, f"case = shear\nmesh = 4x4\n{line}\n")
@@ -286,6 +297,62 @@ def test_main_rejects_bad_solver_settings(tmp_path, capsys, line):
     assert err.startswith("error:")
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_main_rejects_beam_with_free_rotation(tmp_path, capsys):
+    """A one-cell-deep cantilever is clamped at a single face, which leaves
+    the rotation about it free: exit 1 with one line, not 200 corrections
+    to a meaningless answer."""
+    path = write_cfg(tmp_path, "case = cantilever\nmesh = 10x1\n")
+    assert main(["--config", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "rigid-body mode" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_parse_config_rejects_undecodable_file(tmp_path):
+    path = tmp_path / "case.cfg"
+    path.write_bytes(b"case = shear\nout = \xff\n")
+    with pytest.raises(ConfigError, match="cannot read config"):
+        parse_config(str(path))
+
+
+REMOVED_KEYS = ("linear_solver", "linear_tolerance", "linear_max_iterations",
+                "gmres_restart")
+PLAUSIBLE = {"method": "seg", "mesh": "4x4", "sweep": "3,8", "bc": "traction",
+             "stretch": "1.5", "shear_factor": "-0.2", "E": "1e6", "nu": "0.3",
+             "regime": "plane_stress", "material": "linear", "traction": "-5",
+             "tolerance": "1e-8", "max_corrections": "50", "load_steps": "4",
+             "relaxation": "1.0", "out": "run", "dump_matrix": "true"}
+# Half the keys drawn are loads, so that non-finite loads reach validation.
+FUZZ_KEYS = (st.sampled_from(["stretch", "shear_factor", "traction"])
+             | st.sampled_from(sorted(PLAUSIBLE) + list(REMOVED_KEYS)))
+FUZZ_ENTRY = FUZZ_KEYS.flatmap(
+    lambda key: st.tuples(st.just(key), st.one_of(
+        st.just(PLAUSIBLE.get(key, "1")),
+        st.sampled_from(["nan", "inf", "-inf", "1e400"]),
+        st.sampled_from(["", "junk", "0", "-1"]),
+        st.text(st.characters(codec="utf-8", exclude_characters="\n\r"),
+                max_size=8))))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=st.sampled_from(["uniaxial", "shear", "cantilever", "junk"]),
+       entries=st.lists(FUZZ_ENTRY, max_size=3, unique_by=lambda kv: kv[0]))
+def test_parse_config_fuzz(tmp_path_factory, case, entries):
+    """Any file either parses to a config with finite loads or raises
+    ConfigError; a removed linear-solver key is an unknown key."""
+    assert set(PLAUSIBLE) == {f.name for f in fields(CaseConfig)} - {"case"}
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    text = f"case = {case}\n" + "".join(f"{k} = {v}\n" for k, v in entries)
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        cfg = parse_config(str(path))
+    except ConfigError:
+        return
+    assert not {k for k, _ in entries} & set(REMOVED_KEYS)
+    assert all(v is None or math.isfinite(v)
+               for v in (cfg.stretch, cfg.shear_factor, cfg.traction))
 
 
 def test_main_requires_config_flag():

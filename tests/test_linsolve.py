@@ -1,4 +1,4 @@
-"""Linear solver layer: scaling, preconditioning, method agreement, failure paths."""
+"""Linear solver layer: scaling, the direct solve and its failure paths."""
 
 from __future__ import annotations
 
@@ -9,19 +9,7 @@ import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from fvsolid import BOTTOM, LEFT, RIGHT, TOP, BoundaryCondition, LinearSolverConfig
 from fvsolid import linsolve
-from fvsolid.assembly import (
-    DISPLACEMENT,
-    TRACTION,
-    assemble_system,
-    build_boundary_table,
-    face_states,
-    newton_rhs,
-)
-from fvsolid.kinematics import zero_state
-from fvsolid.material import Lame, NeoHookean
-from fvsolid.mesh import build_mesh
 
 
 def random_block_system(rng, n_blocks=12):
@@ -31,22 +19,6 @@ def random_block_system(rng, n_blocks=12):
     x = rng.standard_normal(2 * n_blocks)
     matrix = sp.csr_matrix(dense)
     return matrix, matrix @ x, x
-
-
-def assembled_system(rng):
-    """Small momentum system with mixed displacement/traction rows."""
-    mesh = build_mesh(3, 3, 1.0, 1.0)
-    mat = NeoHookean(Lame(mu=0.8, lam=1.3))
-    bcs = {LEFT: BoundaryCondition(DISPLACEMENT, (0.0, 0.0)),
-           RIGHT: BoundaryCondition(TRACTION, (0.2, 0.1)),
-           BOTTOM: BoundaryCondition(DISPLACEMENT, (0.0, 0.0)),
-           TOP: BoundaryCondition(TRACTION, (0.0, 0.0))}
-    table = build_boundary_table(mesh, bcs)
-    state = zero_state(mesh)
-    f_face, s_face, flux = face_states(mesh, mat, state)
-    rhs, _ = newton_rhs(mesh, mat, state, table, flux)
-    return (assemble_system(mesh, mat, table, f_face, s_face),
-            rhs.ravel() + 0.01 * rng.standard_normal(2 * mesh.n_unknowns))
 
 
 def test_equilibrate_normalises_rows(rng):
@@ -61,19 +33,10 @@ def test_equilibrate_normalises_rows(rng):
         np.linalg.solve(scaled.toarray(), scale * rhs), x, rtol=1e-8)
 
 
-def test_block_jacobi_inverts_block_diagonal(rng):
-    blocks = rng.standard_normal((6, 2, 2)) + 3.0 * np.eye(2)
-    matrix = sp.block_diag([sp.csr_matrix(b) for b in blocks]).tocsr()
-    pre = linsolve.block_jacobi(matrix)
-    x = rng.standard_normal(12)
-    npt.assert_allclose(pre @ (matrix @ x), x, rtol=1e-12)
-
-
 def test_direct_solve_matches_dense(rng):
     matrix, rhs, x = random_block_system(rng)
-    sol = linsolve.solve(matrix, rhs, LinearSolverConfig(method="direct"))
+    sol = linsolve.solve(matrix, rhs)
     npt.assert_allclose(sol.x, x, rtol=1e-10)
-    assert sol.iterations == 0
     assert sol.residual < 1e-12
 
 
@@ -81,58 +44,7 @@ def test_zero_rhs_short_circuits(rng):
     matrix, _, _ = random_block_system(rng)
     sol = linsolve.solve(matrix, np.zeros(matrix.shape[0]))
     npt.assert_allclose(sol.x, 0.0)
-    assert sol.iterations == 0 and sol.residual == 0.0
-
-
-def test_methods_agree_on_assembled_system(rng):
-    matrix, rhs = assembled_system(rng)
-    solutions = {}
-    for method in ("direct", "bicgstab", "gmres"):
-        cfg = LinearSolverConfig(method=method, tolerance=1e-12)
-        solutions[method] = linsolve.solve(matrix, rhs, cfg).x
-    scale = np.linalg.norm(solutions["direct"])
-    for method in ("bicgstab", "gmres"):
-        gap = np.linalg.norm(solutions[method] - solutions["direct"]) / scale
-        assert gap < 1e-8, f"{method} disagrees with direct by {gap:.2e}"
-
-
-def test_iterative_records_history(rng):
-    matrix, rhs = assembled_system(rng)
-    sol = linsolve.solve(matrix, rhs,
-                         LinearSolverConfig(method="gmres", tolerance=1e-12))
-    assert sol.iterations == len(sol.history) > 0
-
-
-def test_default_solve_is_direct(rng):
-    assert LinearSolverConfig().method == "direct"
-    matrix, rhs, x = random_block_system(rng)
-    sol = linsolve.solve(matrix, rhs)
-    npt.assert_allclose(sol.x, x, rtol=1e-10)
-    assert sol.iterations == 0      # direct path leaves no Krylov history
-
-
-def test_unknown_method_rejected(rng):
-    matrix, rhs, _ = random_block_system(rng)
-    for method in ("cholesky", "auto"):
-        with pytest.raises(ValueError, match="unknown linear solver"):
-            linsolve.solve(matrix, rhs, LinearSolverConfig(method=method))
-
-
-def test_unknown_method_rejected_with_zero_rhs(rng):
-    """The configuration itself is checked, so a zero right-hand side, which
-    short-circuits the solve, cannot let an unknown method through."""
-    matrix, _, _ = random_block_system(rng)
-    with pytest.raises(ValueError, match="unknown linear solver"):
-        linsolve.solve(matrix, np.zeros(matrix.shape[0]),
-                       LinearSolverConfig(method="cholesky"))
-
-
-def test_explicit_method_failure_is_fatal(rng):
-    matrix, rhs = assembled_system(rng)
-    cfg = LinearSolverConfig(method="bicgstab", tolerance=1e-14,
-                             max_iterations=1)
-    with pytest.raises(linsolve.LinearSolveError, match="bicgstab"):
-        linsolve.solve(matrix, rhs, cfg)
+    assert sol.residual == 0.0
 
 
 def test_post_check_rejects_bad_solutions(rng, monkeypatch):
@@ -140,7 +52,23 @@ def test_post_check_rejects_bad_solutions(rng, monkeypatch):
     monkeypatch.setattr(linsolve, "_solve_direct",
                         lambda m, r: np.full_like(r, 7.0))
     with pytest.raises(linsolve.LinearSolveError, match="post-check"):
-        linsolve.solve(matrix, rhs, LinearSolverConfig(method="direct"))
+        linsolve.solve(matrix, rhs)
+
+
+def test_post_check_rejects_nan_solution():
+    """A NaN backward error compares false with any bound, so the check
+    must be written to fail on it rather than pass."""
+    matrix = sp.csr_matrix(2.0 * np.eye(3))
+    with pytest.raises(linsolve.LinearSolveError, match="backward error nan"):
+        linsolve.solve(matrix, [1.0, np.nan, 0.0])
+
+
+def test_exactly_singular_matrix_is_a_linear_solve_error():
+    """SuperLU's bare RuntimeError becomes the solver's own error, which
+    the correction loop reports as a failure instead of a traceback."""
+    matrix = sp.csr_matrix(np.ones((2, 2)))
+    with pytest.raises(linsolve.LinearSolveError, match="exactly singular"):
+        linsolve.solve(matrix, [1.0, 2.0])
 
 
 def test_tiny_static_pivot_is_fatal(monkeypatch):
@@ -167,7 +95,7 @@ def test_tiny_static_pivot_is_fatal(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", counting_splu)
     with pytest.raises(linsolve.LinearSolveError, match="direct post-check failed"):
-        linsolve.solve(matrix, rhs, LinearSolverConfig(method="direct"))
+        linsolve.solve(matrix, rhs)
     assert len(calls) == 1
     assert calls[0]["diag_pivot_thresh"] == 0.0
 

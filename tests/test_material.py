@@ -60,6 +60,15 @@ def test_inverted_element_error_message():
     assert "boundary face 17" in str(err)
 
 
+def test_nan_jacobian_is_an_inverted_element():
+    """A NaN det(F) compares false with zero, so the check must be written
+    to fail on it rather than pass; the report names the NaN entry."""
+    grad = np.zeros((3, 2, 2))
+    grad[2, 0, 0] = np.nan
+    with pytest.raises(InvertedElementError, match="nan at cell 2"):
+        UNIT.stress_state(grad)
+
+
 def test_stress_state_raises_on_inversion():
     grad = np.zeros((3, 2, 2))
     grad[1] = np.diag([-1.5, 0.0])

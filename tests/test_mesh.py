@@ -81,23 +81,18 @@ def test_patch_normals_point_outward(mesh_small):
 def test_closed_surface_per_cell(mesh_small):
     """Signed area-weighted normals of each cell's faces sum to zero."""
     m = mesh_small
-    total = np.einsum(
-        "cf,cf,cfi->ci",
-        m.cell_face_sign,
-        m.face_area[m.cell_faces],
-        m.face_normal[m.cell_faces],
-    )
-    npt.assert_allclose(total, 0.0, atol=1e-14)
+    npt.assert_allclose(m.cell_divergence @ m.face_normal, 0.0, atol=1e-14)
 
 
 def test_cell_face_signs_point_outward(mesh_small):
+    """Each cell's divergence row holds its four faces, and every entry's
+    sign times the face normal points out of the cell."""
     m = mesh_small
-    for c in range(m.n_cells):
-        for k in range(4):
-            f = m.cell_faces[c, k]
-            outward = m.cell_face_sign[c, k] * m.face_normal[f]
-            towards = m.face_centroid[f] - m.cell_centroids[c]
-            assert outward @ towards > 0.0
+    div = m.cell_divergence.tocoo()
+    npt.assert_array_equal(np.bincount(div.row), 4)
+    outward = np.sign(div.data)[:, None] * m.face_normal[div.col]
+    towards = m.face_centroid[div.col] - m.cell_centroids[div.row]
+    assert (np.einsum("ki,ki->k", outward, towards) > 0.0).all()
 
 
 # ---------------------------------------------------------------------------

@@ -196,14 +196,15 @@ def test_converged_check_builds_no_matrix(mesh8, neo, linear_mat, monkeypatch,
 
 def test_pure_traction_fails_cleanly(mesh8, neo):
     """With no displacement constraint the rigid-body modes leave the system
-    singular.  Under static pivots the run must still end as a reported
-    failure, not an exception."""
+    singular.  The boundary map is rejected before the first solve, for
+    every method: a singular solve could otherwise pass its post-check and
+    run the whole correction budget with |u| near 1e14."""
     bcs = {p: BoundaryCondition(TRACTION, (0.0, 0.0))
            for p in (LEFT, BOTTOM, TOP)}
     bcs[RIGHT] = BoundaryCondition(TRACTION, (1e5, 0.0))
-    report = run(mesh8, neo, bcs, SolveConfig(method="nlbc"))
-    assert not report.converged
-    assert report.failure.startswith(("inverted element", "linear solve failed"))
+    for method in solver.METHODS:
+        with pytest.raises(ValueError, match="rigid-body mode"):
+            run(mesh8, neo, bcs, SolveConfig(method=method))
 
 
 def test_unknown_method_rejected(mesh8, neo):
