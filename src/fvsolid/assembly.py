@@ -41,9 +41,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .kinematics import State, cell_gradient
-from .material import check_positive_jacobian
+from .material import InvertedElementError, check_positive_jacobian
 from .mesh import CartesianMesh
-from .tensors import IDENTITY, det2, outer
+from .tensors import IDENTITY, det2, matvec2, outer
 
 DISPLACEMENT = "displacement"
 TRACTION = "traction"
@@ -145,10 +145,6 @@ def _row_weights(mesh: CartesianMesh, table: BoundaryTable):
     return IDENTITY - disp, disp
 
 
-def _apply(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    return np.einsum("nij,nj->ni", weights, vectors)
-
-
 # ----------------------------------------------------------------------
 # face states and right-hand side
 # ----------------------------------------------------------------------
@@ -166,12 +162,15 @@ def face_states(mesh: CartesianMesh, material, state: State):
         check_positive_jacobian(det2(IDENTITY + cell_gradient(mesh, u)), "cell")
     grad = (outer(mesh.face_quotient @ u, mesh.face_normal)
             + outer(mesh.face_tangential @ u, mesh.face_tangent))
-    f_face = np.empty((mesh.n_faces, 2, 2))
-    s_face = np.empty((mesh.n_faces, 2, 2))
-    for faces, label in ((mesh.interior_faces, "face"),
-                         (mesh.boundary_faces, "boundary face")):
-        f_face[faces], s_face[faces] = material.stress_state(grad[faces], label)
-    flux_density = (f_face @ (s_face @ mesh.face_normal[:, :, None]))[:, :, 0]
+    try:
+        f_face, s_face = material.stress_state(grad, "face")
+    except InvertedElementError:
+        # Name the fold by kind, numbered within its kind: interior first.
+        det_f = det2(IDENTITY + grad)
+        check_positive_jacobian(det_f[mesh.interior_faces], "face")
+        check_positive_jacobian(det_f[mesh.boundary_faces], "boundary face")
+        raise
+    flux_density = matvec2(f_face, matvec2(s_face, mesh.face_normal))
     return f_face, s_face, flux_density
 
 
@@ -188,8 +187,8 @@ def newton_rhs(mesh: CartesianMesh, material, state: State, table: BoundaryTable
     target = np.zeros((mesh.n_unknowns, 2))
     target[mesh.n_cells:] = np.where((table.kind == _KIND_CODE[SYMMETRY])[:, None],
                                      0.0, table.value)
-    rhs = (target - _apply(force, mesh.face_rows @ flux_density)
-           - _apply(disp, state.displacement))
+    rhs = (target - matvec2(force, mesh.face_rows @ flux_density)
+           - matvec2(disp, state.displacement))
 
     row_scale = np.ones(mesh.n_unknowns)
     row_scale[mesh.n_cells:] = np.where(table.kind == _KIND_CODE[DISPLACEMENT],
@@ -211,9 +210,13 @@ def _blocks(op: sp.csr_matrix, weights: np.ndarray) -> sp.bsr_matrix:
 def _h_block(w: np.ndarray, t: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Directional flux coefficient H(m) = (w.m) I + sum_d m_d T[d], linear
     in the direction m."""
-    eye = np.broadcast_to(IDENTITY, t.shape[:-3] + (2, 2))
-    return (np.einsum("...i,...i->...", w, m)[..., None, None] * eye
-            + np.einsum("...d,...dij->...ij", m, t))
+    wm = w[..., 0] * m[..., 0] + w[..., 1] * m[..., 1]
+    h = np.empty(t.shape[:-3] + (2, 2))
+    for i in range(2):
+        for j in range(2):
+            h[..., i, j] = m[..., 0] * t[..., 0, i, j] + m[..., 1] * t[..., 1, i, j]
+        h[..., i, i] += wm
+    return h
 
 
 def assemble_system(mesh: CartesianMesh, material, table: BoundaryTable,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import IDENTITY, det2, inv2
+from .tensors import IDENTITY, det2, inv2, matvec2, mul2, outer
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ class NeoHookean:
 
     def first_piola(self, grad_u: np.ndarray) -> np.ndarray:
         f = IDENTITY + grad_u
-        return f @ self.second_piola(np.swapaxes(f, -1, -2) @ f)
+        return mul2(f, self.second_piola(mul2(np.swapaxes(f, -1, -2), f)))
 
     # -- solver surface ------------------------------------------------
 
@@ -108,7 +108,7 @@ class NeoHookean:
         f = IDENTITY + grad_u
         det_f = det2(f)
         check_positive_jacobian(det_f, label)
-        c_inv, _ = inv2(np.swapaxes(f, -1, -2) @ f)
+        c_inv, _ = inv2(mul2(np.swapaxes(f, -1, -2), f))
         return f, self._stress(c_inv, np.log(det_f))
 
     def face_linearisation(self, f: np.ndarray, s: np.ndarray, n: np.ndarray):
@@ -119,19 +119,18 @@ class NeoHookean:
 
             T_d = lam (a x A e_d) + (mu - lam ln J) (b_d I + A e_d x a)
 
-        with A = F^-T, a = A N and b = C^-1 N.  The property tests hold it
-        against the brute contraction of the transformed tangent with N.
+        with A = F^-T, a = A N and b = C^-1 N.  Row d of F^-1 is A e_d, so
+        each dyad is one ``outer`` over all d, stacked on axis -3.  The
+        property tests hold it against the brute contraction of the
+        transformed tangent with N.
         """
-        w = np.einsum("...ij,...j->...i", s, n)
+        w = matvec2(s, n)
         f_inv, det_f = inv2(f)
-        a_mat = np.swapaxes(f_inv, -1, -2)                   # F^-T
-        a = np.einsum("...ij,...j->...i", a_mat, n)
-        b = np.einsum("...ji,...j->...i", a_mat, a)          # F^-1 a = C^-1 N
-        log_j = np.log(det_f)
-        coef = (self.mu - self.lam * log_j)[..., None, None, None]
-        t = (self.lam * np.einsum("...i,...jd->...dij", a, a_mat)
-             + coef * (np.einsum("...d,ij->...dij", b, IDENTITY)
-                       + np.einsum("...id,...j->...dij", a_mat, a)))
+        a = matvec2(np.swapaxes(f_inv, -1, -2), n)
+        b = matvec2(f_inv, a)                   # F^-1 a = C^-1 N
+        coef = (self.mu - self.lam * np.log(det_f))[..., None, None, None]
+        t = (self.lam * outer(a[..., None, :], f_inv)
+             + coef * (b[..., :, None, None] * IDENTITY + outer(f_inv, a[..., None, :])))
         return w, t
 
 
@@ -160,9 +159,8 @@ class LinearElastic:
 
     def face_linearisation(self, f: np.ndarray, s: np.ndarray, n: np.ndarray):
         w = np.zeros(f.shape[:-2] + (2,))
-        t = (self.lam * np.einsum("...i,jd->...dij", n, IDENTITY)
-             + self.mu * (np.einsum("...d,ij->...dij", n, IDENTITY)
-                          + np.einsum("id,...j->...dij", IDENTITY, n)))
+        t = (self.lam * outer(n[..., None, :], IDENTITY)
+             + self.mu * (n[..., :, None, None] * IDENTITY + outer(IDENTITY, n[..., None, :])))
         return w, np.broadcast_to(t, f.shape[:-2] + (2, 2, 2))
 
     def first_piola(self, grad_u: np.ndarray) -> np.ndarray:

@@ -3,14 +3,15 @@
 Second-order tensors are plain numpy arrays of shape (..., 2, 2): the
 in-plane block of a plane-strain tensor, whose out-of-plane row and
 column are those of the identity (F) or zero (grad U).  Every routine
-accepts arbitrary batch dimensions in front so per-cell and per-face
-quantities can be processed in one call.
+accepts arbitrary batch dimensions in front, broadcasts them, and reads
+strided views (``swapaxes``) and read-only ``broadcast_to`` stacks, so
+per-cell and per-face quantities can be processed in one call.
 
-``det2`` and ``inv2`` are closed forms, written as elementwise operations
-on the four component arrays: for the large stacks of matrices the
-residual path evaluates, they are several times faster than the batched
-LAPACK calls behind ``np.linalg.det`` and ``np.linalg.inv``, which pay a
-fixed cost per matrix.
+Every routine is a closed form, written as elementwise operations on the
+component arrays.  Batched ``@``, ``np.linalg`` and ``einsum`` treat a
+face stack as many tiny matrices and pay a fixed cost per matrix, and
+more again on strided views; on the stacks the residual path evaluates
+the closed forms are several times faster.
 """
 
 from __future__ import annotations
@@ -21,8 +22,30 @@ IDENTITY = np.eye(2)
 
 
 def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dyadic product a_i b_j of (batched) vectors."""
-    return np.einsum("...i,...j->...ij", a, b)
+    """Dyadic product a_i b_j of (batched) vectors of any length."""
+    m, n = np.shape(a)[-1], np.shape(b)[-1]
+    out = np.empty(np.broadcast_shapes(np.shape(a)[:-1], np.shape(b)[:-1]) + (m, n))
+    for i in range(m):
+        for j in range(n):
+            out[..., i, j] = a[..., i] * b[..., j]
+    return out
+
+
+def mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product a @ b of (batched) 2x2 matrices."""
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)))
+    for i in range(2):
+        for j in range(2):
+            out[..., i, j] = a[..., i, 0] * b[..., 0, j] + a[..., i, 1] * b[..., 1, j]
+    return out
+
+
+def matvec2(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Product a @ v of (batched) 2x2 matrices and 2-vectors."""
+    out = np.empty(np.broadcast_shapes(np.shape(a)[:-1], np.shape(v)))
+    for i in range(2):
+        out[..., i] = a[..., i, 0] * v[..., 0] + a[..., i, 1] * v[..., 1]
+    return out
 
 
 def det2(a: np.ndarray) -> np.ndarray:

@@ -222,6 +222,20 @@ def test_face_states_reject_inverted_faces(mesh_small, row, shift, label,
     assert (err.value.index, err.value.det_f) == (index, det_f)
 
 
+def test_face_states_name_interior_fold_before_worse_boundary_fold(mesh_small):
+    """Row 4 folds interior face 1 (det -0.25) and row 15 folds boundary
+    face 3 (det -0.5, also the smallest det over all faces, global face 3).
+    Interior faces are checked first, so the error names interior face 1,
+    numbered among the interior faces."""
+    state = zero_state(mesh_small)
+    state.displacement[4] = (-0.625, 0.0)
+    state.displacement[15] = (0.375, 0.0)
+    with pytest.raises(InvertedElementError,
+                       match=r"^inverted element: det\(F\) = -2\.500000e-01 at face 1$") as err:
+        face_states(mesh_small, UNIT, state)
+    assert (err.value.index, err.value.det_f) == (1, -0.25)
+
+
 def test_face_gradients_match_reconstruction_oracle(mesh_small, mesh16, rng):
     """The face-derivative operators give the reconstruction written out
     face by face: vertex differences inside, cell gradient with the normal

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 from dataclasses import fields
@@ -353,6 +355,45 @@ def test_parse_config_fuzz(tmp_path_factory, case, entries):
     assert not {k for k, _ in entries} & set(REMOVED_KEYS)
     assert all(v is None or math.isfinite(v)
                for v in (cfg.stretch, cfg.shear_factor, cfg.traction))
+
+
+# Sizes and budgets stay small so that one run takes milliseconds: meshes
+# up to 6x6 and at most 20 corrections per load step.
+SMALL = {**PLAUSIBLE, "mesh": "6x6", "sweep": "2,4", "max_corrections": "20",
+         "load_steps": "2"}
+SIZE_KEYS = ("mesh", "sweep", "max_corrections", "load_steps")
+GOOD_ENTRY = st.sampled_from(sorted(SMALL.items()))
+# An edge or junk value for one key: non-finite, empty, negative, arbitrary
+# text, or (for the size keys) a small edge size instead of text.
+ODD_ENTRY = st.sampled_from(sorted(SMALL)).flatmap(
+    lambda key: st.tuples(st.just(key), st.one_of(
+        st.sampled_from(["", "junk", "0", "-1", "nan", "inf", "-inf", "1e400"]),
+        st.sampled_from(["1x1", "3x2", "6x1", "1", "3"]) if key in SIZE_KEYS
+        else st.text(st.characters(codec="utf-8", exclude_characters="\n\r"),
+                     max_size=8))))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=st.sampled_from(["uniaxial", "shear", "cantilever"]),
+       good=st.lists(GOOD_ENTRY, max_size=4, unique_by=lambda kv: kv[0]),
+       odd=st.none() | ODD_ENTRY)
+def test_main_fuzz_exits_cleanly(tmp_path_factory, case, good, odd):
+    """Any small config file ends with exit 0, 1 or 2, never with an
+    exception escaping ``main`` (a traceback from the command line); exit 1
+    prints one error line."""
+    out = tmp_path_factory.mktemp("main")
+    path = out / "fuzz.cfg"
+    values = {"case": case, "mesh": "4x4", "max_corrections": "20", **dict(good)}
+    if odd is not None:
+        values[odd[0]] = odd[1]
+    path.write_bytes("".join(f"{k} = {v}\n" for k, v in values.items()).encode("utf-8"))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["--config", str(path), "--out", str(out / "run")])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().startswith("error:")
+        assert len(err.getvalue().splitlines()) == 1
 
 
 def test_main_requires_config_flag():

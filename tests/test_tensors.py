@@ -24,6 +24,61 @@ def test_outer_batched_shape(rng):
     npt.assert_allclose(out[2], np.outer(a[2], b[2]))
 
 
+def _layouts(rng, n=50):
+    """Operand pairs in each layout the kernels meet: batched stacks,
+    ``swapaxes`` views, a single matrix, a stack against one matrix, and
+    the read-only ``broadcast_to`` identity stack."""
+    a = rng.normal(size=(n, 2, 2))
+    b = rng.normal(size=(n, 2, 2))
+    return {
+        "batched": (a, b),
+        "swapaxes": (np.swapaxes(a, -1, -2), np.swapaxes(b, -1, -2)),
+        "single": (a[0], b[0]),
+        "broadcast": (a, b[0]),
+        "identity": (np.broadcast_to(tensors.IDENTITY, (n, 2, 2)), b),
+    }
+
+
+LAYOUTS = ["batched", "swapaxes", "single", "broadcast", "identity"]
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_mul2_matches_matmul(rng, layout):
+    a, b = _layouts(rng)[layout]
+    ref = np.matmul(a, b)
+    out = tensors.mul2(a, b)
+    assert out.shape == ref.shape
+    # each route rounds two products and a sum: a few ulps of |a| |b|
+    assert (np.abs(out - ref) <= 1e-15 * (np.abs(a) @ np.abs(b))).all()
+    if layout == "identity":
+        npt.assert_array_equal(out, b)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_matvec2_matches_matmul(rng, layout):
+    a, b = _layouts(rng)[layout]
+    v = b[..., 0]       # strided columns in every layout but "single"
+    ref = np.einsum("...ij,...j->...i", a, v)
+    out = tensors.matvec2(a, v)
+    assert out.shape == ref.shape
+    assert (np.abs(out - ref)
+            <= 1e-15 * np.einsum("...ij,...j->...i", np.abs(a), np.abs(v))).all()
+    if layout == "identity":
+        npt.assert_array_equal(out, v)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("dim", [2, 3])
+def test_outer_matches_einsum(rng, layout, dim):
+    """Each entry is one rounded product, so the two routes agree exactly,
+    for 2- and 3-vectors alike."""
+    a, b = _layouts(rng)[layout]
+    x, y = a[..., 0], b[..., 1]
+    if dim == 3:
+        x = np.concatenate([x, x[..., :1]], axis=-1)
+    npt.assert_array_equal(tensors.outer(x, y), np.einsum("...i,...j->...ij", x, y))
+
+
 def _batch(rng, kind, n=200):
     """Random, rotated-and-stretched, or nearly singular 2x2 stacks."""
     a = rng.normal(size=(n, 2, 2))
@@ -45,7 +100,7 @@ def _plane_strain(a):
 
 
 @pytest.mark.parametrize("kind", ["random", "rotated", "near_singular"])
-def test_det3_matches_lapack(rng, kind):
+def test_det2_matches_lapack(rng, kind):
     """det2 of a 2x2 block is LAPACK's determinant of its 3x3 plane-strain
     embedding."""
     a = _batch(rng, kind)
@@ -57,7 +112,7 @@ def test_det3_matches_lapack(rng, kind):
 
 
 @pytest.mark.parametrize("kind", ["random", "rotated", "near_singular"])
-def test_inv3_matches_lapack(rng, kind):
+def test_inv2_matches_lapack(rng, kind):
     """inv2 of a 2x2 block is the in-plane block of LAPACK's inverse of its
     3x3 plane-strain embedding."""
     a = _batch(rng, kind)
