@@ -17,13 +17,13 @@ mixes each row with its boundary condition through per-row 2x2 weights:
     r = (I - D) (face_rows @ flux) + D U - b
 
 with D = 0 on cell and traction rows, I on prescribed-displacement rows
-and N x N on symmetry planes; b holds the prescribed values.  The
-right-hand side is -r.
+and N x N on symmetry planes, stored once per load step in the boundary
+table; b holds the prescribed values.  The right-hand side is -r.
 
-For a face with geometric vector ``w = S @ N`` and coupling tensors
-``T[d]``, a gradient perturbation a x m changes the flux density by
-``H(m) a`` with ``H(m) = (w.m) I + sum_d m_d T[d]``.  The matrix is
-therefore the exact derivative of r, built from the same operators:
+The material returns, for each face, the flux coefficient H(m) of a
+direction m: a gradient perturbation a x m changes the flux density by
+``H(m) a``.  The matrix is therefore the exact derivative of r, built
+from the same operators:
 
     dr/dU = blocks(face_rows, I - D) @ (blocks(Q, H(N)) + blocks(Dt, H(t)))
             + blockdiag(D)
@@ -71,9 +71,16 @@ class RigidBodyModeError(ValueError):
 class BoundaryTable:
     kind: np.ndarray    # (n_bfaces,) codes per _KIND_CODE
     value: np.ndarray   # (n_bfaces, 2) prescribed data at the current load
+    disp: np.ndarray    # (n_unknowns, 2, 2) row weights D of the residual
 
 
 def build_boundary_table(mesh: CartesianMesh, bcs: dict, t: float = 1.0) -> BoundaryTable:
+    """Kinds, prescribed values at load factor t, and the residual's row
+    weights D: I on prescribed-displacement rows, N x N on symmetry
+    planes, zero on cell and traction rows."""
+    unknown = set(bcs) - set(range(4))
+    if unknown:
+        raise ValueError(f"unknown boundary patches: {sorted(unknown, key=str)}")
     kind = np.empty(mesh.n_bfaces, dtype=np.int8)
     value = np.zeros((mesh.n_bfaces, 2))
     for patch, bc in bcs.items():
@@ -90,7 +97,13 @@ def build_boundary_table(mesh: CartesianMesh, bcs: dict, t: float = 1.0) -> Boun
     if missing:
         raise ValueError(f"patches without a boundary condition: {sorted(missing)}")
     _check_rigid_body_modes(mesh, kind)
-    return BoundaryTable(kind, value)
+    rows = mesh.n_cells + np.arange(mesh.n_bfaces)
+    symm = kind == _KIND_CODE[SYMMETRY]
+    normal = mesh.face_normal[mesh.bface_face[symm]]
+    disp = np.zeros((mesh.n_unknowns, 2, 2))
+    disp[rows[kind == _KIND_CODE[DISPLACEMENT]]] = IDENTITY
+    disp[rows[symm]] = outer(normal, normal)
+    return BoundaryTable(kind, value, disp)
 
 
 def _check_rigid_body_modes(mesh: CartesianMesh, kind: np.ndarray) -> None:
@@ -132,19 +145,6 @@ def force_row_mask(mesh: CartesianMesh, table: BoundaryTable) -> np.ndarray:
     return mask
 
 
-def _row_weights(mesh: CartesianMesh, table: BoundaryTable):
-    """Per-row 2x2 weights (I - D, D) of the force and the displacement
-    parts of each row: D = I on prescribed-displacement rows, N x N on
-    symmetry planes, zero elsewhere."""
-    rows = mesh.n_cells + np.arange(mesh.n_bfaces)
-    symm = table.kind == _KIND_CODE[SYMMETRY]
-    normal = mesh.face_normal[mesh.bface_face[symm]]
-    disp = np.zeros((mesh.n_unknowns, 2, 2))
-    disp[rows[table.kind == _KIND_CODE[DISPLACEMENT]]] = IDENTITY
-    disp[rows[symm]] = outer(normal, normal)
-    return IDENTITY - disp, disp
-
-
 # ----------------------------------------------------------------------
 # face states and right-hand side
 # ----------------------------------------------------------------------
@@ -183,12 +183,11 @@ def newton_rhs(mesh: CartesianMesh, material, state: State, table: BoundaryTable
     the weights rescale traction rows by face area and displacement rows
     by the shear modulus so the norm is uniformly force-like.
     """
-    force, disp = _row_weights(mesh, table)
     target = np.zeros((mesh.n_unknowns, 2))
     target[mesh.n_cells:] = np.where((table.kind == _KIND_CODE[SYMMETRY])[:, None],
                                      0.0, table.value)
-    rhs = (target - matvec2(force, mesh.face_rows @ flux_density)
-           - matvec2(disp, state.displacement))
+    rhs = (target - matvec2(IDENTITY - table.disp, mesh.face_rows @ flux_density)
+           - matvec2(table.disp, state.displacement))
 
     row_scale = np.ones(mesh.n_unknowns)
     row_scale[mesh.n_cells:] = np.where(table.kind == _KIND_CODE[DISPLACEMENT],
@@ -207,27 +206,15 @@ def _blocks(op: sp.csr_matrix, weights: np.ndarray) -> sp.bsr_matrix:
                          shape=(2 * op.shape[0], 2 * op.shape[1]))
 
 
-def _h_block(w: np.ndarray, t: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Directional flux coefficient H(m) = (w.m) I + sum_d m_d T[d], linear
-    in the direction m."""
-    wm = w[..., 0] * m[..., 0] + w[..., 1] * m[..., 1]
-    h = np.empty(t.shape[:-3] + (2, 2))
-    for i in range(2):
-        for j in range(2):
-            h[..., i, j] = m[..., 0] * t[..., 0, i, j] + m[..., 1] * t[..., 1, i, j]
-        h[..., i, i] += wm
-    return h
-
-
 def assemble_system(mesh: CartesianMesh, material, table: BoundaryTable,
                     f_face: np.ndarray, s_face: np.ndarray) -> sp.csr_matrix:
     """One Newton correction's (2N, 2N) matrix from ``face_states``' F and S."""
-    w, t = material.face_linearisation(f_face, s_face, mesh.face_normal)
-    flux_derivative = (_blocks(mesh.face_quotient, _h_block(w, t, mesh.face_normal))
-                       + _blocks(mesh.face_tangential, _h_block(w, t, mesh.face_tangent)))
-    force, disp = _row_weights(mesh, table)
-    return (_blocks(mesh.face_rows, force) @ flux_derivative
-            + _blocks(sp.identity(mesh.n_unknowns, format="csr"), disp)).tocsr()
+    h_normal, h_tangent = material.face_linearisation(
+        f_face, s_face, mesh.face_normal, (mesh.face_normal, mesh.face_tangent))
+    flux_derivative = (_blocks(mesh.face_quotient, h_normal)
+                       + _blocks(mesh.face_tangential, h_tangent))
+    return (_blocks(mesh.face_rows, IDENTITY - table.disp) @ flux_derivative
+            + _blocks(sp.identity(mesh.n_unknowns, format="csr"), table.disp)).tocsr()
 
 
 # ----------------------------------------------------------------------

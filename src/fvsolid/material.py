@@ -6,17 +6,18 @@ gradient (or the deformation gradient reconstructed from it):
 
 - ``stress_state``: deformation gradient and second Piola-Kirchhoff stress,
   so the face flux is ``(F @ S) @ N``
-- ``face_linearisation``: the geometric vector ``w`` and the stack of
-  coupling tensors ``T`` that linearise the flux: a perturbation ``B`` of
-  the displacement gradient changes the flux by ``B @ w + sum_d T[d] @ (B @ e_d)``
+- ``face_linearisation``: one 2x2 block H(m) per face for each direction
+  m asked for: a perturbation a x m of the displacement gradient changes
+  the flux by ``H(m) @ a``, so H(N) and H(t) are the coefficients of the
+  normal and tangential face derivatives
 - ``first_piola``: the stress that the manufactured boundary tractions use
 
-The linear model keeps the geometry frozen (F = I, w = 0) so the coupled
-solver reduces to one exact small-strain solve.
+The linear model keeps the geometry frozen (F = I, no stress term in H)
+so the coupled solver reduces to one exact small-strain solve.
 
 Every tensor is the in-plane 2x2 block.  Plane strain fixes F_33 = 1, so
 J is the 2x2 determinant, C^-1 is block diagonal, and the in-plane blocks
-of S, P and T are exactly the 2-D formulas below.
+of S, P and H are exactly the 2-D formulas below.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import IDENTITY, det2, inv2, matvec2, mul2, outer
+from .tensors import IDENTITY, det2, dot2, inv2, matvec2, mul2, outer
 
 
 @dataclass(frozen=True)
@@ -111,27 +112,31 @@ class NeoHookean:
         c_inv, _ = inv2(mul2(np.swapaxes(f, -1, -2), f))
         return f, self._stress(c_inv, np.log(det_f))
 
-    def face_linearisation(self, f: np.ndarray, s: np.ndarray, n: np.ndarray):
-        """Geometric vector and coupling-tensor stack for a face state.
+    def face_linearisation(self, f: np.ndarray, s: np.ndarray, n: np.ndarray,
+                           directions) -> list[np.ndarray]:
+        """Flux coefficient H(m) of a face state for each direction m, in
+        the closed form
 
-        Returns ``w = S @ N`` and ``T`` with ``T[..., d, :, :]`` the 2x2
-        tensor tied to in-plane direction d, in the closed form
+            H(m) = lam (a x A m) + c (A m x a + (C^-1 N.m) I) + (S N.m) I
 
-            T_d = lam (a x A e_d) + (mu - lam ln J) (b_d I + A e_d x a)
-
-        with A = F^-T, a = A N and b = C^-1 N.  Row d of F^-1 is A e_d, so
-        each dyad is one ``outer`` over all d, stacked on axis -3.  The
-        property tests hold it against the brute contraction of the
-        transformed tangent with N.
+        with A = F^-T, a = A N and c = mu - lam ln J.  At F = I and S = 0
+        each term rounds as in ``LinearElastic``, so the tangent at zero
+        displacement is the Hookean one bit for bit.  The property tests
+        hold H against the brute contraction of the transformed tangent.
         """
-        w = matvec2(s, n)
         f_inv, det_f = inv2(f)
-        a = matvec2(np.swapaxes(f_inv, -1, -2), n)
+        f_inv_t = np.swapaxes(f_inv, -1, -2)
+        a = matvec2(f_inv_t, n)
         b = matvec2(f_inv, a)                   # F^-1 a = C^-1 N
-        coef = (self.mu - self.lam * np.log(det_f))[..., None, None, None]
-        t = (self.lam * outer(a[..., None, :], f_inv)
-             + coef * (b[..., :, None, None] * IDENTITY + outer(f_inv, a[..., None, :])))
-        return w, t
+        w = matvec2(s, n)
+        c = (self.mu - self.lam * np.log(det_f))[..., None, None]
+        blocks = []
+        for m in directions:
+            am = matvec2(f_inv_t, m)
+            blocks.append(self.lam * outer(a, am)
+                          + c * (outer(am, a) + dot2(b, m)[..., None, None] * IDENTITY)
+                          + dot2(w, m)[..., None, None] * IDENTITY)
+        return blocks
 
 
 class LinearElastic:
@@ -157,11 +162,12 @@ class LinearElastic:
         f = np.broadcast_to(IDENTITY, grad_u.shape)
         return f, self.stress(grad_u)
 
-    def face_linearisation(self, f: np.ndarray, s: np.ndarray, n: np.ndarray):
-        w = np.zeros(f.shape[:-2] + (2,))
-        t = (self.lam * outer(n[..., None, :], IDENTITY)
-             + self.mu * (n[..., :, None, None] * IDENTITY + outer(IDENTITY, n[..., None, :])))
-        return w, np.broadcast_to(t, f.shape[:-2] + (2, 2, 2))
+    def face_linearisation(self, f: np.ndarray, s: np.ndarray, n: np.ndarray,
+                           directions) -> list[np.ndarray]:
+        """H(m) = lam (N x m) + mu (m x N + (N.m) I) for each direction m."""
+        return [self.lam * outer(n, m)
+                + self.mu * (outer(m, n) + dot2(n, m)[..., None, None] * IDENTITY)
+                for m in directions]
 
     def first_piola(self, grad_u: np.ndarray) -> np.ndarray:
         return self.stress(grad_u)

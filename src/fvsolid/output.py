@@ -42,16 +42,14 @@ def write_report(path, report: dict) -> None:
         handle.write("\n")
 
 
-def write_vtk(path, mesh: CartesianMesh, displacement: np.ndarray,
-              title: str = "deformed configuration") -> None:
+def write_vtk(path, mesh: CartesianMesh, displacement: np.ndarray) -> None:
     """Legacy ASCII VTK unstructured grid of the displaced vertices; points
     and vectors carry a literal 0 as their z component."""
     moved = mesh.vertices + vertex_values(mesh, displacement)
     nx, ny = mesh.nx, mesh.ny
     with open(path, "w") as handle:
-        handle.write("# vtk DataFile Version 3.0\n")
-        handle.write(f"{title}\n")
-        handle.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
+        handle.write("# vtk DataFile Version 3.0\ndeformed configuration\n"
+                     "ASCII\nDATASET UNSTRUCTURED_GRID\n")
         handle.write(f"POINTS {mesh.n_vertices} double\n")
         for p in moved:
             handle.write(f"{p[0]:.17g} {p[1]:.17g} 0\n")

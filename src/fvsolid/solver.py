@@ -1,7 +1,8 @@
 """Outer driver: one correction loop for the coupled and segregated methods.
 
-Three methods share the loop and differ only in how each load step
-linearises the momentum residual and solves for the increment:
+The loop evaluates the face states and the momentum residual once per
+correction for every method.  The three methods differ only in how each
+load step turns that evaluation into an increment:
 
 - ``nlbc``: Newton-Raphson on the momentum residual, one block-coupled
   ``linsolve.solve`` (symmetric-mode LU, post-checked) per correction; the
@@ -31,7 +32,6 @@ before the first correction.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 
@@ -117,26 +117,20 @@ def _coupled(mesh: CartesianMesh, material, table: BoundaryTable,
              force_rows: np.ndarray, cfg: SolveConfig):
     """nlbc and bc: solve the block system of the current iterate.
 
-    Every method's load-step setup returns ``linearise(state)``, giving the
-    residual right-hand side, its norm weights, ``system()`` for the dump
-    hook and ``solve()`` for the (N, 2) increment.  Both build the matrix
-    once, on first use, from the face states of the residual.
+    Every method's load-step setup returns ``solve(f_face, s_face, rhs,
+    dump_dir)``, which turns the face states and right-hand side of the
+    loop's residual evaluation into the (N, 2) increment.  Here it
+    assembles the matrix from those face states, writes it to
+    ``dump_dir`` if one is given, and solves it.
     """
 
-    def linearise(state: State):
-        f_face, s_face, flux_density = face_states(mesh, material, state)
-        rhs, row_scale = newton_rhs(mesh, material, state, table, flux_density)
+    def solve(f_face, s_face, rhs: np.ndarray, dump_dir: str | None) -> np.ndarray:
+        matrix = assemble_system(mesh, material, table, f_face, s_face)
+        if dump_dir:
+            linsolve.dump_system(dump_dir, matrix, rhs.ravel())
+        return linsolve.solve(matrix, rhs.ravel()).x.reshape(-1, 2)
 
-        @functools.cache
-        def system():
-            return assemble_system(mesh, material, table, f_face, s_face), rhs.ravel()
-
-        def solve() -> np.ndarray:
-            return linsolve.solve(*system()).x.reshape(-1, 2)
-
-        return rhs, row_scale, system, solve
-
-    return linearise
+    return solve
 
 
 def _segregated(mesh: CartesianMesh, material, table: BoundaryTable,
@@ -153,27 +147,22 @@ def _segregated(mesh: CartesianMesh, material, table: BoundaryTable,
     factors = [linsolve.factorise(mat) for mat, _ in scaled]
     row_scales = [s for _, s in scaled]
 
-    def linearise(state: State):
-        _, _, flux_density = face_states(mesh, material, state)
-        rhs, row_scale = newton_rhs(mesh, material, state, table, flux_density)
+    def solve(f_face, s_face, rhs: np.ndarray, dump_dir: str | None) -> np.ndarray:
+        if dump_dir:
+            linsolve.dump_system(dump_dir, operators[0], rhs[:, 0])
+        increment = np.empty((mesh.n_unknowns, 2))
+        for comp in (0, 1):
+            increment[:, comp] = factors[comp].solve(row_scales[comp] * rhs[:, comp])
+        # Prescribed-displacement rows are assignments of known values;
+        # only the force-balance unknowns are under-relaxed.
+        increment[force_rows] *= cfg.relaxation
+        return increment
 
-        def solve() -> np.ndarray:
-            increment = np.empty((mesh.n_unknowns, 2))
-            for comp in (0, 1):
-                increment[:, comp] = factors[comp].solve(row_scales[comp]
-                                                         * rhs[:, comp])
-            # Prescribed-displacement rows are assignments of known values;
-            # only the force-balance unknowns are under-relaxed.
-            increment[force_rows] *= cfg.relaxation
-            return increment
-
-        return rhs, row_scale, lambda: (operators[0], rhs[:, 0]), solve
-
-    return linearise
+    return solve
 
 
-_LINEARISATIONS = {"nlbc": _coupled, "bc": _coupled, "seg": _segregated}
-METHODS = tuple(_LINEARISATIONS)
+_SOLVERS = {"nlbc": _coupled, "bc": _coupled, "seg": _segregated}
+METHODS = tuple(_SOLVERS)
 
 
 def run(mesh: CartesianMesh, material, bcs: dict, cfg: SolveConfig) -> RunReport:
@@ -191,16 +180,16 @@ def run(mesh: CartesianMesh, material, bcs: dict, cfg: SolveConfig) -> RunReport
     for step in range(cfg.n_load_steps):
         table = build_boundary_table(mesh, bcs, (step + 1) / cfg.n_load_steps)
         force_rows = force_row_mask(mesh, table)
-        linearise = _LINEARISATIONS[cfg.method](mesh, material, table,
-                                                force_rows, cfg)
+        solve = _SOLVERS[cfg.method](mesh, material, table, force_rows, cfg)
         monitor = _Monitor(cfg.outer_tolerance, floor)
         corrections = 0
         while True:
             try:
-                rhs, row_scale, system, solve = linearise(state)
+                f_face, s_face, flux_density = face_states(mesh, material, state)
             except InvertedElementError as err:
                 failure = str(err)
                 break
+            rhs, row_scale = newton_rhs(mesh, material, state, table, flux_density)
             verdict = monitor.update(residual_norm(rhs, row_scale, force_rows),
                                      residual_norm(rhs, row_scale))
             if verdict == "converged":
@@ -211,10 +200,9 @@ def run(mesh: CartesianMesh, material, bcs: dict, cfg: SolveConfig) -> RunReport
             if corrections >= cfg.max_corrections:
                 failure = f"no convergence within {cfg.max_corrections} corrections"
                 break
-            if cfg.dump_dir and step == 0 and corrections == 0:
-                linsolve.dump_system(cfg.dump_dir, *system())
+            dump_dir = cfg.dump_dir if step == 0 and corrections == 0 else None
             try:
-                increment = solve()
+                increment = solve(f_face, s_face, rhs, dump_dir)
             except linsolve.LinearSolveError as err:
                 failure = f"linear solve failed: {err}"
                 break

@@ -31,6 +31,11 @@ def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def dot2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Scalar product a.b of (batched) 2-vectors."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+
+
 def mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product a @ b of (batched) 2x2 matrices."""
     out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)))

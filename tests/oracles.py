@@ -2,11 +2,14 @@
 
 Tangents: the material elasticity dS/dE as a full fourth-order tensor, its
 push to mixed form, the directional derivative of the first Piola stress
-built from it, and the row-d traction-coupling tensor both in closed form
-and by brute contraction.  The solver itself only uses
-``face_linearisation``.  The tangent routes work in any dimension: fed 2x2
-tensors they give the solver's in-plane formulas, fed the 3x3 plane-strain
-embedding (F_33 = 1) they give the 3-D ones.
+built from it, and the row-d traction-coupling tensor T^d both in closed
+form and by brute contraction.  The solver itself only uses
+``face_linearisation``, whose flux coefficient of a direction m is
+H(m) = (S N.m) I + sum_d (T^d m) x e_d: under a gradient perturbation
+a x m, row d of it (a_d m) couples through T^d.  The tangent routes work
+in any dimension: fed 2x2 tensors they give the solver's in-plane
+formulas, fed the 3x3 plane-strain embedding (F_33 = 1) they give the
+3-D ones.
 
 Mesh scatters: the Gauss cell gradient, the vertex interpolation and the
 face-to-cell force sum written as index loops with ``np.add.at``, and the

@@ -76,6 +76,15 @@ def test_boundary_table_kinds_and_scaling(mesh_small):
     npt.assert_allclose(table.value[b_right],
                         np.tile([0.05, 0.025], (len(b_right), 1)))
     npt.assert_allclose(table.value[b_bottom], 0.0)
+    # residual row weights D: I on prescribed-displacement rows, N x N on
+    # symmetry rows, zero on cell and traction rows
+    nc = mesh_small.n_cells
+    assert table.disp.shape == (mesh_small.n_unknowns, 2, 2)
+    npt.assert_array_equal(table.disp[:nc], 0.0)
+    for patch, weight in ((LEFT, IDENTITY), (RIGHT, 0.0), (TOP, 0.0),
+                          (BOTTOM, [[0.0, 0.0], [0.0, 1.0]])):
+        rows = table.disp[nc + bfaces(mesh_small, patch)]
+        npt.assert_array_equal(rows, np.broadcast_to(weight, rows.shape))
 
 
 def test_boundary_table_ignores_out_of_plane_component(mesh_small):
@@ -136,6 +145,13 @@ def test_boundary_table_rejects_unknown_kind(mesh_small):
     bcs = dict(ALL_DISPLACEMENT)
     bcs[TOP] = BoundaryCondition("clamped")
     with pytest.raises(ValueError, match="unknown boundary kind"):
+        build_boundary_table(mesh_small, bcs)
+
+
+def test_boundary_table_rejects_unknown_patch(mesh_small):
+    bcs = dict(ALL_DISPLACEMENT)
+    bcs[7] = BoundaryCondition(TRACTION, (0.0, 0.0))
+    with pytest.raises(ValueError, match=r"unknown boundary patches: \[7\]"):
         build_boundary_table(mesh_small, bcs)
 
 

@@ -180,22 +180,61 @@ def test_dp_apply_matches_finite_differences(rng):
         npt.assert_allclose(exact, fd, rtol=1e-5, atol=1e-6)
 
 
+def _unit_vectors(rng, n):
+    angles = rng.uniform(0.0, 2.0 * np.pi, n)
+    return np.column_stack((np.cos(angles), np.sin(angles)))
+
+
+def _directions(rng, n):
+    """Face directions m for H(m): the normal, its tangent and a random
+    unit vector per face."""
+    return n, np.column_stack((-n[:, 1], n[:, 0])), _unit_vectors(rng, len(n))
+
+
+def _h_oracle(material, f, s, n, m, t_route):
+    """H(m) = (w.m) I + sum_d m_d T_d from w = S N and an oracle route's
+    tensors.  The oracle T^d couples row d of a gradient perturbation B,
+    so under B = a x m the flux changes by (w.m) a + sum_d a_d T^d m:
+    column d of H(m) is (w.m) e_d + T^d m."""
+    dim = f.shape[-1]
+    wm = np.einsum("...ij,...j,...i->...", s, n, m)
+    columns = [np.einsum("...ij,...j->...i", t_route(material, f, n, d), m)
+               for d in range(dim)]
+    return wm[..., None, None] * np.eye(dim) + np.stack(columns, axis=-1)
+
+
 def test_face_linearisation_reproduces_flux_derivative(rng):
-    """B @ w + sum_d T[d] @ (B e_d) equals (dP : B) @ N exactly."""
+    """H(m) a equals (dP : (a x m)) @ N exactly, and H(m) equals
+    (w.m) I + sum_d m_d T_d, for the normal, the tangent and random m."""
     g = random_gradients(rng, 5)
     f, s = UNIT.stress_state(g)
     n = np.zeros((5, 2))
     n[:, 0] = 1.0
     n[2:, :] = [0.0, 1.0]
-    w, t = UNIT.face_linearisation(f, s, n)
-    npt.assert_allclose(w, np.einsum("bij,bj->bi", s, n), rtol=1e-14)
-    for _ in range(4):
-        b = rng.normal(size=(2, 2))
-        for k in range(5):
-            face_route = b @ w[k] + sum(t[k, d] @ b[:, d] for d in range(2))
-            exact = np.einsum("ij,j->i", oracles.dP_apply(UNIT, g[k], b),
-                              n[k])
-            npt.assert_allclose(face_route, exact, rtol=1e-11, atol=1e-11)
+    directions = _directions(rng, n)
+    blocks = UNIT.face_linearisation(f, s, n, directions)
+    assert len(blocks) == 3
+    for m, h in zip(directions, blocks):
+        assert h.shape == (5, 2, 2)
+        npt.assert_allclose(h, _h_oracle(UNIT, f, s, n, m, oracles.t_tensor),
+                            rtol=1e-11, atol=1e-11)
+        for _ in range(4):
+            a = rng.normal(size=2)
+            for k in range(5):
+                exact = oracles.dP_apply(UNIT, g[k], np.outer(a, m[k])) @ n[k]
+                npt.assert_allclose(h[k] @ a, exact, rtol=1e-11, atol=1e-11)
+
+
+def test_neo_hookean_tangent_at_rest_is_hookean_bit_for_bit(rng):
+    """At zero displacement the neo-Hookean H(m) rounds exactly like the
+    Hookean one, so the first correction's matrix is the linear one."""
+    f, s = UNIT.stress_state(np.zeros((6, 2, 2)))
+    n = _unit_vectors(rng, 6)
+    directions = _directions(rng, n)
+    hooke = LinearElastic(Lame(UNIT.mu, UNIT.lam))
+    for neo_h, hooke_h in zip(UNIT.face_linearisation(f, s, n, directions),
+                              hooke.face_linearisation(f, s, n, directions)):
+        npt.assert_array_equal(neo_h, hooke_h)
 
 
 def test_t_tensor_row_contract_matches_flux_derivative(rng):
@@ -259,18 +298,18 @@ def test_neo_hookean_is_in_plane_block_of_3d_oracles(rng):
         npt.assert_array_equal(f, f3[:, :2, :2])
         _assert_rel(s, s3[:, :2, :2])
         _assert_rel(mat.first_piola(g), (f3 @ s3)[:, :2, :2])
-        w, t = mat.face_linearisation(f, s, n)
-        _assert_rel(w, np.einsum("bij,bj->bi", s3, n3)[:, :2])
-        # The oracles index by the row of B (flux_i = T^d_iL B_dL), the
-        # material by its column (flux_i = T[d]_ij B_jd): T[d]_ij = T^j_id.
-        for oracle in (oracles.t_tensor, oracles.t_tensor_contracted):
-            t3 = np.stack([oracle(mat, f3, n3, j) for j in range(3)], axis=-1)
-            _assert_rel(t, t3.transpose(0, 2, 1, 3)[:, :2, :2, :2])
+        directions = _directions(rng, n)
+        blocks = mat.face_linearisation(f, s, n, directions)
+        for m, h in zip(directions, blocks):
+            m3 = np.column_stack((m, np.zeros(50)))
+            for oracle in (oracles.t_tensor, oracles.t_tensor_contracted):
+                h3 = _h_oracle(mat, f3, s3, n3, m3, oracle)
+                _assert_rel(h, h3[:, :2, :2])
 
 
 def test_linear_elastic_is_in_plane_block_of_3d_hooke(rng):
     """Hooke's law and its flux coupling in 3-D, at zero out-of-plane
-    strain, reduce to the 2-D stress and T-stack."""
+    strain, reduce to the 2-D stress and H(m) blocks."""
     mat = LinearElastic(Lame(mu=2.0, lam=3.0))
     g = rng.normal(size=(6, 2, 2))
     g3 = _plane_strain(g)
@@ -286,9 +325,10 @@ def test_linear_elastic_is_in_plane_block_of_3d_hooke(rng):
     t3 = (3.0 * np.einsum("bi,jd->bdij", n3, eye3)
           + 2.0 * (np.einsum("bd,ij->bdij", n3, eye3)
                    + np.einsum("id,bj->bdij", eye3, n3)))
-    w, t = mat.face_linearisation(f, s, n)
-    npt.assert_array_equal(w, 0.0)
-    _assert_rel(t, t3[:, :2, :2, :2])
+    directions = _directions(rng, n)
+    for m, h in zip(directions, mat.face_linearisation(f, s, n, directions)):
+        m3 = np.column_stack((m, np.zeros(6)))
+        _assert_rel(h, np.einsum("bdij,bd->bij", t3, m3)[:, :2, :2])
 
 
 # ---------------------------------------------------------------------------
@@ -314,14 +354,16 @@ def test_linear_stress_state_freezes_geometry(rng):
 
 
 def test_linear_face_linearisation_contract(rng):
+    """H(m) a is the Hookean stress of a x m applied to N."""
     mat = LinearElastic(Lame(mu=2.0, lam=3.0))
     n = np.array([1.0, 0.0])
     f, s = mat.stress_state(np.zeros((1, 2, 2)))
-    w, t = mat.face_linearisation(f, s, np.broadcast_to(n, (1, 2)))
-    npt.assert_allclose(w, 0.0)
-    b = rng.normal(size=(2, 2))
-    face_route = b @ w[0] + sum(t[0, d] @ b[:, d] for d in range(2))
-    npt.assert_allclose(face_route, mat.stress(b) @ n, rtol=1e-14)
+    n = np.broadcast_to(n, (1, 2))
+    directions = _directions(rng, n)
+    blocks = mat.face_linearisation(f, s, n, directions)
+    for m, h in zip(directions, blocks):
+        a = rng.normal(size=2)
+        npt.assert_allclose(h[0] @ a, mat.stress(np.outer(a, m[0])) @ n[0], rtol=1e-14)
 
 
 def test_model_flags():

@@ -68,6 +68,16 @@ def test_matvec2_matches_matmul(rng, layout):
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
+def test_dot2_matches_einsum(rng, layout):
+    a, b = _layouts(rng)[layout]
+    u, v = a[..., 0], b[..., 1]
+    ref = np.einsum("...i,...i->...", u, v)
+    out = tensors.dot2(u, v)
+    assert out.shape == ref.shape
+    assert (np.abs(out - ref) <= 1e-15 * np.einsum("...i,...i->...", np.abs(u), np.abs(v))).all()
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("dim", [2, 3])
 def test_outer_matches_einsum(rng, layout, dim):
     """Each entry is one rounded product, so the two routes agree exactly,
