@@ -22,15 +22,21 @@ table; b holds the prescribed values.  The right-hand side is -r.
 
 The material returns, for each face, the flux coefficient H(m) of a
 direction m: a gradient perturbation a x m changes the flux density by
-``H(m) a``.  The matrix is therefore the exact derivative of r, built
-from the same operators:
+``H(m) a``.  The matrix is therefore the exact derivative of r, defined
+by the same operators:
 
     dr/dU = blocks(face_rows, I - D) @ (blocks(Q, H(N)) + blocks(Dt, H(t)))
             + blockdiag(D)
 
 where ``blocks(A, W)`` is the block-sparse matrix with block (i, j) equal
-to ``A[i, j] * W[i]``.  Traction and symmetry rows stay in stress units;
-the residual norm rescales them.
+to ``A[i, j] * W[i]``.  It is filled, not built from that algebra: the
+mesh's ``jacobian_pattern`` (a symbolic analysis run once per mesh) holds
+the 2x2 block pattern and maps the per-face H(N), H(t) to every block's
+sum over faces in one sparse product.  Each correction then weights the
+boundary rows with D != 0, adds D on their diagonal, and gathers the
+values into the CSR data.  Whole blocks are stored, zeros included;
+prescribed-displacement rows keep only their diagonal block.  Traction
+and symmetry rows stay in stress units; the residual norm rescales them.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ import scipy.sparse as sp
 from .kinematics import State, cell_gradient
 from .material import InvertedElementError, check_positive_jacobian
 from .mesh import CartesianMesh
-from .tensors import IDENTITY, det2, matvec2, outer
+from .tensors import IDENTITY, det2, matvec2, mul2, outer
 
 DISPLACEMENT = "displacement"
 TRACTION = "traction"
@@ -199,22 +205,35 @@ def newton_rhs(mesh: CartesianMesh, material, state: State, table: BoundaryTable
 # block system
 # ----------------------------------------------------------------------
 
-def _blocks(op: sp.csr_matrix, weights: np.ndarray) -> sp.bsr_matrix:
-    """Block-sparse matrix whose block (i, j) is op[i, j] * weights[i]."""
-    rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
-    return sp.bsr_matrix((op.data[:, None, None] * weights[rows], op.indices, op.indptr),
-                         shape=(2 * op.shape[0], 2 * op.shape[1]))
-
-
 def assemble_system(mesh: CartesianMesh, material, table: BoundaryTable,
                     f_face: np.ndarray, s_face: np.ndarray) -> sp.csr_matrix:
-    """One Newton correction's (2N, 2N) matrix from ``face_states``' F and S."""
-    h_normal, h_tangent = material.face_linearisation(
+    """One Newton correction's (2N, 2N) matrix from ``face_states``' F and
+    S: the numeric fill of the mesh's ``jacobian_pattern``."""
+    pattern = mesh.jacobian_pattern
+    h_blocks = material.face_linearisation(
         f_face, s_face, mesh.face_normal, (mesh.face_normal, mesh.face_tangent))
-    flux_derivative = (_blocks(mesh.face_quotient, h_normal)
-                       + _blocks(mesh.face_tangential, h_tangent))
-    return (_blocks(mesh.face_rows, IDENTITY - table.disp) @ flux_derivative
-            + _blocks(sp.identity(mesh.n_unknowns, format="csr"), table.disp)).tocsr()
+    values = pattern.fill @ np.concatenate(h_blocks).reshape(-1, 4)
+    blocks = values.reshape(-1, 2, 2)
+    # Boundary rows come last.  Where D != 0 their blocks become (I - D) S
+    # and D is added on the diagonal; cell and traction rows keep S.
+    n_cells, bface = mesh.n_cells, pattern.bface_block
+    row_blocks = blocks[blocks.shape[0] - bface.size:]
+    weighted = np.flatnonzero(table.kind[bface] != _KIND_CODE[TRACTION])
+    row_blocks[weighted] = mul2(IDENTITY - table.disp[n_cells + bface[weighted]],
+                                row_blocks[weighted])
+    blocks[pattern.diagonal[n_cells:]] += table.disp[n_cells:]
+    # Prescribed-displacement rows keep only their diagonal block.
+    fixed = table.kind == _KIND_CODE[DISPLACEMENT]
+    keep = ~(fixed[pattern.bface_entry] & pattern.bface_entry_off)
+    head = pattern.indices.size - keep.size     # entries of the cell rows
+    counts = np.diff(pattern.indptr[2 * n_cells:])
+    counts[np.repeat(fixed, 2)] = 2
+    indptr = pattern.indptr.copy()
+    indptr[2 * n_cells + 1:] = head + np.cumsum(counts)
+    gather = np.concatenate((pattern.gather[:head], pattern.gather[head:][keep]))
+    indices = np.concatenate((pattern.indices[:head], pattern.indices[head:][keep]))
+    return sp.csr_matrix((values.ravel()[gather], indices, indptr),
+                         shape=(2 * mesh.n_unknowns,) * 2)
 
 
 # ----------------------------------------------------------------------

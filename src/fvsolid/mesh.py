@@ -22,17 +22,49 @@ for the residual and its Jacobian: ``face_average`` (unknowns to faces),
 ``cell_divergence`` (faces to cells), ``vertex_stencil`` (unknowns to
 vertices), the two face-derivative operators ``face_quotient`` (normal)
 and ``face_tangential`` (tangential), and ``face_rows`` (faces to unknown
-rows).  Each is built on first use and then kept with the mesh.
+rows).  ``jacobian_pattern`` is the symbolic analysis of the coupled
+Jacobian built from them (see ``BlockPattern``).  Each is built on first
+use and then kept with the mesh.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 LEFT, RIGHT, BOTTOM, TOP = 0, 1, 2, 3
+
+
+@dataclass(frozen=True)
+class BlockPattern:
+    """Symbolic analysis of the coupled Jacobian, run once per mesh.
+
+    The 2x2 blocks k = (i, j) are those of ``face_rows @ (face_quotient +
+    face_tangential)`` plus the diagonal, in row-major (CSR) order, with
+    int32 indices.  Before its row weights, block k of the Jacobian is
+
+        sum_f CQ[k, f] H_f(N) + CT[k, f] H_f(t)
+
+    with CQ[k, f] = face_rows[i, f] face_quotient[f, j] and CT the same with
+    ``face_tangential``, so a fill is one product of ``fill = [CQ | CT]``
+    with the stacked, flattened (2 n_faces, 4) coefficients.  The scalar
+    (2N, 2N) CSR layout stores every entry of every block, zeros included;
+    ``gather`` maps its data to the flattened (n_blocks, 4) block values.
+    Boundary-face rows come last, so their blocks and entries are the
+    tails of those arrays, labelled with their boundary index.
+    """
+
+    fill: sp.csc_matrix         # (n_blocks, 2 n_faces)
+    diagonal: np.ndarray        # (n_unknowns,) block id of (i, i)
+    indptr: np.ndarray          # (2N + 1,) scalar CSR layout
+    indices: np.ndarray         # (nnz,)
+    gather: np.ndarray          # (nnz,) flattened block value of each entry
+    bface_block: np.ndarray     # boundary index of each boundary-row block
+    bface_entry: np.ndarray     # boundary index of each boundary-row entry
+    bface_entry_off: np.ndarray  # that entry lies off the diagonal block
 
 
 class CartesianMesh:
@@ -199,18 +231,21 @@ class CartesianMesh:
         """(n_faces, n_unknowns) tangential derivative per face: the
         endpoint-vertex difference over the face length inside, the owner
         cell's Gauss gradient along the face tangent on the boundary."""
-        on_boundary = (self.face_boundary_index >= 0).astype(float)
-        stencil = self.vertex_stencil
-        out = (sp.diags((1.0 - on_boundary) / self.face_area)
-               @ (stencil[self.face_vertex_hi] - stencil[self.face_vertex_lo]))
-        to_cells = sp.diags(1.0 / self.cell_volume) @ self.cell_divergence
-        for d in (0, 1):
-            gauss_d = to_cells @ sp.diags(self.face_normal[:, d]) @ self.face_average
-            along_t = sp.diags(on_boundary * self.face_tangent[:, d])
-            out = out + along_t @ gauss_d[self.face_owner]
-        out = out.tocsr()
-        out.eliminate_zeros()
-        return out
+        interior, boundary = self.interior_faces, self.boundary_faces
+        inv_area = 1.0 / self.face_area[interior]
+        ends = sp.csr_matrix((np.concatenate((inv_area, -inv_area)),
+                              (np.concatenate((interior, interior)),
+                               np.concatenate((self.face_vertex_hi[interior],
+                                               self.face_vertex_lo[interior])))),
+                             shape=(self.n_faces, self.n_vertices))
+        # Owner Gauss gradient along t: each owner face's signed area times
+        # its normal along t, over the cell volume, on that face's average.
+        owner = self.face_owner[boundary]
+        face, _, via, weight = _chain(boundary, owner, 1.0 / self.cell_volume[owner],
+                                      self.cell_divergence)
+        weight *= (self.face_normal[via] * self.face_tangent[face]).sum(axis=1)
+        gauss = sp.csr_matrix((weight, (face, via)), shape=(self.n_faces, self.n_faces))
+        return ends @ self.vertex_stencil + gauss @ self.face_average
 
     @cached_property
     def face_rows(self) -> sp.csr_matrix:
@@ -222,6 +257,43 @@ class CartesianMesh:
                                shape=(self.n_bfaces, self.n_faces))
         return sp.vstack((self.cell_divergence, select), format="csr")
 
+    @cached_property
+    def jacobian_pattern(self) -> BlockPattern:
+        """Block pattern and fill operators of the coupled Jacobian (see
+        ``BlockPattern``), built on first use."""
+        n = self.n_unknowns
+        ops = (self.face_quotient, self.face_tangential)
+        reach = (abs(self.face_rows) @ (abs(ops[0]) + abs(ops[1]))
+                 + sp.identity(n, format="csr")).tocsr()
+        reach.sort_indices()
+        n_blocks = reach.nnz
+        block_id = sp.csr_matrix((np.arange(1.0, n_blocks + 1), reach.indices, reach.indptr),
+                                 shape=(n, n))
+        # Every (i, f, j) of face_rows[i, f] op[f, j], in face order, so the
+        # fill operator comes out in column (CSC) form without a sort.
+        by_face = self.face_rows.tocsc().tocoo()
+        chains = [_chain(by_face.row, by_face.col, by_face.data, op) for op in ops]
+        i, f, j, value = (np.concatenate(pair) for pair in zip(*chains))
+        f[chains[0][1].size:] += self.n_faces
+        k = np.asarray(block_id[i, j]).ravel().astype(np.int32) - 1
+        indptr = np.zeros(2 * self.n_faces + 1, dtype=np.int32)
+        np.cumsum(np.bincount(f, minlength=2 * self.n_faces), out=indptr[1:])
+        fill = sp.csc_matrix((value, k, indptr), shape=(n_blocks, 2 * self.n_faces))
+        # The scalar layout of the whole pattern, with block k's entry
+        # (a, b) stored as 4 k + 2 a + b + 1 (nonzero, so none is dropped).
+        layout = sp.bsr_matrix((np.arange(1.0, 4 * n_blocks + 1).reshape(-1, 2, 2),
+                                reach.indices, reach.indptr), shape=(2 * n, 2 * n)).tocsr()
+        counts = np.diff(reach.indptr)[self.n_cells:]
+        bface = np.arange(self.n_bfaces, dtype=np.int32)
+        bface_entry = np.repeat(bface, 4 * counts)
+        column = layout.indices[-bface_entry.size:] // 2
+        return BlockPattern(
+            fill=fill, diagonal=(block_id.diagonal() - 1).astype(np.int32),
+            indptr=layout.indptr.astype(np.int32), indices=layout.indices.astype(np.int32),
+            gather=(layout.data - 1).astype(np.int32),
+            bface_block=np.repeat(bface, counts), bface_entry=bface_entry,
+            bface_entry_off=column != self.n_cells + bface_entry)
+
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -230,6 +302,17 @@ class CartesianMesh:
         """Face ids of a boundary patch, in boundary-index order."""
         faces = self.boundary_faces
         return faces[self.face_patch[faces] == patch]
+
+
+def _chain(rows: np.ndarray, mids: np.ndarray, weights: np.ndarray,
+           op: sp.csr_matrix):
+    """Expand each (row, mid, weight) by row ``mid`` of ``op``: returns the
+    (row, mid, col, weight * op[mid, col]) of every stored op entry."""
+    counts = np.diff(op.indptr)[mids]
+    starts = np.repeat(op.indptr[mids] - np.cumsum(counts) + counts, counts)
+    pos = starts + np.arange(starts.size)
+    return (np.repeat(rows, counts), np.repeat(mids, counts), op.indices[pos],
+            np.repeat(weights, counts) * op.data[pos])
 
 
 def build_mesh(nx: int, ny: int, lx: float, ly: float) -> CartesianMesh:

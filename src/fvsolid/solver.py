@@ -1,8 +1,8 @@
 """Outer driver: one correction loop for the coupled and segregated methods.
 
 The loop evaluates the face states and the momentum residual once per
-correction for every method.  The three methods differ only in how each
-load step turns that evaluation into an increment:
+correction for every method.  The three methods differ only in how they
+turn that evaluation into an increment, with a set-up done once per run:
 
 - ``nlbc``: Newton-Raphson on the momentum residual, one block-coupled
   ``linsolve.solve`` (symmetric-mode LU, post-checked) per correction; the
@@ -11,7 +11,7 @@ load step turns that evaluation into an increment:
 - ``bc``: the same linearisation with the material replaced by its
   small-strain linear counterpart, so one correction solves the problem
 - ``seg``: component-by-component scalar solves with a constant implicit
-  operator, factorised (symmetric-mode LU) once per load step, all
+  operator, factorised (symmetric-mode LU) once per run, all
   coupling evaluated from the previous iterate, and a fixed
   under-relaxation on the update of the force-balance unknowns (prescribed
   boundary values are assignments and take their full solved value)
@@ -117,11 +117,12 @@ def _coupled(mesh: CartesianMesh, material, table: BoundaryTable,
              force_rows: np.ndarray, cfg: SolveConfig):
     """nlbc and bc: solve the block system of the current iterate.
 
-    Every method's load-step setup returns ``solve(f_face, s_face, rhs,
-    dump_dir)``, which turns the face states and right-hand side of the
-    loop's residual evaluation into the (N, 2) increment.  Here it
-    assembles the matrix from those face states, writes it to
-    ``dump_dir`` if one is given, and solves it.
+    Every method's set-up returns ``solve(f_face, s_face, rhs, dump_dir)``,
+    which turns the face states and right-hand side of the loop's residual
+    evaluation into the (N, 2) increment.  Here it assembles the matrix
+    from those face states, writes it to ``dump_dir`` if one is given, and
+    solves it.  The matrix reads only the table's kinds and row weights,
+    which every load step shares.
     """
 
     def solve(f_face, s_face, rhs: np.ndarray, dump_dir: str | None) -> np.ndarray:
@@ -177,10 +178,16 @@ def run(mesh: CartesianMesh, material, bcs: dict, cfg: SolveConfig) -> RunReport
     histories: list[list[float]] = []
     failure = None
 
+    # Boundary kinds, row weights and force rows do not depend on the load
+    # factor, so each method sets up once per run; later load steps only
+    # rebuild the table for its prescribed values.
+    table = build_boundary_table(mesh, bcs, 1.0 / cfg.n_load_steps)
+    force_rows = force_row_mask(mesh, table)
+    solve = _SOLVERS[cfg.method](mesh, material, table, force_rows, cfg)
+
     for step in range(cfg.n_load_steps):
-        table = build_boundary_table(mesh, bcs, (step + 1) / cfg.n_load_steps)
-        force_rows = force_row_mask(mesh, table)
-        solve = _SOLVERS[cfg.method](mesh, material, table, force_rows, cfg)
+        if step > 0:
+            table = build_boundary_table(mesh, bcs, (step + 1) / cfg.n_load_steps)
         monitor = _Monitor(cfg.outer_tolerance, floor)
         corrections = 0
         while True:

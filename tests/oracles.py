@@ -18,12 +18,18 @@ solver's prebuilt sparse operators are held.
 
 Mesh construction: the face, cell-face and vertex-stencil arrays built face
 by face and vertex by vertex, against which the mesh's vectorised index
-arithmetic is held.
+arithmetic is held, and the tangential face-derivative operator as a sum
+of sparse products.
+
+Sparse algebra: the coupled Newton matrix by its defining block-sparse
+formula, against which the symbolic pattern and numeric fill of
+``assemble_system`` are held.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from fvsolid.tensors import outer
 
@@ -140,6 +146,51 @@ def face_gradients(mesh, values: np.ndarray) -> np.ndarray:
         else:
             grad[f] = cells[own] + outer(quotient - cells[own] @ normal, normal)
     return grad
+
+
+def face_tangential(mesh):
+    """The tangential face-derivative operator as a sum of sparse products:
+    the masked endpoint-vertex stencil difference plus, per direction d,
+    the face tangent's d component times row ``owner`` of the Gauss
+    gradient operator along d."""
+    on_boundary = (mesh.face_boundary_index >= 0).astype(float)
+    stencil = mesh.vertex_stencil
+    out = (sp.diags((1.0 - on_boundary) / mesh.face_area)
+           @ (stencil[mesh.face_vertex_hi] - stencil[mesh.face_vertex_lo]))
+    to_cells = sp.diags(1.0 / mesh.cell_volume) @ mesh.cell_divergence
+    for d in (0, 1):
+        gauss_d = to_cells @ sp.diags(mesh.face_normal[:, d]) @ mesh.face_average
+        along_t = sp.diags(on_boundary * mesh.face_tangent[:, d])
+        out = out + along_t @ gauss_d[mesh.face_owner]
+    out = out.tocsr()
+    out.eliminate_zeros()
+    return out
+
+
+def _blocks(op, weights: np.ndarray) -> sp.bsr_matrix:
+    """Block-sparse matrix whose block (i, j) is op[i, j] * weights[i]."""
+    rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
+    return sp.bsr_matrix((op.data[:, None, None] * weights[rows], op.indices, op.indptr),
+                         shape=(2 * op.shape[0], 2 * op.shape[1]))
+
+
+def jacobian(mesh, material, table, f_face, s_face):
+    """The coupled Newton matrix by its defining formula in block-sparse
+    algebra,
+
+        dr/dU = blocks(face_rows, I - D) @ (blocks(Q, H(N)) + blocks(Dt, H(t)))
+                + blockdiag(D),
+
+    with ``blocks(A, W)`` the matrix whose block (i, j) is A[i, j] W[i].
+    The block sums store whole 2x2 blocks and drop the blocks that add up
+    to zero, which are the off-diagonal blocks of prescribed-displacement
+    rows (I - D = 0 there)."""
+    h_normal, h_tangent = material.face_linearisation(
+        f_face, s_face, mesh.face_normal, (mesh.face_normal, mesh.face_tangent))
+    flux_derivative = (_blocks(mesh.face_quotient, h_normal)
+                       + _blocks(mesh.face_tangential, h_tangent))
+    return (_blocks(mesh.face_rows, np.eye(2) - table.disp) @ flux_derivative
+            + _blocks(sp.identity(mesh.n_unknowns, format="csr"), table.disp)).tocsr()
 
 
 def cell_force_rows(mesh, flux_density: np.ndarray) -> np.ndarray:

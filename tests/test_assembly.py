@@ -48,6 +48,21 @@ MIXED = {
 }
 
 
+SYMMETRY_PLANES = {
+    LEFT: BoundaryCondition(SYMMETRY),
+    RIGHT: BoundaryCondition(TRACTION, (0.1, 0.0)),
+    BOTTOM: BoundaryCondition(SYMMETRY),
+    TOP: BoundaryCondition(DISPLACEMENT, (0.0, 0.01)),
+}
+
+BEAM = {
+    LEFT: BoundaryCondition(DISPLACEMENT, (0.0, 0.0)),
+    RIGHT: BoundaryCondition(TRACTION, (0.0, -0.01)),
+    BOTTOM: BoundaryCondition(TRACTION, (0.0, 0.0)),
+    TOP: BoundaryCondition(TRACTION, (0.0, 0.0)),
+}
+
+
 def linear_field(mesh, g):
     points = np.vstack([mesh.cell_centroids,
                         mesh.face_centroid[mesh.bface_face]])
@@ -361,6 +376,36 @@ def test_matrix_is_derivative_of_residual(bcs, material, rng):
             ).ravel()
     scale = np.abs(dense).max()
     npt.assert_allclose(fd, dense, atol=5e-7 * scale)
+
+
+@pytest.mark.parametrize("material", [UNIT, HOOKE], ids=["neo", "linear"])
+@pytest.mark.parametrize("dims,bcs", [
+    ((3, 4, 1.5, 1.0), MIXED), ((3, 4, 1.5, 1.0), ALL_DISPLACEMENT),
+    ((3, 4, 1.5, 1.0), SYMMETRY_PLANES), ((8, 8, 2.0, 0.1), BEAM),
+    ((1, 1, 1.0, 1.0), MIXED)], ids=["mixed", "displacement", "symmetry", "beam", "one-cell"])
+def test_fill_matches_block_formula(dims, bcs, material, rng):
+    """The numeric fill of the mesh's pattern stores exactly the pattern of
+    the defining block-sparse formula (whole 2x2 blocks, only the
+    off-diagonal blocks of displacement rows dropped) and its values to
+    rounding, at a perturbed nonlinear state."""
+    mesh = build_mesh(*dims)
+    g = random_gradients(rng, 1, scale=0.15)[0]
+    u = linear_field(mesh, g)
+    u += 0.01 * min(mesh.dx, mesh.dy) * rng.standard_normal(u.shape)
+    table = build_boundary_table(mesh, bcs)
+    f_face, s_face, _ = face_states(mesh, material, State(u))
+    actual = assemble_system(mesh, material, table, f_face, s_face)
+    ref = oracles.jacobian(mesh, material, table, f_face, s_face)
+    ref.sort_indices()
+    assert actual.has_sorted_indices
+    npt.assert_array_equal(actual.indptr, ref.indptr)
+    npt.assert_array_equal(actual.indices, ref.indices)
+    npt.assert_allclose(actual.data, ref.data, rtol=0.0,
+                        atol=1e-14 * np.abs(ref.data).max())
+    if bcs[LEFT].kind == DISPLACEMENT:
+        # a displacement row stores its identity diagonal block only
+        fixed = mesh.n_cells + bfaces(mesh, LEFT)
+        npt.assert_array_equal(np.diff(actual.indptr)[2 * fixed], 2)
 
 
 def test_matrix_annihilates_translations(mesh_small, rng):

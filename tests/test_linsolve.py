@@ -9,7 +9,11 @@ import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from fvsolid import linsolve
+from fvsolid import (BOTTOM, LEFT, RIGHT, TOP, BoundaryCondition, MMSCase,
+                     build_mesh, lame_from_E_nu, linsolve, mms_bcs)
+from fvsolid.assembly import assemble_system, build_boundary_table, face_states
+from fvsolid.kinematics import zero_state
+from fvsolid.material import NeoHookean
 
 
 def random_block_system(rng, n_blocks=12):
@@ -38,6 +42,31 @@ def test_direct_solve_matches_dense(rng):
     sol = linsolve.solve(matrix, rhs)
     npt.assert_allclose(sol.x, x, rtol=1e-10)
     assert sol.residual < 1e-12
+
+
+def assembled_systems():
+    """Coupled matrices of an 8x8 traction-driven stretch and an 8x8 beam
+    (displacement, traction and symmetry rows) at rest."""
+    material = NeoHookean(lame_from_E_nu(0.02e9, 0.3, "plane_strain"))
+    beam = {LEFT: BoundaryCondition("displacement", (0.0, 0.0)),
+            RIGHT: BoundaryCondition("traction", (0.0, 1e4)),
+            BOTTOM: BoundaryCondition("symmetry"),
+            TOP: BoundaryCondition("traction", (0.0, 0.0))}
+    for mesh, bcs in ((build_mesh(8, 8, 1.0, 1.0),
+                       mms_bcs(MMSCase("uniaxial", "traction", 1.5), material)),
+                      (build_mesh(8, 8, 2.0, 0.1), beam)):
+        table = build_boundary_table(mesh, bcs)
+        f_face, s_face, _ = face_states(mesh, material, zero_state(mesh))
+        yield assemble_system(mesh, material, table, f_face, s_face)
+
+
+def test_norm_inf_matches_scipy(rng):
+    """The row sums over the CSR data give scipy's infinity norm on the
+    random systems and on assembled coupled matrices."""
+    systems = [random_block_system(rng, n)[0] for n in (1, 4, 12)]
+    for matrix in systems + list(assembled_systems()):
+        assert linsolve._norm_inf(matrix) == pytest.approx(spla.norm(matrix, np.inf),
+                                                           rel=1e-15)
 
 
 def test_zero_rhs_short_circuits(rng):

@@ -228,3 +228,36 @@ def test_face_rows_stack_divergence_over_boundary_faces(mesh_small, rng):
     out = m.face_rows @ flux
     npt.assert_array_equal(out[:m.n_cells], m.cell_divergence @ flux)
     npt.assert_array_equal(out[m.n_cells:], flux[m.bface_face])
+
+
+def canonical(matrix):
+    out = matrix.tocsr(copy=True)
+    out.sort_indices()
+    return out
+
+
+@pytest.mark.parametrize("dims", [(3, 4, 1.5, 1.0), (1, 1, 1.0, 1.0), (1, 3, 1.0, 2.0),
+                                  (7, 2, 0.3, 5.0), (16, 16, 1.0, 1.0),
+                                  (60, 3, 2.0, 0.1)])
+def test_face_tangential_matches_product_construction(dims):
+    """The direct build from the vertex stencils and the owner Gauss
+    weights stores the pattern of the sum of sparse products and its
+    values to rounding."""
+    m = build_mesh(*dims)
+    actual, ref = canonical(m.face_tangential), canonical(oracles.face_tangential(m))
+    npt.assert_array_equal(actual.indptr, ref.indptr)
+    npt.assert_array_equal(actual.indices, ref.indices)
+    npt.assert_allclose(actual.data, ref.data, rtol=1e-15, atol=0.0)
+
+
+def test_jacobian_pattern_is_built_on_first_use():
+    """The symbolic analysis belongs to the coupled assembly: building a
+    mesh (and its residual operators) does not run it."""
+    m = build_mesh(4, 3, 1.0, 1.0)
+    assert m.face_tangential.nnz > 0 and m.face_rows.nnz > 0
+    assert "jacobian_pattern" not in vars(m)
+    pattern = m.jacobian_pattern
+    assert m.jacobian_pattern is pattern
+    for name in ("indptr", "indices", "gather", "diagonal"):
+        assert getattr(pattern, name).dtype == np.int32, name
+    assert pattern.fill.shape == (pattern.gather.size // 4, 2 * m.n_faces)

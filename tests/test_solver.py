@@ -19,7 +19,7 @@ from fvsolid import (
     mms_bcs,
 )
 from fvsolid.assembly import DISPLACEMENT, TRACTION
-from fvsolid import solver
+from fvsolid import linsolve, solver
 from fvsolid.solver import _Monitor, residual_norm, run
 
 ZERO_DISPLACEMENT = {
@@ -248,6 +248,25 @@ def test_seg_relaxation_spares_prescribed_rows(mesh8, neo):
     npt.assert_allclose(report.state.displacement[brows],
                         exact[brows], atol=1e-9)
     assert mean_error(mesh8, report, case) < 1e-8
+
+
+def test_seg_factorises_once_per_run(mesh8, neo, monkeypatch):
+    """Boundary kinds do not change between load steps, so seg builds and
+    factorises its two scalar operators once per run, not once per step."""
+    calls = []
+    factorise = linsolve.factorise
+
+    def counting_factorise(matrix):
+        calls.append(1)
+        return factorise(matrix)
+
+    monkeypatch.setattr(linsolve, "factorise", counting_factorise)
+    case = MMSCase("uniaxial", DISPLACEMENT, 1.2)
+    report = run(mesh8, neo, mms_bcs(case, neo),
+                 SolveConfig(method="seg", n_load_steps=3))
+    assert report.converged and len(report.n_corr) == 3
+    assert len(calls) == 2
+    assert mean_error(mesh8, report, case) < 1e-7
 
 
 def test_histories_track_normalised_residuals(mesh8, neo):
