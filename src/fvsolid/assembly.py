@@ -17,8 +17,9 @@ mixes each row with its boundary condition through per-row 2x2 weights:
     r = (I - D) (face_rows @ flux) + D U - b
 
 with D = 0 on cell and traction rows, I on prescribed-displacement rows
-and N x N on symmetry planes, stored once per load step in the boundary
-table; b holds the prescribed values.  The right-hand side is -r.
+and N x N on symmetry planes, stored once per run in the boundary table;
+b holds the prescribed values, the only part a load step changes.  The
+right-hand side is -r.
 
 The material returns, for each face, the flux coefficient H(m) of a
 direction m: a gradient perturbation a x m changes the flux density by
@@ -32,16 +33,18 @@ where ``blocks(A, W)`` is the block-sparse matrix with block (i, j) equal
 to ``A[i, j] * W[i]``.  It is filled, not built from that algebra: the
 mesh's ``jacobian_pattern`` (a symbolic analysis run once per mesh) holds
 the 2x2 block pattern and maps the per-face H(N), H(t) to every block's
-sum over faces in one sparse product.  Each correction then weights the
-boundary rows with D != 0, adds D on their diagonal, and gathers the
-values into the CSR data.  Whole blocks are stored, zeros included;
+sum over faces in one sparse product.  A ``SystemLayout``, built once per
+run from the table's kinds and row weights, then weights the boundary
+rows with D != 0, adds D on their diagonal, and gathers the values into
+the matrix data: natural CSR, or the CSC form of the same matrix in a
+factor's column order.  Whole blocks are stored, zeros included;
 prescribed-displacement rows keep only their diagonal block.  Traction
 and symmetry rows stay in stress units; the residual norm rescales them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -83,25 +86,20 @@ class BoundaryTable:
 def build_boundary_table(mesh: CartesianMesh, bcs: dict, t: float = 1.0) -> BoundaryTable:
     """Kinds, prescribed values at load factor t, and the residual's row
     weights D: I on prescribed-displacement rows, N x N on symmetry
-    planes, zero on cell and traction rows."""
+    planes, zero on cell and traction rows.  Only the values depend on t:
+    a later load step of the same run needs only ``boundary_values``."""
     unknown = set(bcs) - set(range(4))
     if unknown:
         raise ValueError(f"unknown boundary patches: {sorted(unknown, key=str)}")
     kind = np.empty(mesh.n_bfaces, dtype=np.int8)
-    value = np.zeros((mesh.n_bfaces, 2))
     for patch, bc in bcs.items():
         if bc.kind not in _KIND_CODE:
             raise ValueError(f"unknown boundary kind {bc.kind!r} on patch {patch}")
-        faces = mesh.patch_faces(patch)
-        b = mesh.face_boundary_index[faces]
-        kind[b] = _KIND_CODE[bc.kind]
-        if callable(bc.value):
-            value[b] = np.asarray(bc.value(mesh.face_centroid[faces], t))[..., :2]
-        elif bc.value is not None:
-            value[b] = np.asarray(bc.value, dtype=float)[..., :2] * t
+        kind[mesh.face_boundary_index[mesh.patch_faces(patch)]] = _KIND_CODE[bc.kind]
     missing = set(range(4)) - set(bcs)
     if missing:
         raise ValueError(f"patches without a boundary condition: {sorted(missing)}")
+    value = boundary_values(mesh, bcs, t)
     _check_rigid_body_modes(mesh, kind)
     rows = mesh.n_cells + np.arange(mesh.n_bfaces)
     symm = kind == _KIND_CODE[SYMMETRY]
@@ -110,6 +108,20 @@ def build_boundary_table(mesh: CartesianMesh, bcs: dict, t: float = 1.0) -> Boun
     disp[rows[kind == _KIND_CODE[DISPLACEMENT]]] = IDENTITY
     disp[rows[symm]] = outer(normal, normal)
     return BoundaryTable(kind, value, disp)
+
+
+def boundary_values(mesh: CartesianMesh, bcs: dict, t: float) -> np.ndarray:
+    """(n_bfaces, 2) prescribed values of a checked boundary map at load
+    factor t."""
+    value = np.zeros((mesh.n_bfaces, 2))
+    for patch, bc in bcs.items():
+        faces = mesh.patch_faces(patch)
+        b = mesh.face_boundary_index[faces]
+        if callable(bc.value):
+            value[b] = np.asarray(bc.value(mesh.face_centroid[faces], t))[..., :2]
+        elif bc.value is not None:
+            value[b] = np.asarray(bc.value, dtype=float)[..., :2] * t
+    return value
 
 
 def _check_rigid_body_modes(mesh: CartesianMesh, kind: np.ndarray) -> None:
@@ -205,23 +217,57 @@ def newton_rhs(mesh: CartesianMesh, material, state: State, table: BoundaryTable
 # block system
 # ----------------------------------------------------------------------
 
-def assemble_system(mesh: CartesianMesh, material, table: BoundaryTable,
-                    f_face: np.ndarray, s_face: np.ndarray) -> sp.csr_matrix:
-    """One Newton correction's (2N, 2N) matrix from ``face_states``' F and
-    S: the numeric fill of the mesh's ``jacobian_pattern``."""
+@dataclass(frozen=True)
+class SystemLayout:
+    """Where one run's Jacobian values go: the boundary-row weights and the
+    sparse layout, which read only the table's kinds and row weights, so a
+    run builds them once (``system_layout``).
+
+    ``order`` None is the natural scalar CSR layout.  ``ordered`` re-lays
+    it once in a factor's column order p as the CSC form of P A P^T, whose
+    entry (p[i], p[j]) is A's entry (i, j): the order SuperLU factorises
+    with ``NATURAL``, so a fill needs no conversion or permutation.
+    """
+
+    weighted: np.ndarray        # block ids of the boundary rows with D != 0
+    row_weight: np.ndarray      # (n_weighted, 2, 2) their I - D
+    diagonal: np.ndarray        # block ids of the boundary rows' diagonal
+    disp: np.ndarray            # (n_bfaces, 2, 2) D, added on that diagonal
+    indptr: np.ndarray
+    indices: np.ndarray
+    gather: np.ndarray          # flattened block value of each stored entry
+    order: np.ndarray | None = None
+
+    def matrix(self, blocks: np.ndarray) -> sp.csr_matrix | sp.csc_matrix:
+        """The matrix of the (n_blocks, 2, 2) block sums, which it
+        weights in place."""
+        blocks[self.weighted] = mul2(self.row_weight, blocks[self.weighted])
+        blocks[self.diagonal] += self.disp
+        shape = (self.indptr.size - 1,) * 2
+        form = sp.csr_matrix if self.order is None else sp.csc_matrix
+        return form((blocks.ravel()[self.gather], self.indices, self.indptr), shape=shape)
+
+    def ordered(self, order: np.ndarray) -> SystemLayout:
+        """This natural layout re-laid in column order ``order``."""
+        n = self.indptr.size - 1
+        row = order[np.repeat(np.arange(n), np.diff(self.indptr))]
+        col = order[self.indices]
+        sort = np.argsort(col.astype(np.int64) * n + row)
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(col, minlength=n), out=indptr[1:])
+        return replace(self, indptr=indptr, indices=row[sort].astype(np.int32),
+                       gather=self.gather[sort], order=order)
+
+
+def system_layout(mesh: CartesianMesh, table: BoundaryTable) -> SystemLayout:
+    """The natural layout of the mesh's ``jacobian_pattern`` under the
+    table's kinds and row weights."""
     pattern = mesh.jacobian_pattern
-    h_blocks = material.face_linearisation(
-        f_face, s_face, mesh.face_normal, (mesh.face_normal, mesh.face_tangent))
-    values = pattern.fill @ np.concatenate(h_blocks).reshape(-1, 4)
-    blocks = values.reshape(-1, 2, 2)
+    n_cells, bface = mesh.n_cells, pattern.bface_block
     # Boundary rows come last.  Where D != 0 their blocks become (I - D) S
     # and D is added on the diagonal; cell and traction rows keep S.
-    n_cells, bface = mesh.n_cells, pattern.bface_block
-    row_blocks = blocks[blocks.shape[0] - bface.size:]
     weighted = np.flatnonzero(table.kind[bface] != _KIND_CODE[TRACTION])
-    row_blocks[weighted] = mul2(IDENTITY - table.disp[n_cells + bface[weighted]],
-                                row_blocks[weighted])
-    blocks[pattern.diagonal[n_cells:]] += table.disp[n_cells:]
+    row_weight = IDENTITY - table.disp[n_cells + bface[weighted]]
     # Prescribed-displacement rows keep only their diagonal block.
     fixed = table.kind == _KIND_CODE[DISPLACEMENT]
     keep = ~(fixed[pattern.bface_entry] & pattern.bface_entry_off)
@@ -230,10 +276,26 @@ def assemble_system(mesh: CartesianMesh, material, table: BoundaryTable,
     counts[np.repeat(fixed, 2)] = 2
     indptr = pattern.indptr.copy()
     indptr[2 * n_cells + 1:] = head + np.cumsum(counts)
-    gather = np.concatenate((pattern.gather[:head], pattern.gather[head:][keep]))
-    indices = np.concatenate((pattern.indices[:head], pattern.indices[head:][keep]))
-    return sp.csr_matrix((values.ravel()[gather], indices, indptr),
-                         shape=(2 * mesh.n_unknowns,) * 2)
+    return SystemLayout(
+        weighted=pattern.fill.shape[0] - bface.size + weighted,
+        row_weight=row_weight, diagonal=pattern.diagonal[n_cells:],
+        disp=table.disp[n_cells:], indptr=indptr,
+        indices=np.concatenate((pattern.indices[:head], pattern.indices[head:][keep])),
+        gather=np.concatenate((pattern.gather[:head], pattern.gather[head:][keep])))
+
+
+def assemble_system(mesh: CartesianMesh, material, table: BoundaryTable,
+                    f_face: np.ndarray, s_face: np.ndarray,
+                    layout: SystemLayout | None = None) -> sp.csr_matrix | sp.csc_matrix:
+    """One Newton correction's (2N, 2N) matrix from ``face_states``' F and
+    S: the numeric fill of the mesh's ``jacobian_pattern`` into the run's
+    ``layout`` of ``table`` (by default a fresh natural one, CSR)."""
+    if layout is None:
+        layout = system_layout(mesh, table)
+    h_blocks = material.face_linearisation(
+        f_face, s_face, mesh.face_normal, (mesh.face_normal, mesh.face_tangent))
+    values = mesh.jacobian_pattern.fill @ np.concatenate(h_blocks).reshape(-1, 4)
+    return layout.matrix(values.reshape(-1, 2, 2))
 
 
 # ----------------------------------------------------------------------

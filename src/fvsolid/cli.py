@@ -193,6 +193,11 @@ def _validate(cfg: CaseConfig) -> None:
         raise ConfigError("cantilever runs take mesh = NXxNY, not sweep")
     if cfg.regime not in ("plane_strain", "plane_stress"):
         raise ConfigError(f"unknown regime {cfg.regime!r}")
+    if cfg.regime == "plane_stress" and cfg.material == "neo":
+        # The neo-Hookean law is the plane-strain one; plane stress would
+        # need S33 = 0 through the thickness stretch.
+        raise ConfigError("regime 'plane_stress' needs material = linear: "
+                          "the neo-Hookean law is plane strain only")
 
 
 # ----------------------------------------------------------------------

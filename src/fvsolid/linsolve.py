@@ -1,11 +1,18 @@
 """Linear solution of the assembled systems.
 
-The coupled matrix is held in scalar CSR form (2x2 blocks flattened) and
-solved by one path: a sparse LU factorisation in SuperLU's symmetric mode
-for the structurally symmetric stencil (minimum degree on A+A^T, diagonal
-pivots), one round of iterative refinement, and a backward-error
-post-check.  A tiny static pivot or an exactly singular matrix fails the
-solve; there is no partial-pivoting retry.
+The coupled matrix is held in scalar sparse form (2x2 blocks flattened)
+and solved by one path: a sparse LU factorisation in SuperLU's symmetric
+mode for the structurally symmetric stencil (diagonal pivots), one round
+of iterative refinement, and a backward-error post-check.  A tiny static
+pivot or an exactly singular matrix fails the solve; there is no
+partial-pivoting retry.
+
+The column order is minimum degree on A+A^T, unless the caller passes the
+order of an earlier factor of the same pattern: then the matrix is
+already laid out in it (CSC of P A P^T) and SuperLU keeps it
+(``NATURAL``), so a run of corrections analyses its pattern once.  The
+right-hand side is permuted in and the solution out; the post-check's
+norms do not depend on the order.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ class LinearSolveError(RuntimeError):
 class LinearSolution:
     x: np.ndarray
     residual: float                 # achieved normwise backward error
+    order: np.ndarray | None = None  # the factor's column order (perm_c)
 
 
 def equilibrate(matrix: sp.csr_matrix):
@@ -45,39 +53,53 @@ def equilibrate(matrix: sp.csr_matrix):
     return sp.diags(scale) @ matrix, scale
 
 
-def factorise(matrix: sp.spmatrix):
-    """Symmetric-mode sparse LU: minimum degree on A+A^T, diagonal pivots."""
-    return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+def factorise(matrix: sp.spmatrix, ordered: bool = False):
+    """Symmetric-mode sparse LU with diagonal pivots: minimum degree on
+    A+A^T, or with ``ordered`` the CSC matrix's own column order."""
+    return spla.splu(matrix if ordered else matrix.tocsc(),
+                     permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A",
                      diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
 
-def _solve_direct(matrix: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+def _solve_direct(matrix: sp.spmatrix, rhs: np.ndarray, ordered: bool):
+    """The refined solution and the factor's column order."""
     try:
-        lu = factorise(matrix)
+        lu = factorise(matrix, ordered)
     except RuntimeError as err:     # SuperLU: "Factor is exactly singular"
         raise LinearSolveError(f"LU factorisation failed: {err}") from None
     x = lu.solve(rhs)
     # One round of iterative refinement for ill-conditioned systems
     # (thin-beam meshes, mixed row scales).
     x += lu.solve(rhs - matrix @ x)
-    return x
+    # A copy: perm_c is a view that keeps the whole factor alive.
+    return x, lu.perm_c.copy()
 
 
-def _norm_inf(matrix: sp.csr_matrix) -> float:
-    """||A||_inf, the largest absolute row sum, from the CSR data.  Every
-    row of a factorised matrix stores at least one entry, which the
-    segment sums need."""
+def _norm_inf(matrix: sp.spmatrix) -> float:
+    """||A||_inf, the largest absolute row sum, from the stored data: a
+    bincount over CSC row indices, or CSR segment sums, which need every
+    row to store an entry (as every factorised matrix does)."""
+    if matrix.format == "csc":
+        return float(np.bincount(matrix.indices, np.abs(matrix.data)).max())
     return float(np.add.reduceat(np.abs(matrix.data), matrix.indptr[:-1]).max())
 
 
-def solve(matrix: sp.csr_matrix, rhs: np.ndarray) -> LinearSolution:
-    """Solve A x = rhs, returning x and its backward error."""
+def solve(matrix: sp.spmatrix, rhs: np.ndarray,
+          order: np.ndarray | None = None) -> LinearSolution:
+    """Solve A x = rhs, returning x, its backward error and the factor's
+    column order.  Given ``order``, ``matrix`` is the CSC form of P A P^T
+    in that order (entry (order[i], order[j]) is A's (i, j)); rhs and x
+    keep A's order."""
     rhs = np.asarray(rhs, dtype=float).ravel()
     norm_rhs = np.linalg.norm(rhs)
     if norm_rhs == 0.0:
-        return LinearSolution(np.zeros_like(rhs), 0.0)
+        return LinearSolution(np.zeros_like(rhs), 0.0, order)
+    if order is not None:
+        permuted = np.empty_like(rhs)
+        permuted[order] = rhs
+        rhs = permuted
 
-    x = _solve_direct(matrix, rhs)
+    x, factor_order = _solve_direct(matrix, rhs, order is not None)
 
     # Backward-error post-check: robust to the mixed row scales of the
     # assembled systems, tight for any honestly solved one.  Written so
@@ -86,7 +108,9 @@ def solve(matrix: sp.csr_matrix, rhs: np.ndarray) -> LinearSolution:
                      / (_norm_inf(matrix) * np.linalg.norm(x) + norm_rhs))
     if not backward <= BACKWARD_ERROR_BOUND:
         raise LinearSolveError(f"direct post-check failed: backward error {backward:.3e}")
-    return LinearSolution(x, backward)
+    if order is None:
+        return LinearSolution(x, backward, factor_order)
+    return LinearSolution(x[order], backward, order)
 
 
 def dump_system(directory, matrix: sp.csr_matrix, rhs: np.ndarray) -> None:

@@ -1,13 +1,17 @@
 """Outer driver: one correction loop for the coupled and segregated methods.
 
 The loop evaluates the face states and the momentum residual once per
-correction for every method.  The three methods differ only in how they
-turn that evaluation into an increment, with a set-up done once per run:
+correction for every method; the face states of the check that ends a
+load step also serve the next step's first correction, so a run makes
+one more face-state evaluation than it has corrections.  The three
+methods differ only in how they turn that evaluation into an increment,
+with a set-up done once per run:
 
 - ``nlbc``: Newton-Raphson on the momentum residual, one block-coupled
   ``linsolve.solve`` (symmetric-mode LU, post-checked) per correction; the
   block matrix is assembled only for a correction that is solved, never
-  for the converged check that ends a load step
+  for the converged check that ends a load step, and from the second
+  correction of a run on in the first factor's column order
 - ``bc``: the same linearisation with the material replaced by its
   small-strain linear counterpart, so one correction solves the problem
 - ``seg``: component-by-component scalar solves with a constant implicit
@@ -33,14 +37,14 @@ before the first correction.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import linsolve
 from .assembly import (BoundaryTable, assemble_scalar_operator,
-                       assemble_system, build_boundary_table, face_states,
-                       force_row_mask, newton_rhs)
+                       assemble_system, boundary_values, build_boundary_table,
+                       face_states, force_row_mask, newton_rhs, system_layout)
 from .kinematics import State, advance_state, zero_state
 from .material import InvertedElementError, Lame, LinearElastic
 from .mesh import CartesianMesh
@@ -122,14 +126,24 @@ def _coupled(mesh: CartesianMesh, material, table: BoundaryTable,
     evaluation into the (N, 2) increment.  Here it assembles the matrix
     from those face states, writes it to ``dump_dir`` if one is given, and
     solves it.  The matrix reads only the table's kinds and row weights,
-    which every load step shares.
+    which every load step shares, so the run lays it out once.  The first
+    factorisation orders the pattern by minimum degree; the second re-lays
+    the layout in that order, and every later matrix is filled straight
+    into it.
     """
+    layout = system_layout(mesh, table)
+    order = None                    # the first factor's column order
 
     def solve(f_face, s_face, rhs: np.ndarray, dump_dir: str | None) -> np.ndarray:
-        matrix = assemble_system(mesh, material, table, f_face, s_face)
+        nonlocal layout, order
+        if order is not None and layout.order is None:
+            layout = layout.ordered(order)
+        matrix = assemble_system(mesh, material, table, f_face, s_face, layout)
         if dump_dir:
             linsolve.dump_system(dump_dir, matrix, rhs.ravel())
-        return linsolve.solve(matrix, rhs.ravel()).x.reshape(-1, 2)
+        solution = linsolve.solve(matrix, rhs.ravel(), layout.order)
+        order = solution.order
+        return solution.x.reshape(-1, 2)
 
     return solve
 
@@ -178,24 +192,30 @@ def run(mesh: CartesianMesh, material, bcs: dict, cfg: SolveConfig) -> RunReport
     histories: list[list[float]] = []
     failure = None
 
-    # Boundary kinds, row weights and force rows do not depend on the load
-    # factor, so each method sets up once per run; later load steps only
-    # rebuild the table for its prescribed values.
+    # Boundary kinds, row weights, the rigid-body check and force rows do
+    # not depend on the load factor, so each method sets up once per run;
+    # later load steps only re-evaluate the prescribed values.
     table = build_boundary_table(mesh, bcs, 1.0 / cfg.n_load_steps)
     force_rows = force_row_mask(mesh, table)
     solve = _SOLVERS[cfg.method](mesh, material, table, force_rows, cfg)
+    # Face states depend only on the state: the check that ends a load step
+    # also serves the next step's first correction.
+    states = None
 
     for step in range(cfg.n_load_steps):
         if step > 0:
-            table = build_boundary_table(mesh, bcs, (step + 1) / cfg.n_load_steps)
+            table = replace(table, value=boundary_values(
+                mesh, bcs, (step + 1) / cfg.n_load_steps))
         monitor = _Monitor(cfg.outer_tolerance, floor)
         corrections = 0
         while True:
-            try:
-                f_face, s_face, flux_density = face_states(mesh, material, state)
-            except InvertedElementError as err:
-                failure = str(err)
-                break
+            if states is None:
+                try:
+                    states = face_states(mesh, material, state)
+                except InvertedElementError as err:
+                    failure = str(err)
+                    break
+            f_face, s_face, flux_density = states
             rhs, row_scale = newton_rhs(mesh, material, state, table, flux_density)
             verdict = monitor.update(residual_norm(rhs, row_scale, force_rows),
                                      residual_norm(rhs, row_scale))
@@ -214,6 +234,7 @@ def run(mesh: CartesianMesh, material, bcs: dict, cfg: SolveConfig) -> RunReport
                 failure = f"linear solve failed: {err}"
                 break
             state = advance_state(state, increment)
+            states = None
             corrections += 1
         n_corr.append(corrections)
         histories.append(monitor.history)

@@ -10,9 +10,10 @@ from __future__ import annotations
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse.linalg as spla
 
 from fvsolid import (BOTTOM, LEFT, RIGHT, TOP, BoundaryCondition, MMSCase,
-                     build_mesh, mms_bcs)
+                     build_mesh, linsolve, mms_bcs)
 from fvsolid.assembly import (
     DISPLACEMENT,
     SYMMETRY,
@@ -23,6 +24,7 @@ from fvsolid.assembly import (
     face_states,
     force_row_mask,
     newton_rhs,
+    system_layout,
 )
 from fvsolid.kinematics import State, zero_state
 from fvsolid.material import InvertedElementError, Lame, LinearElastic, NeoHookean
@@ -406,6 +408,50 @@ def test_fill_matches_block_formula(dims, bcs, material, rng):
         # a displacement row stores its identity diagonal block only
         fixed = mesh.n_cells + bfaces(mesh, LEFT)
         npt.assert_array_equal(np.diff(actual.indptr)[2 * fixed], 2)
+
+
+def holds_factor(array) -> bool:
+    """Whether an array is, or is a view into, a SuperLU factor's memory."""
+    while array is not None:
+        if isinstance(array, spla.SuperLU):
+            return True
+        array = getattr(array, "base", None)
+    return False
+
+
+@pytest.mark.parametrize("dims,bcs,rtol", [
+    ((3, 4, 1.5, 1.0), MIXED, 1e-13), ((3, 4, 1.5, 1.0), ALL_DISPLACEMENT, 1e-13),
+    ((3, 4, 1.5, 1.0), SYMMETRY_PLANES, 1e-13),
+    # condition number 2e6: the two factors' rounding differs by 1.4e-12
+    ((8, 8, 2.0, 0.1), BEAM, 1e-11)],
+    ids=["mixed", "displacement", "symmetry", "beam"])
+def test_ordered_layout_solves_like_a_fresh_ordering(dims, bcs, rtol, rng):
+    """Re-laid in the first factor's column order p, the fill is the CSC
+    form of P A P^T, entry (p[i], p[j]) = A[i, j], and its solve with that
+    order gives a fresh minimum-degree solve's Newton increment at a
+    perturbed neo-Hookean state.  The layout keeps no factor alive."""
+    mesh = build_mesh(*dims)
+    g = random_gradients(rng, 1, scale=0.15)[0]
+    u = linear_field(mesh, g)
+    u += 0.01 * min(mesh.dx, mesh.dy) * rng.standard_normal(u.shape)
+    state = State(u)
+    table = build_boundary_table(mesh, bcs)
+    f_face, s_face, flux = face_states(mesh, UNIT, state)
+    rhs = newton_rhs(mesh, UNIT, state, table, flux)[0].ravel()
+
+    natural = system_layout(mesh, table)
+    matrix = assemble_system(mesh, UNIT, table, f_face, s_face, natural)
+    fresh = linsolve.solve(matrix, rhs)
+    layout = natural.ordered(fresh.order)
+    ordered = assemble_system(mesh, UNIT, table, f_face, s_face, layout)
+    assert ordered.format == "csc" and ordered.has_sorted_indices
+    p = fresh.order
+    npt.assert_array_equal(ordered.toarray()[np.ix_(p, p)], matrix.toarray())
+
+    solution = linsolve.solve(ordered, rhs, layout.order)
+    assert np.linalg.norm(solution.x - fresh.x) <= rtol * np.linalg.norm(fresh.x)
+    assert solution.residual <= linsolve.BACKWARD_ERROR_BOUND
+    assert not any(holds_factor(value) for value in vars(layout).values())
 
 
 def test_matrix_annihilates_translations(mesh_small, rng):

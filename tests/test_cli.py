@@ -90,6 +90,7 @@ def test_parse_config_sweep(tmp_path):
     ("case = shear\nmaterial = rubber\n", "unknown material"),
     ("case = cantilever\nsweep = 3,8\n", "not sweep"),
     ("case = shear\nregime = beam\n", "unknown regime"),
+    ("case = shear\nregime = plane_stress\n", "'plane_stress' needs material = linear"),
     ("case = shear\nrho0 = 1000\n", "unknown config key 'rho0'"),
     ("case = shear\nlinear_solver = direct\n", "unknown config key 'linear_solver'"),
     ("case = uniaxial\nstretch = nan\n", "'stretch' must be finite"),
@@ -291,6 +292,7 @@ def test_main_reports_config_errors(tmp_path, capsys):
     "stretch = inf",
     "shear_factor = nan",
     "traction = inf",
+    "regime = plane_stress",    # with the shear case's neo-Hookean default
 ])
 def test_main_rejects_bad_solver_settings(tmp_path, capsys, line):
     path = write_cfg(tmp_path, f"case = shear\nmesh = 4x4\n{line}\n")

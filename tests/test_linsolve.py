@@ -61,12 +61,14 @@ def assembled_systems():
 
 
 def test_norm_inf_matches_scipy(rng):
-    """The row sums over the CSR data give scipy's infinity norm on the
-    random systems and on assembled coupled matrices."""
+    """The row sums over the CSR data, and over the CSC form that the
+    ordered path stores, give scipy's infinity norm on the random systems
+    and on assembled coupled matrices."""
     systems = [random_block_system(rng, n)[0] for n in (1, 4, 12)]
     for matrix in systems + list(assembled_systems()):
-        assert linsolve._norm_inf(matrix) == pytest.approx(spla.norm(matrix, np.inf),
-                                                           rel=1e-15)
+        for form in (matrix, matrix.tocsc()):
+            assert linsolve._norm_inf(form) == pytest.approx(spla.norm(matrix, np.inf),
+                                                             rel=1e-15)
 
 
 def test_zero_rhs_short_circuits(rng):
@@ -79,7 +81,7 @@ def test_zero_rhs_short_circuits(rng):
 def test_post_check_rejects_bad_solutions(rng, monkeypatch):
     matrix, rhs, x = random_block_system(rng)
     monkeypatch.setattr(linsolve, "_solve_direct",
-                        lambda m, r: np.full_like(r, 7.0))
+                        lambda m, r, ordered: (np.full_like(r, 7.0), None))
     with pytest.raises(linsolve.LinearSolveError, match="post-check"):
         linsolve.solve(matrix, rhs)
 
@@ -126,6 +128,31 @@ def test_tiny_static_pivot_is_fatal(monkeypatch):
     with pytest.raises(linsolve.LinearSolveError, match="direct post-check failed"):
         linsolve.solve(matrix, rhs)
     assert len(calls) == 1
+    assert calls[0]["diag_pivot_thresh"] == 0.0
+
+
+@pytest.mark.parametrize("dense,message", [
+    (np.where(np.eye(3, dtype=bool), 1e-20, 1.0), "direct post-check failed"),
+    (np.ones((3, 3)), "exactly singular")], ids=["tiny-pivot", "singular"])
+def test_ordered_path_failures_are_fatal(monkeypatch, dense, message):
+    """A matrix already laid out in a given column order fails like a
+    freshly ordered one: a tiny static pivot or an exact singularity is a
+    LinearSolveError after a single factorisation, which keeps that order."""
+    order = np.array([2, 0, 1], dtype=np.int32)
+    inverse = np.argsort(order)
+    matrix = sp.csc_matrix(dense[np.ix_(inverse, inverse)])   # (P A P^T)
+    calls = []
+    splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(kwargs)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    with pytest.raises(linsolve.LinearSolveError, match=message):
+        linsolve.solve(matrix, [1.0, 2.0, 3.0], order)
+    assert len(calls) == 1
+    assert calls[0]["permc_spec"] == "NATURAL"
     assert calls[0]["diag_pivot_thresh"] == 0.0
 
 

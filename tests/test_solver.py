@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse.linalg as spla
 
 from fvsolid import (
     BOTTOM,
@@ -18,8 +19,8 @@ from fvsolid import (
     compute_errors,
     mms_bcs,
 )
-from fvsolid.assembly import DISPLACEMENT, TRACTION
-from fvsolid import linsolve, solver
+from fvsolid.assembly import DISPLACEMENT, TRACTION, build_boundary_table
+from fvsolid import assembly, linsolve, solver
 from fvsolid.solver import _Monitor, residual_norm, run
 
 ZERO_DISPLACEMENT = {
@@ -267,6 +268,61 @@ def test_seg_factorises_once_per_run(mesh8, neo, monkeypatch):
     assert report.converged and len(report.n_corr) == 3
     assert len(calls) == 2
     assert mean_error(mesh8, report, case) < 1e-7
+
+
+def counting(monkeypatch, owner, name: str) -> list:
+    """Replace ``owner.name`` by a wrapper that records each call's
+    arguments."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_coupled_run_orders_its_pattern_once(mesh8, neo, monkeypatch):
+    """A coupled run of k corrections orders its pattern by minimum degree
+    at the first factorisation only and factorises the k - 1 later
+    matrices in that order.  Runs share no ordering: nlbc and bc each
+    start with their own."""
+    calls = counting(monkeypatch, spla, "splu")
+    case = MMSCase("uniaxial", TRACTION, 1.3)
+    for method in ("nlbc", "bc"):
+        calls.clear()
+        report = run(mesh8, neo, mms_bcs(case, neo),
+                     SolveConfig(method=method, n_load_steps=4))
+        assert report.converged and report.total_corrections >= 4
+        orders = [kwargs["permc_spec"] for _, kwargs in calls]
+        assert orders == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (report.total_corrections - 1)
+        if method == "nlbc":
+            assert mean_error(mesh8, report, case) < 1e-6
+
+
+def test_load_steps_redo_only_what_the_load_changes(mesh8, neo, monkeypatch):
+    """Kinds, row weights and the rigid-body rank check are set up once per
+    run.  The check that ends a load step evaluates the state that the
+    next step's first correction starts from, so a run evaluates its face
+    states once per correction plus once.  Every residual still reads the
+    prescribed values of a full table build at its load factor and the
+    face states of its own state, bit for bit."""
+    checks = counting(monkeypatch, assembly, "_check_rigid_body_modes")
+    evaluations = counting(monkeypatch, solver, "face_states")
+    residuals = counting(monkeypatch, solver, "newton_rhs")
+    bcs = mms_bcs(MMSCase("uniaxial", TRACTION, 1.3), neo)
+    report = run(mesh8, neo, bcs, SolveConfig(method="nlbc", n_load_steps=4))
+    assert report.converged and len(checks) == 1
+    assert len(evaluations) == report.total_corrections + 1
+    steps = np.repeat(np.arange(4), [n + 1 for n in report.n_corr])
+    assert len(residuals) == steps.size
+    for step, ((mesh, material, state, table, flux_density), _) in zip(steps, residuals):
+        npt.assert_array_equal(table.value,
+                               build_boundary_table(mesh, bcs, (step + 1) / 4).value)
+        npt.assert_array_equal(flux_density,
+                               assembly.face_states(mesh, material, state)[2])
 
 
 def test_histories_track_normalised_residuals(mesh8, neo):
