@@ -33,18 +33,18 @@ where ``blocks(A, W)`` is the block-sparse matrix with block (i, j) equal
 to ``A[i, j] * W[i]``.  It is filled, not built from that algebra: the
 mesh's ``jacobian_pattern`` (a symbolic analysis run once per mesh) holds
 the 2x2 block pattern and maps the per-face H(N), H(t) to every block's
-sum over faces in one sparse product.  A ``SystemLayout``, built once per
-run from the table's kinds and row weights, then weights the boundary
-rows with D != 0, adds D on their diagonal, and gathers the values into
-the matrix data: natural CSR, or the CSC form of the same matrix in a
-factor's column order.  Whole blocks are stored, zeros included;
-prescribed-displacement rows keep only their diagonal block.  Traction
-and symmetry rows stay in stress units; the residual norm rescales them.
+sum over faces in one sparse product.  A ``SystemLayout`` then weights
+the boundary rows with D != 0, adds D on their diagonal and gathers the
+values into the CSC data of the mesh's layout, in natural order or in a
+factor's column order.  The stored pattern is the mesh's: whole blocks,
+zeros included, so a prescribed-displacement row stores its off-diagonal
+blocks as exact zeros (I - D = 0).  Traction and symmetry rows stay in
+stress units; the residual norm rescales them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -219,14 +219,14 @@ def newton_rhs(mesh: CartesianMesh, material, state: State, table: BoundaryTable
 
 @dataclass(frozen=True)
 class SystemLayout:
-    """Where one run's Jacobian values go: the boundary-row weights and the
-    sparse layout, which read only the table's kinds and row weights, so a
-    run builds them once (``system_layout``).
+    """Where one run's Jacobian values go: the table's boundary-row
+    weights and the CSC layout of the mesh's ``jacobian_pattern``.
 
-    ``order`` None is the natural scalar CSR layout.  ``ordered`` re-lays
-    it once in a factor's column order p as the CSC form of P A P^T, whose
-    entry (p[i], p[j]) is A's entry (i, j): the order SuperLU factorises
-    with ``NATURAL``, so a fill needs no conversion or permutation.
+    ``order`` None is the natural order: the pattern's own arrays.  In a
+    factor's column order p the arrays lay out the CSC form of P A P^T,
+    whose entry (p[i], p[j]) is A's entry (i, j): the order SuperLU
+    factorises with ``NATURAL``, so a fill needs no conversion or
+    permutation.
     """
 
     weighted: np.ndarray        # block ids of the boundary rows with D != 0
@@ -238,58 +238,48 @@ class SystemLayout:
     gather: np.ndarray          # flattened block value of each stored entry
     order: np.ndarray | None = None
 
-    def matrix(self, blocks: np.ndarray) -> sp.csr_matrix | sp.csc_matrix:
-        """The matrix of the (n_blocks, 2, 2) block sums, which it
+    def matrix(self, blocks: np.ndarray) -> sp.csc_matrix:
+        """The CSC matrix of the (n_blocks, 2, 2) block sums, which it
         weights in place."""
         blocks[self.weighted] = mul2(self.row_weight, blocks[self.weighted])
         blocks[self.diagonal] += self.disp
-        shape = (self.indptr.size - 1,) * 2
-        form = sp.csr_matrix if self.order is None else sp.csc_matrix
-        return form((blocks.ravel()[self.gather], self.indices, self.indptr), shape=shape)
-
-    def ordered(self, order: np.ndarray) -> SystemLayout:
-        """This natural layout re-laid in column order ``order``."""
-        n = self.indptr.size - 1
-        row = order[np.repeat(np.arange(n), np.diff(self.indptr))]
-        col = order[self.indices]
-        sort = np.argsort(col.astype(np.int64) * n + row)
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(col, minlength=n), out=indptr[1:])
-        return replace(self, indptr=indptr, indices=row[sort].astype(np.int32),
-                       gather=self.gather[sort], order=order)
+        return sp.csc_matrix((blocks.ravel()[self.gather], self.indices, self.indptr),
+                             shape=(self.indptr.size - 1,) * 2)
 
 
-def system_layout(mesh: CartesianMesh, table: BoundaryTable) -> SystemLayout:
-    """The natural layout of the mesh's ``jacobian_pattern`` under the
-    table's kinds and row weights."""
+def system_layout(mesh: CartesianMesh, table: BoundaryTable,
+                  order: np.ndarray | None = None) -> SystemLayout:
+    """The layout of the mesh's ``jacobian_pattern`` under the table's
+    kinds and row weights, in column order ``order`` (None: natural)."""
     pattern = mesh.jacobian_pattern
     n_cells, bface = mesh.n_cells, pattern.bface_block
     # Boundary rows come last.  Where D != 0 their blocks become (I - D) S
-    # and D is added on the diagonal; cell and traction rows keep S.
+    # (zero on displacement rows) and D is added on the diagonal; cell and
+    # traction rows keep S.
     weighted = np.flatnonzero(table.kind[bface] != _KIND_CODE[TRACTION])
     row_weight = IDENTITY - table.disp[n_cells + bface[weighted]]
-    # Prescribed-displacement rows keep only their diagonal block.
-    fixed = table.kind == _KIND_CODE[DISPLACEMENT]
-    keep = ~(fixed[pattern.bface_entry] & pattern.bface_entry_off)
-    head = pattern.indices.size - keep.size     # entries of the cell rows
-    counts = np.diff(pattern.indptr[2 * n_cells:])
-    counts[np.repeat(fixed, 2)] = 2
-    indptr = pattern.indptr.copy()
-    indptr[2 * n_cells + 1:] = head + np.cumsum(counts)
+    indptr, indices, gather = pattern.indptr, pattern.indices, pattern.gather
+    if order is not None:
+        n = indptr.size - 1
+        col = order[np.repeat(np.arange(n), np.diff(indptr))]
+        row = order[indices]
+        sort = np.argsort(col.astype(np.int64) * n + row)
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(col, minlength=n), out=indptr[1:])
+        indices, gather = row[sort].astype(np.int32), gather[sort]
     return SystemLayout(
         weighted=pattern.fill.shape[0] - bface.size + weighted,
         row_weight=row_weight, diagonal=pattern.diagonal[n_cells:],
-        disp=table.disp[n_cells:], indptr=indptr,
-        indices=np.concatenate((pattern.indices[:head], pattern.indices[head:][keep])),
-        gather=np.concatenate((pattern.gather[:head], pattern.gather[head:][keep])))
+        disp=table.disp[n_cells:], indptr=indptr, indices=indices,
+        gather=gather, order=order)
 
 
 def assemble_system(mesh: CartesianMesh, material, table: BoundaryTable,
                     f_face: np.ndarray, s_face: np.ndarray,
-                    layout: SystemLayout | None = None) -> sp.csr_matrix | sp.csc_matrix:
-    """One Newton correction's (2N, 2N) matrix from ``face_states``' F and
-    S: the numeric fill of the mesh's ``jacobian_pattern`` into the run's
-    ``layout`` of ``table`` (by default a fresh natural one, CSR)."""
+                    layout: SystemLayout | None = None) -> sp.csc_matrix:
+    """One Newton correction's (2N, 2N) CSC matrix from ``face_states``' F
+    and S: the numeric fill of the mesh's ``jacobian_pattern`` into the
+    run's ``layout`` of ``table`` (by default the natural one)."""
     if layout is None:
         layout = system_layout(mesh, table)
     h_blocks = material.face_linearisation(

@@ -8,7 +8,7 @@ The config file is flat ``key = value`` text (# starts a comment), each
 key at most once.  Three cases are registered:
 
 - ``cantilever``: end-loaded thin beam, linear-elastic by default, judged
-  against the analytic end deflection
+  against the analytic end deflection of its regime (a nonzero load)
 - ``uniaxial``: homogeneous stretch of the unit square (requires
   ``stretch``), displacement- or traction-driven
 - ``shear``: homogeneous simple shear of the unit square (``shear_factor``,
@@ -191,6 +191,8 @@ def _validate(cfg: CaseConfig) -> None:
         raise ConfigError(f"unknown material {cfg.material!r}")
     if cfg.case == "cantilever" and cfg.sweep:
         raise ConfigError("cantilever runs take mesh = NXxNY, not sweep")
+    if cfg.case == "cantilever" and cfg.traction == 0:
+        raise ConfigError("case 'cantilever' needs a nonzero 'traction'")
     if cfg.regime not in ("plane_strain", "plane_stress"):
         raise ConfigError(f"unknown regime {cfg.regime!r}")
     if cfg.regime == "plane_stress" and cfg.material == "neo":
@@ -283,10 +285,10 @@ def run_case(cfg: CaseConfig) -> int:
             })
         else:
             deflection = _end_deflection(mesh, report)
-            analytic = cantilever_deflection(cfg.E, cfg.nu, 2.0,
-                                             cfg.traction * 0.1, 0.1 ** 3 / 12.0)
+            analytic = cantilever_deflection(cfg.E, cfg.nu, 2.0, cfg.traction * 0.1,
+                                             0.1 ** 3 / 12.0, cfg.regime)
             entry.update(deflection=deflection, deflection_analytic=analytic,
-                         deflection_rel_error=abs(deflection - analytic) / analytic)
+                         deflection_rel_error=abs(deflection - analytic) / abs(analytic))
         runs.append(entry)
 
         for step, history in enumerate(report.residual_history):

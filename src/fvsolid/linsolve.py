@@ -1,11 +1,11 @@
 """Linear solution of the assembled systems.
 
-The coupled matrix is held in scalar sparse form (2x2 blocks flattened)
-and solved by one path: a sparse LU factorisation in SuperLU's symmetric
-mode for the structurally symmetric stencil (diagonal pivots), one round
-of iterative refinement, and a backward-error post-check.  A tiny static
-pivot or an exactly singular matrix fails the solve; there is no
-partial-pivoting retry.
+Every matrix is held in scalar CSC form (the coupled one with its 2x2
+blocks flattened, as the assembly stores it) and solved by one path: a
+sparse LU factorisation in SuperLU's symmetric mode for the structurally
+symmetric stencil (diagonal pivots), one round of iterative refinement,
+and a backward-error post-check.  A tiny static pivot or an exactly
+singular matrix fails the solve; there is no partial-pivoting retry.
 
 The column order is minimum degree on A+A^T, unless the caller passes the
 order of an earlier factor of the same pattern: then the matrix is
@@ -40,8 +40,8 @@ class LinearSolution:
     order: np.ndarray | None = None  # the factor's column order (perm_c)
 
 
-def equilibrate(matrix: sp.csr_matrix):
-    """Max-abs row scaling: returns the scaled matrix and the scale vector.
+def equilibrate(matrix: sp.spmatrix):
+    """Max-abs row scaling: returns the scaled CSC matrix and the scale vector.
 
     Brings boundary rows (unit or stress scale) and interior rows (force
     scale) to comparable size; the solution of (S A) x = S b is unchanged
@@ -50,18 +50,17 @@ def equilibrate(matrix: sp.csr_matrix):
     row_max = np.abs(matrix).max(axis=1).toarray().ravel()
     row_max[row_max == 0.0] = 1.0
     scale = 1.0 / row_max
-    return sp.diags(scale) @ matrix, scale
+    return (sp.diags(scale) @ matrix).tocsc(), scale
 
 
-def factorise(matrix: sp.spmatrix, ordered: bool = False):
-    """Symmetric-mode sparse LU with diagonal pivots: minimum degree on
-    A+A^T, or with ``ordered`` the CSC matrix's own column order."""
-    return spla.splu(matrix if ordered else matrix.tocsc(),
-                     permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A",
+def factorise(matrix: sp.csc_matrix, ordered: bool = False):
+    """Symmetric-mode sparse LU with diagonal pivots of a CSC matrix:
+    minimum degree on A+A^T, or with ``ordered`` its own column order."""
+    return spla.splu(matrix, permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A",
                      diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
 
-def _solve_direct(matrix: sp.spmatrix, rhs: np.ndarray, ordered: bool):
+def _solve_direct(matrix: sp.csc_matrix, rhs: np.ndarray, ordered: bool):
     """The refined solution and the factor's column order."""
     try:
         lu = factorise(matrix, ordered)
@@ -75,21 +74,19 @@ def _solve_direct(matrix: sp.spmatrix, rhs: np.ndarray, ordered: bool):
     return x, lu.perm_c.copy()
 
 
-def _norm_inf(matrix: sp.spmatrix) -> float:
-    """||A||_inf, the largest absolute row sum, from the stored data: a
-    bincount over CSC row indices, or CSR segment sums, which need every
-    row to store an entry (as every factorised matrix does)."""
-    if matrix.format == "csc":
-        return float(np.bincount(matrix.indices, np.abs(matrix.data)).max())
-    return float(np.add.reduceat(np.abs(matrix.data), matrix.indptr[:-1]).max())
+def _norm_inf(matrix: sp.csc_matrix) -> float:
+    """||A||_inf, the largest absolute row sum: a bincount of the stored
+    data over the CSC row indices."""
+    return float(np.bincount(matrix.indices, np.abs(matrix.data)).max())
 
 
 def solve(matrix: sp.spmatrix, rhs: np.ndarray,
           order: np.ndarray | None = None) -> LinearSolution:
     """Solve A x = rhs, returning x, its backward error and the factor's
-    column order.  Given ``order``, ``matrix`` is the CSC form of P A P^T
-    in that order (entry (order[i], order[j]) is A's (i, j)); rhs and x
-    keep A's order."""
+    column order.  ``matrix`` is taken to CSC (the assembly's form).  Given
+    ``order``, it is the CSC form of P A P^T in that order (entry
+    (order[i], order[j]) is A's (i, j)); rhs and x keep A's order."""
+    matrix = matrix.tocsc()
     rhs = np.asarray(rhs, dtype=float).ravel()
     norm_rhs = np.linalg.norm(rhs)
     if norm_rhs == 0.0:
@@ -113,8 +110,9 @@ def solve(matrix: sp.spmatrix, rhs: np.ndarray,
     return LinearSolution(x[order], backward, order)
 
 
-def dump_system(directory, matrix: sp.csr_matrix, rhs: np.ndarray) -> None:
-    """Write the system in Matrix Market form (A.mtx, R.mtx) for inspection."""
+def dump_system(directory, matrix: sp.spmatrix, rhs: np.ndarray) -> None:
+    """Write the system in Matrix Market form (A.mtx, R.mtx) for inspection,
+    every stored entry included, explicit zeros too."""
     scipy.io.mmwrite(os.path.join(directory, "A.mtx"), matrix.tocoo())
     scipy.io.mmwrite(os.path.join(directory, "R.mtx"),
                      np.asarray(rhs, dtype=float).reshape(-1, 1))

@@ -43,28 +43,30 @@ class BlockPattern:
     """Symbolic analysis of the coupled Jacobian, run once per mesh.
 
     The 2x2 blocks k = (i, j) are those of ``face_rows @ (face_quotient +
-    face_tangential)`` plus the diagonal, in row-major (CSR) order, with
-    int32 indices.  Before its row weights, block k of the Jacobian is
+    face_tangential)`` plus the diagonal, in row-major order, with int32
+    indices.  Before its row weights, block k of the Jacobian is
 
         sum_f CQ[k, f] H_f(N) + CT[k, f] H_f(t)
 
     with CQ[k, f] = face_rows[i, f] face_quotient[f, j] and CT the same with
     ``face_tangential``, so a fill is one product of ``fill = [CQ | CT]``
     with the stacked, flattened (2 n_faces, 4) coefficients.  The scalar
-    (2N, 2N) CSR layout stores every entry of every block, zeros included;
-    ``gather`` maps its data to the flattened (n_blocks, 4) block values.
-    Boundary-face rows come last, so their blocks and entries are the
-    tails of those arrays, labelled with their boundary index.
+    (2N, 2N) CSC layout stores every entry of every block, zeros included,
+    whatever the boundary conditions; ``gather`` maps its data to the
+    flattened (n_blocks, 4) block values.  Boundary-face rows come last,
+    so their blocks are the tail of the block order, labelled with their
+    boundary index.  The arrays are read-only, like every mesh array.
     """
 
     fill: sp.csc_matrix         # (n_blocks, 2 n_faces)
     diagonal: np.ndarray        # (n_unknowns,) block id of (i, i)
-    indptr: np.ndarray          # (2N + 1,) scalar CSR layout
+    indptr: np.ndarray          # (2N + 1,) scalar CSC layout
     indices: np.ndarray         # (nnz,)
     gather: np.ndarray          # (nnz,) flattened block value of each entry
     bface_block: np.ndarray     # boundary index of each boundary-row block
-    bface_entry: np.ndarray     # boundary index of each boundary-row entry
-    bface_entry_off: np.ndarray  # that entry lies off the diagonal block
+
+    def __post_init__(self):
+        _freeze(self)
 
 
 class CartesianMesh:
@@ -86,9 +88,7 @@ class CartesianMesh:
 
         self._build_geometry()
         self._build_faces()
-        for arr in vars(self).values():
-            if isinstance(arr, np.ndarray):
-                arr.flags.writeable = False
+        _freeze(self)
 
     # ------------------------------------------------------------------
     # construction
@@ -281,18 +281,16 @@ class CartesianMesh:
         fill = sp.csc_matrix((value, k, indptr), shape=(n_blocks, 2 * self.n_faces))
         # The scalar layout of the whole pattern, with block k's entry
         # (a, b) stored as 4 k + 2 a + b + 1 (nonzero, so none is dropped).
+        # CSC by way of CSR, which BSR converts to directly (twice as fast).
         layout = sp.bsr_matrix((np.arange(1.0, 4 * n_blocks + 1).reshape(-1, 2, 2),
-                                reach.indices, reach.indptr), shape=(2 * n, 2 * n)).tocsr()
+                                reach.indices, reach.indptr), shape=(2 * n, 2 * n))
+        layout = layout.tocsr().tocsc()
         counts = np.diff(reach.indptr)[self.n_cells:]
-        bface = np.arange(self.n_bfaces, dtype=np.int32)
-        bface_entry = np.repeat(bface, 4 * counts)
-        column = layout.indices[-bface_entry.size:] // 2
         return BlockPattern(
             fill=fill, diagonal=(block_id.diagonal() - 1).astype(np.int32),
             indptr=layout.indptr.astype(np.int32), indices=layout.indices.astype(np.int32),
             gather=(layout.data - 1).astype(np.int32),
-            bface_block=np.repeat(bface, counts), bface_entry=bface_entry,
-            bface_entry_off=column != self.n_cells + bface_entry)
+            bface_block=np.repeat(np.arange(self.n_bfaces, dtype=np.int32), counts))
 
     # ------------------------------------------------------------------
     # queries
@@ -302,6 +300,13 @@ class CartesianMesh:
         """Face ids of a boundary patch, in boundary-index order."""
         faces = self.boundary_faces
         return faces[self.face_patch[faces] == patch]
+
+
+def _freeze(obj) -> None:
+    """Mark every array attribute of ``obj`` read-only."""
+    for arr in vars(obj).values():
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
 
 
 def _chain(rows: np.ndarray, mids: np.ndarray, weights: np.ndarray,

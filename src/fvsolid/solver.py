@@ -125,11 +125,10 @@ def _coupled(mesh: CartesianMesh, material, table: BoundaryTable,
     which turns the face states and right-hand side of the loop's residual
     evaluation into the (N, 2) increment.  Here it assembles the matrix
     from those face states, writes it to ``dump_dir`` if one is given, and
-    solves it.  The matrix reads only the table's kinds and row weights,
-    which every load step shares, so the run lays it out once.  The first
-    factorisation orders the pattern by minimum degree; the second re-lays
-    the layout in that order, and every later matrix is filled straight
-    into it.
+    solves it.  The stored pattern is the mesh's, and the row weights are
+    the table's, which every load step shares.  The first factorisation
+    orders the pattern by minimum degree; the second re-lays the layout in
+    that order, and every later matrix is filled straight into it.
     """
     layout = system_layout(mesh, table)
     order = None                    # the first factor's column order
@@ -137,7 +136,7 @@ def _coupled(mesh: CartesianMesh, material, table: BoundaryTable,
     def solve(f_face, s_face, rhs: np.ndarray, dump_dir: str | None) -> np.ndarray:
         nonlocal layout, order
         if order is not None and layout.order is None:
-            layout = layout.ordered(order)
+            layout = system_layout(mesh, table, order)
         matrix = assemble_system(mesh, material, table, f_face, s_face, layout)
         if dump_dir:
             linsolve.dump_system(dump_dir, matrix, rhs.ravel())

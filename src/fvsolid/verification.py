@@ -103,8 +103,9 @@ def compute_errors(mesh: CartesianMesh, displacement: np.ndarray,
 
 
 def cantilever_deflection(E: float, nu: float, length: float, load: float,
-                          second_moment: float) -> float:
-    """Euler-Bernoulli end deflection of a plane-strain cantilever under an
-    end load: P L^3 / (3 E' I) with E' = E / (1 - nu^2)."""
-    stiff = E / (1.0 - nu ** 2)
+                          second_moment: float, regime: str = "plane_strain") -> float:
+    """Euler-Bernoulli end deflection of a cantilever under an end load:
+    P L^3 / (3 E' I) with E' = E / (1 - nu^2) in plane strain and E' = E in
+    plane stress."""
+    stiff = E / (1.0 - nu ** 2) if regime == "plane_strain" else E
     return load * length ** 3 / (3.0 * stiff * second_moment)

@@ -22,8 +22,9 @@ arithmetic is held, and the tangential face-derivative operator as a sum
 of sparse products.
 
 Sparse algebra: the coupled Newton matrix by its defining block-sparse
-formula, against which the symbolic pattern and numeric fill of
-``assemble_system`` are held.
+formula, against which the numeric fill of ``assemble_system`` is held,
+and the same formula with every row weight D = 0, whose block pattern is
+the mesh's stored pattern.
 """
 
 from __future__ import annotations
@@ -184,7 +185,8 @@ def jacobian(mesh, material, table, f_face, s_face):
     with ``blocks(A, W)`` the matrix whose block (i, j) is A[i, j] W[i].
     The block sums store whole 2x2 blocks and drop the blocks that add up
     to zero, which are the off-diagonal blocks of prescribed-displacement
-    rows (I - D = 0 there)."""
+    rows (I - D = 0 there); ``assemble_system`` stores those as exact
+    zeros."""
     h_normal, h_tangent = material.face_linearisation(
         f_face, s_face, mesh.face_normal, (mesh.face_normal, mesh.face_tangent))
     flux_derivative = (_blocks(mesh.face_quotient, h_normal)

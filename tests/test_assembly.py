@@ -7,6 +7,8 @@ boundary-condition kind at a random nonlinear state.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -386,10 +388,11 @@ def test_matrix_is_derivative_of_residual(bcs, material, rng):
     ((3, 4, 1.5, 1.0), SYMMETRY_PLANES), ((8, 8, 2.0, 0.1), BEAM),
     ((1, 1, 1.0, 1.0), MIXED)], ids=["mixed", "displacement", "symmetry", "beam", "one-cell"])
 def test_fill_matches_block_formula(dims, bcs, material, rng):
-    """The numeric fill of the mesh's pattern stores exactly the pattern of
-    the defining block-sparse formula (whole 2x2 blocks, only the
-    off-diagonal blocks of displacement rows dropped) and its values to
-    rounding, at a perturbed nonlinear state."""
+    """The numeric fill stores the whole block pattern of the defining
+    block-sparse formula, whatever the row weights (the pattern of the
+    formula with D = 0), and the formula's values to rounding, at a
+    perturbed nonlinear state: the off-diagonal blocks of displacement
+    rows, which the formula drops, are stored as exact zeros."""
     mesh = build_mesh(*dims)
     g = random_gradients(rng, 1, scale=0.15)[0]
     u = linear_field(mesh, g)
@@ -398,16 +401,21 @@ def test_fill_matches_block_formula(dims, bcs, material, rng):
     f_face, s_face, _ = face_states(mesh, material, State(u))
     actual = assemble_system(mesh, material, table, f_face, s_face)
     ref = oracles.jacobian(mesh, material, table, f_face, s_face)
-    ref.sort_indices()
-    assert actual.has_sorted_indices
-    npt.assert_array_equal(actual.indptr, ref.indptr)
-    npt.assert_array_equal(actual.indices, ref.indices)
-    npt.assert_allclose(actual.data, ref.data, rtol=0.0,
+    unweighted = oracles.jacobian(mesh, material,
+                                  replace(table, disp=np.zeros_like(table.disp)),
+                                  f_face, s_face).tocsc()
+    unweighted.sort_indices()
+    assert actual.format == "csc" and actual.has_sorted_indices
+    npt.assert_array_equal(actual.indptr, unweighted.indptr)
+    npt.assert_array_equal(actual.indices, unweighted.indices)
+    npt.assert_allclose(actual.toarray(), ref.toarray(), rtol=0.0,
                         atol=1e-14 * np.abs(ref.data).max())
-    if bcs[LEFT].kind == DISPLACEMENT:
-        # a displacement row stores its identity diagonal block only
-        fixed = mesh.n_cells + bfaces(mesh, LEFT)
-        npt.assert_array_equal(np.diff(actual.indptr)[2 * fixed], 2)
+    fixed = np.flatnonzero(~force_row_mask(mesh, table))
+    entries = actual.tocoo()
+    rows, cols = entries.row // 2, entries.col // 2
+    off = np.isin(rows, fixed) & (rows != cols)
+    assert off.any() == (fixed.size > 0)
+    assert np.all(entries.data[off] == 0.0)
 
 
 def holds_factor(array) -> bool:
@@ -439,10 +447,9 @@ def test_ordered_layout_solves_like_a_fresh_ordering(dims, bcs, rtol, rng):
     f_face, s_face, flux = face_states(mesh, UNIT, state)
     rhs = newton_rhs(mesh, UNIT, state, table, flux)[0].ravel()
 
-    natural = system_layout(mesh, table)
-    matrix = assemble_system(mesh, UNIT, table, f_face, s_face, natural)
+    matrix = assemble_system(mesh, UNIT, table, f_face, s_face)
     fresh = linsolve.solve(matrix, rhs)
-    layout = natural.ordered(fresh.order)
+    layout = system_layout(mesh, table, fresh.order)
     ordered = assemble_system(mesh, UNIT, table, f_face, s_face, layout)
     assert ordered.format == "csc" and ordered.has_sorted_indices
     p = fresh.order
@@ -452,6 +459,34 @@ def test_ordered_layout_solves_like_a_fresh_ordering(dims, bcs, rtol, rng):
     assert np.linalg.norm(solution.x - fresh.x) <= rtol * np.linalg.norm(fresh.x)
     assert solution.residual <= linsolve.BACKWARD_ERROR_BOUND
     assert not any(holds_factor(value) for value in vars(layout).values())
+
+
+def test_stored_pattern_is_the_mesh_pattern(rng):
+    """The stored pattern depends on the mesh only: every boundary map
+    gives the same CSC indptr and indices, the natural layout's arrays are
+    the mesh pattern's own read-only arrays, and every stored entry of a
+    prescribed-displacement row off its diagonal block is exactly 0.0."""
+    mesh = build_mesh(3, 4, 1.5, 1.0)
+    pattern = mesh.jacobian_pattern
+    u = linear_field(mesh, random_gradients(rng, 1, scale=0.15)[0])
+    u += 0.01 * min(mesh.dx, mesh.dy) * rng.standard_normal(u.shape)
+    f_face, s_face, _ = face_states(mesh, UNIT, State(u))
+    for bcs in (MIXED, ALL_DISPLACEMENT, SYMMETRY_PLANES):
+        table = build_boundary_table(mesh, bcs)
+        layout = system_layout(mesh, table)
+        for name in ("indptr", "indices", "gather"):
+            array = getattr(layout, name)
+            assert array is getattr(pattern, name)
+            assert not array.flags.writeable
+        matrix = assemble_system(mesh, UNIT, table, f_face, s_face, layout)
+        npt.assert_array_equal(matrix.indptr, pattern.indptr)
+        npt.assert_array_equal(matrix.indices, pattern.indices)
+        entries = matrix.tocoo()
+        rows, cols = entries.row // 2, entries.col // 2
+        fixed = np.flatnonzero(~force_row_mask(mesh, table))
+        off = np.isin(rows, fixed) & (rows != cols)
+        assert off.any()
+        assert np.all(entries.data[off] == 0.0)
 
 
 def test_matrix_annihilates_translations(mesh_small, rng):

@@ -9,12 +9,17 @@ import math
 from dataclasses import fields
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 import scipy.io
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fvsolid import MMSCase, build_mesh, lame_from_E_nu, mms_bcs
+from fvsolid.assembly import assemble_system, build_boundary_table, face_states
 from fvsolid.cli import CaseConfig, ConfigError, main, parse_config, run_case
+from fvsolid.kinematics import zero_state
+from fvsolid.material import NeoHookean
 
 
 def write_cfg(tmp_path, text, name="case.cfg"):
@@ -89,6 +94,7 @@ def test_parse_config_sweep(tmp_path):
     ("case = shear\nbc = symmetry\n", "unknown bc"),
     ("case = shear\nmaterial = rubber\n", "unknown material"),
     ("case = cantilever\nsweep = 3,8\n", "not sweep"),
+    ("case = cantilever\ntraction = 0\n", "'cantilever' needs a nonzero 'traction'"),
     ("case = shear\nregime = beam\n", "unknown regime"),
     ("case = shear\nregime = plane_stress\n", "'plane_stress' needs material = linear"),
     ("case = shear\nrho0 = 1000\n", "unknown config key 'rho0'"),
@@ -189,6 +195,41 @@ def test_run_case_cantilever_report(tmp_path):
     assert not (out / "errors.csv").exists()
 
 
+def test_cantilever_reference_follows_the_regime(tmp_path):
+    """Under plane stress the reference is P L^3 / (3 E I), not the
+    plane-strain E / (1 - nu^2) one: the default beam then sits 1.3 %
+    from it instead of 8.5 %."""
+    out = tmp_path / "stress"
+    path = write_cfg(tmp_path, f"""
+        case = cantilever
+        regime = plane_stress
+        out = {out}
+    """)
+    assert run_case(parse_config(path)) == 0
+    (entry,) = json.loads((out / "report.json").read_text())["runs"]
+    assert entry["deflection_analytic"] == pytest.approx(16.00e-3, rel=1e-3)
+    assert entry["deflection_rel_error"] < 0.02
+
+
+def test_cantilever_error_ignores_the_load_sign(tmp_path):
+    """A downward end load gives the upward one's relative error, measured
+    against |analytic|, not a negative one."""
+    errors = []
+    for name, traction in (("up", 1e6), ("down", -1e6)):
+        out = tmp_path / name
+        path = write_cfg(tmp_path, f"""
+            case = cantilever
+            mesh = 30x3
+            traction = {traction}
+            out = {out}
+        """, name=f"{name}.cfg")
+        assert run_case(parse_config(path)) == 0
+        (entry,) = json.loads((out / "report.json").read_text())["runs"]
+        errors.append(entry["deflection_rel_error"])
+    assert errors[0] > 0.0
+    assert errors[1] == pytest.approx(errors[0], rel=1e-12)
+
+
 def test_run_case_reports_divergence_with_exit_2(tmp_path):
     out = tmp_path / "diverged"
     path = write_cfg(tmp_path, f"""
@@ -245,6 +286,38 @@ def test_dump_matrix_writes_loadable_system(tmp_path):
         rhs = np.asarray(scipy.io.mmread(out / "R.mtx")).ravel()
         assert rhs.shape == (rows,)
         assert np.isfinite(rhs).all()
+
+
+def test_dump_matrix_is_the_natural_order_system(tmp_path):
+    """nlbc on a displacement-driven stretch dumps the first correction's
+    matrix as ``assemble_system`` returns it at the zero state, entry for
+    entry and in A's own order (not P A P^T): the stored zeros of the
+    displacement rows included."""
+    out = tmp_path / "dump"
+    path = write_cfg(tmp_path, f"""
+        case = uniaxial
+        stretch = 1.5
+        bc = displacement
+        mesh = 4x4
+        dump_matrix = true
+        out = {out}
+    """)
+    cfg = parse_config(path)
+    assert run_case(cfg) == 0
+    mesh = build_mesh(4, 4, 1.0, 1.0)
+    material = NeoHookean(lame_from_E_nu(cfg.E, cfg.nu))
+    table = build_boundary_table(
+        mesh, mms_bcs(MMSCase("uniaxial", "displacement", 1.5), material))
+    f_face, s_face, _ = face_states(mesh, material, zero_state(mesh))
+    expected = assemble_system(mesh, material, table, f_face, s_face).tocoo()
+    dumped = scipy.io.mmread(out / "A.mtx")
+
+    def entries(matrix):
+        key = np.lexsort((matrix.row, matrix.col))
+        return matrix.row[key], matrix.col[key], matrix.data[key]
+
+    for got, want in zip(entries(dumped), entries(expected)):
+        npt.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
