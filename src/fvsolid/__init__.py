@@ -5,10 +5,8 @@ neo-Hookean or small-strain material, a segregated baseline, and a
 manufactured-solution verification harness.
 """
 
-from .assembly import (BoundaryCondition, assemble_system,
-                       build_boundary_table)
-from .kinematics import State, advance_state, zero_state
-from .linsolve import solve
+from .assembly import BoundaryCondition
+from .kinematics import State
 from .material import (InvertedElementError, Lame, LinearElastic, NeoHookean,
                        lame_from_E_nu)
 from .mesh import BOTTOM, LEFT, RIGHT, TOP, CartesianMesh, build_mesh
@@ -19,9 +17,7 @@ from .verification import (ErrorMetrics, MMSCase, cantilever_deflection,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryCondition", "assemble_system", "build_boundary_table",
-    "State", "advance_state", "zero_state",
-    "solve",
+    "BoundaryCondition", "State",
     "InvertedElementError", "Lame", "LinearElastic", "NeoHookean",
     "lame_from_E_nu",
     "BOTTOM", "LEFT", "RIGHT", "TOP", "CartesianMesh", "build_mesh",

@@ -33,13 +33,14 @@ where ``blocks(A, W)`` is the block-sparse matrix with block (i, j) equal
 to ``A[i, j] * W[i]``.  It is filled, not built from that algebra: the
 mesh's ``jacobian_pattern`` (a symbolic analysis run once per mesh) holds
 the 2x2 block pattern and maps the per-face H(N), H(t) to every block's
-sum over faces in one sparse product.  A ``SystemLayout`` then weights
-the boundary rows with D != 0, adds D on their diagonal and gathers the
-values into the CSC data of the mesh's layout, in natural order or in a
-factor's column order.  The stored pattern is the mesh's: whole blocks,
-zeros included, so a prescribed-displacement row stores its off-diagonal
-blocks as exact zeros (I - D = 0).  Traction and symmetry rows stay in
-stress units; the residual norm rescales them.
+sum over faces in one sparse product.  ``assemble_system`` then weights
+the boundary rows by I - D, adds D on their diagonal and gathers the
+values into the pattern's CSC data: the mesh's natural layout, or its
+re-lay in a factor's column order (``BlockPattern.ordered``).  The stored
+pattern is the mesh's: whole blocks, zeros included, so a
+prescribed-displacement row stores its off-diagonal blocks as exact zeros
+(I - D = 0).  Traction and symmetry rows stay in stress units; the
+residual norm rescales them.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import scipy.sparse as sp
 
 from .kinematics import State, cell_gradient
 from .material import InvertedElementError, check_positive_jacobian
-from .mesh import CartesianMesh
+from .mesh import BlockPattern, CartesianMesh
 from .tensors import IDENTITY, det2, matvec2, mul2, outer
 
 DISPLACEMENT = "displacement"
@@ -158,8 +159,7 @@ def force_row_mask(mesh: CartesianMesh, table: BoundaryTable) -> np.ndarray:
     convergence on them would test the linear solver instead of the state.
     """
     mask = np.ones(mesh.n_unknowns, dtype=bool)
-    rows = mesh.face_across[mesh.boundary_faces]
-    mask[rows[table.kind == _KIND_CODE[DISPLACEMENT]]] = False
+    mask[mesh.n_cells:] = table.kind != _KIND_CODE[DISPLACEMENT]
     return mask
 
 
@@ -217,75 +217,26 @@ def newton_rhs(mesh: CartesianMesh, material, state: State, table: BoundaryTable
 # block system
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SystemLayout:
-    """Where one run's Jacobian values go: the table's boundary-row
-    weights and the CSC layout of the mesh's ``jacobian_pattern``.
-
-    ``order`` None is the natural order: the pattern's own arrays.  In a
-    factor's column order p the arrays lay out the CSC form of P A P^T,
-    whose entry (p[i], p[j]) is A's entry (i, j): the order SuperLU
-    factorises with ``NATURAL``, so a fill needs no conversion or
-    permutation.
-    """
-
-    weighted: np.ndarray        # block ids of the boundary rows with D != 0
-    row_weight: np.ndarray      # (n_weighted, 2, 2) their I - D
-    diagonal: np.ndarray        # block ids of the boundary rows' diagonal
-    disp: np.ndarray            # (n_bfaces, 2, 2) D, added on that diagonal
-    indptr: np.ndarray
-    indices: np.ndarray
-    gather: np.ndarray          # flattened block value of each stored entry
-    order: np.ndarray | None = None
-
-    def matrix(self, blocks: np.ndarray) -> sp.csc_matrix:
-        """The CSC matrix of the (n_blocks, 2, 2) block sums, which it
-        weights in place."""
-        blocks[self.weighted] = mul2(self.row_weight, blocks[self.weighted])
-        blocks[self.diagonal] += self.disp
-        return sp.csc_matrix((blocks.ravel()[self.gather], self.indices, self.indptr),
-                             shape=(self.indptr.size - 1,) * 2)
-
-
-def system_layout(mesh: CartesianMesh, table: BoundaryTable,
-                  order: np.ndarray | None = None) -> SystemLayout:
-    """The layout of the mesh's ``jacobian_pattern`` under the table's
-    kinds and row weights, in column order ``order`` (None: natural)."""
-    pattern = mesh.jacobian_pattern
-    n_cells, bface = mesh.n_cells, pattern.bface_block
-    # Boundary rows come last.  Where D != 0 their blocks become (I - D) S
-    # (zero on displacement rows) and D is added on the diagonal; cell and
-    # traction rows keep S.
-    weighted = np.flatnonzero(table.kind[bface] != _KIND_CODE[TRACTION])
-    row_weight = IDENTITY - table.disp[n_cells + bface[weighted]]
-    indptr, indices, gather = pattern.indptr, pattern.indices, pattern.gather
-    if order is not None:
-        n = indptr.size - 1
-        col = order[np.repeat(np.arange(n), np.diff(indptr))]
-        row = order[indices]
-        sort = np.argsort(col.astype(np.int64) * n + row)
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(col, minlength=n), out=indptr[1:])
-        indices, gather = row[sort].astype(np.int32), gather[sort]
-    return SystemLayout(
-        weighted=pattern.fill.shape[0] - bface.size + weighted,
-        row_weight=row_weight, diagonal=pattern.diagonal[n_cells:],
-        disp=table.disp[n_cells:], indptr=indptr, indices=indices,
-        gather=gather, order=order)
-
-
 def assemble_system(mesh: CartesianMesh, material, table: BoundaryTable,
                     f_face: np.ndarray, s_face: np.ndarray,
-                    layout: SystemLayout | None = None) -> sp.csc_matrix:
+                    pattern: BlockPattern | None = None) -> sp.csc_matrix:
     """One Newton correction's (2N, 2N) CSC matrix from ``face_states``' F
-    and S: the numeric fill of the mesh's ``jacobian_pattern`` into the
-    run's ``layout`` of ``table`` (by default the natural one)."""
-    if layout is None:
-        layout = system_layout(mesh, table)
+    and S: the numeric fill of ``pattern`` (by default the mesh's
+    ``jacobian_pattern``, in natural order) under the table's row
+    weights."""
+    if pattern is None:
+        pattern = mesh.jacobian_pattern
     h_blocks = material.face_linearisation(
         f_face, s_face, mesh.face_normal, (mesh.face_normal, mesh.face_tangent))
-    values = mesh.jacobian_pattern.fill @ np.concatenate(h_blocks).reshape(-1, 4)
-    return layout.matrix(values.reshape(-1, 2, 2))
+    blocks = (pattern.fill @ np.concatenate(h_blocks).reshape(-1, 4)).reshape(-1, 2, 2)
+    # Boundary rows are the block tail: (I - D) S there (exactly S on
+    # traction rows, zero on displacement rows) and D added on the diagonal.
+    n_cells, bface = mesh.n_cells, pattern.bface_block
+    tail = blocks[blocks.shape[0] - bface.size:]
+    tail[...] = mul2(IDENTITY - table.disp[n_cells + bface], tail)
+    blocks[pattern.diagonal[n_cells:]] += table.disp[n_cells:]
+    return sp.csc_matrix((blocks.ravel()[pattern.gather], pattern.indices, pattern.indptr),
+                         shape=(pattern.indptr.size - 1,) * 2)
 
 
 # ----------------------------------------------------------------------

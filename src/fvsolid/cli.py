@@ -16,7 +16,8 @@ key at most once.  Three cases are registered:
 
 Flags override file values.  Artifacts land in the output directory:
 report.json, convergence.csv, errors.csv (manufactured cases), one
-deformed*.vtk per mesh, and A.mtx/R.mtx with --dump-matrix.  Exit status:
+deformed*.vtk per mesh, and A.mtx/R.mtx with --dump-matrix (the first
+correction of the first mesh).  Exit status:
 0 converged, 1 bad configuration or I/O failure, 2 divergence reported.
 """
 
@@ -26,7 +27,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -77,6 +78,8 @@ _CASE_DEFAULTS = {
 _FLOAT_KEYS = {"stretch", "shear_factor", "E", "nu", "traction",
                "tolerance", "relaxation"}
 _INT_KEYS = {"max_corrections", "load_steps"}
+_BOOLEANS = {"true": True, "yes": True, "1": True,
+             "false": False, "no": False, "0": False}
 
 
 def _parse_mesh(text: str) -> tuple:
@@ -139,7 +142,10 @@ def parse_config(path: str, overrides: dict | None = None) -> CaseConfig:
             except ValueError:
                 raise ConfigError(f"config key {key!r} needs an integer, got {value!r}") from None
         elif key == "dump_matrix" and isinstance(value, str):
-            value = value.lower() in ("1", "true", "yes")
+            if value.lower() not in _BOOLEANS:
+                raise ConfigError(f"config key 'dump_matrix' needs one of "
+                                  f"{'/'.join(_BOOLEANS)}, got {value!r}")
+            value = _BOOLEANS[value.lower()]
         setattr(cfg, key, value)
 
     _validate(cfg)
@@ -259,6 +265,8 @@ def run_case(cfg: CaseConfig) -> int:
             bcs = mms_bcs(_mms_case(cfg), material)
 
         report = run(mesh, material, bcs, solve_cfg)
+        # A.mtx/R.mtx hold the first mesh's first correction.
+        solve_cfg = replace(solve_cfg, dump_dir=None)
         all_converged &= report.converged
 
         entry = {

@@ -9,10 +9,11 @@ singular matrix fails the solve; there is no partial-pivoting retry.
 
 The column order is minimum degree on A+A^T, unless the caller passes the
 order of an earlier factor of the same pattern: then the matrix is
-already laid out in it (CSC of P A P^T) and SuperLU keeps it
-(``NATURAL``), so a run of corrections analyses its pattern once.  The
-right-hand side is permuted in and the solution out; the post-check's
-norms do not depend on the order.
+already laid out in it (CSC of P A P^T, filled into
+``BlockPattern.ordered(order)``) and SuperLU keeps it (``NATURAL``), so a
+run of corrections analyses its pattern once.  The right-hand side is
+permuted in and the solution out; the post-check's norms do not depend on
+the order.
 """
 
 from __future__ import annotations

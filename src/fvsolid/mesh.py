@@ -29,7 +29,7 @@ use and then kept with the mesh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -56,6 +56,7 @@ class BlockPattern:
     flattened (n_blocks, 4) block values.  Boundary-face rows come last,
     so their blocks are the tail of the block order, labelled with their
     boundary index.  The arrays are read-only, like every mesh array.
+    ``ordered`` re-lays the CSC layout in a factor's column order.
     """
 
     fill: sp.csc_matrix         # (n_blocks, 2 n_faces)
@@ -67,6 +68,21 @@ class BlockPattern:
 
     def __post_init__(self):
         _freeze(self)
+
+    def ordered(self, order: np.ndarray) -> BlockPattern:
+        """The same pattern with its CSC layout in column order p = ``order``:
+        the CSC form of P A P^T, whose entry (p[i], p[j]) is A's (i, j).
+        SuperLU factorises it with ``NATURAL``, so a fill needs no
+        conversion or permutation.  ``fill``, ``diagonal`` and
+        ``bface_block`` are shared."""
+        n = self.indptr.size - 1
+        col = order[np.repeat(np.arange(n), np.diff(self.indptr))]
+        row = order[self.indices]
+        sort = np.argsort(col.astype(np.int64) * n + row)
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(col, minlength=n), out=indptr[1:])
+        return replace(self, indptr=indptr, indices=row[sort].astype(np.int32),
+                       gather=self.gather[sort])
 
 
 class CartesianMesh:

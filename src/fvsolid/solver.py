@@ -44,7 +44,7 @@ import numpy as np
 from . import linsolve
 from .assembly import (BoundaryTable, assemble_scalar_operator,
                        assemble_system, boundary_values, build_boundary_table,
-                       face_states, force_row_mask, newton_rhs, system_layout)
+                       face_states, force_row_mask, newton_rhs)
 from .kinematics import State, advance_state, zero_state
 from .material import InvertedElementError, Lame, LinearElastic
 from .mesh import CartesianMesh
@@ -127,20 +127,20 @@ def _coupled(mesh: CartesianMesh, material, table: BoundaryTable,
     from those face states, writes it to ``dump_dir`` if one is given, and
     solves it.  The stored pattern is the mesh's, and the row weights are
     the table's, which every load step shares.  The first factorisation
-    orders the pattern by minimum degree; the second re-lays the layout in
-    that order, and every later matrix is filled straight into it.
+    orders the pattern by minimum degree; the second re-lays the pattern
+    in that order, and every later matrix is filled straight into it.
     """
-    layout = system_layout(mesh, table)
+    pattern = mesh.jacobian_pattern
     order = None                    # the first factor's column order
 
     def solve(f_face, s_face, rhs: np.ndarray, dump_dir: str | None) -> np.ndarray:
-        nonlocal layout, order
-        if order is not None and layout.order is None:
-            layout = system_layout(mesh, table, order)
-        matrix = assemble_system(mesh, material, table, f_face, s_face, layout)
+        nonlocal pattern, order
+        if order is not None and pattern is mesh.jacobian_pattern:
+            pattern = pattern.ordered(order)
+        matrix = assemble_system(mesh, material, table, f_face, s_face, pattern)
         if dump_dir:
             linsolve.dump_system(dump_dir, matrix, rhs.ravel())
-        solution = linsolve.solve(matrix, rhs.ravel(), layout.order)
+        solution = linsolve.solve(matrix, rhs.ravel(), order)
         order = solution.order
         return solution.x.reshape(-1, 2)
 

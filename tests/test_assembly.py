@@ -26,7 +26,6 @@ from fvsolid.assembly import (
     face_states,
     force_row_mask,
     newton_rhs,
-    system_layout,
 )
 from fvsolid.kinematics import State, zero_state
 from fvsolid.material import InvertedElementError, Lame, LinearElastic, NeoHookean
@@ -437,7 +436,8 @@ def test_ordered_layout_solves_like_a_fresh_ordering(dims, bcs, rtol, rng):
     """Re-laid in the first factor's column order p, the fill is the CSC
     form of P A P^T, entry (p[i], p[j]) = A[i, j], and its solve with that
     order gives a fresh minimum-degree solve's Newton increment at a
-    perturbed neo-Hookean state.  The layout keeps no factor alive."""
+    perturbed neo-Hookean state.  The re-laid pattern keeps no factor
+    alive."""
     mesh = build_mesh(*dims)
     g = random_gradients(rng, 1, scale=0.15)[0]
     u = linear_field(mesh, g)
@@ -449,44 +449,84 @@ def test_ordered_layout_solves_like_a_fresh_ordering(dims, bcs, rtol, rng):
 
     matrix = assemble_system(mesh, UNIT, table, f_face, s_face)
     fresh = linsolve.solve(matrix, rhs)
-    layout = system_layout(mesh, table, fresh.order)
-    ordered = assemble_system(mesh, UNIT, table, f_face, s_face, layout)
+    pattern = mesh.jacobian_pattern.ordered(fresh.order)
+    ordered = assemble_system(mesh, UNIT, table, f_face, s_face, pattern)
     assert ordered.format == "csc" and ordered.has_sorted_indices
     p = fresh.order
     npt.assert_array_equal(ordered.toarray()[np.ix_(p, p)], matrix.toarray())
 
-    solution = linsolve.solve(ordered, rhs, layout.order)
+    solution = linsolve.solve(ordered, rhs, fresh.order)
     assert np.linalg.norm(solution.x - fresh.x) <= rtol * np.linalg.norm(fresh.x)
     assert solution.residual <= linsolve.BACKWARD_ERROR_BOUND
-    assert not any(holds_factor(value) for value in vars(layout).values())
+    assert not any(holds_factor(value) for value in vars(pattern).values())
+
+
+def test_ordered_pattern_shares_and_freezes(rng):
+    """``ordered`` returns read-only arrays, shares the fill operator, the
+    diagonal and the boundary labels with the mesh pattern, and leaves the
+    mesh pattern's own arrays as they were."""
+    mesh = build_mesh(3, 4, 1.5, 1.0)
+    natural = mesh.jacobian_pattern
+    before = {name: value.copy() for name, value in vars(natural).items()}
+    pattern = natural.ordered(rng.permutation(2 * mesh.n_unknowns).astype(np.int32))
+    assert mesh.jacobian_pattern is natural
+    for name in ("fill", "diagonal", "bface_block"):
+        assert getattr(pattern, name) is getattr(natural, name)
+    for name in ("indptr", "indices", "gather"):
+        assert not getattr(pattern, name).flags.writeable
+        npt.assert_array_equal(getattr(natural, name), before[name])
+    npt.assert_array_equal(natural.fill.toarray(), before["fill"].toarray())
 
 
 def test_stored_pattern_is_the_mesh_pattern(rng):
     """The stored pattern depends on the mesh only: every boundary map
-    gives the same CSC indptr and indices, the natural layout's arrays are
-    the mesh pattern's own read-only arrays, and every stored entry of a
+    gives the mesh pattern's CSC indptr and indices, in natural order and
+    in a factor's column order, and every stored entry of a
     prescribed-displacement row off its diagonal block is exactly 0.0."""
     mesh = build_mesh(3, 4, 1.5, 1.0)
-    pattern = mesh.jacobian_pattern
+    natural = mesh.jacobian_pattern
     u = linear_field(mesh, random_gradients(rng, 1, scale=0.15)[0])
     u += 0.01 * min(mesh.dx, mesh.dy) * rng.standard_normal(u.shape)
     f_face, s_face, _ = face_states(mesh, UNIT, State(u))
-    for bcs in (MIXED, ALL_DISPLACEMENT, SYMMETRY_PLANES):
-        table = build_boundary_table(mesh, bcs)
-        layout = system_layout(mesh, table)
-        for name in ("indptr", "indices", "gather"):
-            array = getattr(layout, name)
-            assert array is getattr(pattern, name)
-            assert not array.flags.writeable
-        matrix = assemble_system(mesh, UNIT, table, f_face, s_face, layout)
-        npt.assert_array_equal(matrix.indptr, pattern.indptr)
-        npt.assert_array_equal(matrix.indices, pattern.indices)
-        entries = matrix.tocoo()
-        rows, cols = entries.row // 2, entries.col // 2
-        fixed = np.flatnonzero(~force_row_mask(mesh, table))
-        off = np.isin(rows, fixed) & (rows != cols)
-        assert off.any()
-        assert np.all(entries.data[off] == 0.0)
+    order = linsolve.solve(assemble_system(mesh, UNIT, build_boundary_table(mesh, MIXED),
+                                           f_face, s_face),
+                           np.ones(2 * mesh.n_unknowns)).order
+    for pattern in (natural, natural.ordered(order)):
+        for bcs in (MIXED, ALL_DISPLACEMENT, SYMMETRY_PLANES):
+            table = build_boundary_table(mesh, bcs)
+            matrix = assemble_system(mesh, UNIT, table, f_face, s_face, pattern)
+            npt.assert_array_equal(matrix.indptr, pattern.indptr)
+            npt.assert_array_equal(matrix.indices, pattern.indices)
+            entries = matrix.tocoo()
+            rows, cols = entries.row // 2, entries.col // 2
+            if pattern is not natural:
+                rows, cols = (np.argsort(order)[index] // 2
+                              for index in (entries.row, entries.col))
+            fixed = np.flatnonzero(~force_row_mask(mesh, table))
+            off = np.isin(rows, fixed) & (rows != cols)
+            assert off.any()
+            assert np.all(entries.data[off] == 0.0)
+
+
+@pytest.mark.parametrize("material", [UNIT, HOOKE], ids=["neo", "linear"])
+@pytest.mark.parametrize("dims,bcs", [((3, 4, 1.5, 1.0), MIXED), ((8, 8, 2.0, 0.1), BEAM)],
+                         ids=["mixed", "beam"])
+def test_row_weights_leave_force_rows_exact(dims, bcs, material, rng):
+    """Weighting every boundary row by I - D is exact where I - D = I:
+    the cell and traction rows equal those of the unweighted fill (D = 0)
+    bit for bit."""
+    mesh = build_mesh(*dims)
+    u = linear_field(mesh, random_gradients(rng, 1, scale=0.15)[0])
+    u += 0.01 * min(mesh.dx, mesh.dy) * rng.standard_normal(u.shape)
+    table = build_boundary_table(mesh, bcs)
+    f_face, s_face, _ = face_states(mesh, material, State(u))
+    weighted = assemble_system(mesh, material, table, f_face, s_face)
+    bare = assemble_system(mesh, material, replace(table, disp=np.zeros_like(table.disp)),
+                           f_face, s_face)
+    rows = np.concatenate([np.arange(mesh.n_cells)] + [
+        mesh.n_cells + bfaces(mesh, patch) for patch, bc in bcs.items() if bc.kind == TRACTION])
+    scalar = (2 * rows[:, None] + (0, 1)).ravel()
+    npt.assert_array_equal(weighted[scalar].toarray(), bare[scalar].toarray())
 
 
 def test_matrix_annihilates_translations(mesh_small, rng):

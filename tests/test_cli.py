@@ -66,6 +66,13 @@ def test_parse_config_values_and_comments(tmp_path):
     assert cfg.material == "neo"
 
 
+@pytest.mark.parametrize("text,value", [
+    ("true", True), ("YES", True), ("1", True), ("False", False), ("no", False), ("0", False)])
+def test_parse_config_dump_matrix_words(tmp_path, text, value):
+    path = write_cfg(tmp_path, f"case = shear\ndump_matrix = {text}\n")
+    assert parse_config(path).dump_matrix is value
+
+
 def test_overrides_beat_file_values(tmp_path):
     path = write_cfg(tmp_path, "case = shear\nmethod = nlbc\n")
     cfg = parse_config(path, {"method": "seg", "mesh": "8x8", "out": None})
@@ -106,6 +113,9 @@ def test_parse_config_sweep(tmp_path):
     ("case = shear\nrelaxation = 0\n", "'relaxation' must be finite and positive"),
     ("case = uniaxial\nstretch = 2\nstretch = 3\n",
      r"case\.cfg:3: duplicate config key 'stretch' \(first set on line 2\)"),
+    ("case = shear\ndump_matrix = ture\n", "'dump_matrix' needs one of .*got 'ture'"),
+    ("case = shear\ndump_matrix = junk\n", "'dump_matrix' needs one of .*got 'junk'"),
+    ("case = shear\ndump_matrix =\n", "'dump_matrix' needs one of .*got ''"),
 ])
 def test_parse_config_rejects(tmp_path, text, message):
     path = write_cfg(tmp_path, text)
@@ -286,6 +296,22 @@ def test_dump_matrix_writes_loadable_system(tmp_path):
         rhs = np.asarray(scipy.io.mmread(out / "R.mtx")).ravel()
         assert rhs.shape == (rows,)
         assert np.isfinite(rhs).all()
+
+
+def test_sweep_dumps_the_first_mesh_system(tmp_path):
+    """A sweep's A.mtx is the first mesh's first correction, not the last
+    mesh's: 2 (9 cells + 12 boundary faces) rows for sweep = 3,4."""
+    out = tmp_path / "sweep"
+    path = write_cfg(tmp_path, f"""
+        case = uniaxial
+        stretch = 1.3
+        sweep = 3,4
+        dump_matrix = true
+        out = {out}
+    """)
+    assert run_case(parse_config(path)) == 0
+    assert scipy.io.mmread(out / "A.mtx").shape == (42, 42)
+    assert np.asarray(scipy.io.mmread(out / "R.mtx")).shape == (42, 1)
 
 
 def test_dump_matrix_is_the_natural_order_system(tmp_path):

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import numpy.testing as npt
 
-from fvsolid import advance_state, zero_state
-from fvsolid.kinematics import cell_gradient, vertex_values
+from fvsolid.kinematics import (advance_state, cell_gradient, vertex_values,
+                                zero_state)
 from tests import oracles
 from tests.conftest import random_gradients
 
