@@ -436,8 +436,8 @@ def test_ordered_layout_solves_like_a_fresh_ordering(dims, bcs, rtol, rng):
     """Re-laid in the first factor's column order p, the fill is the CSC
     form of P A P^T, entry (p[i], p[j]) = A[i, j], and its solve with that
     order gives a fresh minimum-degree solve's Newton increment at a
-    perturbed neo-Hookean state.  The re-laid pattern keeps no factor
-    alive."""
+    perturbed neo-Hookean state.  Neither the re-laid pattern nor either
+    solve's column order keeps a factor alive."""
     mesh = build_mesh(*dims)
     g = random_gradients(rng, 1, scale=0.15)[0]
     u = linear_field(mesh, g)
@@ -459,6 +459,7 @@ def test_ordered_layout_solves_like_a_fresh_ordering(dims, bcs, rtol, rng):
     assert np.linalg.norm(solution.x - fresh.x) <= rtol * np.linalg.norm(fresh.x)
     assert solution.residual <= linsolve.BACKWARD_ERROR_BOUND
     assert not any(holds_factor(value) for value in vars(pattern).values())
+    assert not holds_factor(fresh.order) and not holds_factor(solution.order)
 
 
 def test_ordered_pattern_shares_and_freezes(rng):
