@@ -12,14 +12,15 @@ gradient along the tangent on the boundary):
 
 The residual collects the face fluxes onto the unknown rows with
 ``face_rows`` (cell divergence, then each boundary face's own flux) and
-mixes each row with its boundary condition through per-row 2x2 weights:
+mixes each boundary row with its condition through a 2x2 weight:
 
     r = (I - D) (face_rows @ flux) + D U - b
 
-with D = 0 on cell and traction rows, I on prescribed-displacement rows
-and N x N on symmetry planes, stored once per run in the boundary table;
-b holds the prescribed values, the only part a load step changes.  The
-right-hand side is -r.
+with D = I on prescribed-displacement rows, N x N on symmetry planes and
+zero on traction rows, stored per boundary face once per run in the
+boundary table (cell rows have neither D nor b); b holds the prescribed
+values, the only part a load step changes.  ``newton_rhs`` returns -r;
+only the solver measures it.
 
 The material returns, for each face, the flux coefficient H(m) of a
 direction m: a gradient perturbation a x m changes the flux density by
@@ -37,10 +38,8 @@ sum over faces in one sparse product.  ``assemble_system`` then weights
 the boundary rows by I - D, adds D on their diagonal and gathers the
 values into the pattern's CSC data: the mesh's natural layout, or its
 re-lay in a factor's column order (``BlockPattern.ordered``).  The stored
-pattern is the mesh's: whole blocks, zeros included, so a
-prescribed-displacement row stores its off-diagonal blocks as exact zeros
-(I - D = 0).  Traction and symmetry rows stay in stress units; the
-residual norm rescales them.
+pattern is the mesh's: whole blocks, zeros included, so a prescribed-
+displacement row stores exact zeros off its diagonal (I - D = 0).
 """
 
 from __future__ import annotations
@@ -81,14 +80,14 @@ class RigidBodyModeError(ValueError):
 class BoundaryTable:
     kind: np.ndarray    # (n_bfaces,) codes per _KIND_CODE
     value: np.ndarray   # (n_bfaces, 2) prescribed data at the current load
-    disp: np.ndarray    # (n_unknowns, 2, 2) row weights D of the residual
+    disp: np.ndarray    # (n_bfaces, 2, 2) row weights D of the residual
 
 
 def build_boundary_table(mesh: CartesianMesh, bcs: dict, t: float = 1.0) -> BoundaryTable:
     """Kinds, prescribed values at load factor t, and the residual's row
-    weights D: I on prescribed-displacement rows, N x N on symmetry
-    planes, zero on cell and traction rows.  Only the values depend on t:
-    a later load step of the same run needs only ``boundary_values``."""
+    weights D per boundary face: I on prescribed displacement, N x N on
+    symmetry planes, zero on traction.  Only the values depend on t: a
+    later load step of the same run needs only ``boundary_values``."""
     unknown = set(bcs) - set(range(4))
     if unknown:
         raise ValueError(f"unknown boundary patches: {sorted(unknown, key=str)}")
@@ -102,26 +101,25 @@ def build_boundary_table(mesh: CartesianMesh, bcs: dict, t: float = 1.0) -> Boun
         raise ValueError(f"patches without a boundary condition: {sorted(missing)}")
     value = boundary_values(mesh, bcs, t)
     _check_rigid_body_modes(mesh, kind)
-    rows = mesh.n_cells + np.arange(mesh.n_bfaces)
     symm = kind == _KIND_CODE[SYMMETRY]
     normal = mesh.face_normal[mesh.bface_face[symm]]
-    disp = np.zeros((mesh.n_unknowns, 2, 2))
-    disp[rows[kind == _KIND_CODE[DISPLACEMENT]]] = IDENTITY
-    disp[rows[symm]] = outer(normal, normal)
+    disp = np.zeros((mesh.n_bfaces, 2, 2))
+    disp[kind == _KIND_CODE[DISPLACEMENT]] = IDENTITY
+    disp[symm] = outer(normal, normal)
     return BoundaryTable(kind, value, disp)
 
 
 def boundary_values(mesh: CartesianMesh, bcs: dict, t: float) -> np.ndarray:
     """(n_bfaces, 2) prescribed values of a checked boundary map at load
-    factor t."""
+    factor t; a symmetry plane has none, whatever value it is given."""
     value = np.zeros((mesh.n_bfaces, 2))
     for patch, bc in bcs.items():
+        if bc.kind == SYMMETRY or bc.value is None:
+            continue
         faces = mesh.patch_faces(patch)
-        b = mesh.face_boundary_index[faces]
-        if callable(bc.value):
-            value[b] = np.asarray(bc.value(mesh.face_centroid[faces], t))[..., :2]
-        elif bc.value is not None:
-            value[b] = np.asarray(bc.value, dtype=float)[..., :2] * t
+        data = (bc.value(mesh.face_centroid[faces], t) if callable(bc.value)
+                else np.asarray(bc.value, dtype=float) * t)
+        value[mesh.face_boundary_index[faces]] = np.asarray(data)[..., :2]
     return value
 
 
@@ -181,7 +179,7 @@ def face_states(mesh: CartesianMesh, material, state: State):
     grad = (outer(mesh.face_quotient @ u, mesh.face_normal)
             + outer(mesh.face_tangential @ u, mesh.face_tangent))
     try:
-        f_face, s_face = material.stress_state(grad, "face")
+        f_face, s_face = material.stress_state(grad)
     except InvertedElementError:
         # Name the fold by kind, numbered within its kind: interior first.
         det_f = det2(IDENTITY + grad)
@@ -192,25 +190,20 @@ def face_states(mesh: CartesianMesh, material, state: State):
     return f_face, s_face, flux_density
 
 
-def newton_rhs(mesh: CartesianMesh, material, state: State, table: BoundaryTable,
-               flux_density: np.ndarray):
-    """Residual right-hand side -r and the per-row weights of its norm.
+def newton_rhs(mesh: CartesianMesh, state: State, table: BoundaryTable,
+               flux_density: np.ndarray) -> np.ndarray:
+    """Residual right-hand side -r.
 
     Cell rows carry the negative accumulated surface force (force units).
-    Boundary rows carry the boundary-condition defect in its native units;
-    the weights rescale traction rows by face area and displacement rows
-    by the shear modulus so the norm is uniformly force-like.
+    Boundary rows carry the boundary-condition defect in its native units:
+    traction and symmetry rows in stress, displacement rows in length.
     """
-    target = np.zeros((mesh.n_unknowns, 2))
-    target[mesh.n_cells:] = np.where((table.kind == _KIND_CODE[SYMMETRY])[:, None],
-                                     0.0, table.value)
-    rhs = (target - matvec2(IDENTITY - table.disp, mesh.face_rows @ flux_density)
-           - matvec2(table.disp, state.displacement))
-
-    row_scale = np.ones(mesh.n_unknowns)
-    row_scale[mesh.n_cells:] = np.where(table.kind == _KIND_CODE[DISPLACEMENT],
-                                        material.mu, mesh.face_area[mesh.bface_face])
-    return rhs, row_scale
+    # 0.0 - x, not -x: a zero row stays +0.0.
+    rhs = 0.0 - mesh.face_rows @ flux_density
+    tail = rhs[mesh.n_cells:]
+    tail[...] = (table.value + matvec2(IDENTITY - table.disp, tail)
+                 - matvec2(table.disp, state.displacement[mesh.n_cells:]))
+    return rhs
 
 
 # ----------------------------------------------------------------------
@@ -233,8 +226,8 @@ def assemble_system(mesh: CartesianMesh, material, table: BoundaryTable,
     # traction rows, zero on displacement rows) and D added on the diagonal.
     n_cells, bface = mesh.n_cells, pattern.bface_block
     tail = blocks[blocks.shape[0] - bface.size:]
-    tail[...] = mul2(IDENTITY - table.disp[n_cells + bface], tail)
-    blocks[pattern.diagonal[n_cells:]] += table.disp[n_cells:]
+    tail[...] = mul2(IDENTITY - table.disp[bface], tail)
+    blocks[pattern.diagonal[n_cells:]] += table.disp
     return sp.csc_matrix((blocks.ravel()[pattern.gather], pattern.indices, pattern.indptr),
                          shape=(pattern.indptr.size - 1,) * 2)
 

@@ -164,6 +164,9 @@ def _validate(cfg: CaseConfig) -> None:
         value = getattr(cfg, key)
         if not (math.isfinite(value) and value > 0):
             raise ConfigError(f"{key!r} must be finite and positive, got {value}")
+    if cfg.tolerance >= 1:
+        # The first normalised residual is at most 1: it would pass unsolved.
+        raise ConfigError(f"'tolerance' must be below 1, got {cfg.tolerance}")
     for key in ("stretch", "shear_factor", "traction"):
         value = getattr(cfg, key)
         if value is not None and not math.isfinite(value):

@@ -105,10 +105,10 @@ class NeoHookean:
 
     # -- solver surface ------------------------------------------------
 
-    def stress_state(self, grad_u: np.ndarray, label: str = "cell"):
+    def stress_state(self, grad_u: np.ndarray):
         f = IDENTITY + grad_u
         det_f = det2(f)
-        check_positive_jacobian(det_f, label)
+        check_positive_jacobian(det_f, "cell")
         c_inv, _ = inv2(mul2(np.swapaxes(f, -1, -2), f))
         return f, self._stress(c_inv, np.log(det_f))
 
@@ -158,7 +158,7 @@ class LinearElastic:
         return (self.mu * (grad_u + np.swapaxes(grad_u, -1, -2))
                 + self.lam * tr[..., None, None] * IDENTITY)
 
-    def stress_state(self, grad_u: np.ndarray, label: str = "cell"):
+    def stress_state(self, grad_u: np.ndarray):
         f = np.broadcast_to(IDENTITY, grad_u.shape)
         return f, self.stress(grad_u)
 

@@ -20,10 +20,11 @@ with a set-up done once per run:
   under-relaxation on the update of the force-balance unknowns (prescribed
   boundary values are assignments and take their full solved value)
 
-Residual bookkeeping: every correction's right-hand side is reduced to a
-force-like norm (boundary rows rescaled by the weights the assembly
-provides) and normalised by the first correction's all-row norm, floored
-by the force scale mu * min cell spacing.  The convergence verdict reads
+Residual bookkeeping: the assembly returns each evaluation's right-hand
+side and only the loop measures it, by one force-like norm per evaluation
+(row weights set once per run: face area on traction and symmetry rows,
+mu on displacement rows) normalised by the first evaluation's all-row
+norm, floored by the force scale mu * min cell spacing.  The verdict reads
 the force-balance rows only: prescribed-displacement rows seed the
 normalisation and block convergence before the first correction, but
 their post-solve defect is linear-solver forward error, which no outer
@@ -62,6 +63,10 @@ class SolveConfig:
     def __post_init__(self):
         if self.n_load_steps < 1:
             raise ValueError(f"n_load_steps must be at least 1, got {self.n_load_steps}")
+        # The first normalised residual is at most 1: a tolerance of 1 or
+        # more would pass it without a single correction.
+        if not self.outer_tolerance < 1:
+            raise ValueError(f"outer_tolerance must be below 1, got {self.outer_tolerance}")
 
 
 @dataclass
@@ -79,34 +84,33 @@ class RunReport:
         return int(sum(self.n_corr))
 
 
-def residual_norm(rhs: np.ndarray, row_scale: np.ndarray,
-                  rows: np.ndarray | slice = slice(None)) -> float:
-    """Force-like 2-norm of (a row subset of) a block right-hand side."""
-    scaled = rhs[rows] * row_scale[rows, None]
-    return float(np.linalg.norm(scaled))
-
-
 class _Monitor:
     """Normalised-residual tracking with divergence detection.
 
-    The first update's all-row norm fixes the denominator (floored), so a
-    pending prescribed-displacement defect cannot pass for convergence at
-    correction zero; every verdict reads the force-row norm.
+    Every update takes one force-like norm of the right-hand side.  The
+    first reads all rows and fixes the denominator (floored), so a pending
+    prescribed-displacement defect cannot pass for convergence at
+    correction zero; every later one reads the force rows only.
     """
 
-    def __init__(self, tolerance: float, floor: float):
+    def __init__(self, tolerance: float, floor: float, weight: np.ndarray,
+                 force_rows: np.ndarray):
         self.tolerance = tolerance
         self.floor = floor
+        self.weight = weight
+        self.force_rows = force_rows
         self.denominator: float | None = None
         self.previous = np.inf
         self.rises = 0
         self.history: list[float] = []
 
-    def update(self, raw_force: float, raw_all: float) -> str:
+    def update(self, rhs: np.ndarray) -> str:
         first = self.denominator is None
+        rows = slice(None) if first else self.force_rows
+        raw = float(np.linalg.norm(rhs[rows] * self.weight[rows, None]))
         if first:
-            self.denominator = max(raw_all, self.floor)
-        value = (raw_all if first else raw_force) / self.denominator
+            self.denominator = max(raw, self.floor)
+        value = raw / self.denominator
         self.history.append(value)
         if value < self.tolerance:
             return "converged"
@@ -191,11 +195,14 @@ def run(mesh: CartesianMesh, material, bcs: dict, cfg: SolveConfig) -> RunReport
     histories: list[list[float]] = []
     failure = None
 
-    # Boundary kinds, row weights, the rigid-body check and force rows do
-    # not depend on the load factor, so each method sets up once per run;
-    # later load steps only re-evaluate the prescribed values.
+    # Boundary kinds, row weights, the rigid-body check, force rows and norm
+    # weights do not depend on the load factor: each method sets up once per
+    # run, and later load steps only re-evaluate the prescribed values.
     table = build_boundary_table(mesh, bcs, 1.0 / cfg.n_load_steps)
     force_rows = force_row_mask(mesh, table)
+    weight = np.ones(mesh.n_unknowns)
+    weight[mesh.n_cells:] = np.where(force_rows[mesh.n_cells:],
+                                     mesh.face_area[mesh.bface_face], material.mu)
     solve = _SOLVERS[cfg.method](mesh, material, table, force_rows, cfg)
     # Face states depend only on the state: the check that ends a load step
     # also serves the next step's first correction.
@@ -205,7 +212,7 @@ def run(mesh: CartesianMesh, material, bcs: dict, cfg: SolveConfig) -> RunReport
         if step > 0:
             table = replace(table, value=boundary_values(
                 mesh, bcs, (step + 1) / cfg.n_load_steps))
-        monitor = _Monitor(cfg.outer_tolerance, floor)
+        monitor = _Monitor(cfg.outer_tolerance, floor, weight, force_rows)
         corrections = 0
         while True:
             if states is None:
@@ -215,9 +222,8 @@ def run(mesh: CartesianMesh, material, bcs: dict, cfg: SolveConfig) -> RunReport
                     failure = str(err)
                     break
             f_face, s_face, flux_density = states
-            rhs, row_scale = newton_rhs(mesh, material, state, table, flux_density)
-            verdict = monitor.update(residual_norm(rhs, row_scale, force_rows),
-                                     residual_norm(rhs, row_scale))
+            rhs = newton_rhs(mesh, state, table, flux_density)
+            verdict = monitor.update(rhs)
             if verdict == "converged":
                 break
             if verdict == "diverged":

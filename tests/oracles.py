@@ -191,8 +191,9 @@ def jacobian(mesh, material, table, f_face, s_face):
         f_face, s_face, mesh.face_normal, (mesh.face_normal, mesh.face_tangent))
     flux_derivative = (_blocks(mesh.face_quotient, h_normal)
                        + _blocks(mesh.face_tangential, h_tangent))
-    return (_blocks(mesh.face_rows, np.eye(2) - table.disp) @ flux_derivative
-            + _blocks(sp.identity(mesh.n_unknowns, format="csr"), table.disp)).tocsr()
+    disp = np.concatenate((np.zeros((mesh.n_cells, 2, 2)), table.disp))    # D = 0 on cells
+    return (_blocks(mesh.face_rows, np.eye(2) - disp) @ flux_derivative
+            + _blocks(sp.identity(mesh.n_unknowns, format="csr"), disp)).tocsr()
 
 
 def cell_force_rows(mesh, flux_density: np.ndarray) -> np.ndarray:

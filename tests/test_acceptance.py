@@ -232,7 +232,7 @@ def test_criterion_8_property_suite(rng):
            for p in (LEFT, RIGHT, BOTTOM, TOP)}
     table = build_boundary_table(mesh, bcs)
     _, _, flux = face_states(mesh, SOFT, state)
-    rhs, _ = newton_rhs(mesh, SOFT, state, table, flux)
+    rhs = newton_rhs(mesh, state, table, flux)
     interior_rel = (np.abs(rhs[:mesh.n_cells]).max()
                     / (np.abs(flux).max() * mesh.face_area.max()))
     assert interior_rel < 1e-12, f"interior residual {interior_rel:.3e}"
@@ -243,7 +243,7 @@ def test_criterion_8_property_suite(rng):
     sys_table = build_boundary_table(sys_mesh, mms_bcs(case, SOFT))
     sys_state = zero_state(sys_mesh)
     f_face, s_face, sys_flux = face_states(sys_mesh, SOFT, sys_state)
-    sys_rhs, _ = newton_rhs(sys_mesh, SOFT, sys_state, sys_table, sys_flux)
+    sys_rhs = newton_rhs(sys_mesh, sys_state, sys_table, sys_flux)
     sys_matrix = assemble_system(sys_mesh, SOFT, sys_table, f_face, s_face)
     direct = linsolve.solve(sys_matrix, sys_rhs.ravel()).x
     dense = np.linalg.solve(sys_matrix.toarray(), sys_rhs.ravel())

@@ -66,6 +66,16 @@ BEAM = {
 }
 
 
+def force_like(mesh, table, rhs):
+    """Right-hand side rows in force units, weighted as the solver's
+    residual norm weights them: traction and symmetry rows by face area,
+    prescribed-displacement rows by the shear modulus."""
+    weight = np.ones(mesh.n_unknowns)
+    weight[mesh.n_cells:] = np.where(force_row_mask(mesh, table)[mesh.n_cells:],
+                                     mesh.face_area[mesh.bface_face], UNIT.mu)
+    return weight[:, None] * rhs
+
+
 def linear_field(mesh, g):
     points = np.vstack([mesh.cell_centroids,
                         mesh.face_centroid[mesh.bface_face]])
@@ -94,14 +104,12 @@ def test_boundary_table_kinds_and_scaling(mesh_small):
     npt.assert_allclose(table.value[b_right],
                         np.tile([0.05, 0.025], (len(b_right), 1)))
     npt.assert_allclose(table.value[b_bottom], 0.0)
-    # residual row weights D: I on prescribed-displacement rows, N x N on
-    # symmetry rows, zero on cell and traction rows
-    nc = mesh_small.n_cells
-    assert table.disp.shape == (mesh_small.n_unknowns, 2, 2)
-    npt.assert_array_equal(table.disp[:nc], 0.0)
+    # residual row weights D per boundary face: I on prescribed-displacement
+    # faces, N x N on symmetry faces, zero on traction faces
+    assert table.disp.shape == (mesh_small.n_bfaces, 2, 2)
     for patch, weight in ((LEFT, IDENTITY), (RIGHT, 0.0), (TOP, 0.0),
                           (BOTTOM, [[0.0, 0.0], [0.0, 1.0]])):
-        rows = table.disp[nc + bfaces(mesh_small, patch)]
+        rows = table.disp[bfaces(mesh_small, patch)]
         npt.assert_array_equal(rows, np.broadcast_to(weight, rows.shape))
 
 
@@ -301,28 +309,49 @@ def test_homogeneous_state_residual_vanishes(mesh_small, rng):
     table = build_boundary_table(mesh_small, bcs)
     state = State(linear_field(mesh_small, g))
     _, _, flux = face_states(mesh_small, UNIT, state)
-    rhs, row_scale = newton_rhs(mesh_small, UNIT, state, table, flux)
+    rhs = newton_rhs(mesh_small, state, table, flux)
     scale = np.abs(p).max() * mesh_small.face_area.max()
-    npt.assert_allclose(row_scale[:, None] * rhs, 0.0, atol=1e-12 * scale)
+    npt.assert_allclose(force_like(mesh_small, table, rhs), 0.0, atol=1e-12 * scale)
 
 
-def test_newton_rhs_row_scales(mesh_small):
-    table = build_boundary_table(mesh_small, MIXED)
-    state = zero_state(mesh_small)
-    _, _, flux = face_states(mesh_small, UNIT, state)
-    _, row_scale = newton_rhs(mesh_small, UNIT, state, table, flux)
+def test_newton_rhs_cell_rows_read_no_table(mesh_small, rng):
+    """Cell rows are minus the collected face forces, bit for bit, whatever
+    the boundary table holds: swapping the row weights D and the values
+    between faces changes only the boundary rows."""
     m = mesh_small
-    npt.assert_allclose(row_scale[: m.n_cells], 1.0)
-    npt.assert_allclose(row_scale[m.n_cells + bfaces(m, LEFT)], UNIT.mu)
-    right = m.patch_faces(RIGHT)
-    npt.assert_allclose(row_scale[m.face_across[right]], m.face_area[right])
+    state = State(0.01 * rng.standard_normal((m.n_unknowns, 2)))
+    _, _, flux = face_states(m, UNIT, state)
+    expected = 0.0 - m.face_rows @ flux
+    table = build_boundary_table(m, MIXED)
+    swapped = replace(table, disp=table.disp[::-1], value=rng.standard_normal(table.value.shape))
+    for t in (table, swapped):
+        rhs = newton_rhs(m, state, t, flux)
+        npt.assert_array_equal(rhs[:m.n_cells], expected[:m.n_cells])
+    assert not np.array_equal(newton_rhs(m, state, swapped, flux)[m.n_cells:],
+                              newton_rhs(m, state, table, flux)[m.n_cells:])
+
+
+@pytest.mark.parametrize("value", [(0.3, -0.2), lambda x, t: t * x],
+                         ids=["constant", "callable"])
+def test_symmetry_patch_ignores_its_value(mesh_small, value, rng):
+    """A symmetry plane prescribes no data: a value given to its patch
+    leaves zero table values and the residual of the patch given none."""
+    bare = build_boundary_table(mesh_small, SYMMETRY_PLANES, t=0.5)
+    bcs = {**SYMMETRY_PLANES, BOTTOM: BoundaryCondition(SYMMETRY, value)}
+    table = build_boundary_table(mesh_small, bcs, t=0.5)
+    npt.assert_array_equal(table.value[bfaces(mesh_small, BOTTOM)], 0.0)
+    npt.assert_array_equal(table.value, bare.value)
+    state = State(0.01 * rng.standard_normal((mesh_small.n_unknowns, 2)))
+    _, _, flux = face_states(mesh_small, UNIT, state)
+    npt.assert_array_equal(newton_rhs(mesh_small, state, table, flux),
+                           newton_rhs(mesh_small, state, bare, flux))
 
 
 def test_newton_rhs_cell_rows_match_scatter_oracle(mesh_small, mesh16, rng):
     for mesh in (mesh_small, mesh16):
         table = build_boundary_table(mesh, ALL_DISPLACEMENT)
         flux = rng.normal(size=(mesh.n_faces, 2))
-        rhs, _ = newton_rhs(mesh, UNIT, zero_state(mesh), table, flux)
+        rhs = newton_rhs(mesh, zero_state(mesh), table, flux)
         ref = oracles.cell_force_rows(mesh, flux)
         assert np.abs(rhs[:mesh.n_cells] - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -332,7 +361,7 @@ def test_newton_rhs_displacement_defect(mesh_small):
     state = zero_state(mesh_small)
     state.displacement[mesh_small.n_cells + 2] = (0.02, -0.01)
     _, _, flux = face_states(mesh_small, UNIT, state)
-    rhs, _ = newton_rhs(mesh_small, UNIT, state, table, flux)
+    rhs = newton_rhs(mesh_small, state, table, flux)
     npt.assert_allclose(rhs[mesh_small.n_cells + 2], [-0.02, 0.01])
 
 
@@ -345,8 +374,7 @@ def residual_function(mesh, material, table):
     def rhs_of(u):
         state = State(u)
         _, _, flux = face_states(mesh, material, state)
-        rhs, _ = newton_rhs(mesh, material, state, table, flux)
-        return rhs
+        return newton_rhs(mesh, state, table, flux)
     return rhs_of
 
 
@@ -445,7 +473,7 @@ def test_ordered_layout_solves_like_a_fresh_ordering(dims, bcs, rtol, rng):
     state = State(u)
     table = build_boundary_table(mesh, bcs)
     f_face, s_face, flux = face_states(mesh, UNIT, state)
-    rhs = newton_rhs(mesh, UNIT, state, table, flux)[0].ravel()
+    rhs = newton_rhs(mesh, state, table, flux).ravel()
 
     matrix = assemble_system(mesh, UNIT, table, f_face, s_face)
     fresh = linsolve.solve(matrix, rhs)
@@ -567,7 +595,7 @@ def test_zero_state_zero_load_rhs(mesh_small):
     table = build_boundary_table(mesh_small, ALL_DISPLACEMENT)
     state = zero_state(mesh_small)
     f_face, s_face, flux = face_states(mesh_small, UNIT, state)
-    rhs, _ = newton_rhs(mesh_small, UNIT, state, table, flux)
+    rhs = newton_rhs(mesh_small, state, table, flux)
     matrix = assemble_system(mesh_small, UNIT, table, f_face, s_face)
     npt.assert_allclose(rhs, 0.0)
     assert rhs.shape == (mesh_small.n_unknowns, 2)

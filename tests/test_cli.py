@@ -110,6 +110,8 @@ def test_parse_config_sweep(tmp_path):
     ("case = shear\nmesh = 0x4\n", "'mesh' needs at least one cell per direction, got 0x4"),
     ("case = shear\nsweep = 0,4\n", "'sweep' sizes must be at least 1, got 0,4"),
     ("case = shear\ntolerance = -1\n", "'tolerance' must be finite and positive"),
+    ("case = shear\ntolerance = 1\n", "'tolerance' must be below 1, got 1.0"),
+    ("case = uniaxial\nstretch = 1.5\ntolerance = 2\n", "'tolerance' must be below 1, got 2.0"),
     ("case = shear\nrelaxation = 0\n", "'relaxation' must be finite and positive"),
     ("case = uniaxial\nstretch = 2\nstretch = 3\n",
      r"case\.cfg:3: duplicate config key 'stretch' \(first set on line 2\)"),
@@ -379,6 +381,8 @@ def test_main_reports_config_errors(tmp_path, capsys):
     "sweep = 0,4",
     "tolerance = -1",
     "tolerance = nan",
+    "tolerance = 1",
+    "tolerance = 2",
     "relaxation = 0",
     "mesh = 8x8",       # a second mesh key
     "gmres_restart = 0",

@@ -19,9 +19,9 @@ from fvsolid import (
     compute_errors,
     mms_bcs,
 )
-from fvsolid.assembly import DISPLACEMENT, TRACTION, build_boundary_table
+from fvsolid.assembly import DISPLACEMENT, SYMMETRY, TRACTION, build_boundary_table
 from fvsolid import assembly, linsolve, solver
-from fvsolid.solver import _Monitor, residual_norm, run
+from fvsolid.solver import _Monitor, run
 
 ZERO_DISPLACEMENT = {
     p: BoundaryCondition(DISPLACEMENT, (0.0, 0.0))
@@ -43,46 +43,78 @@ def mean_error(mesh, report, case):
 # ---------------------------------------------------------------------------
 
 
-def test_residual_norm_row_selection(rng):
+def test_monitor_norm_row_selection(rng):
+    """One weighted 2-norm per update: all rows on the first, which fixes
+    the denominator, and the force rows alone on every later one."""
     rhs = rng.standard_normal((6, 2))
     scale = rng.uniform(0.5, 2.0, 6)
     rows = np.array([True, False, True, True, False, False])
+    monitor = _Monitor(tolerance=1e-12, floor=0.0, weight=scale, force_rows=rows)
+    monitor.update(rhs)
+    full = np.linalg.norm((rhs * scale[:, None]).ravel())
+    assert monitor.denominator == pytest.approx(full)
+    monitor.update(rhs)
     expected = np.linalg.norm((rhs[rows] * scale[rows, None]).ravel())
-    assert residual_norm(rhs, scale, rows) == pytest.approx(expected)
-    full = residual_norm(rhs, scale)
-    assert full == pytest.approx(
-        np.linalg.norm((rhs * scale[:, None]).ravel()))
-    assert full >= residual_norm(rhs, scale, rows)
+    assert monitor.history == pytest.approx([1.0, expected / full])
+    assert full >= expected
+
+
+# One cell row (force) and one prescribed-displacement row weighted by 2.
+ROW_WEIGHT = np.array([1.0, 2.0])
+FORCE_ROWS = np.array([True, False])
+
+
+def rows(force: float, displacement: float = 0.0) -> np.ndarray:
+    """A right-hand side whose weighted rows have the given norms."""
+    return np.array([[force, 0.0], [displacement / 2.0, 0.0]])
 
 
 def test_monitor_first_verdict_uses_all_rows():
-    monitor = _Monitor(tolerance=1e-7, floor=1.0)
+    monitor = _Monitor(1e-7, 1.0, ROW_WEIGHT, FORCE_ROWS)
     # tiny force residual but a pending boundary assignment: not converged
-    assert monitor.update(raw_force=1e-12, raw_all=10.0) == "continue"
+    assert monitor.update(rows(1e-12, 10.0)) == "continue"
     assert monitor.denominator == 10.0
     assert monitor.history == [1.0]
     # once the assignments are in, the force rows alone decide
-    assert monitor.update(raw_force=1e-12, raw_all=5.0) == "converged"
+    assert monitor.update(rows(1e-12, 5.0)) == "converged"
 
 
 def test_monitor_floor_bounds_denominator():
-    monitor = _Monitor(tolerance=1e-7, floor=100.0)
-    monitor.update(raw_force=1e-3, raw_all=1e-3)
+    monitor = _Monitor(1e-7, 100.0, ROW_WEIGHT, FORCE_ROWS)
+    monitor.update(rows(1e-3))
     assert monitor.denominator == 100.0
 
 
 def test_monitor_divergence_after_five_rises():
-    monitor = _Monitor(tolerance=1e-12, floor=1.0)
-    verdicts = [monitor.update(raw_force=v, raw_all=v)
-                for v in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)]
+    monitor = _Monitor(1e-12, 1.0, ROW_WEIGHT, FORCE_ROWS)
+    verdicts = [monitor.update(rows(v)) for v in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)]
     assert verdicts[:-1] == ["continue"] * 5
     assert verdicts[-1] == "diverged"
     # a single drop resets the streak, so five fresh rises are needed
-    monitor = _Monitor(tolerance=1e-12, floor=1.0)
-    verdicts = [monitor.update(raw_force=v, raw_all=v)
+    monitor = _Monitor(1e-12, 1.0, ROW_WEIGHT, FORCE_ROWS)
+    verdicts = [monitor.update(rows(v))
                 for v in (1.0, 2.0, 3.0, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5)]
     assert verdicts[-2] == "continue"
     assert verdicts[-1] == "diverged"
+
+
+def test_run_weights_rows_force_like(mesh8, neo, monkeypatch):
+    """The norm's row weights, set once per run: cell rows 1, prescribed
+    displacement rows mu, traction and symmetry rows their face area."""
+    monitors = counting(monkeypatch, solver, "_Monitor")
+    bcs = {LEFT: BoundaryCondition(DISPLACEMENT, (0.0, 0.0)),
+           RIGHT: BoundaryCondition(TRACTION, (1e5, 0.0)),
+           BOTTOM: BoundaryCondition(SYMMETRY),
+           TOP: BoundaryCondition(TRACTION, (0.0, 0.0))}
+    run(mesh8, neo, bcs, SolveConfig(max_corrections=0))
+    (_, _, weight, _), _ = monitors[0]
+    m = mesh8
+    npt.assert_allclose(weight[: m.n_cells], 1.0)
+    npt.assert_allclose(weight[m.n_cells + m.face_boundary_index[m.patch_faces(LEFT)]],
+                        neo.mu)
+    for patch in (RIGHT, BOTTOM):
+        faces = m.patch_faces(patch)
+        npt.assert_allclose(weight[m.face_across[faces]], m.face_area[faces])
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +251,14 @@ def test_zero_load_steps_rejected():
         SolveConfig(n_load_steps=0)
 
 
+@pytest.mark.parametrize("tolerance", [np.inf, 1.0, np.nan])
+def test_tolerance_of_one_or_more_rejected(tolerance):
+    # the first normalised residual is at most 1, so such a tolerance would
+    # report convergence after no correction at all
+    with pytest.raises(ValueError, match="outer_tolerance must be below 1"):
+        SolveConfig(outer_tolerance=tolerance)
+
+
 # ---------------------------------------------------------------------------
 # segregated method
 # ---------------------------------------------------------------------------
@@ -318,11 +358,11 @@ def test_load_steps_redo_only_what_the_load_changes(mesh8, neo, monkeypatch):
     assert len(evaluations) == report.total_corrections + 1
     steps = np.repeat(np.arange(4), [n + 1 for n in report.n_corr])
     assert len(residuals) == steps.size
-    for step, ((mesh, material, state, table, flux_density), _) in zip(steps, residuals):
+    for step, ((mesh, state, table, flux_density), _) in zip(steps, residuals):
         npt.assert_array_equal(table.value,
                                build_boundary_table(mesh, bcs, (step + 1) / 4).value)
         npt.assert_array_equal(flux_density,
-                               assembly.face_states(mesh, material, state)[2])
+                               assembly.face_states(mesh, neo, state)[2])
 
 
 def test_histories_track_normalised_residuals(mesh8, neo):
