@@ -5,14 +5,14 @@ Usage:
             [--sweep n1,n2,...] [--dump-matrix] [--out dir]
 
 The config file is flat ``key = value`` text (# starts a comment), each
-key at most once.  Three cases are registered:
+key at most once.  Each case refuses the keys only other cases read:
 
-- ``cantilever``: end-loaded thin beam, linear-elastic by default, judged
-  against the analytic end deflection of its regime (a nonzero load)
-- ``uniaxial``: homogeneous stretch of the unit square (requires
-  ``stretch``), displacement- or traction-driven
-- ``shear``: homogeneous simple shear of the unit square (``shear_factor``,
-  default 0.45)
+- ``cantilever``: end-loaded 2 x 0.1 beam judged against the analytic end
+  deflection of its regime; takes ``traction`` (nonzero end load)
+- ``uniaxial``: homogeneous stretch of the unit square; takes ``stretch``
+  (required), ``bc`` and ``sweep``
+- ``shear``: homogeneous simple shear of the unit square; takes
+  ``shear_factor`` (default 0.45), ``bc`` and ``sweep``
 
 Flags override file values.  Artifacts land in the output directory:
 report.json, convergence.csv, errors.csv (manufactured cases), one
@@ -29,18 +29,12 @@ import os
 import sys
 from dataclasses import dataclass, fields, replace
 
-import numpy as np
-
 from . import output
-from .assembly import (DISPLACEMENT, TRACTION, BoundaryCondition,
-                       RigidBodyModeError)
+from .assembly import DISPLACEMENT, RigidBodyModeError
 from .material import LinearElastic, NeoHookean, lame_from_E_nu
-from .mesh import BOTTOM, LEFT, RIGHT, TOP, CartesianMesh, build_mesh
-from .solver import METHODS, RunReport, SolveConfig, run
-from .verification import (MMSCase, cantilever_deflection, compute_errors,
-                           mms_bcs)
-
-CASES = ("cantilever", "uniaxial", "shear")
+from .mesh import build_mesh
+from .solver import METHODS, SolveConfig, run
+from .verification import CASES
 
 
 class ConfigError(Exception):
@@ -69,15 +63,10 @@ class CaseConfig:
     dump_matrix: bool = False
 
 
-_CASE_DEFAULTS = {
-    "cantilever": dict(E=200e9, nu=0.3, mesh=(100, 5), material="linear"),
-    "uniaxial": dict(E=0.02e9, nu=0.3, mesh=(16, 16), material="neo"),
-    "shear": dict(E=0.02e9, nu=0.3, mesh=(16, 16), material="neo"),
-}
-
 _FLOAT_KEYS = {"stretch", "shear_factor", "E", "nu", "traction",
                "tolerance", "relaxation"}
 _INT_KEYS = {"max_corrections", "load_steps"}
+_MATERIALS = {"neo": NeoHookean, "linear": LinearElastic}
 _BOOLEANS = {"true": True, "yes": True, "1": True,
              "false": False, "no": False, "0": False}
 
@@ -148,13 +137,17 @@ def parse_config(path: str, overrides: dict | None = None) -> CaseConfig:
             value = _BOOLEANS[value.lower()]
         setattr(cfg, key, value)
 
-    _validate(cfg)
+    _validate(cfg, set(raw))
     return cfg
 
 
-def _validate(cfg: CaseConfig) -> None:
+def _validate(cfg: CaseConfig, given: set) -> None:
     if cfg.case not in CASES:
         raise ConfigError(f"config needs case = one of {', '.join(CASES)}")
+    case = CASES[cfg.case]
+    others = {key for other in CASES.values() for key in other.keys} - set(case.keys)
+    for key in sorted(others & given):
+        raise ConfigError(f"case {cfg.case!r} does not take key {key!r}")
     if cfg.method not in METHODS:
         raise ConfigError(f"unknown method {cfg.method!r}")
     for key, least in (("load_steps", 1), ("max_corrections", 0)):
@@ -167,41 +160,31 @@ def _validate(cfg: CaseConfig) -> None:
     if cfg.tolerance >= 1:
         # The first normalised residual is at most 1: it would pass unsolved.
         raise ConfigError(f"'tolerance' must be below 1, got {cfg.tolerance}")
-    for key in ("stretch", "shear_factor", "traction"):
-        value = getattr(cfg, key)
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"{key!r} must be finite, got {value}")
     if min(cfg.mesh, default=1) < 1:
         raise ConfigError("'mesh' needs at least one cell per direction, "
                           f"got {'x'.join(map(str, cfg.mesh))}")
     if min(cfg.sweep, default=1) < 1:
         raise ConfigError("'sweep' sizes must be at least 1, "
                           f"got {','.join(map(str, cfg.sweep))}")
-    defaults = _CASE_DEFAULTS[cfg.case]
-    if not cfg.mesh:
-        cfg.mesh = defaults["mesh"]
-    if cfg.E is None:
-        cfg.E = defaults["E"]
-    if cfg.nu is None:
-        cfg.nu = defaults["nu"]
-    if not cfg.material:
-        cfg.material = defaults["material"]
+    for key in ("mesh", "E", "nu", "material"):
+        if getattr(cfg, key) in (None, "", ()):
+            setattr(cfg, key, getattr(case, key))
     if not (math.isfinite(cfg.E) and cfg.E > 0):
         raise ConfigError(f"'E' must be finite and positive, got {cfg.E}")
     if not -1 < cfg.nu < 0.5:
         raise ConfigError(f"'nu' must lie in (-1, 0.5), got {cfg.nu}")
-    if cfg.case == "uniaxial" and cfg.stretch is None:
-        raise ConfigError("case 'uniaxial' requires key 'stretch'")
-    if cfg.case == "uniaxial" and cfg.stretch <= 0:
-        raise ConfigError("'stretch' must be positive")
-    if cfg.bc not in (DISPLACEMENT, TRACTION):
-        raise ConfigError(f"unknown bc {cfg.bc!r}")
-    if cfg.material not in ("neo", "linear"):
+    for key in case.keys:
+        value = getattr(cfg, key)
+        if value is None:
+            raise ConfigError(f"case {cfg.case!r} requires key {key!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key!r} must be finite, got {value}")
+    try:
+        case.check(cfg)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
+    if cfg.material not in _MATERIALS:
         raise ConfigError(f"unknown material {cfg.material!r}")
-    if cfg.case == "cantilever" and cfg.sweep:
-        raise ConfigError("cantilever runs take mesh = NXxNY, not sweep")
-    if cfg.case == "cantilever" and cfg.traction == 0:
-        raise ConfigError("case 'cantilever' needs a nonzero 'traction'")
     if cfg.regime not in ("plane_strain", "plane_stress"):
         raise ConfigError(f"unknown regime {cfg.regime!r}")
     if cfg.regime == "plane_stress" and cfg.material == "neo":
@@ -215,64 +198,28 @@ def _validate(cfg: CaseConfig) -> None:
 # case setup and execution
 # ----------------------------------------------------------------------
 
-def _make_material(cfg: CaseConfig):
-    lame = lame_from_E_nu(cfg.E, cfg.nu, cfg.regime)
-    return NeoHookean(lame) if cfg.material == "neo" else LinearElastic(lame)
-
-
-def _solve_config(cfg: CaseConfig, out_dir: str) -> SolveConfig:
-    return SolveConfig(method=cfg.method, outer_tolerance=cfg.tolerance,
-                       max_corrections=cfg.max_corrections,
-                       n_load_steps=cfg.load_steps, relaxation=cfg.relaxation,
-                       dump_dir=out_dir if cfg.dump_matrix else None)
-
-
-def _cantilever_bcs(cfg: CaseConfig) -> dict:
-    return {
-        LEFT: BoundaryCondition(DISPLACEMENT, np.zeros(2)),
-        RIGHT: BoundaryCondition(TRACTION, np.array([0.0, cfg.traction])),
-        BOTTOM: BoundaryCondition(TRACTION, np.zeros(2)),
-        TOP: BoundaryCondition(TRACTION, np.zeros(2)),
-    }
-
-
-def _meshes(cfg: CaseConfig) -> list:
-    if cfg.sweep:
-        return [(n, n) for n in cfg.sweep]
-    return [tuple(cfg.mesh)]
-
-
-def _mms_case(cfg: CaseConfig) -> MMSCase:
-    amplitude = cfg.stretch if cfg.case == "uniaxial" else cfg.shear_factor
-    return MMSCase(kind=cfg.case, bc_kind=cfg.bc, amplitude=amplitude)
-
-
 def run_case(cfg: CaseConfig) -> int:
     """Run every mesh of the configured case and write the artifacts."""
-    out_dir = cfg.out
-    os.makedirs(out_dir, exist_ok=True)
-    material = _make_material(cfg)
-    solve_cfg = _solve_config(cfg, out_dir)
-    is_mms = cfg.case in ("uniaxial", "shear")
+    case = CASES[cfg.case]
+    os.makedirs(cfg.out, exist_ok=True)
+    material = _MATERIALS[cfg.material](lame_from_E_nu(cfg.E, cfg.nu, cfg.regime))
+    solve_cfg = SolveConfig(method=cfg.method, outer_tolerance=cfg.tolerance,
+                            max_corrections=cfg.max_corrections,
+                            n_load_steps=cfg.load_steps, relaxation=cfg.relaxation,
+                            dump_dir=cfg.out if cfg.dump_matrix else None)
 
     runs = []
     error_rows = []
     convergence_rows = []
     all_converged = True
-    for nx, ny in _meshes(cfg):
-        if cfg.case == "cantilever":
-            mesh = build_mesh(nx, ny, 2.0, 0.1)
-            bcs = _cantilever_bcs(cfg)
-        else:
-            mesh = build_mesh(nx, ny, 1.0, 1.0)
-            bcs = mms_bcs(_mms_case(cfg), material)
-
-        report = run(mesh, material, bcs, solve_cfg)
+    for nx, ny in [(n, n) for n in cfg.sweep] or [cfg.mesh]:
+        mesh = build_mesh(nx, ny, *case.domain)
+        report = run(mesh, material, case.bcs(cfg, material), solve_cfg)
         # A.mtx/R.mtx hold the first mesh's first correction.
         solve_cfg = replace(solve_cfg, dump_dir=None)
         all_converged &= report.converged
-
-        entry = {
+        quantities, errors = case.reference(mesh, report.state.displacement, cfg)
+        runs.append({
             "mesh": [nx, ny],
             "converged": report.converged,
             "failure": report.failure,
@@ -281,26 +228,15 @@ def run_case(cfg: CaseConfig) -> int:
             "final_residual": (report.residual_history[-1][-1]
                                if report.residual_history and report.residual_history[-1]
                                else None),
-        }
-        if is_mms:
-            metrics = compute_errors(mesh, report.state.displacement, _mms_case(cfg))
-            entry.update(error_mean=metrics.mean, error_max=metrics.max,
-                         error_min=metrics.min)
+            **quantities,
+        })
+        if errors is not None:
             error_rows.append({
                 "case": cfg.case, "method": cfg.method, "bc": cfg.bc,
                 "nx": nx, "ny": ny, "n_cells": mesh.n_cells,
                 "converged": report.converged,
-                "n_corr": report.total_corrections,
-                "mean_error": metrics.mean, "max_error": metrics.max,
-                "min_error": metrics.min,
+                "n_corr": report.total_corrections, **errors,
             })
-        else:
-            deflection = _end_deflection(mesh, report)
-            analytic = cantilever_deflection(cfg.E, cfg.nu, 2.0, cfg.traction * 0.1,
-                                             0.1 ** 3 / 12.0, cfg.regime)
-            entry.update(deflection=deflection, deflection_analytic=analytic,
-                         deflection_rel_error=abs(deflection - analytic) / abs(analytic))
-        runs.append(entry)
 
         for step, history in enumerate(report.residual_history):
             for k, value in enumerate(history):
@@ -308,29 +244,23 @@ def run_case(cfg: CaseConfig) -> int:
                                          "correction": k, "residual": value})
 
         suffix = f"_{nx}x{ny}" if cfg.sweep else ""
-        output.write_vtk(os.path.join(out_dir, f"deformed{suffix}.vtk"),
+        output.write_vtk(os.path.join(cfg.out, f"deformed{suffix}.vtk"),
                          mesh, report.state.displacement)
 
     report_doc = {
         "case": cfg.case, "method": cfg.method, "bc": cfg.bc,
-        "mesh": list(_meshes(cfg)[0]) if not cfg.sweep else None,
+        "mesh": list(cfg.mesh) if not cfg.sweep else None,
         "sweep": list(cfg.sweep) or None,
         "converged": all_converged,
         "runs": runs,
     }
-    output.write_report(os.path.join(out_dir, "report.json"), report_doc)
-    output.write_csv(os.path.join(out_dir, "convergence.csv"),
+    output.write_report(os.path.join(cfg.out, "report.json"), report_doc)
+    output.write_csv(os.path.join(cfg.out, "convergence.csv"),
                      output.CONVERGENCE_COLUMNS, convergence_rows)
-    if is_mms:
-        output.write_csv(os.path.join(out_dir, "errors.csv"),
+    if error_rows:
+        output.write_csv(os.path.join(cfg.out, "errors.csv"),
                          output.ERRORS_COLUMNS, error_rows)
     return 0 if all_converged else 2
-
-
-def _end_deflection(mesh: CartesianMesh, report: RunReport) -> float:
-    faces = mesh.patch_faces(RIGHT)
-    rows = mesh.n_cells + mesh.face_boundary_index[faces]
-    return float(report.state.displacement[rows, 1].mean())
 
 
 def main(argv=None) -> int:

@@ -1,4 +1,4 @@
-"""Manufactured solutions and the analytic beam benchmark.
+"""Manufactured solutions, the analytic beam benchmark, and the case table.
 
 Two homogeneous deformation families drive the verification runs:
 
@@ -11,11 +11,14 @@ measures the discretisation directly.  Displacement-driven runs prescribe
 U on all four patches; traction-driven runs pin the left patch (the exact
 displacement there has zero normal component, so this removes rigid-body
 motion without disturbing the manufactured state) and load the rest.
+
+``CASES`` defines each command-line case once, as a ``Case`` record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -35,7 +38,7 @@ class MMSCase:
 
     def __post_init__(self):
         if self.kind == UNIAXIAL and self.amplitude <= 0.0:
-            raise ValueError(f"stretch must be positive, got {self.amplitude}")
+            raise ValueError(f"'stretch' must be positive, got {self.amplitude}")
         if self.kind not in (UNIAXIAL, SHEAR):
             raise ValueError(f"unknown manufactured case {self.kind!r}")
         if self.bc_kind not in (DISPLACEMENT, TRACTION):
@@ -109,3 +112,69 @@ def cantilever_deflection(E: float, nu: float, length: float, load: float,
     plane stress."""
     stiff = E / (1.0 - nu ** 2) if regime == "plane_strain" else E
     return load * length ** 3 / (3.0 * stiff * second_moment)
+
+
+@dataclass(frozen=True)
+class Case:
+    """One command-line case.  ``cfg`` is the run's config: any object with
+    the config keys as attributes."""
+    domain: tuple           # (lx, ly)
+    mesh: tuple             # default (nx, ny)
+    E: float
+    nu: float
+    material: str           # default law: neo | linear
+    keys: tuple             # the case-specific config keys it reads
+    check: Callable         # check(cfg) raises ValueError on a value it cannot run
+    bcs: Callable           # bcs(cfg, material) -> boundary-condition map
+    reference: Callable     # (mesh, displacement, cfg) -> (report fields, errors.csv fields | None)
+
+
+def _beam_check(cfg) -> None:
+    if cfg.traction == 0:
+        raise ValueError("case 'cantilever' needs a nonzero 'traction'")
+
+
+def _beam_bcs(cfg, material) -> dict:
+    """Clamped left end, end traction on the right, free top and bottom."""
+    return {
+        LEFT: BoundaryCondition(DISPLACEMENT, np.zeros(2)),
+        RIGHT: BoundaryCondition(TRACTION, np.array([0.0, cfg.traction])),
+        BOTTOM: BoundaryCondition(TRACTION, np.zeros(2)),
+        TOP: BoundaryCondition(TRACTION, np.zeros(2)),
+    }
+
+
+def _beam_reference(mesh: CartesianMesh, displacement: np.ndarray, cfg):
+    """Mean end deflection against the thin-beam closed form of the regime."""
+    rows = mesh.n_cells + mesh.face_boundary_index[mesh.patch_faces(RIGHT)]
+    deflection = float(displacement[rows, 1].mean())
+    analytic = cantilever_deflection(cfg.E, cfg.nu, mesh.lx, cfg.traction * mesh.ly,
+                                     mesh.ly ** 3 / 12.0, cfg.regime)
+    return dict(deflection=deflection, deflection_analytic=analytic,
+                deflection_rel_error=abs(deflection - analytic) / abs(analytic)), None
+
+
+def _manufactured(kind: str, amplitude_key: str) -> Case:
+    """A manufactured case on the unit square; ``MMSCase`` checks its values."""
+
+    def mms_case(cfg) -> MMSCase:
+        return MMSCase(kind, cfg.bc, getattr(cfg, amplitude_key))
+
+    def reference(mesh, displacement, cfg):
+        m = compute_errors(mesh, displacement, mms_case(cfg))
+        return (dict(error_mean=m.mean, error_max=m.max, error_min=m.min),
+                dict(mean_error=m.mean, max_error=m.max, min_error=m.min))
+
+    return Case(domain=(1.0, 1.0), mesh=(16, 16), E=0.02e9, nu=0.3, material="neo",
+                keys=("bc", amplitude_key, "sweep"), check=mms_case,
+                bcs=lambda cfg, material: mms_bcs(mms_case(cfg), material),
+                reference=reference)
+
+
+CASES = {
+    "cantilever": Case(domain=(2.0, 0.1), mesh=(100, 5), E=200e9, nu=0.3,
+                       material="linear", keys=("traction",), check=_beam_check,
+                       bcs=_beam_bcs, reference=_beam_reference),
+    UNIAXIAL: _manufactured(UNIAXIAL, "stretch"),
+    SHEAR: _manufactured(SHEAR, "shear_factor"),
+}

@@ -9,6 +9,7 @@ promises, not tunables.
 from __future__ import annotations
 
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from fvsolid.assembly import (
 )
 from fvsolid.kinematics import State, zero_state
 from fvsolid.solver import run
+from fvsolid.verification import CASES
 from tests import oracles
 
 MESHES = (3, 8, 16, 32, 64)
@@ -58,10 +60,7 @@ def solve_mms(kind, bc, amplitude, n, method="nlbc", **cfg_kwargs):
 
 def solve_cantilever(nx, ny, method):
     mesh = build_mesh(nx, ny, 2.0, 0.1)
-    bcs = {LEFT: BoundaryCondition(DISPLACEMENT, (0.0, 0.0, 0.0)),
-           RIGHT: BoundaryCondition(TRACTION, (0.0, 1e6, 0.0)),
-           BOTTOM: BoundaryCondition(TRACTION, (0.0, 0.0, 0.0)),
-           TOP: BoundaryCondition(TRACTION, (0.0, 0.0, 0.0))}
+    bcs = CASES["cantilever"].bcs(SimpleNamespace(traction=1e6), STEEL)
     report = run(mesh, STEEL, bcs, SolveConfig(method=method))
     rows = mesh.n_cells + mesh.face_boundary_index[mesh.patch_faces(RIGHT)]
     deflection = float(report.state.displacement[rows, 1].mean())

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import contextlib
+import importlib
 import io
 import json
 import math
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -15,11 +17,13 @@ import scipy.io
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fvsolid import MMSCase, build_mesh, lame_from_E_nu, mms_bcs
+from fvsolid import (MMSCase, build_mesh, cantilever_deflection, lame_from_E_nu,
+                     mms_bcs)
 from fvsolid.assembly import assemble_system, build_boundary_table, face_states
 from fvsolid.cli import CaseConfig, ConfigError, main, parse_config, run_case
 from fvsolid.kinematics import zero_state
 from fvsolid.material import NeoHookean
+from tests.test_acceptance import solve_cantilever
 
 
 def write_cfg(tmp_path, text, name="case.cfg"):
@@ -100,8 +104,14 @@ def test_parse_config_sweep(tmp_path):
     ("case = uniaxial\nstretch = -1\n", "'stretch' must be positive"),
     ("case = shear\nbc = symmetry\n", "unknown bc"),
     ("case = shear\nmaterial = rubber\n", "unknown material"),
-    ("case = cantilever\nsweep = 3,8\n", "not sweep"),
+    ("case = cantilever\nsweep = 3,8\n", "case 'cantilever' does not take key 'sweep'"),
+    ("case = cantilever\nbc = traction\n", "case 'cantilever' does not take key 'bc'"),
+    ("case = cantilever\nstretch = 5\n", "case 'cantilever' does not take key 'stretch'"),
+    ("case = shear\ntraction = 5\n", "case 'shear' does not take key 'traction'"),
+    ("case = uniaxial\nstretch = 2\nshear_factor = 0.1\n",
+     "case 'uniaxial' does not take key 'shear_factor'"),
     ("case = cantilever\ntraction = 0\n", "'cantilever' needs a nonzero 'traction'"),
+    ("case = cantilever\ntraction = inf\n", "'traction' must be finite"),
     ("case = shear\nregime = beam\n", "unknown regime"),
     ("case = shear\nregime = plane_stress\n", "'plane_stress' needs material = linear"),
     ("case = shear\nrho0 = 1000\n", "unknown config key 'rho0'"),
@@ -205,6 +215,19 @@ def test_run_case_cantilever_report(tmp_path):
     assert 0.0 < entry["deflection"] < 2.0 * entry["deflection_analytic"]
     assert entry["deflection_rel_error"] < 0.5
     assert not (out / "errors.csv").exists()
+
+
+def test_default_cantilever_reports_criterion_1(tmp_path):
+    """The default cantilever (100x5, nlbc, 1e6 Pa) writes the error that
+    criterion 1 computes from its own literal mesh, load and reference."""
+    path = write_cfg(tmp_path, f"case = cantilever\nout = {tmp_path / 'beam'}\n")
+    assert run_case(parse_config(path)) == 0
+    (entry,) = json.loads((tmp_path / "beam" / "report.json").read_text())["runs"]
+    assert entry["mesh"] == [100, 5]
+    _, deflection = solve_cantilever(100, 5, "nlbc")
+    analytic = cantilever_deflection(200e9, 0.3, 2.0, 1e6 * 0.1, 0.1 ** 3 / 12.0)
+    assert entry["deflection_rel_error"] == pytest.approx(
+        abs(deflection - analytic) / analytic, rel=1e-12, abs=0.0)
 
 
 def test_cantilever_reference_follows_the_regime(tmp_path):
@@ -395,6 +418,8 @@ def test_main_reports_config_errors(tmp_path, capsys):
     "stretch = inf",
     "shear_factor = nan",
     "traction = inf",
+    "traction = 5",     # a cantilever key
+    "bc = foo",
     "regime = plane_stress",    # with the shear case's neo-Hookean default
 ])
 def test_main_rejects_bad_solver_settings(tmp_path, capsys, line):
@@ -499,6 +524,17 @@ def test_main_fuzz_exits_cleanly(tmp_path_factory, case, good, odd):
     if code == 1:
         assert err.getvalue().startswith("error:")
         assert len(err.getvalue().splitlines()) == 1
+
+
+def test_console_script_is_main():
+    """pyproject's ``fvsolid`` console script resolves to the ``main`` that
+    these tests call."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as handle:
+        scripts = tomllib.load(handle)["project"]["scripts"]
+    assert scripts == {"fvsolid": "fvsolid.cli:main"}
+    module, _, name = scripts["fvsolid"].partition(":")
+    assert getattr(importlib.import_module(module), name) is main
 
 
 def test_main_requires_config_flag():

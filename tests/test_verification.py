@@ -88,7 +88,7 @@ def test_mms_bcs_traction_pins_left_patch(neo):
 
 
 def test_mms_case_validation():
-    with pytest.raises(ValueError, match="stretch must be positive"):
+    with pytest.raises(ValueError, match="'stretch' must be positive, got -0.2"):
         MMSCase("uniaxial", DISPLACEMENT, -0.2)
     with pytest.raises(ValueError, match="unknown manufactured case"):
         MMSCase("bending", DISPLACEMENT, 1.0)
