@@ -237,24 +237,27 @@ def assemble_system(mesh: CartesianMesh, material, table: BoundaryTable,
 # ----------------------------------------------------------------------
 
 def assemble_scalar_operator(mesh: CartesianMesh, table: BoundaryTable,
-                             coefficient: float, component: int) -> sp.csr_matrix:
-    """Constant implicit operator of the segregated method for one
-    displacement component: a scalar Laplacian with the given diffusion
-    coefficient on cell rows, and per-kind boundary rows.
+                             coefficient: float) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The segregated method's constant implicit operator, shared by both
+    components, and the (n_unknowns, 2) step that scales their right-hand
+    sides.
 
-    Prescribed-displacement faces get identity rows.  Traction faces get
-    the explicit update classic segregated solvers use: the face value
-    moves by distance/coefficient times the traction defect of the
-    previous iterate, with no implicit tie to the new cell value, so the
-    row is diagonal at quotient scale.  Symmetry planes pick whichever of
-    the two fits the component.
+    Cell rows are a scalar Laplacian with the given diffusion coefficient
+    and every boundary row is an identity row, so the operator depends only
+    on the mesh and the coefficient.  The boundary kinds enter through the
+    step alone: 1 on cell rows and prescribed components (displacement
+    faces, the normal component on symmetry planes), distance/coefficient on
+    free ones (traction faces, the tangential one on symmetry planes), the
+    explicit traction update classic segregated solvers use.
     """
     bfaces = mesh.bface_face
-    normal_dominant = np.abs(mesh.face_normal[bfaces, component]) > 0.5
-    fixed = (table.kind == _KIND_CODE[DISPLACEMENT]) | (
-        (table.kind == _KIND_CODE[SYMMETRY]) & normal_dominant)
-    diagonal = np.zeros(mesh.n_unknowns)
-    diagonal[mesh.n_cells:] = np.where(fixed, 1.0, coefficient / mesh.face_distance[bfaces])
+    kind = table.kind[:, None]
+    fixed = (kind == _KIND_CODE[DISPLACEMENT]) | (
+        (kind == _KIND_CODE[SYMMETRY]) & (np.abs(mesh.face_normal[bfaces]) > 0.5))
+    step = np.ones((mesh.n_unknowns, 2))
+    step[mesh.n_cells:] = np.where(fixed, 1.0, mesh.face_distance[bfaces, None] / coefficient)
     matrix = coefficient * (mesh.cell_divergence @ mesh.face_quotient)
     matrix.resize(mesh.n_unknowns, mesh.n_unknowns)
-    return (matrix + sp.diags(diagonal)).tocsr()
+    diagonal = np.zeros(mesh.n_unknowns)
+    diagonal[mesh.n_cells:] = 1.0
+    return (matrix + sp.diags(diagonal)).tocsr(), step

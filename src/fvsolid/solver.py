@@ -14,11 +14,12 @@ with a set-up done once per run:
   correction of a run on in the first factor's column order
 - ``bc``: the same linearisation with the material replaced by its
   small-strain linear counterpart, so one correction solves the problem
-- ``seg``: component-by-component scalar solves with a constant implicit
-  operator, factorised (symmetric-mode LU) once per run, all
-  coupling evaluated from the previous iterate, and a fixed
-  under-relaxation on the update of the force-balance unknowns (prescribed
-  boundary values are assignments and take their full solved value)
+- ``seg``: one constant implicit operator for both components (scalar
+  Laplacian, identity boundary rows), factorised (symmetric-mode LU) once
+  per run, boundary kinds entering only as a right-hand-side step, all
+  coupling evaluated from the previous iterate, and a fixed under-relaxation
+  on the update of the force-balance unknowns (prescribed boundary values
+  are assignments and take their full solved value)
 
 Residual bookkeeping: the assembly returns each evaluation's right-hand
 side and only the loop measures it, by one force-like norm per evaluation
@@ -153,24 +154,21 @@ def _coupled(mesh: CartesianMesh, material, table: BoundaryTable,
 
 def _segregated(mesh: CartesianMesh, material, table: BoundaryTable,
                 force_rows: np.ndarray, cfg: SolveConfig):
-    """seg: frozen scalar factors per component, relaxed force rows.  The
-    dumped system is the x-component scalar operator."""
-    coefficient = 2.0 * material.mu + material.lam
-    operators = [assemble_scalar_operator(mesh, table, coefficient, comp)
-                 for comp in (0, 1)]
+    """seg: one scalar operator for both components, factorised once per
+    run, with relaxed force rows.  The dumped system is that operator and
+    the x-component's stepped right-hand side."""
+    operator, step = assemble_scalar_operator(mesh, table, 2.0 * material.mu + material.lam)
     # Equilibrate before factorising: the identity boundary rows are tiny
     # next to the Laplacian rows and would otherwise soak up the
     # elimination noise of the stiff rows.
-    scaled = [linsolve.equilibrate(op) for op in operators]
-    factors = [linsolve.factorise(mat) for mat, _ in scaled]
-    row_scales = [s for _, s in scaled]
+    matrix, row_scale = linsolve.equilibrate(operator)
+    factor = linsolve.factorise(matrix)
+    scale = row_scale[:, None] * step
 
     def solve(f_face, s_face, rhs: np.ndarray, dump_dir: str | None) -> np.ndarray:
         if dump_dir:
-            linsolve.dump_system(dump_dir, operators[0], rhs[:, 0])
-        increment = np.empty((mesh.n_unknowns, 2))
-        for comp in (0, 1):
-            increment[:, comp] = factors[comp].solve(row_scales[comp] * rhs[:, comp])
+            linsolve.dump_system(dump_dir, operator, step[:, 0] * rhs[:, 0])
+        increment = factor.solve(scale * rhs)
         # Prescribed-displacement rows are assignments of known values;
         # only the force-balance unknowns are under-relaxed.
         increment[force_rows] *= cfg.relaxation

@@ -611,30 +611,35 @@ def test_scalar_operator_exact_on_linear_fields(mesh_small, rng):
     g = random_gradients(rng, 1)[0]
     u = linear_field(mesh_small, g)
     table = build_boundary_table(mesh_small, ALL_DISPLACEMENT)
-    for comp in range(2):
-        op = assemble_scalar_operator(mesh_small, table, 2.5, comp)
-        out = op @ u[:, comp]
-        # Laplacian rows of a linear field vanish identically
-        npt.assert_allclose(out[: mesh_small.n_cells], 0.0, atol=1e-12)
-        # fixed rows pass the boundary value through
-        npt.assert_allclose(out[mesh_small.n_cells:],
-                            u[mesh_small.n_cells:, comp])
+    op, step = assemble_scalar_operator(mesh_small, table, 2.5)
+    out = op @ u
+    # Laplacian rows of a linear field vanish identically, per component
+    npt.assert_allclose(out[: mesh_small.n_cells], 0.0, atol=1e-12)
+    # fixed rows pass the boundary value through, unstepped
+    npt.assert_allclose(out[mesh_small.n_cells:], u[mesh_small.n_cells:])
+    assert np.all(step == 1.0)
 
 
 def test_scalar_operator_boundary_rows(mesh_small):
     table = build_boundary_table(mesh_small, MIXED)
     m = mesh_small
-    op = assemble_scalar_operator(m, table, 2.5, 0).toarray()
+    op, step = assemble_scalar_operator(m, table, 2.5)
+    op = op.toarray()
+    assert step.shape == (m.n_unknowns, 2)
+    npt.assert_array_equal(step[:m.n_cells], 1.0)
+    # every boundary row is an identity row, with no cell coupling
+    for r in range(m.n_cells, m.n_unknowns):
+        expected = np.zeros(m.n_unknowns)
+        expected[r] = 1.0
+        npt.assert_array_equal(op[r], expected)
     right = m.patch_faces(RIGHT)
     rows = m.n_cells + m.face_boundary_index[right]
-    for r, f in zip(rows, right):
-        # traction rows: bare diagonal at quotient scale, no cell coupling
-        expected = np.zeros(m.n_unknowns)
-        expected[r] = 2.5 / m.face_distance[f]
-        npt.assert_allclose(op[r], expected)
+    # traction rows: both components step by distance / coefficient
+    npt.assert_allclose(step[rows], np.repeat(m.face_distance[right, None] / 2.5, 2, axis=1))
+    # the left displacement rows take their full value
+    npt.assert_array_equal(step[m.n_cells + bfaces(m, LEFT)], 1.0)
     # symmetry on the bottom fixes the normal (y) component only
     bottom_rows = m.n_cells + bfaces(m, BOTTOM)
-    op_y = assemble_scalar_operator(m, table, 2.5, 1).toarray()
-    for r in bottom_rows:
-        assert op_y[r, r] == 1.0
-        assert op[r, r] != 1.0
+    npt.assert_array_equal(step[bottom_rows, 1], 1.0)
+    npt.assert_allclose(step[bottom_rows, 0],
+                        m.face_distance[m.patch_faces(BOTTOM)] / 2.5)

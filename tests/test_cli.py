@@ -7,6 +7,7 @@ import importlib
 import io
 import json
 import math
+import typing
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,15 +15,17 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.io
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fvsolid import (MMSCase, build_mesh, cantilever_deflection, lame_from_E_nu,
-                     mms_bcs)
+from fvsolid import (MMSCase, SolveConfig, build_mesh, cantilever_deflection,
+                     lame_from_E_nu, mms_bcs, run)
 from fvsolid.assembly import assemble_system, build_boundary_table, face_states
 from fvsolid.cli import CaseConfig, ConfigError, main, parse_config, run_case
 from fvsolid.kinematics import zero_state
 from fvsolid.material import NeoHookean
+from fvsolid.verification import CASES
 from tests.test_acceptance import solve_cantilever
 
 
@@ -51,6 +54,12 @@ def test_parse_config_defaults_per_case(tmp_path):
     assert cfg.tolerance == 1e-7
 
 
+# Integer-looking text on purpose: a float key must still parse to a float.
+NUMERIC_TEXT = {"stretch": "2", "shear_factor": "1", "traction": "5", "E": "20000000",
+                "nu": "0", "tolerance": "1e-6", "max_corrections": "50",
+                "load_steps": "3", "relaxation": "1"}
+
+
 def test_parse_config_values_and_comments(tmp_path):
     path = write_cfg(tmp_path, """
         case = uniaxial
@@ -68,6 +77,19 @@ def test_parse_config_values_and_comments(tmp_path):
     assert cfg.relaxation == 0.8
     assert cfg.dump_matrix is True
     assert cfg.material == "neo"
+    # every numeric field parses to its annotated type, in the case that
+    # reads it; the shared keys in every case
+    hints = typing.get_type_hints(CaseConfig)
+    assert set(NUMERIC_TEXT) == {k for k, t in hints.items() if t in (float, int)}
+    case_keys = {key for case in CASES.values() for key in case.keys}
+    for name, case in CASES.items():
+        keys = [k for k in NUMERIC_TEXT if k not in case_keys or k in case.keys]
+        text = f"case = {name}\n" + "".join(f"{k} = {NUMERIC_TEXT[k]}\n" for k in keys)
+        cfg = parse_config(write_cfg(tmp_path, text, f"{name}.cfg"))
+        for key in keys:
+            value = getattr(cfg, key)
+            assert type(value) is hints[key], key
+            assert value == hints[key](NUMERIC_TEXT[key])
 
 
 @pytest.mark.parametrize("text,value", [
@@ -113,6 +135,8 @@ def test_parse_config_sweep(tmp_path):
     ("case = cantilever\ntraction = 0\n", "'cantilever' needs a nonzero 'traction'"),
     ("case = cantilever\ntraction = inf\n", "'traction' must be finite"),
     ("case = shear\nregime = beam\n", "unknown regime"),
+    ("case = shear\nE = -1\n", "E must be finite and positive, got -1.0"),
+    ("case = shear\nnu = 0.5\n", r"nu must lie in \(-1, 0\.5\), got 0\.5"),
     ("case = shear\nregime = plane_stress\n", "'plane_stress' needs material = linear"),
     ("case = shear\nrho0 = 1000\n", "unknown config key 'rho0'"),
     ("case = shear\nlinear_solver = direct\n", "unknown config key 'linear_solver'"),
@@ -305,7 +329,8 @@ def test_run_case_reruns_are_byte_identical(tmp_path):
 
 def test_dump_matrix_writes_loadable_system(tmp_path):
     n = 16 + 16                 # cells + boundary faces
-    # nlbc dumps the two-component block system, seg its x-component operator
+    # nlbc dumps the two-component block system, seg the scalar operator both
+    # components share
     for method, rows in (("nlbc", 2 * n), ("seg", n)):
         out = tmp_path / method
         path = write_cfg(tmp_path, f"""
@@ -369,6 +394,39 @@ def test_dump_matrix_is_the_natural_order_system(tmp_path):
 
     for got, want in zip(entries(dumped), entries(expected)):
         npt.assert_array_equal(got, want)
+
+
+def test_seg_dump_solves_to_the_first_x_increment(tmp_path):
+    """seg on a traction-driven stretch dumps the shared scalar operator,
+    identity rows on every boundary face, and the x-component's stepped
+    right-hand side: solving it gives the x-displacement after the first
+    (unrelaxed) correction."""
+    out = tmp_path / "dump"
+    path = write_cfg(tmp_path, f"""
+        case = uniaxial
+        stretch = 1.2
+        bc = traction
+        mesh = 6x5
+        method = seg
+        relaxation = 1.0
+        max_corrections = 1
+        dump_matrix = true
+        out = {out}
+    """)
+    cfg = parse_config(path)
+    assert run_case(cfg) == 2           # one correction does not converge
+    mesh = build_mesh(6, 5, 1.0, 1.0)
+    material = NeoHookean(lame_from_E_nu(cfg.E, cfg.nu))
+    report = run(mesh, material, mms_bcs(MMSCase("uniaxial", "traction", 1.2), material),
+                 SolveConfig(method="seg", relaxation=1.0, max_corrections=1))
+    assert report.n_corr == [1]
+    matrix = scipy.io.mmread(out / "A.mtx").tocsr()
+    boundary = matrix[mesh.n_cells:]
+    npt.assert_array_equal(boundary.toarray(), np.eye(mesh.n_unknowns)[mesh.n_cells:])
+    rhs = np.asarray(scipy.io.mmread(out / "R.mtx")).ravel()
+    x = spla.spsolve(matrix.tocsc(), rhs)
+    expected = report.state.displacement[:, 0]
+    npt.assert_allclose(x, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +550,12 @@ def test_parse_config_fuzz(tmp_path_factory, case, entries):
 SMALL = {**PLAUSIBLE, "mesh": "6x6", "sweep": "2,4", "max_corrections": "20",
          "load_steps": "2"}
 SIZE_KEYS = ("mesh", "sweep", "max_corrections", "load_steps")
-GOOD_ENTRY = st.sampled_from(sorted(SMALL.items()))
+SHARED_KEYS = set(SMALL) - {key for case in CASES.values() for key in case.keys}
+# A case and up to four good entries among the keys that case takes.
+CASE_AND_GOOD = st.sampled_from(["uniaxial", "shear", "cantilever"]).flatmap(
+    lambda case: st.tuples(st.just(case), st.lists(
+        st.sampled_from(sorted((k, SMALL[k]) for k in SHARED_KEYS | set(CASES[case].keys))),
+        max_size=4, unique_by=lambda kv: kv[0])))
 # An edge or junk value for one key: non-finite, empty, negative, arbitrary
 # text, or (for the size keys) a small edge size instead of text.
 ODD_ENTRY = st.sampled_from(sorted(SMALL)).flatmap(
@@ -504,13 +567,12 @@ ODD_ENTRY = st.sampled_from(sorted(SMALL)).flatmap(
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(case=st.sampled_from(["uniaxial", "shear", "cantilever"]),
-       good=st.lists(GOOD_ENTRY, max_size=4, unique_by=lambda kv: kv[0]),
-       odd=st.none() | ODD_ENTRY)
-def test_main_fuzz_exits_cleanly(tmp_path_factory, case, good, odd):
+@given(case_and_good=CASE_AND_GOOD, odd=st.none() | ODD_ENTRY)
+def test_main_fuzz_exits_cleanly(tmp_path_factory, case_and_good, odd):
     """Any small config file ends with exit 0, 1 or 2, never with an
     exception escaping ``main`` (a traceback from the command line); exit 1
     prints one error line."""
+    case, good = case_and_good
     out = tmp_path_factory.mktemp("main")
     path = out / "fuzz.cfg"
     values = {"case": case, "mesh": "4x4", "max_corrections": "20", **dict(good)}
