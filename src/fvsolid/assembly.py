@@ -18,9 +18,10 @@ mixes each boundary row with its condition through a 2x2 weight:
 
 with D = I on prescribed-displacement rows, N x N on symmetry planes and
 zero on traction rows, stored per boundary face once per run in the
-boundary table (cell rows have neither D nor b); b holds the prescribed
-values, the only part a load step changes.  ``newton_rhs`` returns -r;
-only the solver measures it.
+boundary table as the only record of each face's condition (cell rows
+have neither D nor b); b holds the prescribed values, the only part a
+load step changes.  ``newton_rhs`` returns -r; only the solver measures
+it.
 
 The material returns, for each face, the flux coefficient H(m) of a
 direction m: a gradient perturbation a x m changes the flux density by
@@ -57,7 +58,9 @@ from .tensors import IDENTITY, det2, matvec2, mul2, outer
 DISPLACEMENT = "displacement"
 TRACTION = "traction"
 SYMMETRY = "symmetry"
-_KIND_CODE = {DISPLACEMENT: 0, TRACTION: 1, SYMMETRY: 2}
+# Each kind's row weight D, from the (n, 2) normals of a patch's faces.
+_WEIGHT = {DISPLACEMENT: lambda n: IDENTITY, TRACTION: lambda n: 0.0,
+           SYMMETRY: lambda n: outer(n, n)}
 
 
 @dataclass(frozen=True)
@@ -78,35 +81,32 @@ class RigidBodyModeError(ValueError):
 
 @dataclass
 class BoundaryTable:
-    kind: np.ndarray    # (n_bfaces,) codes per _KIND_CODE
+    """Per boundary face: the prescribed data and the row weight D, the
+    only record of the condition's kind (I, N x N or zero)."""
     value: np.ndarray   # (n_bfaces, 2) prescribed data at the current load
     disp: np.ndarray    # (n_bfaces, 2, 2) row weights D of the residual
 
 
 def build_boundary_table(mesh: CartesianMesh, bcs: dict, t: float = 1.0) -> BoundaryTable:
-    """Kinds, prescribed values at load factor t, and the residual's row
-    weights D per boundary face: I on prescribed displacement, N x N on
-    symmetry planes, zero on traction.  Only the values depend on t: a
-    later load step of the same run needs only ``boundary_values``."""
+    """Prescribed values at load factor t and the residual's row weight D
+    per boundary face: I on prescribed displacement, N x N on symmetry
+    planes, zero on traction.  Only the values depend on t: a later load
+    step of the same run needs only ``boundary_values``."""
     unknown = set(bcs) - set(range(4))
     if unknown:
         raise ValueError(f"unknown boundary patches: {sorted(unknown, key=str)}")
-    kind = np.empty(mesh.n_bfaces, dtype=np.int8)
+    disp = np.zeros((mesh.n_bfaces, 2, 2))
     for patch, bc in bcs.items():
-        if bc.kind not in _KIND_CODE:
+        if bc.kind not in _WEIGHT:
             raise ValueError(f"unknown boundary kind {bc.kind!r} on patch {patch}")
-        kind[mesh.face_boundary_index[mesh.patch_faces(patch)]] = _KIND_CODE[bc.kind]
+        faces = mesh.patch_faces(patch)
+        disp[mesh.face_boundary_index[faces]] = _WEIGHT[bc.kind](mesh.face_normal[faces])
     missing = set(range(4)) - set(bcs)
     if missing:
         raise ValueError(f"patches without a boundary condition: {sorted(missing)}")
     value = boundary_values(mesh, bcs, t)
-    _check_rigid_body_modes(mesh, kind)
-    symm = kind == _KIND_CODE[SYMMETRY]
-    normal = mesh.face_normal[mesh.bface_face[symm]]
-    disp = np.zeros((mesh.n_bfaces, 2, 2))
-    disp[kind == _KIND_CODE[DISPLACEMENT]] = IDENTITY
-    disp[symm] = outer(normal, normal)
-    return BoundaryTable(kind, value, disp)
+    _check_rigid_body_modes(mesh, disp)
+    return BoundaryTable(value, disp)
 
 
 def boundary_values(mesh: CartesianMesh, bcs: dict, t: float) -> np.ndarray:
@@ -123,24 +123,19 @@ def boundary_values(mesh: CartesianMesh, bcs: dict, t: float) -> np.ndarray:
     return value
 
 
-def _check_rigid_body_modes(mesh: CartesianMesh, kind: np.ndarray) -> None:
-    """Raise unless the displacement and symmetry faces fix both
-    translations and the rotation.  A rigid motion u = a + theta (-y, x)
-    meets the constraint d . u(p) = 0 for direction d at point p through
-    the row [d_x, d_y, d_y p_x - d_x p_y]: two rows (e_x, e_y) per
-    displacement face, one (the normal) per symmetry face."""
-    faces = mesh.bface_face
-    # Centred and scaled by the domain size, so that the rotation column is
-    # as large as the translation ones and the rank test is well posed.
-    point = ((mesh.face_centroid[faces] - (mesh.lx / 2, mesh.ly / 2))
-             / max(mesh.lx, mesh.ly))
-    fixed = point[kind == _KIND_CODE[DISPLACEMENT]]
-    sliding = kind == _KIND_CODE[SYMMETRY]
-    d = np.concatenate((np.tile((1.0, 0.0), (len(fixed), 1)),
-                        np.tile((0.0, 1.0), (len(fixed), 1)),
-                        mesh.face_normal[faces[sliding]]))
-    p = np.concatenate((fixed, fixed, point[sliding]))
-    rows = np.column_stack((d, d[:, 1] * p[:, 0] - d[:, 0] * p[:, 1]))
+def _check_rigid_body_modes(mesh: CartesianMesh, disp: np.ndarray) -> None:
+    """Raise unless the row weights D fix both translations and the
+    rotation.  A rigid motion u = a + theta (-y, x) meets the constraint
+    d . u(p) = 0 for direction d at point p through the row
+    [d_x, d_y, d_y p_x - d_x p_y]; each boundary face contributes the two
+    rows d of its D at its centroid (zero rows on traction faces)."""
+    centroid = mesh.face_centroid[mesh.bface_face]
+    # Centred and scaled by the centroids' bounding box, so that the rotation
+    # column is as large as the translation ones and the rank is well posed.
+    lo, hi = centroid.min(axis=0), centroid.max(axis=0)
+    point = np.repeat((centroid - (lo + hi) / 2) / (hi - lo).max(), 2, axis=0)
+    d = disp.reshape(-1, 2)
+    rows = np.column_stack((d, d[:, 1] * point[:, 0] - d[:, 0] * point[:, 1]))
     if np.linalg.matrix_rank(rows) < 3:
         raise RigidBodyModeError(
             "boundary conditions leave a rigid-body mode free: displacement "
@@ -149,15 +144,15 @@ def _check_rigid_body_modes(mesh: CartesianMesh, kind: np.ndarray) -> None:
 
 def force_row_mask(mesh: CartesianMesh, table: BoundaryTable) -> np.ndarray:
     """Rows that state a force balance: every cell row plus the boundary
-    rows that prescribe traction (or a symmetry plane).
+    rows whose D is not the identity (traction and symmetry planes).
 
-    Prescribed-displacement rows are excluded: after any successful linear
-    solve their defect equals the solver's forward error, which no outer
-    correction can push below the matrix condition floor, so judging
+    Prescribed-displacement rows (D = I) are excluded: after any successful
+    linear solve their defect equals the solver's forward error, which no
+    outer correction can push below the matrix condition floor, so judging
     convergence on them would test the linear solver instead of the state.
     """
     mask = np.ones(mesh.n_unknowns, dtype=bool)
-    mask[mesh.n_cells:] = table.kind != _KIND_CODE[DISPLACEMENT]
+    mask[mesh.n_cells:] = (table.disp != IDENTITY).any(axis=(1, 2))
     return mask
 
 
@@ -244,16 +239,15 @@ def assemble_scalar_operator(mesh: CartesianMesh, table: BoundaryTable,
 
     Cell rows are a scalar Laplacian with the given diffusion coefficient
     and every boundary row is an identity row, so the operator depends only
-    on the mesh and the coefficient.  The boundary kinds enter through the
-    step alone: 1 on cell rows and prescribed components (displacement
-    faces, the normal component on symmetry planes), distance/coefficient on
-    free ones (traction faces, the tangential one on symmetry planes), the
-    explicit traction update classic segregated solvers use.
+    on the mesh and the coefficient.  The boundary conditions enter through
+    the step alone, read from the diagonal of each face's D: 1 on cell rows
+    and on components D fixes (diagonal 1: both on displacement faces, the
+    normal one on symmetry planes), distance/coefficient on free ones
+    (diagonal 0), the explicit traction update classic segregated solvers
+    use.
     """
     bfaces = mesh.bface_face
-    kind = table.kind[:, None]
-    fixed = (kind == _KIND_CODE[DISPLACEMENT]) | (
-        (kind == _KIND_CODE[SYMMETRY]) & (np.abs(mesh.face_normal[bfaces]) > 0.5))
+    fixed = np.diagonal(table.disp, axis1=1, axis2=2) > 0.5
     step = np.ones((mesh.n_unknowns, 2))
     step[mesh.n_cells:] = np.where(fixed, 1.0, mesh.face_distance[bfaces, None] / coefficient)
     matrix = coefficient * (mesh.cell_divergence @ mesh.face_quotient)

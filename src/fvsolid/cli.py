@@ -176,8 +176,8 @@ def _validate(cfg: CaseConfig, given: set) -> None:
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{key!r} must be finite, got {value}")
     try:
+        lame_from_E_nu(cfg.E, cfg.nu, cfg.regime)     # first: a check may use them
         case.check(cfg)
-        lame_from_E_nu(cfg.E, cfg.nu, cfg.regime)
     except ValueError as err:
         raise ConfigError(str(err)) from None
     if cfg.material not in _MATERIALS:

@@ -153,8 +153,6 @@ class CartesianMesh:
         self.face_vertex_lo = np.concatenate((vj * (nx + 1) + vi, hj * (nx + 1) + hi))
         self.face_vertex_hi = np.concatenate(((vj + 1) * (nx + 1) + vi,
                                               hj * (nx + 1) + hi + 1))
-        self.face_patch = np.concatenate((np.select((v_lo, v_hi), (LEFT, RIGHT), -1),
-                                          np.select((h_lo, h_hi), (BOTTOM, TOP), -1)))
         # Boundary index: patch-major (left, right, bottom, top), then along
         # the patch.
         bindex = np.concatenate((np.select((v_lo, v_hi), (vj, ny + vj), -1),
@@ -313,9 +311,9 @@ class CartesianMesh:
     # ------------------------------------------------------------------
 
     def patch_faces(self, patch: int) -> np.ndarray:
-        """Face ids of a boundary patch, in boundary-index order."""
-        faces = self.boundary_faces
-        return faces[self.face_patch[faces] == patch]
+        """Face ids of a boundary patch, a slice of the patch-major ``bface_face``."""
+        start = sum((self.ny, self.ny, self.nx)[:patch])
+        return self.bface_face[start:start + (self.ny if patch < BOTTOM else self.nx)]
 
 
 def _freeze(obj) -> None:

@@ -45,13 +45,13 @@ def write_report(path, report: dict) -> None:
 def write_vtk(path, mesh: CartesianMesh, displacement: np.ndarray) -> None:
     """Legacy ASCII VTK unstructured grid of the displaced vertices; points
     and vectors carry a literal 0 as their z component."""
-    moved = mesh.vertices + vertex_values(mesh, displacement)
+    u = vertex_values(mesh, displacement)
     nx, ny = mesh.nx, mesh.ny
     with open(path, "w") as handle:
         handle.write("# vtk DataFile Version 3.0\ndeformed configuration\n"
                      "ASCII\nDATASET UNSTRUCTURED_GRID\n")
         handle.write(f"POINTS {mesh.n_vertices} double\n")
-        for p in moved:
+        for p in mesh.vertices + u:
             handle.write(f"{p[0]:.17g} {p[1]:.17g} 0\n")
         handle.write(f"CELLS {mesh.n_cells} {5 * mesh.n_cells}\n")
         for j in range(ny):
@@ -63,5 +63,5 @@ def write_vtk(path, mesh: CartesianMesh, displacement: np.ndarray) -> None:
             handle.write("9\n")
         handle.write(f"POINT_DATA {mesh.n_vertices}\n")
         handle.write("VECTORS displacement double\n")
-        for u in moved - mesh.vertices:
-            handle.write(f"{u[0]:.17g} {u[1]:.17g} 0\n")
+        for vector in u:
+            handle.write(f"{vector[0]:.17g} {vector[1]:.17g} 0\n")

@@ -193,9 +193,9 @@ def run(mesh: CartesianMesh, material, bcs: dict, cfg: SolveConfig) -> RunReport
     histories: list[list[float]] = []
     failure = None
 
-    # Boundary kinds, row weights, the rigid-body check, force rows and norm
-    # weights do not depend on the load factor: each method sets up once per
-    # run, and later load steps only re-evaluate the prescribed values.
+    # Row weights (the only record of the kinds), the rigid-body check, force
+    # rows and norm weights do not depend on the load factor: each method sets
+    # up once per run, and later load steps only re-evaluate the values.
     table = build_boundary_table(mesh, bcs, 1.0 / cfg.n_load_steps)
     force_rows = force_row_mask(mesh, table)
     weight = np.ones(mesh.n_unknowns)

@@ -21,6 +21,11 @@ by face and vertex by vertex, against which the mesh's vectorised index
 arithmetic is held, and the tangential face-derivative operator as a sum
 of sparse products.
 
+Boundary kinds: the per-face int kind codes and the three rules that
+once decoded them (force rows, the segregated step's fixed components and
+the rigid-body constraint rows), against which the rules that read the
+row weight D are held.
+
 Sparse algebra: the coupled Newton matrix by its defining block-sparse
 formula, against which the numeric fill of ``assemble_system`` is held,
 and the same formula with every row weight D = 0, whose block pattern is
@@ -292,3 +297,53 @@ def mesh_arrays(mesh) -> dict:
     out["vertex_stencil.indices"] = np.asarray(ids)
     out["vertex_stencil.data"] = np.asarray(weights)
     return out
+
+
+KIND_CODE = {"displacement": 0, "traction": 1, "symmetry": 2}
+
+
+def kind_codes(mesh, bcs: dict) -> np.ndarray:
+    """(n_bfaces,) kind code per boundary face, through the face-by-face
+    patch of ``mesh_arrays``."""
+    arrays = mesh_arrays(mesh)
+    bindex, patch = arrays["face_boundary_index"], arrays["face_patch"]
+    on = bindex >= 0
+    kind = np.empty(mesh.n_bfaces, dtype=np.int8)
+    kind[bindex[on]] = [KIND_CODE[bcs[p].kind] for p in patch[on]]
+    return kind
+
+
+def force_row_mask(mesh, kind: np.ndarray) -> np.ndarray:
+    """Every cell row and every boundary row not prescribing displacement."""
+    mask = np.ones(mesh.n_unknowns, dtype=bool)
+    mask[mesh.n_cells:] = kind != KIND_CODE["displacement"]
+    return mask
+
+
+def scalar_step(mesh, kind: np.ndarray, coefficient: float) -> np.ndarray:
+    """The segregated step: 1 on cell rows and fixed components (both on a
+    displacement face, the normal one on a symmetry plane), distance over
+    coefficient on free ones."""
+    bfaces = mesh.bface_face
+    kind = kind[:, None]
+    fixed = (kind == KIND_CODE["displacement"]) | (
+        (kind == KIND_CODE["symmetry"]) & (np.abs(mesh.face_normal[bfaces]) > 0.5))
+    step = np.ones((mesh.n_unknowns, 2))
+    step[mesh.n_cells:] = np.where(fixed, 1.0, mesh.face_distance[bfaces, None] / coefficient)
+    return step
+
+
+def rigid_body_rows(mesh, kind: np.ndarray) -> np.ndarray:
+    """Rigid-motion constraint rows [d_x, d_y, d_y p_x - d_x p_y]: e_x and
+    e_y per displacement face, the normal per symmetry face, at points
+    centred and scaled by the domain extents."""
+    faces = mesh.bface_face
+    point = ((mesh.face_centroid[faces] - (mesh.lx / 2, mesh.ly / 2))
+             / max(mesh.lx, mesh.ly))
+    fixed = point[kind == KIND_CODE["displacement"]]
+    sliding = kind == KIND_CODE["symmetry"]
+    d = np.concatenate((np.tile((1.0, 0.0), (len(fixed), 1)),
+                        np.tile((0.0, 1.0), (len(fixed), 1)),
+                        mesh.face_normal[faces[sliding]]))
+    p = np.concatenate((fixed, fixed, point[sliding]))
+    return np.column_stack((d, d[:, 1] * p[:, 0] - d[:, 0] * p[:, 1]))

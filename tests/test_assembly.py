@@ -7,6 +7,7 @@ boundary-condition kind at a random nonlinear state.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from fvsolid.assembly import (
     DISPLACEMENT,
     SYMMETRY,
     TRACTION,
+    RigidBodyModeError,
     assemble_scalar_operator,
     assemble_system,
     build_boundary_table,
@@ -94,18 +96,15 @@ def bfaces(mesh, patch):
 
 def test_boundary_table_kinds_and_scaling(mesh_small):
     table = build_boundary_table(mesh_small, MIXED, t=0.5)
-    b_left = bfaces(mesh_small, LEFT)
     b_right = bfaces(mesh_small, RIGHT)
     b_bottom = bfaces(mesh_small, BOTTOM)
-    assert (table.kind[b_left] == 0).all()
-    assert (table.kind[b_right] == 1).all()
-    assert (table.kind[b_bottom] == 2).all()
     # constant values scale with the load factor
     npt.assert_allclose(table.value[b_right],
                         np.tile([0.05, 0.025], (len(b_right), 1)))
     npt.assert_allclose(table.value[b_bottom], 0.0)
-    # residual row weights D per boundary face: I on prescribed-displacement
-    # faces, N x N on symmetry faces, zero on traction faces
+    # residual row weights D per boundary face, the table's only record of
+    # the kinds: I on prescribed-displacement faces, N x N on symmetry
+    # faces, zero on traction faces
     assert table.disp.shape == (mesh_small.n_bfaces, 2, 2)
     for patch, weight in ((LEFT, IDENTITY), (RIGHT, 0.0), (TOP, 0.0),
                           (BOTTOM, [[0.0, 0.0], [0.0, 1.0]])):
@@ -131,7 +130,7 @@ def test_boundary_table_ignores_out_of_plane_component(mesh_small):
         reference = build_boundary_table(mesh_small, bcs2, t)
         table = build_boundary_table(mesh_small, bcs3, t)
         assert table.value.shape == (mesh_small.n_bfaces, 2)
-        npt.assert_array_equal(table.kind, reference.kind)
+        npt.assert_array_equal(table.disp, reference.disp)
         npt.assert_array_equal(table.value, reference.value)
 
 
@@ -153,16 +152,17 @@ def test_boundary_table_matches_per_face_evaluation():
     bcs = mms_bcs(MMSCase("shear", TRACTION, 0.4), UNIT)   # displacement left
     bcs[BOTTOM] = BoundaryCondition(SYMMETRY)
     table = build_boundary_table(mesh, bcs, t=0.7)
-    kind = np.empty(mesh.n_bfaces, dtype=np.int8)
+    disp = np.zeros((mesh.n_bfaces, 2, 2))
     value = np.zeros((mesh.n_bfaces, 2))
-    codes = {DISPLACEMENT: 0, TRACTION: 1, SYMMETRY: 2}
     for patch, bc in bcs.items():
         for face in mesh.patch_faces(patch):
             b = mesh.face_boundary_index[face]
-            kind[b] = codes[bc.kind]
+            normal = mesh.face_normal[face]
+            disp[b] = {DISPLACEMENT: np.eye(2), TRACTION: np.zeros((2, 2)),
+                       SYMMETRY: np.outer(normal, normal)}[bc.kind]
             if bc.value is not None:
                 value[b] = bc.value(mesh.face_centroid[face], 0.7)
-    npt.assert_array_equal(table.kind, kind)
+    npt.assert_array_equal(table.disp, disp)
     npt.assert_array_equal(table.value, value)
     assert np.abs(value[bfaces(mesh, LEFT), 0]).max() > 0.0
 
@@ -204,7 +204,9 @@ def test_boundary_table_rejects_free_rigid_body_modes(mesh_small):
             build_boundary_table(mesh, bcs)
     bcs = {LEFT: BoundaryCondition(SYMMETRY), BOTTOM: BoundaryCondition(SYMMETRY),
            RIGHT: traction, TOP: traction}
-    assert (build_boundary_table(mesh_small, bcs).kind == 2).sum() == 3 + 4
+    disp = build_boundary_table(mesh_small, bcs).disp
+    # N x N, the symmetry weight, is the only one of trace 1.
+    assert (np.trace(disp, axis1=1, axis2=2) == 1.0).sum() == 3 + 4
 
 
 def test_force_row_mask(mesh_small):
@@ -217,6 +219,33 @@ def test_force_row_mask(mesh_small):
     assert not mask[left_rows].any()
     assert mask[right_rows].all()
     assert mask[bottom_rows].all()
+
+
+def test_row_weight_rules_match_kind_codes():
+    """The force rows, the segregated step and the rigid-body verdict read
+    D alone; on every assignment of the three kinds to the four patches
+    they equal the rules that decoded per-face kind codes."""
+    kinds = (DISPLACEMENT, TRACTION, SYMMETRY)
+    accepted = 0
+    for mesh in (build_mesh(4, 3, 1.5, 1.0), build_mesh(4, 1, 1.0, 0.25),
+                 build_mesh(1, 1, 1.0, 1.0)):
+        for assignment in itertools.product(kinds, repeat=4):
+            bcs = {p: BoundaryCondition(k, (0.1, -0.2))
+                   for p, k in zip((LEFT, RIGHT, BOTTOM, TOP), assignment)}
+            kind = oracles.kind_codes(mesh, bcs)
+            free = np.linalg.matrix_rank(oracles.rigid_body_rows(mesh, kind)) < 3
+            try:
+                table = build_boundary_table(mesh, bcs)
+            except RigidBodyModeError:
+                assert free, assignment
+                continue
+            assert not free, assignment
+            accepted += 1
+            npt.assert_array_equal(force_row_mask(mesh, table),
+                                   oracles.force_row_mask(mesh, kind))
+            npt.assert_array_equal(assemble_scalar_operator(mesh, table, 2.5)[1],
+                                   oracles.scalar_step(mesh, kind, 2.5))
+    assert accepted == 201
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,8 @@ def test_parse_config_sweep(tmp_path):
      "case 'uniaxial' does not take key 'shear_factor'"),
     ("case = cantilever\ntraction = 0\n", "'cantilever' needs a nonzero 'traction'"),
     ("case = cantilever\ntraction = inf\n", "'traction' must be finite"),
+    ("case = cantilever\ntraction = 1e-320\n",
+     "reference deflection does not underflow to 0, got 1e-320"),
     ("case = shear\nregime = beam\n", "unknown regime"),
     ("case = shear\nE = -1\n", "E must be finite and positive, got -1.0"),
     ("case = shear\nnu = 0.5\n", r"nu must lie in \(-1, 0\.5\), got 0\.5"),
@@ -500,6 +502,18 @@ def test_main_rejects_beam_with_free_rotation(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_main_rejects_beam_load_below_its_reference(tmp_path, capsys):
+    """A cantilever load so small that its thin-beam deflection underflows
+    to 0 leaves the relative error undefined: exit 1 with one line before
+    any solve, not a ZeroDivisionError after it."""
+    path = write_cfg(tmp_path, "case = cantilever\nmesh = 4x2\ntraction = 1e-320\n")
+    assert main(["--config", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "underflow" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_parse_config_rejects_undecodable_file(tmp_path):
     path = tmp_path / "case.cfg"
     path.write_bytes(b"case = shear\nout = \xff\n")
@@ -556,11 +570,13 @@ CASE_AND_GOOD = st.sampled_from(["uniaxial", "shear", "cantilever"]).flatmap(
     lambda case: st.tuples(st.just(case), st.lists(
         st.sampled_from(sorted((k, SMALL[k]) for k in SHARED_KEYS | set(CASES[case].keys))),
         max_size=4, unique_by=lambda kv: kv[0])))
+# Base values beyond the mesh and budget: the keys a case requires.
+BASE = {"uniaxial": {"stretch": SMALL["stretch"]}}
 # An edge or junk value for one key: non-finite, empty, negative, arbitrary
 # text, or (for the size keys) a small edge size instead of text.
 ODD_ENTRY = st.sampled_from(sorted(SMALL)).flatmap(
     lambda key: st.tuples(st.just(key), st.one_of(
-        st.sampled_from(["", "junk", "0", "-1", "nan", "inf", "-inf", "1e400"]),
+        st.sampled_from(["", "junk", "0", "-1", "nan", "inf", "-inf", "1e400", "1e-320"]),
         st.sampled_from(["1x1", "3x2", "6x1", "1", "3"]) if key in SIZE_KEYS
         else st.text(st.characters(codec="utf-8", exclude_characters="\n\r"),
                      max_size=8))))
@@ -575,7 +591,8 @@ def test_main_fuzz_exits_cleanly(tmp_path_factory, case_and_good, odd):
     case, good = case_and_good
     out = tmp_path_factory.mktemp("main")
     path = out / "fuzz.cfg"
-    values = {"case": case, "mesh": "4x4", "max_corrections": "20", **dict(good)}
+    values = {"case": case, "mesh": "4x4", "max_corrections": "20", **BASE.get(case, {}),
+              **dict(good)}
     if odd is not None:
         values[odd[0]] = odd[1]
     path.write_bytes("".join(f"{k} = {v}\n" for k, v in values.items()).encode("utf-8"))

@@ -105,7 +105,8 @@ def test_interior_across_is_neighbour(mesh_small):
     inter = m.interior_faces
     npt.assert_array_equal(m.face_across[inter], m.face_neighbour[inter])
     assert (m.face_neighbour[inter] >= 0).all()
-    assert (m.face_patch[inter] == -1).all()
+    patches = np.concatenate([m.patch_faces(p) for p in (LEFT, RIGHT, BOTTOM, TOP)])
+    assert np.intersect1d(patches, inter).size == 0
 
 
 def test_boundary_across_is_bface_unknown(mesh_small):
@@ -157,7 +158,11 @@ def test_arrays_match_loop_construction(dims):
     """The index arithmetic builds exactly the arrays of the face by
     face and vertex by vertex reference loops."""
     m = build_mesh(*dims)
-    for name, ref in oracles.mesh_arrays(m).items():
+    arrays = oracles.mesh_arrays(m)
+    patch = arrays.pop("face_patch")
+    for p in (LEFT, RIGHT, BOTTOM, TOP):
+        npt.assert_array_equal(m.patch_faces(p), np.flatnonzero(patch == p))
+    for name, ref in arrays.items():
         owner, _, part = name.partition(".")
         actual = getattr(getattr(m, owner), part) if part else getattr(m, owner)
         assert actual.shape == ref.shape and actual.dtype.kind == ref.dtype.kind, name

@@ -8,6 +8,7 @@ import numpy as np
 import numpy.testing as npt
 
 from fvsolid import build_mesh
+from fvsolid.kinematics import vertex_values
 from fvsolid.output import (
     CONVERGENCE_COLUMNS,
     ERRORS_COLUMNS,
@@ -143,3 +144,23 @@ def test_write_vtk_reruns_are_byte_identical(tmp_path, rng):
     write_vtk(a, mesh, u)
     write_vtk(b, mesh, u)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_write_vtk_vectors_are_the_displacement(tmp_path):
+    """The VECTORS block is the interpolated displacement itself, to the
+    last bit, not the written point minus the vertex: a 1e-9 displacement
+    on the 2.0 x 0.1 beam loses no digits to the vertex coordinates."""
+    mesh = build_mesh(20, 2, 2.0, 0.1)
+    u = np.full((mesh.n_unknowns, 2), 1e-9)
+    u[:, 1] = -3e-9
+    path = tmp_path / "small.vtk"
+    write_vtk(path, mesh, u)
+    lines, sections = parse_vtk(path)
+    start, _ = sections["VECTORS"]
+    out = np.array([line.split() for line in
+                    lines[start + 1: start + 1 + mesh.n_vertices]], dtype=float)
+    npt.assert_array_equal(out[:, :2], vertex_values(mesh, u))
+    start, _ = sections["POINTS"]
+    points = np.array([line.split() for line in
+                       lines[start + 1: start + 1 + mesh.n_vertices]], dtype=float)
+    npt.assert_array_equal(points[:, :2], mesh.vertices + vertex_values(mesh, u))
