@@ -1,16 +1,16 @@
 """Constitutive models: compressible neo-Hookean and small-strain linear
 elasticity, both exposing the same surface to the assembly code.
 
-A material answers three questions about a state given by the displacement
+A material answers two questions about a state given by the displacement
 gradient (or the deformation gradient reconstructed from it):
 
 - ``stress_state``: deformation gradient and second Piola-Kirchhoff stress,
-  so the face flux is ``(F @ S) @ N``
+  so the face flux is ``(F @ S) @ N``; it is the only place where a
+  displacement gradient becomes a stress, boundary tractions included
 - ``face_linearisation``: one 2x2 block H(m) per face for each direction
   m asked for: a perturbation a x m of the displacement gradient changes
   the flux by ``H(m) @ a``, so H(N) and H(t) are the coefficients of the
   normal and tangential face derivatives
-- ``first_piola``: the stress that the manufactured boundary tractions use
 
 The linear model keeps the geometry frozen (F = I, no stress term in H)
 so the coupled solver reduces to one exact small-strain solve.
@@ -22,6 +22,7 @@ of S, P and H are exactly the 2-D formulas below.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +42,14 @@ def lame_from_E_nu(E: float, nu: float, regime: str = "plane_strain") -> Lame:
     ``regime`` selects the 2-D reduction: plane strain keeps the 3-D lambda,
     plane stress substitutes the usual reduced value.  E must be finite
     and positive and nu must lie in (-1, 0.5), the range where the shear
-    and bulk moduli are finite and positive.
+    and bulk moduli are finite and positive.  A subnormal E is refused too:
+    the force scale mu h that floors the residual norm can round to 0.
     """
     if not (np.isfinite(E) and E > 0.0):
         raise ValueError(f"Young's modulus E must be finite and positive, got {E}")
+    if E < sys.float_info.min:
+        raise ValueError(f"Young's modulus E must not be subnormal (below "
+                         f"{sys.float_info.min}), got {E}")
     if not -1.0 < nu < 0.5:
         raise ValueError(f"Poisson ratio nu must lie in (-1, 0.5), got {nu}")
     mu = E / (2.0 * (1.0 + nu))
@@ -88,29 +93,13 @@ class NeoHookean:
         self.mu = lame.mu
         self.lam = lame.lam
 
-    # -- tensor-level pieces -------------------------------------------
-
-    def _stress(self, c_inv: np.ndarray, log_j: np.ndarray) -> np.ndarray:
-        """S from C^-1 and ln J, so callers that hold det F reuse it."""
-        return (self.mu * (IDENTITY - c_inv)
-                + self.lam * log_j[..., None, None] * c_inv)
-
-    def second_piola(self, c: np.ndarray) -> np.ndarray:
-        c_inv, det_c = inv2(c)
-        return self._stress(c_inv, 0.5 * np.log(det_c))
-
-    def first_piola(self, grad_u: np.ndarray) -> np.ndarray:
-        f = IDENTITY + grad_u
-        return mul2(f, self.second_piola(mul2(np.swapaxes(f, -1, -2), f)))
-
-    # -- solver surface ------------------------------------------------
-
     def stress_state(self, grad_u: np.ndarray):
         f = IDENTITY + grad_u
         det_f = det2(f)
         check_positive_jacobian(det_f, "cell")
         c_inv, _ = inv2(mul2(np.swapaxes(f, -1, -2), f))
-        return f, self._stress(c_inv, np.log(det_f))
+        return f, (self.mu * (IDENTITY - c_inv)
+                   + self.lam * np.log(det_f)[..., None, None] * c_inv)
 
     def face_linearisation(self, f: np.ndarray, s: np.ndarray, n: np.ndarray,
                            directions) -> list[np.ndarray]:
@@ -153,14 +142,11 @@ class LinearElastic:
         self.mu = lame.mu
         self.lam = lame.lam
 
-    def stress(self, grad_u: np.ndarray) -> np.ndarray:
-        tr = np.trace(grad_u, axis1=-2, axis2=-1)
-        return (self.mu * (grad_u + np.swapaxes(grad_u, -1, -2))
-                + self.lam * tr[..., None, None] * IDENTITY)
-
     def stress_state(self, grad_u: np.ndarray):
-        f = np.broadcast_to(IDENTITY, grad_u.shape)
-        return f, self.stress(grad_u)
+        tr = np.trace(grad_u, axis1=-2, axis2=-1)
+        return np.broadcast_to(IDENTITY, grad_u.shape), (
+            self.mu * (grad_u + np.swapaxes(grad_u, -1, -2))
+            + self.lam * tr[..., None, None] * IDENTITY)
 
     def face_linearisation(self, f: np.ndarray, s: np.ndarray, n: np.ndarray,
                            directions) -> list[np.ndarray]:
@@ -168,6 +154,3 @@ class LinearElastic:
         return [self.lam * outer(n, m)
                 + self.mu * (outer(m, n) + dot2(n, m)[..., None, None] * IDENTITY)
                 for m in directions]
-
-    def first_piola(self, grad_u: np.ndarray) -> np.ndarray:
-        return self.stress(grad_u)

@@ -62,8 +62,14 @@ class SolveConfig:
     dump_dir: str | None = None
 
     def __post_init__(self):
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}")
         if self.n_load_steps < 1:
             raise ValueError(f"n_load_steps must be at least 1, got {self.n_load_steps}")
+        if self.max_corrections < 0:
+            raise ValueError(f"max_corrections must be at least 0, got {self.max_corrections}")
+        if not (np.isfinite(self.relaxation) and self.relaxation > 0):
+            raise ValueError(f"relaxation must be finite and positive, got {self.relaxation}")
         # The first normalised residual is at most 1: a tolerance of 1 or
         # more would pass it without a single correction.
         if not self.outer_tolerance < 1:
@@ -182,8 +188,6 @@ METHODS = tuple(_SOLVERS)
 
 
 def run(mesh: CartesianMesh, material, bcs: dict, cfg: SolveConfig) -> RunReport:
-    if cfg.method not in METHODS:
-        raise ValueError(f"unknown method {cfg.method!r}")
     if cfg.method == "bc":
         material = LinearElastic(Lame(material.mu, material.lam))
     start = time.perf_counter()

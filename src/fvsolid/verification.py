@@ -24,7 +24,7 @@ import numpy as np
 
 from .assembly import DISPLACEMENT, TRACTION, BoundaryCondition
 from .mesh import BOTTOM, LEFT, RIGHT, TOP, CartesianMesh
-from .tensors import IDENTITY
+from .tensors import IDENTITY, mul2
 
 UNIAXIAL = "uniaxial"
 SHEAR = "shear"
@@ -61,9 +61,9 @@ def dirichlet_data(case: MMSCase, t: float, x: np.ndarray) -> np.ndarray:
 
 
 def traction_data(case: MMSCase, material, t: float, normal: np.ndarray) -> np.ndarray:
-    """Exact boundary traction P(F(t) - I) N; constant over a patch."""
+    """Exact boundary traction P(F(t) - I) N = F S N; constant over a patch."""
     grad = mms_deformation_gradient(case, t) - IDENTITY
-    return material.first_piola(grad) @ np.asarray(normal)
+    return mul2(*material.stress_state(grad)) @ np.asarray(normal)
 
 
 def mms_bcs(case: MMSCase, material) -> dict:
@@ -137,9 +137,13 @@ def _beam_analytic(cfg) -> float:
 
 
 def _beam_check(cfg) -> None:
-    if _beam_analytic(cfg) == 0:    # the error is relative to it
+    analytic = _beam_analytic(cfg)      # the error is relative to it
+    if analytic == 0:
         raise ValueError("case 'cantilever' needs a nonzero 'traction' whose reference "
                          f"deflection does not underflow to 0, got {cfg.traction}")
+    if not np.isfinite(analytic):
+        raise ValueError("case 'cantilever' needs a reference deflection that does not "
+                         f"overflow, got {analytic} from E = {cfg.E}, 'traction' = {cfg.traction}")
 
 
 def _beam_bcs(cfg, material) -> dict:

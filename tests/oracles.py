@@ -1,5 +1,9 @@
 """Reference routes the tests compare the solver's fast forms against.
 
+Stresses: a displacement gradient with a given right Cauchy-Green tensor,
+so that checks posed in C reach ``stress_state``, and the neo-Hookean S by
+LAPACK inverse and determinant.
+
 Tangents: the material elasticity dS/dE as a full fourth-order tensor, its
 push to mixed form, the directional derivative of the first Piola stress
 built from it, and the row-d traction-coupling tensor T^d both in closed
@@ -40,6 +44,14 @@ import scipy.sparse as sp
 from fvsolid.tensors import outer
 
 
+def cholesky_gradient(c: np.ndarray) -> np.ndarray:
+    """A displacement gradient whose right Cauchy-Green tensor is C: with
+    the Cholesky factor C = L L^T, F = L^T gives F^T F = C and det F > 0.
+    The materials take a displacement gradient only, so a check posed in C
+    (the energy gradient, finite differences of S in C) enters through it."""
+    return np.swapaxes(np.linalg.cholesky(c), -1, -2) - np.eye(c.shape[-1])
+
+
 def second_piola(material, c: np.ndarray) -> np.ndarray:
     """Neo-Hookean S = mu (I - C^-1) + lam ln(J) C^-1 by LAPACK inverse and
     determinant."""
@@ -72,7 +84,7 @@ def dP_apply(material, grad_u: np.ndarray, a: np.ndarray) -> np.ndarray:
     perturbation ``a``: a @ S plus the material-tangent contraction for the
     neo-Hookean solid, the Hookean stress of ``a`` for the linear one."""
     if material.linear:
-        return material.stress(a)
+        return material.stress_state(a)[1]
     f = np.eye(grad_u.shape[-1]) + grad_u
     c = np.einsum("...ki,...kj->...ij", f, f)
     s = second_piola(material, c)

@@ -138,6 +138,11 @@ def test_parse_config_sweep(tmp_path):
      "reference deflection does not underflow to 0, got 1e-320"),
     ("case = shear\nregime = beam\n", "unknown regime"),
     ("case = shear\nE = -1\n", "E must be finite and positive, got -1.0"),
+    ("case = uniaxial\nstretch = 1.5\nmesh = 4x4\nE = 5e-324\n",
+     "E must not be subnormal .*got 5e-324"),
+    ("case = cantilever\nmesh = 4x2\nE = 1e-320\n", "E must not be subnormal .*got 1e-320"),
+    ("case = cantilever\nmesh = 4x2\nE = 1e-300\n",
+     "needs a reference deflection that does not overflow, got inf from E = 1e-300"),
     ("case = shear\nnu = 0.5\n", r"nu must lie in \(-1, 0\.5\), got 0\.5"),
     ("case = shear\nregime = plane_stress\n", "'plane_stress' needs material = linear"),
     ("case = shear\nrho0 = 1000\n", "unknown config key 'rho0'"),

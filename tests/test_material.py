@@ -13,12 +13,23 @@ from fvsolid import (
     NeoHookean,
     lame_from_E_nu,
 )
+from fvsolid.tensors import mul2
 from tests import oracles
 from tests.conftest import random_gradients
 
 # Order-one parameters keep finite-difference noise well below the comparison
 # tolerances; scale invariance of the formulas is checked separately.
 UNIT = NeoHookean(Lame(mu=0.8, lam=1.3))
+
+
+def _second_piola(material, c):
+    """S of the material at right Cauchy-Green tensor C, through stress_state."""
+    return material.stress_state(oracles.cholesky_gradient(c))[1]
+
+
+def _first_piola(material, g):
+    """P = F S, the stress whose normal component is the face flux."""
+    return mul2(*material.stress_state(g))
 
 
 # ---------------------------------------------------------------------------
@@ -84,14 +95,13 @@ def test_stress_state_raises_on_inversion():
 
 
 def test_second_piola_stress_free_at_identity():
-    s = UNIT.second_piola(np.eye(2))
+    _, s = UNIT.stress_state(np.zeros((2, 2)))
     npt.assert_allclose(s, 0.0, atol=1e-15)
 
 
 def test_second_piola_uniaxial_hand_value():
     """F = diag(2, 1) evaluated from the model's scalar definition."""
-    c = np.diag([4.0, 1.0])
-    s = UNIT.second_piola(c)
+    _, s = UNIT.stress_state(np.diag([1.0, 0.0]))
     log_j = 0.5 * np.log(4.0)
     expected = np.diag([
         UNIT.mu * (1.0 - 0.25) + UNIT.lam * log_j * 0.25,
@@ -116,7 +126,7 @@ def test_second_piola_is_energy_gradient(rng):
         g = random_gradients(rng, 1)[0]
         f = np.eye(2) + g
         c = f.T @ f
-        s = UNIT.second_piola(c)
+        s = _second_piola(UNIT, c)
         fd = np.zeros((2, 2))
         for k in range(2):
             for l in range(2):
@@ -142,7 +152,7 @@ def test_elasticity_tensor_matches_finite_differences(rng):
             dc = np.zeros((2, 2))
             dc[k, l] += h
             dc[l, k] += h
-            fd = (UNIT.second_piola(c + dc) - UNIT.second_piola(c - dc)) / (2.0 * h)
+            fd = (_second_piola(UNIT, c + dc) - _second_piola(UNIT, c - dc)) / (2.0 * h)
             npt.assert_allclose(cc[:, :, k, l], fd, rtol=5e-6, atol=1e-7)
 
 
@@ -175,7 +185,7 @@ def test_dp_apply_matches_finite_differences(rng):
     for _ in range(20):
         g = random_gradients(rng, 1)[0]
         b = rng.normal(size=(2, 2))
-        fd = (UNIT.first_piola(g + h * b) - UNIT.first_piola(g - h * b)) / (2.0 * h)
+        fd = (_first_piola(UNIT, g + h * b) - _first_piola(UNIT, g - h * b)) / (2.0 * h)
         exact = oracles.dP_apply(UNIT, g, b)
         npt.assert_allclose(exact, fd, rtol=1e-5, atol=1e-6)
 
@@ -244,7 +254,7 @@ def test_t_tensor_row_contract_matches_flux_derivative(rng):
     n = np.array([0.0, 1.0])
     b = rng.normal(size=(2, 2))
     total = sum(oracles.t_tensor(UNIT, f, n, d) @ b[d] for d in range(2))
-    s = UNIT.second_piola(f.T @ f)
+    _, s = UNIT.stress_state(g)
     exact = oracles.dP_apply(UNIT, g, b) @ n - b @ (s @ n)
     npt.assert_allclose(total, exact, rtol=1e-11, atol=1e-11)
 
@@ -253,18 +263,16 @@ def test_rigid_rotation_is_stress_free():
     angle = 0.3
     rot = np.array([[np.cos(angle), -np.sin(angle)],
                     [np.sin(angle), np.cos(angle)]])
-    p = UNIT.first_piola(rot - np.eye(2))
+    p = _first_piola(UNIT, rot - np.eye(2))
     npt.assert_allclose(p, 0.0, atol=1e-14)
 
 
 def test_closed_forms_scale_with_moduli(rng, neo):
     """The physical material is a unit-modulus material times E: pure scaling."""
     g = random_gradients(rng, 3)
-    f = np.eye(2) + g
-    c = np.einsum("bki,bkj->bij", f, f)
     unit_like = NeoHookean(Lame(mu=neo.mu / 0.02e9, lam=neo.lam / 0.02e9))
-    npt.assert_allclose(neo.second_piola(c),
-                        0.02e9 * unit_like.second_piola(c), rtol=1e-13)
+    npt.assert_allclose(neo.stress_state(g)[1],
+                        0.02e9 * unit_like.stress_state(g)[1], rtol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +292,7 @@ def _assert_rel(actual, reference, rtol=1e-14):
 
 
 def test_neo_hookean_is_in_plane_block_of_3d_oracles(rng):
-    """stress_state, first_piola and face_linearisation against the 3-D
+    """stress_state, its flux stress F S and face_linearisation against the 3-D
     oracle formulas (LAPACK inverse and determinant) on the plane-strain
     embedding, in-plane block, for both unit and physical moduli."""
     g = random_gradients(rng, 50)
@@ -297,7 +305,7 @@ def test_neo_hookean_is_in_plane_block_of_3d_oracles(rng):
         f, s = mat.stress_state(g)
         npt.assert_array_equal(f, f3[:, :2, :2])
         _assert_rel(s, s3[:, :2, :2])
-        _assert_rel(mat.first_piola(g), (f3 @ s3)[:, :2, :2])
+        _assert_rel(mul2(f, s), (f3 @ s3)[:, :2, :2])
         directions = _directions(rng, n)
         blocks = mat.face_linearisation(f, s, n, directions)
         for m, h in zip(directions, blocks):
@@ -318,7 +326,7 @@ def test_linear_elastic_is_in_plane_block_of_3d_hooke(rng):
               + 3.0 * np.trace(g3, axis1=-2, axis2=-1)[:, None, None] * eye3)
     f, s = mat.stress_state(g)
     _assert_rel(s, sigma3[:, :2, :2])
-    _assert_rel(mat.first_piola(g), sigma3[:, :2, :2])
+    _assert_rel(mul2(f, s), sigma3[:, :2, :2])
     n = np.array([[0.6, 0.8]] * 6)
     n3 = np.column_stack((n, np.zeros(6)))
     # T_d[i, j] = d(sigma(B) N)_i / dB_jd for the 3-D Hookean stress
@@ -340,8 +348,8 @@ def test_linear_stress_formula(rng):
     mat = LinearElastic(Lame(mu=2.0, lam=3.0))
     g = rng.normal(size=(2, 2))
     expected = 2.0 * (g + g.T) + 3.0 * np.trace(g) * np.eye(2)
-    npt.assert_allclose(mat.stress(g), expected)
-    npt.assert_allclose(mat.first_piola(g), expected)
+    npt.assert_allclose(mat.stress_state(g)[1], expected)
+    npt.assert_allclose(_first_piola(mat, g), expected)
     npt.assert_allclose(oracles.dP_apply(mat, g, g), expected)
 
 
@@ -350,7 +358,17 @@ def test_linear_stress_state_freezes_geometry(rng):
     g = rng.normal(size=(4, 2, 2))
     f, s = mat.stress_state(g)
     npt.assert_allclose(f, np.broadcast_to(np.eye(2), (4, 2, 2)))
-    npt.assert_allclose(s, mat.stress(g))
+    npt.assert_allclose(s, 2.0 * (g + np.swapaxes(g, -1, -2))
+                        + 3.0 * np.trace(g, axis1=-2, axis2=-1)[:, None, None] * np.eye(2))
+
+
+def test_linear_flux_stress_is_sigma_exactly(rng):
+    """With F the broadcast identity, P = F S rounds to sigma bit for bit,
+    so a Hookean traction is sigma N however it is formed."""
+    mat = LinearElastic(lame_from_E_nu(200e9, 0.3))
+    g = 1e-3 * rng.normal(size=(8, 2, 2))
+    f, s = mat.stress_state(g)
+    npt.assert_array_equal(mul2(f, s), s)
 
 
 def test_linear_face_linearisation_contract(rng):
@@ -363,7 +381,8 @@ def test_linear_face_linearisation_contract(rng):
     blocks = mat.face_linearisation(f, s, n, directions)
     for m, h in zip(directions, blocks):
         a = rng.normal(size=2)
-        npt.assert_allclose(h[0] @ a, mat.stress(np.outer(a, m[0])) @ n[0], rtol=1e-14)
+        _, sigma = mat.stress_state(np.outer(a, m[0]))
+        npt.assert_allclose(h[0] @ a, sigma @ n[0], rtol=1e-14)
 
 
 def test_model_flags():

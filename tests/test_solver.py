@@ -245,6 +245,21 @@ def test_unknown_method_rejected(mesh8, neo):
         run(mesh8, neo, ZERO_DISPLACEMENT, SolveConfig(method="fem"))
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(method="fem"), "unknown method 'fem'"),
+    (dict(max_corrections=-1), "max_corrections must be at least 0, got -1"),
+    (dict(method="seg", relaxation=np.nan), "relaxation must be finite and positive, got nan"),
+    (dict(method="seg", relaxation=np.inf), "relaxation must be finite and positive, got inf"),
+    (dict(method="seg", relaxation=-0.5), "relaxation must be finite and positive, got -0.5"),
+    (dict(method="seg", relaxation=0.0), "relaxation must be finite and positive, got 0.0"),
+])
+def test_solve_config_rejects(kwargs, message):
+    """The library refuses what the CLI refuses, at construction: a negative
+    budget, and a relaxation that would fold an element or never move."""
+    with pytest.raises(ValueError, match=message):
+        SolveConfig(**kwargs)
+
+
 def test_zero_load_steps_rejected():
     # a run with no load step would report success without solving
     with pytest.raises(ValueError, match="n_load_steps must be at least 1"):

@@ -6,7 +6,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from fvsolid import MMSCase, build_mesh, cantilever_deflection, compute_errors
+from fvsolid import (LinearElastic, MMSCase, NeoHookean, build_mesh,
+                     cantilever_deflection, compute_errors, lame_from_E_nu)
 from fvsolid.assembly import DISPLACEMENT, SYMMETRY, TRACTION
 from fvsolid.mesh import BOTTOM, LEFT, RIGHT, TOP
 from fvsolid.verification import (
@@ -64,6 +65,26 @@ def test_shear_traction_is_exactly_mu_omega(neo):
     npt.assert_allclose(t_top[0], neo.mu * 0.45, rtol=1e-14)
     t_right = traction_data(case, neo, 1.0, np.array([1.0, 0.0]))
     npt.assert_allclose(t_right[1], neo.mu * 0.45, rtol=1e-14)
+
+
+@pytest.mark.parametrize("law", [NeoHookean, LinearElastic])
+@pytest.mark.parametrize("kind,amplitude", [("uniaxial", 0.7), ("uniaxial", 1.5),
+                                            ("shear", 0.45)])
+def test_traction_data_is_flux_of_stress_state(law, kind, amplitude):
+    """The boundary traction is F S N of the one constitutive path, for
+    both laws; the Hookean one is sigma N exactly, as F = I there."""
+    material = law(lame_from_E_nu(0.02e9, 0.3))
+    case = MMSCase(kind, TRACTION, amplitude)
+    for t in (0.025, 0.5, 1.0):
+        grad = mms_deformation_gradient(case, t) - np.eye(2)
+        f, s = material.stress_state(grad)
+        for normal in ([1.0, 0.0], [0.0, -1.0], [0.0, 1.0]):
+            normal = np.array(normal)
+            traction = traction_data(case, material, t, normal)
+            npt.assert_allclose(traction, f @ s @ normal, rtol=1e-15,
+                                atol=1e-15 * np.abs(s).max())
+            if material.linear:
+                npt.assert_array_equal(traction, s @ normal)
 
 
 def test_mms_bcs_displacement_covers_all_patches(neo):
