@@ -18,7 +18,8 @@ Flags override file values.  Artifacts land in the output directory:
 report.json, convergence.csv, errors.csv (manufactured cases), one
 deformed*.vtk per mesh, and A.mtx/R.mtx with --dump-matrix (the first
 correction of the first mesh).  Exit status:
-0 converged, 1 bad configuration or I/O failure, 2 divergence reported.
+0 converged, 1 usage error, bad configuration or I/O failure,
+2 divergence reported.
 """
 
 from __future__ import annotations
@@ -40,6 +41,14 @@ from .verification import CASES
 
 class ConfigError(Exception):
     pass
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError: exit 1 with one line, not argparse's
+    exit 2, which means a reported divergence here."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 @dataclass
@@ -259,21 +268,20 @@ def run_case(cfg: CaseConfig) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="fvsolid", description="finite-volume solid mechanics runner")
     parser.add_argument("--config", required=True, help="key = value case file")
-    parser.add_argument("--method", choices=METHODS, default=None)
+    parser.add_argument("--method", default=None, help=" | ".join(METHODS))
     parser.add_argument("--mesh", default=None, help="NXxNY override")
     parser.add_argument("--sweep", default=None, help="comma-separated square mesh sizes")
     parser.add_argument("--dump-matrix", action="store_const", const="true",
                         help="write A.mtx and R.mtx of the first correction")
     parser.add_argument("--out", default=None, help="output directory")
-    args = parser.parse_args(argv)
-
-    overrides = {"method": args.method, "mesh": args.mesh, "sweep": args.sweep,
-                 "out": args.out, "dump_matrix": args.dump_matrix}
     try:
-        cfg = parse_config(args.config, overrides)
+        args = parser.parse_args(argv)
+        cfg = parse_config(args.config, {
+            "method": args.method, "mesh": args.mesh, "sweep": args.sweep,
+            "out": args.out, "dump_matrix": args.dump_matrix})
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -114,7 +114,7 @@ class _Monitor:
     def update(self, rhs: np.ndarray) -> str:
         first = self.denominator is None
         rows = slice(None) if first else self.force_rows
-        raw = float(np.linalg.norm(rhs[rows] * self.weight[rows, None]))
+        raw = linsolve.norm2(rhs[rows] * self.weight[rows, None])
         if first:
             self.denominator = max(raw, self.floor)
         value = raw / self.denominator

@@ -7,6 +7,7 @@ import importlib
 import io
 import json
 import math
+import re
 import typing
 from dataclasses import fields
 from pathlib import Path
@@ -317,6 +318,21 @@ def test_run_case_reports_divergence_with_exit_2(tmp_path):
     assert (out / "deformed.vtk").exists()
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_huge_modulus_converges_with_finite_report(tmp_path):
+    """At E = 1e300 the squares of a plain 2-norm overflow: the post-check
+    read backward error NaN, the run exited 2 and the report held NaN."""
+    out = tmp_path / "huge"
+    path = write_cfg(tmp_path, "case = shear\nmesh = 4x4\nE = 1e300\n")
+    assert main(["--config", path, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject_constant)
+    (entry,) = report["runs"]
+    assert entry["converged"] and entry["final_residual"] < 1e-7
+
+
 def test_run_case_reruns_are_byte_identical(tmp_path):
     outs = []
     for name in ("one", "two"):
@@ -621,6 +637,45 @@ def test_console_script_is_main():
     assert getattr(importlib.import_module(module), name) is main
 
 
-def test_main_requires_config_flag():
-    with pytest.raises(SystemExit):
-        main([])
+@pytest.mark.parametrize("argv,message", [
+    (["--method", "fem"], "unknown method 'fem'"),     # as from the file
+    (["--bogus"], "unrecognized arguments: --bogus"),
+])
+def test_main_usage_errors_exit_1(tmp_path, capsys, argv, message):
+    """A usage error exits 1 with one line, like a bad file: exit 2 would
+    read as a reported divergence."""
+    path = write_cfg(tmp_path, "case = shear\nmesh = 4x4\n")
+    assert main(["--config", path, "--out", str(tmp_path / "out"), *argv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_requires_config_flag(capsys):
+    assert main([]) == 1
+    assert capsys.readouterr().err == ("error: the following arguments are "
+                                       "required: --config\n")
+
+
+def test_main_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
+def readme_block(language: str) -> str:
+    """The one fenced block of this language in README.md."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(rf"^```{language}\n(.*?)^```", readme, re.M | re.S)
+    return block
+
+
+def test_readme_examples_run(tmp_path, capsys):
+    """README's config example runs through main, and its library example
+    prints a converged one-correction beam: either fails once the README
+    drifts from the config keys or the API."""
+    path = write_cfg(tmp_path, readme_block("ini"))
+    assert main(["--config", path, "--out", str(tmp_path / "results")]) == 0
+    assert len((tmp_path / "results" / "errors.csv").read_text().splitlines()) == 1 + 3
+    exec(readme_block("python"), {})
+    assert capsys.readouterr().out == "True [1]\n"

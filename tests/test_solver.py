@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -14,9 +16,11 @@ from fvsolid import (
     TOP,
     BoundaryCondition,
     MMSCase,
+    NeoHookean,
     SolveConfig,
     build_mesh,
     compute_errors,
+    lame_from_E_nu,
     mms_bcs,
 )
 from fvsolid.assembly import DISPLACEMENT, SYMMETRY, TRACTION, build_boundary_table
@@ -358,6 +362,32 @@ def test_coupled_run_orders_its_pattern_once(mesh8, neo, monkeypatch):
             assert mean_error(mesh8, report, case) < 1e-6
 
 
+def test_coupled_run_makes_one_triangular_solve_per_correction(mesh8, neo, monkeypatch):
+    """Each coupled correction solves with its factor once: the backward
+    error of one static-pivot LU solve is at roundoff, so no refinement
+    round follows it."""
+    solves = []
+    factorise = linsolve.factorise
+
+    class CountingFactor:
+        def __init__(self, lu):
+            self.lu, self.perm_c = lu, lu.perm_c
+
+        def solve(self, rhs):
+            solves.append(1)
+            return self.lu.solve(rhs)
+
+    monkeypatch.setattr(linsolve, "factorise",
+                        lambda matrix, ordered=False: CountingFactor(factorise(matrix, ordered)))
+    case = MMSCase("uniaxial", TRACTION, 1.3)
+    for method in ("nlbc", "bc"):
+        solves.clear()
+        report = run(mesh8, neo, mms_bcs(case, neo),
+                     SolveConfig(method=method, n_load_steps=4))
+        assert report.converged and report.total_corrections >= 4
+        assert len(solves) == report.total_corrections
+
+
 def test_load_steps_redo_only_what_the_load_changes(mesh8, neo, monkeypatch):
     """Kinds, row weights and the rigid-body rank check are set up once per
     run.  The check that ends a load step evaluates the state that the
@@ -389,6 +419,30 @@ def test_histories_track_normalised_residuals(mesh8, neo):
     assert history[0] == pytest.approx(1.0)
     assert history[-1] < 1e-7
     assert len(history) == report.n_corr[0] + 1
+
+
+def test_verdicts_do_not_depend_on_the_modulus(mesh8):
+    """Scaling E scales the force rows and the displacement-row weight mu
+    together, so a run makes the same corrections along the same normalised
+    history.  At E = 1e160 and 1e300 the squares in a plain 2-norm
+    overflow, which left the monitor's history NaN and the post-check
+    reading inf or NaN; neither norm may overflow or warn."""
+    case = MMSCase("uniaxial", TRACTION, 1.5)
+    reports = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for E in (2e7, 1e160, 1e300):
+            material = NeoHookean(lame_from_E_nu(E, 0.3, "plane_strain"))
+            reports.append(run(mesh8, material, mms_bcs(case, material), SolveConfig()))
+    first = reports[0]
+    assert first.n_corr == [4]
+    scale = np.abs(first.state.displacement).max()
+    for report in reports[1:]:
+        assert report.converged and report.n_corr == first.n_corr
+        npt.assert_allclose(report.residual_history[0], first.residual_history[0],
+                            rtol=1e-6)
+        npt.assert_allclose(report.state.displacement, first.state.displacement,
+                            rtol=0, atol=1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------
