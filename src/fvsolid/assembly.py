@@ -10,6 +10,8 @@ gradient along the tangent on the boundary):
 
     grad U_f = (Q U)_f x N_f + (Dt U)_f x t_f
 
+evaluated as one product with the mesh's ``face_gradient``.
+
 The residual collects the face fluxes onto the unknown rows with
 ``face_rows`` (cell divergence, then each boundary face's own flux) and
 mixes each boundary row with its condition through a 2x2 weight:
@@ -163,21 +165,25 @@ def force_row_mask(mesh: CartesianMesh, table: BoundaryTable) -> np.ndarray:
 def face_states(mesh: CartesianMesh, material, state: State):
     """Deformation gradient, second Piola stress and flux density per face.
 
-    Face gradients are ``(Q U) x N + (Dt U) x t``.  The material is
-    evaluated at them, so the assembled coefficients are the exact
-    derivative of the flux each face reports.  Cells only get the
-    inversion check (det F > 0) on their Gauss gradient.
+    Face gradients are ``(Q U) x N + (Dt U) x t``, one product with
+    ``face_gradient``.  The material is evaluated at them, so the assembled
+    coefficients are the exact derivative of the flux each face reports.
+    Cells only get the inversion check (det F > 0, finite) on their Gauss
+    gradient.
     """
     u = state.displacement
     if not material.linear:     # frozen geometry cannot invert
-        check_positive_jacobian(det2(IDENTITY + cell_gradient(mesh, u)), "cell")
-    grad = (outer(mesh.face_quotient @ u, mesh.face_normal)
-            + outer(mesh.face_tangential @ u, mesh.face_tangent))
+        g = cell_gradient(mesh, u)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported as non-finite
+            det_f = (1.0 + g[:, 0, 0]) * (1.0 + g[:, 1, 1]) - g[:, 0, 1] * g[:, 1, 0]
+        check_positive_jacobian(det_f, "cell")
+    grad = np.stack(np.split(mesh.face_gradient @ u, 2), axis=-1)
     try:
         f_face, s_face = material.stress_state(grad)
     except InvertedElementError:
         # Name the fold by kind, numbered within its kind: interior first.
-        det_f = det2(IDENTITY + grad)
+        with np.errstate(over="ignore", invalid="ignore"):
+            det_f = det2(IDENTITY + grad)
         check_positive_jacobian(det_f[mesh.interior_faces], "face")
         check_positive_jacobian(det_f[mesh.boundary_faces], "boundary face")
         raise

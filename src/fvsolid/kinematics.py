@@ -6,9 +6,9 @@ reference mesh, so F = I + grad(U) at any time, with the gradient taken
 from the current displacement: the Gauss cell gradient here, the face
 gradients from the mesh's face-derivative operators in ``assembly``.
 
-The Gauss gradient and the vertex interpolation are products with the
-mesh's prebuilt sparse operators: ``face_average`` then
-``cell_divergence`` for the gradient, ``vertex_stencil`` for the vertex
+The Gauss gradient and the vertex interpolation are single products with
+the mesh's prebuilt sparse operators: ``gauss_gradient`` (both derivative
+directions stacked) for the gradient, ``vertex_stencil`` for the vertex
 values.
 """
 
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import CartesianMesh
-from .tensors import outer
 
 
 @dataclass
@@ -36,10 +35,9 @@ def cell_gradient(mesh: CartesianMesh, values: np.ndarray) -> np.ndarray:
 
     Interior face values are the two-cell average, boundary faces carry
     their own unknown.  Exact for fields linear in position on this mesh.
+    A (n_cells, k, 2) view of one ``gauss_gradient`` product.
     """
-    weighted = outer(mesh.face_average @ values, mesh.face_normal)
-    flat = mesh.cell_divergence @ weighted.reshape(mesh.n_faces, -1)
-    return flat.reshape(mesh.n_cells, -1, 2) / mesh.cell_volume[:, None, None]
+    return (mesh.gauss_gradient @ values).reshape(2, mesh.n_cells, -1).transpose(1, 2, 0)
 
 
 def vertex_values(mesh: CartesianMesh, values: np.ndarray) -> np.ndarray:

@@ -63,21 +63,26 @@ def lame_from_E_nu(E: float, nu: float, regime: str = "plane_strain") -> Lame:
 
 
 class InvertedElementError(RuntimeError):
-    """Deformation gradient with non-positive determinant."""
+    """Deformation gradient whose determinant is not positive, or not
+    finite: an overflow (a load that dwarfs the modulus) is no inversion
+    and its message says so."""
 
     def __init__(self, index: int, det_f: float, label: str = "cell"):
         self.index = index
         self.det_f = det_f
-        super().__init__(f"inverted element: det(F) = {det_f:.6e} at {label} {index}")
+        what = "inverted element" if np.isfinite(det_f) else "non-finite deformation"
+        super().__init__(f"{what}: det(F) = {det_f:.6e} at {label} {index}")
 
 
 def check_positive_jacobian(det_f: np.ndarray, label: str) -> None:
-    """Raise InvertedElementError at the smallest det(F) if it is not positive."""
+    """Raise InvertedElementError at the first non-finite det(F), or else
+    at the smallest one if it is not positive."""
     det_f = np.atleast_1d(det_f)
     if det_f.size == 0:
         return
-    bad = int(np.argmin(det_f))     # the first NaN, if there is one
-    if not det_f[bad] > 0.0:
+    finite = np.isfinite(det_f)
+    bad = int(np.argmin(det_f) if finite.all() else np.argmin(finite))
+    if not (finite[bad] and det_f[bad] > 0.0):
         raise InvertedElementError(bad, float(det_f[bad]), label)
 
 
@@ -95,7 +100,8 @@ class NeoHookean:
 
     def stress_state(self, grad_u: np.ndarray):
         f = IDENTITY + grad_u
-        det_f = det2(f)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported as non-finite
+            det_f = det2(f)
         check_positive_jacobian(det_f, "cell")
         c_inv, _ = inv2(mul2(np.swapaxes(f, -1, -2), f))
         return f, (self.mu * (IDENTITY - c_inv)

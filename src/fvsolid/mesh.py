@@ -20,11 +20,12 @@ values are interpolated from the unknowns with fixed vertex stencils:
 Sparse operators turn the face and stencil arrays into single products
 for the residual and its Jacobian: ``face_average`` (unknowns to faces),
 ``cell_divergence`` (faces to cells), ``vertex_stencil`` (unknowns to
-vertices), the two face-derivative operators ``face_quotient`` (normal)
-and ``face_tangential`` (tangential), and ``face_rows`` (faces to unknown
-rows).  ``jacobian_pattern`` is the symbolic analysis of the coupled
-Jacobian built from them (see ``BlockPattern``).  Each is built on first
-use and then kept with the mesh.
+vertices), ``gauss_gradient`` (unknowns to cell gradients), the two
+face-derivative operators ``face_quotient`` (normal) and ``face_tangential``
+(tangential), ``face_gradient`` (unknowns to face gradients, from those two)
+and ``face_rows`` (faces to unknown rows).  ``jacobian_pattern`` is the
+symbolic analysis of the coupled Jacobian built from them (see
+``BlockPattern``).  Each is built on first use and then kept with the mesh.
 """
 
 from __future__ import annotations
@@ -244,22 +245,41 @@ class CartesianMesh:
     def face_tangential(self) -> sp.csr_matrix:
         """(n_faces, n_unknowns) tangential derivative per face: the
         endpoint-vertex difference over the face length inside, the owner
-        cell's Gauss gradient along the face tangent on the boundary."""
+        cell's ``gauss_gradient`` along the face tangent on the boundary."""
         interior, boundary = self.interior_faces, self.boundary_faces
         inv_area = 1.0 / self.face_area[interior]
-        ends = sp.csr_matrix((np.concatenate((inv_area, -inv_area)),
-                              (np.concatenate((interior, interior)),
-                               np.concatenate((self.face_vertex_hi[interior],
-                                               self.face_vertex_lo[interior])))),
-                             shape=(self.n_faces, self.n_vertices))
-        # Owner Gauss gradient along t: each owner face's signed area times
-        # its normal along t, over the cell volume, on that face's average.
-        owner = self.face_owner[boundary]
-        face, _, via, weight = _chain(boundary, owner, 1.0 / self.cell_volume[owner],
-                                      self.cell_divergence)
-        weight *= (self.face_normal[via] * self.face_tangent[face]).sum(axis=1)
-        gauss = sp.csr_matrix((weight, (face, via)), shape=(self.n_faces, self.n_faces))
-        return ends @ self.vertex_stencil + gauss @ self.face_average
+        owner = self.n_vertices + self.face_owner[boundary]
+        # One product picks rows of the vertex stencils over the Gauss gradient.
+        vals = np.concatenate((inv_area, -inv_area, self.face_tangent[boundary].T.ravel()))
+        pick = sp.csr_matrix((vals, (np.concatenate((interior, interior, boundary, boundary)),
+                                     np.concatenate((self.face_vertex_hi[interior],
+                                                     self.face_vertex_lo[interior],
+                                                     owner, self.n_cells + owner)))),
+                             shape=(self.n_faces, self.n_vertices + 2 * self.n_cells))
+        return pick @ sp.vstack((self.vertex_stencil, self.gauss_gradient), format="csr")
+
+    @cached_property
+    def gauss_gradient(self) -> sp.csr_matrix:
+        """(2 n_cells, n_unknowns) Gauss cell gradient: row b n_cells + c is
+        d/dX_b at cell c, diag(1/V) ``cell_divergence`` diag(N_b) ``face_average``."""
+        div = self.cell_divergence
+        data = div.data * np.repeat(1.0 / self.cell_volume, np.diff(div.indptr))
+        stacked = sp.vstack([sp.csr_matrix((data * n, div.indices, div.indptr), shape=div.shape)
+                             for n in self.face_normal[div.indices].T], format="csr")
+        return stacked @ self.face_average
+
+    @cached_property
+    def face_gradient(self) -> sp.csr_matrix:
+        """(2 n_faces, n_unknowns) face gradient: row b n_faces + f is N_b Q +
+        t_b Dt at face f (Q = ``face_quotient``, Dt = ``face_tangential``)."""
+        n = self.n_faces
+        pick = sp.csr_matrix((np.stack((self.face_normal.T, self.face_tangent.T), axis=-1).ravel(),
+                              np.tile(np.column_stack((np.arange(n), n + np.arange(n))).ravel(), 2),
+                              np.arange(0, 4 * n + 1, 2)), shape=(2 * n, 2 * n))
+        pick.eliminate_zeros()
+        out = pick @ sp.vstack((self.face_quotient, self.face_tangential), format="csr")
+        out.sort_indices()      # each row summed in column order, whatever built Dt
+        return out
 
     @cached_property
     def face_rows(self) -> sp.csr_matrix:
@@ -277,8 +297,8 @@ class CartesianMesh:
         ``BlockPattern``), built on first use."""
         n = self.n_unknowns
         ops = (self.face_quotient, self.face_tangential)
-        reach = (abs(self.face_rows) @ (abs(ops[0]) + abs(ops[1]))
-                 + sp.identity(n, format="csr")).tocsr()
+        # The diagonal is among these blocks: Q joins every unknown to itself.
+        reach = abs(self.face_rows) @ (abs(ops[0]) + abs(ops[1]))
         reach.sort_indices()
         n_blocks = reach.nnz
         block_id = sp.csr_matrix((np.arange(1.0, n_blocks + 1), reach.indices, reach.indptr),
@@ -295,10 +315,10 @@ class CartesianMesh:
         fill = sp.csc_matrix((value, k, indptr), shape=(n_blocks, 2 * self.n_faces))
         # The scalar layout of the whole pattern, with block k's entry
         # (a, b) stored as 4 k + 2 a + b + 1 (nonzero, so none is dropped).
-        # CSC by way of CSR, which BSR converts to directly (twice as fast).
+        # CSC as the CSR of the BSR transpose: block-wise conversions only.
         layout = sp.bsr_matrix((np.arange(1.0, 4 * n_blocks + 1).reshape(-1, 2, 2),
                                 reach.indices, reach.indptr), shape=(2 * n, 2 * n))
-        layout = layout.tocsr().tocsc()
+        layout = layout.T.tocsr()
         counts = np.diff(reach.indptr)[self.n_cells:]
         return BlockPattern(
             fill=fill, diagonal=(block_id.diagonal() - 1).astype(np.int32),

@@ -104,8 +104,9 @@ class _Monitor:
                  force_rows: np.ndarray):
         self.tolerance = tolerance
         self.floor = floor
-        self.weight = weight
-        self.force_rows = force_rows
+        # (N, 2) like rhs; a mask, not zero weights, so 0 * NaN never occurs.
+        self.weight = np.repeat(weight[:, None], 2, axis=1)
+        self.force_rows = np.repeat(force_rows[:, None], 2, axis=1)
         self.denominator: float | None = None
         self.previous = np.inf
         self.rises = 0
@@ -113,8 +114,8 @@ class _Monitor:
 
     def update(self, rhs: np.ndarray) -> str:
         first = self.denominator is None
-        rows = slice(None) if first else self.force_rows
-        raw = linsolve.norm2(rhs[rows] * self.weight[rows, None])
+        weighted = rhs * self.weight
+        raw = linsolve.norm2(weighted if first else np.where(self.force_rows, weighted, 0.0))
         if first:
             self.denominator = max(raw, self.floor)
         value = raw / self.denominator
@@ -170,15 +171,15 @@ def _segregated(mesh: CartesianMesh, material, table: BoundaryTable,
     matrix, row_scale = linsolve.equilibrate(operator)
     factor = linsolve.factorise(matrix)
     scale = row_scale[:, None] * step
+    # Prescribed-displacement rows are assignments of known values; only
+    # the force-balance unknowns are under-relaxed.
+    relax = np.ones_like(scale)
+    relax[force_rows] = cfg.relaxation
 
     def solve(f_face, s_face, rhs: np.ndarray, dump_dir: str | None) -> np.ndarray:
         if dump_dir:
             linsolve.dump_system(dump_dir, operator, step[:, 0] * rhs[:, 0])
-        increment = factor.solve(scale * rhs)
-        # Prescribed-displacement rows are assignments of known values;
-        # only the force-balance unknowns are under-relaxed.
-        increment[force_rows] *= cfg.relaxation
-        return increment
+        return factor.solve(scale * rhs) * relax
 
     return solve
 

@@ -16,9 +16,10 @@ formulas, fed the 3x3 plane-strain embedding (F_33 = 1) they give the
 3-D ones.
 
 Mesh scatters: the Gauss cell gradient, the vertex interpolation and the
-face-to-cell force sum written as index loops with ``np.add.at``, and the
-face-gradient reconstruction written face by face, against which the
-solver's prebuilt sparse operators are held.
+face-to-cell force sum written as index loops with ``np.add.at``, the
+face-gradient reconstruction written face by face, and the face gradient
+as the outer products of the two face-derivative operators' values with
+N and t, against which the solver's prebuilt sparse operators are held.
 
 Mesh construction: the face, cell-face and vertex-stencil arrays built face
 by face and vertex by vertex, against which the mesh's vectorised index
@@ -164,6 +165,13 @@ def face_gradients(mesh, values: np.ndarray) -> np.ndarray:
         else:
             grad[f] = cells[own] + outer(quotient - cells[own] @ normal, normal)
     return grad
+
+
+def face_gradient(mesh, values: np.ndarray) -> np.ndarray:
+    """Face displacement gradients in outer-product form, (Q U) x N +
+    (Dt U) x t, one product per face-derivative operator."""
+    return (outer(mesh.face_quotient @ values, mesh.face_normal)
+            + outer(mesh.face_tangential @ values, mesh.face_tangent))
 
 
 def face_tangential(mesh):

@@ -17,7 +17,7 @@ import numpy.testing as npt
 import pytest
 import scipy.io
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fvsolid import (MMSCase, SolveConfig, build_mesh, cantilever_deflection,
@@ -333,6 +333,19 @@ def test_huge_modulus_converges_with_finite_report(tmp_path):
     assert entry["converged"] and entry["final_residual"] < 1e-7
 
 
+def test_load_that_dwarfs_the_modulus_is_not_an_inversion(tmp_path):
+    """At E = 1e-150 the default beam load overflows det(F) after the first
+    correction.  The run exits 2 naming a non-finite state, with no
+    RuntimeWarning on the way (pytest makes one an error); it used to name
+    an inverted element with det(F) = nan."""
+    out = tmp_path / "tiny"
+    path = write_cfg(tmp_path, "case = cantilever\nmaterial = neo\nmesh = 4x4\nE = 1e-150\n")
+    assert main(["--config", path, "--out", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject_constant)
+    (entry,) = report["runs"]
+    assert entry["failure"] == "non-finite deformation: det(F) = nan at cell 0"
+
+
 def test_run_case_reruns_are_byte_identical(tmp_path):
     outs = []
     for name in ("one", "two"):
@@ -597,7 +610,8 @@ BASE = {"uniaxial": {"stretch": SMALL["stretch"]}}
 # text, or (for the size keys) a small edge size instead of text.
 ODD_ENTRY = st.sampled_from(sorted(SMALL)).flatmap(
     lambda key: st.tuples(st.just(key), st.one_of(
-        st.sampled_from(["", "junk", "0", "-1", "nan", "inf", "-inf", "1e400", "1e-320"]),
+        st.sampled_from(["", "junk", "0", "-1", "nan", "inf", "-inf", "1e400", "1e-320",
+                         "1e-150", "1e150"]),
         st.sampled_from(["1x1", "3x2", "6x1", "1", "3"]) if key in SIZE_KEYS
         else st.text(st.characters(codec="utf-8", exclude_characters="\n\r"),
                      max_size=8))))
@@ -605,6 +619,8 @@ ODD_ENTRY = st.sampled_from(sorted(SMALL)).flatmap(
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(case_and_good=CASE_AND_GOOD, odd=st.none() | ODD_ENTRY)
+# A load that dwarfs the modulus overflows det(F) in the first correction.
+@example(case_and_good=("cantilever", [("material", "neo")]), odd=("E", "1e-150"))
 def test_main_fuzz_exits_cleanly(tmp_path_factory, case_and_good, odd):
     """Any small config file ends with exit 0, 1 or 2, never with an
     exception escaping ``main`` (a traceback from the command line); exit 1

@@ -13,6 +13,7 @@ from fvsolid import (
     NeoHookean,
     lame_from_E_nu,
 )
+from fvsolid.material import check_positive_jacobian
 from fvsolid.tensors import mul2
 from tests import oracles
 from tests.conftest import random_gradients
@@ -78,6 +79,17 @@ def test_nan_jacobian_is_an_inverted_element():
     grad[2, 0, 0] = np.nan
     with pytest.raises(InvertedElementError, match="nan at cell 2"):
         UNIT.stress_state(grad)
+
+
+def test_non_finite_jacobian_is_not_an_inversion():
+    """An overflowed det(F), NaN or +inf (which passed the check before), is
+    reported as non-finite at its first entry, ahead of a finite fold."""
+    det_f = np.array([1.0, -0.5, np.inf, np.nan])
+    with pytest.raises(InvertedElementError,
+                       match=r"^non-finite deformation: det\(F\) = inf at face 2$"):
+        check_positive_jacobian(det_f, "face")
+    with pytest.raises(InvertedElementError, match=r"^inverted element: det\(F\) = -5"):
+        check_positive_jacobian(det_f[:2], "face")
 
 
 def test_stress_state_raises_on_inversion():

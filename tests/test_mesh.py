@@ -255,6 +255,17 @@ def test_face_tangential_matches_product_construction(dims):
     npt.assert_allclose(actual.data, ref.data, rtol=1e-15, atol=0.0)
 
 
+@pytest.mark.parametrize("dims", [(3, 4, 1.5, 1.0), (16, 16, 1.0, 1.0), (300, 15, 2.0, 0.1)])
+def test_face_gradient_matches_outer_form(dims, rng):
+    """Row b n_faces + f of ``face_gradient`` is N_b Q + t_b Dt at face f:
+    one product gives (Q u) x N + (Dt u) x t to rounding."""
+    m = build_mesh(*dims)
+    u = rng.standard_normal((m.n_unknowns, 2))
+    ref = oracles.face_gradient(m, u)
+    grad = (m.face_gradient @ u).reshape(2, m.n_faces, 2).transpose(1, 2, 0)
+    assert np.abs(grad - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
 def test_jacobian_pattern_is_built_on_first_use():
     """The symbolic analysis belongs to the coupled assembly: building a
     mesh (and its residual operators) does not run it."""

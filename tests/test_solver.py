@@ -83,6 +83,16 @@ def test_monitor_first_verdict_uses_all_rows():
     assert monitor.update(rows(1e-12, 5.0)) == "converged"
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_monitor_force_verdict_ignores_non_finite_prescribed_rows(bad):
+    """Later verdicts mask the prescribed rows out instead of weighting them
+    by zero, so a NaN or inf there cannot turn the norm into 0 * inf = NaN."""
+    monitor = _Monitor(1e-7, 1.0, ROW_WEIGHT, FORCE_ROWS)
+    monitor.update(rows(1.0, 10.0))
+    assert monitor.update(rows(1e-12, bad)) == "converged"
+    assert monitor.history[-1] == pytest.approx(1e-12 / np.hypot(1.0, 10.0))
+
+
 def test_monitor_floor_bounds_denominator():
     monitor = _Monitor(1e-7, 100.0, ROW_WEIGHT, FORCE_ROWS)
     monitor.update(rows(1e-3))
