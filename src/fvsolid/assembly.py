@@ -12,9 +12,10 @@ gradient along the tangent on the boundary):
 
 evaluated as one product with the mesh's ``face_gradient``.
 
-The residual collects the face fluxes onto the unknown rows with
-``face_rows`` (cell divergence, then each boundary face's own flux) and
-mixes each boundary row with its condition through a 2x2 weight:
+The residual collects the face fluxes P N (the first Piola traction of
+the material's ``stress_state``) onto the unknown rows with ``face_rows``
+(cell divergence, then each boundary face's own flux) and mixes each
+boundary row with its condition through a 2x2 weight:
 
     r = (I - D) (face_rows @ flux) + D U - b
 
@@ -163,13 +164,13 @@ def force_row_mask(mesh: CartesianMesh, table: BoundaryTable) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def face_states(mesh: CartesianMesh, material, state: State):
-    """Deformation gradient, second Piola stress and flux density per face.
+    """Deformation gradient and flux density P N per face.
 
-    Face gradients are ``(Q U) x N + (Dt U) x t``, one product with
-    ``face_gradient``.  The material is evaluated at them, so the assembled
-    coefficients are the exact derivative of the flux each face reports.
-    Cells only get the inversion check (det F > 0, finite) on their Gauss
-    gradient.
+    Face gradients are ``(Q U) x N + (Dt U) x t``, a (n_faces, 2, 2) view
+    of one product with ``face_gradient``.  The material is evaluated at
+    them, so the assembled coefficients are the exact derivative of the
+    flux each face reports.  Cells only get the inversion check (det F > 0,
+    finite) on their Gauss gradient.
     """
     u = state.displacement
     if not material.linear:     # frozen geometry cannot invert
@@ -177,9 +178,9 @@ def face_states(mesh: CartesianMesh, material, state: State):
         with np.errstate(over="ignore", invalid="ignore"):  # reported as non-finite
             det_f = (1.0 + g[:, 0, 0]) * (1.0 + g[:, 1, 1]) - g[:, 0, 1] * g[:, 1, 0]
         check_positive_jacobian(det_f, "cell")
-    grad = np.stack(np.split(mesh.face_gradient @ u, 2), axis=-1)
+    grad = (mesh.face_gradient @ u).reshape(2, mesh.n_faces, 2).transpose(1, 2, 0)
     try:
-        f_face, s_face = material.stress_state(grad)
+        f_face, p_face = material.stress_state(grad)
     except InvertedElementError:
         # Name the fold by kind, numbered within its kind: interior first.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -187,8 +188,7 @@ def face_states(mesh: CartesianMesh, material, state: State):
         check_positive_jacobian(det_f[mesh.interior_faces], "face")
         check_positive_jacobian(det_f[mesh.boundary_faces], "boundary face")
         raise
-    flux_density = matvec2(f_face, matvec2(s_face, mesh.face_normal))
-    return f_face, s_face, flux_density
+    return f_face, matvec2(p_face, mesh.face_normal)
 
 
 def newton_rhs(mesh: CartesianMesh, state: State, table: BoundaryTable,
@@ -212,18 +212,16 @@ def newton_rhs(mesh: CartesianMesh, state: State, table: BoundaryTable,
 # ----------------------------------------------------------------------
 
 def assemble_system(mesh: CartesianMesh, material, table: BoundaryTable,
-                    f_face: np.ndarray, s_face: np.ndarray,
-                    pattern: BlockPattern | None = None) -> sp.csc_matrix:
-    """One Newton correction's (2N, 2N) CSC matrix from ``face_states``' F
-    and S: the numeric fill of ``pattern`` (by default the mesh's
-    ``jacobian_pattern``, in natural order) under the table's row
-    weights."""
+                    f_face: np.ndarray, pattern: BlockPattern | None = None) -> sp.csc_matrix:
+    """One Newton correction's (2N, 2N) CSC matrix from ``face_states``' F:
+    the numeric fill of ``pattern`` (by default the mesh's
+    ``jacobian_pattern``, in natural order) under the table's row weights."""
     if pattern is None:
         pattern = mesh.jacobian_pattern
     h_blocks = material.face_linearisation(
-        f_face, s_face, mesh.face_normal, (mesh.face_normal, mesh.face_tangent))
+        f_face, mesh.face_normal, (mesh.face_normal, mesh.face_tangent))
     blocks = (pattern.fill @ np.concatenate(h_blocks).reshape(-1, 4)).reshape(-1, 2, 2)
-    # Boundary rows are the block tail: (I - D) S there (exactly S on
+    # Boundary rows are the block tail: each block times I - D there (as is on
     # traction rows, zero on displacement rows) and D added on the diagonal.
     n_cells, bface = mesh.n_cells, pattern.bface_block
     tail = blocks[blocks.shape[0] - bface.size:]

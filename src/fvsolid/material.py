@@ -4,20 +4,20 @@ elasticity, both exposing the same surface to the assembly code.
 A material answers two questions about a state given by the displacement
 gradient (or the deformation gradient reconstructed from it):
 
-- ``stress_state``: deformation gradient and second Piola-Kirchhoff stress,
-  so the face flux is ``(F @ S) @ N``; it is the only place where a
+- ``stress_state``: deformation gradient and first Piola-Kirchhoff stress
+  P, so the face flux is ``P @ N``; it is the only place where a
   displacement gradient becomes a stress, boundary tractions included
 - ``face_linearisation``: one 2x2 block H(m) per face for each direction
   m asked for: a perturbation a x m of the displacement gradient changes
   the flux by ``H(m) @ a``, so H(N) and H(t) are the coefficients of the
   normal and tangential face derivatives
 
-The linear model keeps the geometry frozen (F = I, no stress term in H)
-so the coupled solver reduces to one exact small-strain solve.
+The linear model keeps the geometry frozen (F = I, P = sigma, no stress
+term in H) so the coupled solver reduces to one exact small-strain solve.
 
 Every tensor is the in-plane 2x2 block.  Plane strain fixes F_33 = 1, so
-J is the 2x2 determinant, C^-1 is block diagonal, and the in-plane blocks
-of S, P and H are exactly the 2-D formulas below.
+J is the 2x2 determinant, F^-T is block diagonal, and the in-plane blocks
+of P and H are exactly the 2-D formulas below.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import IDENTITY, det2, dot2, inv2, matvec2, mul2, outer
+from .tensors import IDENTITY, det2, dot2, inv2, matvec2, outer
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def check_positive_jacobian(det_f: np.ndarray, label: str) -> None:
 class NeoHookean:
     """Compressible neo-Hookean solid.
 
-    S = mu (I - C^-1) + lam ln(J) C^-1, with C = F^T F and J = det F.
+    P = mu F + (lam ln J - mu) F^-T with J = det F, formed from cof(F) = J F^-T.
     """
 
     linear = False
@@ -99,45 +99,51 @@ class NeoHookean:
         self.lam = lame.lam
 
     def stress_state(self, grad_u: np.ndarray):
-        f = IDENTITY + grad_u
+        # Through the diagonal: adding the (2, 2) identity to a strided face
+        # stack broadcasts in runs of two and takes ten times as long.
+        f = np.array(grad_u, dtype=float)
+        f[..., 0, 0] += 1.0
+        f[..., 1, 1] += 1.0
         with np.errstate(over="ignore", invalid="ignore"):  # reported as non-finite
             det_f = det2(f)
         check_positive_jacobian(det_f, "cell")
-        c_inv, _ = inv2(mul2(np.swapaxes(f, -1, -2), f))
-        return f, (self.mu * (IDENTITY - c_inv)
-                   + self.lam * np.log(det_f)[..., None, None] * c_inv)
+        k = (self.lam * np.log(det_f) - self.mu) / det_f
+        p = self.mu * f
+        p[..., 0, 0] += k * f[..., 1, 1]
+        p[..., 0, 1] -= k * f[..., 1, 0]
+        p[..., 1, 0] -= k * f[..., 0, 1]
+        p[..., 1, 1] += k * f[..., 0, 0]
+        return f, p
 
-    def face_linearisation(self, f: np.ndarray, s: np.ndarray, n: np.ndarray,
+    def face_linearisation(self, f: np.ndarray, n: np.ndarray,
                            directions) -> list[np.ndarray]:
         """Flux coefficient H(m) of a face state for each direction m, in
         the closed form
 
-            H(m) = lam (a x A m) + c (A m x a + (C^-1 N.m) I) + (S N.m) I
+            H(m) = lam (a x A m) + c (A m x a) + mu (N.m) I
 
-        with A = F^-T, a = A N and c = mu - lam ln J.  At F = I and S = 0
-        each term rounds as in ``LinearElastic``, so the tangent at zero
-        displacement is the Hookean one bit for bit.  The property tests
-        hold H against the brute contraction of the transformed tangent.
+        with A = F^-T, a = A N, c = mu - lam ln J (the stress terms add up to
+        mu (N.m) I, as S N = mu N - c C^-1 N).  Grouped by modulus, it rounds
+        at F = I as ``LinearElastic`` does: the tangent at rest is Hookean bit
+        for bit.  The property tests hold H against the brute contraction.
         """
         f_inv, det_f = inv2(f)
         f_inv_t = np.swapaxes(f_inv, -1, -2)
         a = matvec2(f_inv_t, n)
-        b = matvec2(f_inv, a)                   # F^-1 a = C^-1 N
-        w = matvec2(s, n)
-        c = (self.mu - self.lam * np.log(det_f))[..., None, None]
+        log_j = np.log(det_f)[..., None, None]
         blocks = []
         for m in directions:
             am = matvec2(f_inv_t, m)
-            blocks.append(self.lam * outer(a, am)
-                          + c * (outer(am, a) + dot2(b, m)[..., None, None] * IDENTITY)
-                          + dot2(w, m)[..., None, None] * IDENTITY)
+            am_a = outer(am, a)
+            blocks.append(self.lam * (outer(a, am) - log_j * am_a)
+                          + self.mu * (am_a + dot2(n, m)[..., None, None] * IDENTITY))
         return blocks
 
 
 class LinearElastic:
     """Small-strain Hookean solid with frozen geometry.
 
-    The stress is sigma = mu (g + g^T) + lam tr(g) I for the displacement
+    The stress is P = sigma = mu (g + g^T) + lam tr(g) I for the displacement
     gradient g; ``stress_state`` reports F = I so flux and linearisation
     carry no geometric terms and the coupled solve is exact in one go.
     """
@@ -154,7 +160,7 @@ class LinearElastic:
             self.mu * (grad_u + np.swapaxes(grad_u, -1, -2))
             + self.lam * tr[..., None, None] * IDENTITY)
 
-    def face_linearisation(self, f: np.ndarray, s: np.ndarray, n: np.ndarray,
+    def face_linearisation(self, f: np.ndarray, n: np.ndarray,
                            directions) -> list[np.ndarray]:
         """H(m) = lam (N x m) + mu (m x N + (N.m) I) for each direction m."""
         return [self.lam * outer(n, m)

@@ -245,7 +245,9 @@ class CartesianMesh:
     def face_tangential(self) -> sp.csr_matrix:
         """(n_faces, n_unknowns) tangential derivative per face: the
         endpoint-vertex difference over the face length inside, the owner
-        cell's ``gauss_gradient`` along the face tangent on the boundary."""
+        cell's ``gauss_gradient`` along the face tangent on the boundary.
+        Stored with sorted indices, so that no later call (scipy's ``abs``
+        sums duplicates, which sorts) reorders it in place."""
         interior, boundary = self.interior_faces, self.boundary_faces
         inv_area = 1.0 / self.face_area[interior]
         owner = self.n_vertices + self.face_owner[boundary]
@@ -256,7 +258,9 @@ class CartesianMesh:
                                                      self.face_vertex_lo[interior],
                                                      owner, self.n_cells + owner)))),
                              shape=(self.n_faces, self.n_vertices + 2 * self.n_cells))
-        return pick @ sp.vstack((self.vertex_stencil, self.gauss_gradient), format="csr")
+        out = pick @ sp.vstack((self.vertex_stencil, self.gauss_gradient), format="csr")
+        out.sort_indices()
+        return out
 
     @cached_property
     def gauss_gradient(self) -> sp.csr_matrix:
@@ -278,7 +282,7 @@ class CartesianMesh:
                               np.arange(0, 4 * n + 1, 2)), shape=(2 * n, 2 * n))
         pick.eliminate_zeros()
         out = pick @ sp.vstack((self.face_quotient, self.face_tangential), format="csr")
-        out.sort_indices()      # each row summed in column order, whatever built Dt
+        out.sort_indices()      # each row summed in column order
         return out
 
     @cached_property

@@ -133,7 +133,7 @@ def _coupled(mesh: CartesianMesh, material, table: BoundaryTable,
              force_rows: np.ndarray, cfg: SolveConfig):
     """nlbc and bc: solve the block system of the current iterate.
 
-    Every method's set-up returns ``solve(f_face, s_face, rhs, dump_dir)``,
+    Every method's set-up returns ``solve(f_face, rhs, dump_dir)``,
     which turns the face states and right-hand side of the loop's residual
     evaluation into the (N, 2) increment.  Here it assembles the matrix
     from those face states, writes it to ``dump_dir`` if one is given, and
@@ -145,11 +145,11 @@ def _coupled(mesh: CartesianMesh, material, table: BoundaryTable,
     pattern = mesh.jacobian_pattern
     order = None                    # the first factor's column order
 
-    def solve(f_face, s_face, rhs: np.ndarray, dump_dir: str | None) -> np.ndarray:
+    def solve(f_face, rhs: np.ndarray, dump_dir: str | None) -> np.ndarray:
         nonlocal pattern, order
         if order is not None and pattern is mesh.jacobian_pattern:
             pattern = pattern.ordered(order)
-        matrix = assemble_system(mesh, material, table, f_face, s_face, pattern)
+        matrix = assemble_system(mesh, material, table, f_face, pattern)
         if dump_dir:
             linsolve.dump_system(dump_dir, matrix, rhs.ravel())
         solution = linsolve.solve(matrix, rhs.ravel(), order)
@@ -176,7 +176,7 @@ def _segregated(mesh: CartesianMesh, material, table: BoundaryTable,
     relax = np.ones_like(scale)
     relax[force_rows] = cfg.relaxation
 
-    def solve(f_face, s_face, rhs: np.ndarray, dump_dir: str | None) -> np.ndarray:
+    def solve(f_face, rhs: np.ndarray, dump_dir: str | None) -> np.ndarray:
         if dump_dir:
             linsolve.dump_system(dump_dir, operator, step[:, 0] * rhs[:, 0])
         return factor.solve(scale * rhs) * relax
@@ -224,7 +224,7 @@ def run(mesh: CartesianMesh, material, bcs: dict, cfg: SolveConfig) -> RunReport
                 except InvertedElementError as err:
                     failure = str(err)
                     break
-            f_face, s_face, flux_density = states
+            f_face, flux_density = states
             rhs = newton_rhs(mesh, state, table, flux_density)
             verdict = monitor.update(rhs)
             if verdict == "converged":
@@ -237,7 +237,7 @@ def run(mesh: CartesianMesh, material, bcs: dict, cfg: SolveConfig) -> RunReport
                 break
             dump_dir = cfg.dump_dir if step == 0 and corrections == 0 else None
             try:
-                increment = solve(f_face, s_face, rhs, dump_dir)
+                increment = solve(f_face, rhs, dump_dir)
             except linsolve.LinearSolveError as err:
                 failure = f"linear solve failed: {err}"
                 break

@@ -24,7 +24,7 @@ import numpy as np
 
 from .assembly import DISPLACEMENT, TRACTION, BoundaryCondition
 from .mesh import BOTTOM, LEFT, RIGHT, TOP, CartesianMesh
-from .tensors import IDENTITY, mul2
+from .tensors import IDENTITY
 
 UNIAXIAL = "uniaxial"
 SHEAR = "shear"
@@ -61,9 +61,9 @@ def dirichlet_data(case: MMSCase, t: float, x: np.ndarray) -> np.ndarray:
 
 
 def traction_data(case: MMSCase, material, t: float, normal: np.ndarray) -> np.ndarray:
-    """Exact boundary traction P(F(t) - I) N = F S N; constant over a patch."""
+    """Exact boundary traction P(F(t) - I) N; constant over a patch."""
     grad = mms_deformation_gradient(case, t) - IDENTITY
-    return mul2(*material.stress_state(grad)) @ np.asarray(normal)
+    return material.stress_state(grad)[1] @ np.asarray(normal)
 
 
 def mms_bcs(case: MMSCase, material) -> dict:

@@ -1,8 +1,10 @@
 """Reference routes the tests compare the solver's fast forms against.
 
 Stresses: a displacement gradient with a given right Cauchy-Green tensor,
-so that checks posed in C reach ``stress_state``, and the neo-Hookean S by
-LAPACK inverse and determinant.
+so that checks posed in C reach ``stress_state``; the second Piola stress
+S = F^-1 P of the first Piola stress ``stress_state`` returns, so that
+checks posed in S reach it too; and the neo-Hookean S from C by LAPACK
+inverse and determinant.
 
 Tangents: the material elasticity dS/dE as a full fourth-order tensor, its
 push to mixed form, the directional derivative of the first Piola stress
@@ -53,7 +55,14 @@ def cholesky_gradient(c: np.ndarray) -> np.ndarray:
     return np.swapaxes(np.linalg.cholesky(c), -1, -2) - np.eye(c.shape[-1])
 
 
-def second_piola(material, c: np.ndarray) -> np.ndarray:
+def second_piola(material, grad_u: np.ndarray) -> np.ndarray:
+    """S = F^-1 P of the material at a displacement gradient, from the
+    (F, P) of its ``stress_state``, by LAPACK inverse."""
+    f, p = material.stress_state(grad_u)
+    return np.linalg.inv(f) @ p
+
+
+def second_piola_of_c(material, c: np.ndarray) -> np.ndarray:
     """Neo-Hookean S = mu (I - C^-1) + lam ln(J) C^-1 by LAPACK inverse and
     determinant."""
     c_inv = np.linalg.inv(c)
@@ -88,7 +97,7 @@ def dP_apply(material, grad_u: np.ndarray, a: np.ndarray) -> np.ndarray:
         return material.stress_state(a)[1]
     f = np.eye(grad_u.shape[-1]) + grad_u
     c = np.einsum("...ki,...kj->...ij", f, f)
-    s = second_piola(material, c)
+    s = second_piola_of_c(material, c)
     m = transformed_elasticity(material, f)
     return a @ s + np.einsum("...aJdL,...dL->...aJ", m, a)
 
@@ -200,7 +209,7 @@ def _blocks(op, weights: np.ndarray) -> sp.bsr_matrix:
                          shape=(2 * op.shape[0], 2 * op.shape[1]))
 
 
-def jacobian(mesh, material, table, f_face, s_face):
+def jacobian(mesh, material, table, f_face):
     """The coupled Newton matrix by its defining formula in block-sparse
     algebra,
 
@@ -213,7 +222,7 @@ def jacobian(mesh, material, table, f_face, s_face):
     rows (I - D = 0 there); ``assemble_system`` stores those as exact
     zeros."""
     h_normal, h_tangent = material.face_linearisation(
-        f_face, s_face, mesh.face_normal, (mesh.face_normal, mesh.face_tangent))
+        f_face, mesh.face_normal, (mesh.face_normal, mesh.face_tangent))
     flux_derivative = (_blocks(mesh.face_quotient, h_normal)
                        + _blocks(mesh.face_tangential, h_tangent))
     disp = np.concatenate((np.zeros((mesh.n_cells, 2, 2)), table.disp))    # D = 0 on cells

@@ -31,7 +31,7 @@ from fvsolid.assembly import (
 )
 from fvsolid.kinematics import State, zero_state
 from fvsolid.material import InvertedElementError, Lame, LinearElastic, NeoHookean
-from fvsolid.tensors import IDENTITY, mul2
+from fvsolid.tensors import IDENTITY
 from tests import oracles
 from tests.conftest import random_gradients
 
@@ -256,14 +256,27 @@ def test_row_weight_rules_match_kind_codes():
 def test_face_states_reproduce_homogeneous_gradient(mesh_small, rng):
     g = random_gradients(rng, 1)[0]
     state = State(linear_field(mesh_small, g))
-    f_face, s_face, flux = face_states(mesh_small, UNIT, state)
-    f_exp, s_exp = UNIT.stress_state(np.broadcast_to(g, f_face.shape))
+    f_face, flux = face_states(mesh_small, UNIT, state)
+    f_exp, p_exp = UNIT.stress_state(np.broadcast_to(g, f_face.shape))
     npt.assert_allclose(f_face, f_exp, atol=1e-13)
-    npt.assert_allclose(s_face, s_exp, atol=1e-13)
-    p = f_exp[0] @ s_exp[0]
     npt.assert_allclose(flux,
-                        np.einsum("ij,fj->fi", p, mesh_small.face_normal),
+                        np.einsum("ij,fj->fi", p_exp[0], mesh_small.face_normal),
                         atol=1e-13)
+
+
+def test_linear_flux_is_sigma_n_bit_for_bit(mesh_small, rng):
+    """Under frozen geometry the flux of ``face_states`` is sigma N of the
+    face gradient bit for bit, and F is the identity: no deformation
+    gradient enters a Hookean flux."""
+    m = mesh_small
+    u = 0.01 * rng.standard_normal((m.n_unknowns, 2))
+    f_face, flux = face_states(m, HOOKE, State(u))
+    grad = (m.face_gradient @ u).reshape(2, m.n_faces, 2).transpose(1, 2, 0)
+    sigma = (HOOKE.mu * (grad + np.swapaxes(grad, 1, 2))
+             + HOOKE.lam * np.trace(grad, axis1=1, axis2=2)[:, None, None] * IDENTITY)
+    n = m.face_normal
+    npt.assert_array_equal(f_face, np.broadcast_to(IDENTITY, (m.n_faces, 2, 2)))
+    npt.assert_array_equal(flux, sigma[:, :, 0] * n[:, None, 0] + sigma[:, :, 1] * n[:, None, 1])
 
 
 def test_face_states_reject_inverted_cells(mesh_small):
@@ -315,7 +328,7 @@ def test_face_gradients_match_reconstruction_oracle(mesh_small, mesh16, rng):
         g = random_gradients(rng, 1)[0]
         u = linear_field(mesh, g) + 0.01 * mesh.dx * rng.standard_normal(
             (mesh.n_unknowns, 2))
-        f_face, _, _ = face_states(mesh, UNIT, State(u))
+        f_face, _ = face_states(mesh, UNIT, State(u))
         ref = oracles.face_gradients(mesh, u)
         assert np.abs(f_face - IDENTITY - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -323,7 +336,7 @@ def test_face_gradients_match_reconstruction_oracle(mesh_small, mesh16, rng):
 def test_homogeneous_state_residual_vanishes(mesh_small, rng):
     """Exact linear fields satisfy every discrete equation to roundoff."""
     g = random_gradients(rng, 1)[0]
-    p = mul2(*UNIT.stress_state(g))
+    p = UNIT.stress_state(g)[1]
 
     def disp(x, t):
         return x @ g.T
@@ -337,7 +350,7 @@ def test_homogeneous_state_residual_vanishes(mesh_small, rng):
            TOP: BoundaryCondition(TRACTION, trac(np.array([0, 1.0])))}
     table = build_boundary_table(mesh_small, bcs)
     state = State(linear_field(mesh_small, g))
-    _, _, flux = face_states(mesh_small, UNIT, state)
+    _, flux = face_states(mesh_small, UNIT, state)
     rhs = newton_rhs(mesh_small, state, table, flux)
     scale = np.abs(p).max() * mesh_small.face_area.max()
     npt.assert_allclose(force_like(mesh_small, table, rhs), 0.0, atol=1e-12 * scale)
@@ -349,7 +362,7 @@ def test_newton_rhs_cell_rows_read_no_table(mesh_small, rng):
     between faces changes only the boundary rows."""
     m = mesh_small
     state = State(0.01 * rng.standard_normal((m.n_unknowns, 2)))
-    _, _, flux = face_states(m, UNIT, state)
+    _, flux = face_states(m, UNIT, state)
     expected = 0.0 - m.face_rows @ flux
     table = build_boundary_table(m, MIXED)
     swapped = replace(table, disp=table.disp[::-1], value=rng.standard_normal(table.value.shape))
@@ -371,7 +384,7 @@ def test_symmetry_patch_ignores_its_value(mesh_small, value, rng):
     npt.assert_array_equal(table.value[bfaces(mesh_small, BOTTOM)], 0.0)
     npt.assert_array_equal(table.value, bare.value)
     state = State(0.01 * rng.standard_normal((mesh_small.n_unknowns, 2)))
-    _, _, flux = face_states(mesh_small, UNIT, state)
+    _, flux = face_states(mesh_small, UNIT, state)
     npt.assert_array_equal(newton_rhs(mesh_small, state, table, flux),
                            newton_rhs(mesh_small, state, bare, flux))
 
@@ -389,7 +402,7 @@ def test_newton_rhs_displacement_defect(mesh_small):
     table = build_boundary_table(mesh_small, ALL_DISPLACEMENT)
     state = zero_state(mesh_small)
     state.displacement[mesh_small.n_cells + 2] = (0.02, -0.01)
-    _, _, flux = face_states(mesh_small, UNIT, state)
+    _, flux = face_states(mesh_small, UNIT, state)
     rhs = newton_rhs(mesh_small, state, table, flux)
     npt.assert_allclose(rhs[mesh_small.n_cells + 2], [-0.02, 0.01])
 
@@ -402,7 +415,7 @@ def test_newton_rhs_displacement_defect(mesh_small):
 def residual_function(mesh, material, table):
     def rhs_of(u):
         state = State(u)
-        _, _, flux = face_states(mesh, material, state)
+        _, flux = face_states(mesh, material, state)
         return newton_rhs(mesh, state, table, flux)
     return rhs_of
 
@@ -420,8 +433,8 @@ def test_matrix_is_derivative_of_residual(bcs, material, rng):
     state = State(u)
 
     table = build_boundary_table(mesh, bcs)
-    f_face, s_face, _ = face_states(mesh, material, state)
-    dense = assemble_system(mesh, material, table, f_face, s_face).toarray()
+    f_face, _ = face_states(mesh, material, state)
+    dense = assemble_system(mesh, material, table, f_face).toarray()
 
     rhs_of = residual_function(mesh, material, table)
     h = 1e-6
@@ -454,12 +467,12 @@ def test_fill_matches_block_formula(dims, bcs, material, rng):
     u = linear_field(mesh, g)
     u += 0.01 * min(mesh.dx, mesh.dy) * rng.standard_normal(u.shape)
     table = build_boundary_table(mesh, bcs)
-    f_face, s_face, _ = face_states(mesh, material, State(u))
-    actual = assemble_system(mesh, material, table, f_face, s_face)
-    ref = oracles.jacobian(mesh, material, table, f_face, s_face)
+    f_face, _ = face_states(mesh, material, State(u))
+    actual = assemble_system(mesh, material, table, f_face)
+    ref = oracles.jacobian(mesh, material, table, f_face)
     unweighted = oracles.jacobian(mesh, material,
                                   replace(table, disp=np.zeros_like(table.disp)),
-                                  f_face, s_face).tocsc()
+                                  f_face).tocsc()
     unweighted.sort_indices()
     assert actual.format == "csc" and actual.has_sorted_indices
     npt.assert_array_equal(actual.indptr, unweighted.indptr)
@@ -501,13 +514,13 @@ def test_ordered_layout_solves_like_a_fresh_ordering(dims, bcs, rtol, rng):
     u += 0.01 * min(mesh.dx, mesh.dy) * rng.standard_normal(u.shape)
     state = State(u)
     table = build_boundary_table(mesh, bcs)
-    f_face, s_face, flux = face_states(mesh, UNIT, state)
+    f_face, flux = face_states(mesh, UNIT, state)
     rhs = newton_rhs(mesh, state, table, flux).ravel()
 
-    matrix = assemble_system(mesh, UNIT, table, f_face, s_face)
+    matrix = assemble_system(mesh, UNIT, table, f_face)
     fresh = linsolve.solve(matrix, rhs)
     pattern = mesh.jacobian_pattern.ordered(fresh.order)
-    ordered = assemble_system(mesh, UNIT, table, f_face, s_face, pattern)
+    ordered = assemble_system(mesh, UNIT, table, f_face, pattern)
     assert ordered.format == "csc" and ordered.has_sorted_indices
     p = fresh.order
     npt.assert_array_equal(ordered.toarray()[np.ix_(p, p)], matrix.toarray())
@@ -545,14 +558,14 @@ def test_stored_pattern_is_the_mesh_pattern(rng):
     natural = mesh.jacobian_pattern
     u = linear_field(mesh, random_gradients(rng, 1, scale=0.15)[0])
     u += 0.01 * min(mesh.dx, mesh.dy) * rng.standard_normal(u.shape)
-    f_face, s_face, _ = face_states(mesh, UNIT, State(u))
+    f_face, _ = face_states(mesh, UNIT, State(u))
     order = linsolve.solve(assemble_system(mesh, UNIT, build_boundary_table(mesh, MIXED),
-                                           f_face, s_face),
+                                           f_face),
                            np.ones(2 * mesh.n_unknowns)).order
     for pattern in (natural, natural.ordered(order)):
         for bcs in (MIXED, ALL_DISPLACEMENT, SYMMETRY_PLANES):
             table = build_boundary_table(mesh, bcs)
-            matrix = assemble_system(mesh, UNIT, table, f_face, s_face, pattern)
+            matrix = assemble_system(mesh, UNIT, table, f_face, pattern)
             npt.assert_array_equal(matrix.indptr, pattern.indptr)
             npt.assert_array_equal(matrix.indices, pattern.indices)
             entries = matrix.tocoo()
@@ -577,10 +590,10 @@ def test_row_weights_leave_force_rows_exact(dims, bcs, material, rng):
     u = linear_field(mesh, random_gradients(rng, 1, scale=0.15)[0])
     u += 0.01 * min(mesh.dx, mesh.dy) * rng.standard_normal(u.shape)
     table = build_boundary_table(mesh, bcs)
-    f_face, s_face, _ = face_states(mesh, material, State(u))
-    weighted = assemble_system(mesh, material, table, f_face, s_face)
+    f_face, _ = face_states(mesh, material, State(u))
+    weighted = assemble_system(mesh, material, table, f_face)
     bare = assemble_system(mesh, material, replace(table, disp=np.zeros_like(table.disp)),
-                           f_face, s_face)
+                           f_face)
     rows = np.concatenate([np.arange(mesh.n_cells)] + [
         mesh.n_cells + bfaces(mesh, patch) for patch, bc in bcs.items() if bc.kind == TRACTION])
     scalar = (2 * rows[:, None] + (0, 1)).ravel()
@@ -593,8 +606,8 @@ def test_matrix_annihilates_translations(mesh_small, rng):
     g = random_gradients(rng, 1)[0]
     state = State(linear_field(mesh_small, g))
     table = build_boundary_table(mesh_small, MIXED)
-    f_face, s_face, _ = face_states(mesh_small, UNIT, state)
-    matrix = assemble_system(mesh_small, UNIT, table, f_face, s_face)
+    f_face, _ = face_states(mesh_small, UNIT, state)
+    matrix = assemble_system(mesh_small, UNIT, table, f_face)
 
     shift = np.tile([0.7, -0.4], mesh_small.n_unknowns)
     out = (matrix @ shift).reshape(-1, 2)
@@ -614,8 +627,8 @@ def test_assemble_single_cell_mesh():
     """No interior faces at all: the empty-batch paths must hold."""
     mesh = build_mesh(1, 1, 1.0, 1.0)
     table = build_boundary_table(mesh, MIXED)
-    f_face, s_face, _ = face_states(mesh, UNIT, zero_state(mesh))
-    matrix = assemble_system(mesh, UNIT, table, f_face, s_face)
+    f_face, _ = face_states(mesh, UNIT, zero_state(mesh))
+    matrix = assemble_system(mesh, UNIT, table, f_face)
     assert matrix.shape == (2 * mesh.n_unknowns,) * 2
     assert np.isfinite(matrix.data).all()
 
@@ -623,9 +636,9 @@ def test_assemble_single_cell_mesh():
 def test_zero_state_zero_load_rhs(mesh_small):
     table = build_boundary_table(mesh_small, ALL_DISPLACEMENT)
     state = zero_state(mesh_small)
-    f_face, s_face, flux = face_states(mesh_small, UNIT, state)
+    f_face, flux = face_states(mesh_small, UNIT, state)
     rhs = newton_rhs(mesh_small, state, table, flux)
-    matrix = assemble_system(mesh_small, UNIT, table, f_face, s_face)
+    matrix = assemble_system(mesh_small, UNIT, table, f_face)
     npt.assert_allclose(rhs, 0.0)
     assert rhs.shape == (mesh_small.n_unknowns, 2)
     assert matrix.shape == (2 * mesh_small.n_unknowns,) * 2

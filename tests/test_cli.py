@@ -420,8 +420,8 @@ def test_dump_matrix_is_the_natural_order_system(tmp_path):
     material = NeoHookean(lame_from_E_nu(cfg.E, cfg.nu))
     table = build_boundary_table(
         mesh, mms_bcs(MMSCase("uniaxial", "displacement", 1.5), material))
-    f_face, s_face, _ = face_states(mesh, material, zero_state(mesh))
-    expected = assemble_system(mesh, material, table, f_face, s_face).tocoo()
+    f_face, _ = face_states(mesh, material, zero_state(mesh))
+    expected = assemble_system(mesh, material, table, f_face).tocoo()
     dumped = scipy.io.mmread(out / "A.mtx")
 
     def entries(matrix):

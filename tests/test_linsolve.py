@@ -60,8 +60,8 @@ def assembled_systems():
                        mms_bcs(MMSCase("uniaxial", "traction", 1.5), material)),
                       (build_mesh(8, 8, 2.0, 0.1), beam)):
         table = build_boundary_table(mesh, bcs)
-        f_face, s_face, _ = face_states(mesh, material, zero_state(mesh))
-        yield assemble_system(mesh, material, table, f_face, s_face)
+        f_face, _ = face_states(mesh, material, zero_state(mesh))
+        yield assemble_system(mesh, material, table, f_face)
 
 
 def test_norm_inf_matches_scipy(rng):

@@ -24,13 +24,14 @@ UNIT = NeoHookean(Lame(mu=0.8, lam=1.3))
 
 
 def _second_piola(material, c):
-    """S of the material at right Cauchy-Green tensor C, through stress_state."""
-    return material.stress_state(oracles.cholesky_gradient(c))[1]
+    """S = F^-1 P of the material at right Cauchy-Green tensor C, through
+    stress_state."""
+    return oracles.second_piola(material, oracles.cholesky_gradient(c))
 
 
 def _first_piola(material, g):
-    """P = F S, the stress whose normal component is the face flux."""
-    return mul2(*material.stress_state(g))
+    """P, the stress whose normal component is the face flux."""
+    return material.stress_state(g)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -107,19 +108,36 @@ def test_stress_state_raises_on_inversion():
 
 
 def test_second_piola_stress_free_at_identity():
-    _, s = UNIT.stress_state(np.zeros((2, 2)))
-    npt.assert_allclose(s, 0.0, atol=1e-15)
+    _, p = UNIT.stress_state(np.zeros((2, 2)))
+    npt.assert_allclose(p, 0.0, atol=1e-15)
+    npt.assert_allclose(oracles.second_piola(UNIT, np.zeros((2, 2))), 0.0, atol=1e-15)
 
 
 def test_second_piola_uniaxial_hand_value():
     """F = diag(2, 1) evaluated from the model's scalar definition."""
-    _, s = UNIT.stress_state(np.diag([1.0, 0.0]))
+    s = oracles.second_piola(UNIT, np.diag([1.0, 0.0]))
     log_j = 0.5 * np.log(4.0)
     expected = np.diag([
         UNIT.mu * (1.0 - 0.25) + UNIT.lam * log_j * 0.25,
         UNIT.lam * log_j,
     ])
     npt.assert_allclose(s, expected, rtol=1e-14)
+
+
+def test_first_piola_is_f_times_c_based_second_piola(rng):
+    """stress_state's P equals F S, with S from the C-based oracle (LAPACK
+    inverse and determinant), to 1e-13 relative per gradient, for unit and
+    physical moduli, at random gradients whose J spans 0.2 to 5."""
+    f0 = np.eye(2) + random_gradients(rng, 200, scale=0.3)
+    j = np.exp(rng.uniform(np.log(0.2), np.log(5.0), 200))
+    grad = f0 * np.sqrt(j / np.linalg.det(f0))[:, None, None] - np.eye(2)
+    f = np.eye(2) + grad
+    assert 0.19 < np.linalg.det(f).min() and np.linalg.det(f).max() < 5.1
+    for mat in (UNIT, NeoHookean(lame_from_E_nu(0.02e9, 0.3))):
+        _, p = mat.stress_state(grad)
+        ref = f @ oracles.second_piola_of_c(mat, np.swapaxes(f, -1, -2) @ f)
+        gap = np.abs(p - ref).max(axis=(1, 2))
+        assert (gap <= 1e-13 * np.abs(ref).max(axis=(1, 2))).all(), gap.max()
 
 
 def _strain_energy(material, c):
@@ -229,12 +247,13 @@ def test_face_linearisation_reproduces_flux_derivative(rng):
     """H(m) a equals (dP : (a x m)) @ N exactly, and H(m) equals
     (w.m) I + sum_d m_d T_d, for the normal, the tangent and random m."""
     g = random_gradients(rng, 5)
-    f, s = UNIT.stress_state(g)
+    f, _ = UNIT.stress_state(g)
+    s = oracles.second_piola(UNIT, g)
     n = np.zeros((5, 2))
     n[:, 0] = 1.0
     n[2:, :] = [0.0, 1.0]
     directions = _directions(rng, n)
-    blocks = UNIT.face_linearisation(f, s, n, directions)
+    blocks = UNIT.face_linearisation(f, n, directions)
     assert len(blocks) == 3
     for m, h in zip(directions, blocks):
         assert h.shape == (5, 2, 2)
@@ -250,12 +269,12 @@ def test_face_linearisation_reproduces_flux_derivative(rng):
 def test_neo_hookean_tangent_at_rest_is_hookean_bit_for_bit(rng):
     """At zero displacement the neo-Hookean H(m) rounds exactly like the
     Hookean one, so the first correction's matrix is the linear one."""
-    f, s = UNIT.stress_state(np.zeros((6, 2, 2)))
+    f, _ = UNIT.stress_state(np.zeros((6, 2, 2)))
     n = _unit_vectors(rng, 6)
     directions = _directions(rng, n)
     hooke = LinearElastic(Lame(UNIT.mu, UNIT.lam))
-    for neo_h, hooke_h in zip(UNIT.face_linearisation(f, s, n, directions),
-                              hooke.face_linearisation(f, s, n, directions)):
+    for neo_h, hooke_h in zip(UNIT.face_linearisation(f, n, directions),
+                              hooke.face_linearisation(f, n, directions)):
         npt.assert_array_equal(neo_h, hooke_h)
 
 
@@ -266,7 +285,7 @@ def test_t_tensor_row_contract_matches_flux_derivative(rng):
     n = np.array([0.0, 1.0])
     b = rng.normal(size=(2, 2))
     total = sum(oracles.t_tensor(UNIT, f, n, d) @ b[d] for d in range(2))
-    _, s = UNIT.stress_state(g)
+    s = oracles.second_piola(UNIT, g)
     exact = oracles.dP_apply(UNIT, g, b) @ n - b @ (s @ n)
     npt.assert_allclose(total, exact, rtol=1e-11, atol=1e-11)
 
@@ -304,8 +323,8 @@ def _assert_rel(actual, reference, rtol=1e-14):
 
 
 def test_neo_hookean_is_in_plane_block_of_3d_oracles(rng):
-    """stress_state, its flux stress F S and face_linearisation against the 3-D
-    oracle formulas (LAPACK inverse and determinant) on the plane-strain
+    """stress_state's P, its S = F^-1 P and face_linearisation against the
+    3-D oracle formulas (LAPACK inverse and determinant) on the plane-strain
     embedding, in-plane block, for both unit and physical moduli."""
     g = random_gradients(rng, 50)
     angles = rng.uniform(0.0, 2.0 * np.pi, 50)
@@ -313,13 +332,13 @@ def test_neo_hookean_is_in_plane_block_of_3d_oracles(rng):
     n3 = np.column_stack((n, np.zeros(50)))
     f3 = np.eye(3) + _plane_strain(g)
     for mat in (UNIT, NeoHookean(lame_from_E_nu(0.02e9, 0.3))):
-        s3 = oracles.second_piola(mat, np.swapaxes(f3, -1, -2) @ f3)
-        f, s = mat.stress_state(g)
+        s3 = oracles.second_piola_of_c(mat, np.swapaxes(f3, -1, -2) @ f3)
+        f, p = mat.stress_state(g)
         npt.assert_array_equal(f, f3[:, :2, :2])
-        _assert_rel(s, s3[:, :2, :2])
-        _assert_rel(mul2(f, s), (f3 @ s3)[:, :2, :2])
+        _assert_rel(oracles.second_piola(mat, g), s3[:, :2, :2])
+        _assert_rel(p, (f3 @ s3)[:, :2, :2])
         directions = _directions(rng, n)
-        blocks = mat.face_linearisation(f, s, n, directions)
+        blocks = mat.face_linearisation(f, n, directions)
         for m, h in zip(directions, blocks):
             m3 = np.column_stack((m, np.zeros(50)))
             for oracle in (oracles.t_tensor, oracles.t_tensor_contracted):
@@ -336,9 +355,9 @@ def test_linear_elastic_is_in_plane_block_of_3d_hooke(rng):
     eye3 = np.eye(3)
     sigma3 = (2.0 * (g3 + np.swapaxes(g3, -1, -2))
               + 3.0 * np.trace(g3, axis1=-2, axis2=-1)[:, None, None] * eye3)
-    f, s = mat.stress_state(g)
-    _assert_rel(s, sigma3[:, :2, :2])
-    _assert_rel(mul2(f, s), sigma3[:, :2, :2])
+    f, p = mat.stress_state(g)
+    _assert_rel(p, sigma3[:, :2, :2])
+    _assert_rel(oracles.second_piola(mat, g), sigma3[:, :2, :2])
     n = np.array([[0.6, 0.8]] * 6)
     n3 = np.column_stack((n, np.zeros(6)))
     # T_d[i, j] = d(sigma(B) N)_i / dB_jd for the 3-D Hookean stress
@@ -346,7 +365,7 @@ def test_linear_elastic_is_in_plane_block_of_3d_hooke(rng):
           + 2.0 * (np.einsum("bd,ij->bdij", n3, eye3)
                    + np.einsum("id,bj->bdij", eye3, n3)))
     directions = _directions(rng, n)
-    for m, h in zip(directions, mat.face_linearisation(f, s, n, directions)):
+    for m, h in zip(directions, mat.face_linearisation(f, n, directions)):
         m3 = np.column_stack((m, np.zeros(6)))
         _assert_rel(h, np.einsum("bdij,bd->bij", t3, m3)[:, :2, :2])
 
@@ -387,10 +406,10 @@ def test_linear_face_linearisation_contract(rng):
     """H(m) a is the Hookean stress of a x m applied to N."""
     mat = LinearElastic(Lame(mu=2.0, lam=3.0))
     n = np.array([1.0, 0.0])
-    f, s = mat.stress_state(np.zeros((1, 2, 2)))
+    f, _ = mat.stress_state(np.zeros((1, 2, 2)))
     n = np.broadcast_to(n, (1, 2))
     directions = _directions(rng, n)
-    blocks = mat.face_linearisation(f, s, n, directions)
+    blocks = mat.face_linearisation(f, n, directions)
     for m, h in zip(directions, blocks):
         a = rng.normal(size=2)
         _, sigma = mat.stress_state(np.outer(a, m[0]))

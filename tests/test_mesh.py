@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -277,3 +279,21 @@ def test_jacobian_pattern_is_built_on_first_use():
     for name in ("indptr", "indices", "gather", "diagonal"):
         assert getattr(pattern, name).dtype == np.int32, name
     assert pattern.fill.shape == (pattern.gather.size // 4, 2 * m.n_faces)
+
+
+@pytest.mark.parametrize("dims", [(3, 4, 1.5, 1.0), (300, 15, 2.0, 0.1)])
+def test_jacobian_pattern_reorders_no_cached_operator(dims):
+    """The symbolic analysis reads the cached sparse operators and reorders
+    none of them in place: each keeps its indices and data, so the
+    summation order of a product with it does not depend on whether the
+    coupled pattern was built first."""
+    m = build_mesh(*dims)
+    names = [name for name, value in vars(type(m)).items()
+             if isinstance(value, cached_property) and name != "jacobian_pattern"]
+    assert "face_tangential" in names
+    built = {name: getattr(m, name) for name in names}
+    before = {name: (op.indices.copy(), op.data.copy()) for name, op in built.items()}
+    m.jacobian_pattern
+    for name, op in built.items():
+        npt.assert_array_equal(op.indices, before[name][0], err_msg=name)
+        npt.assert_array_equal(op.data, before[name][1], err_msg=name)

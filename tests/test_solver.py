@@ -418,7 +418,7 @@ def test_load_steps_redo_only_what_the_load_changes(mesh8, neo, monkeypatch):
         npt.assert_array_equal(table.value,
                                build_boundary_table(mesh, bcs, (step + 1) / 4).value)
         npt.assert_array_equal(flux_density,
-                               assembly.face_states(mesh, neo, state)[2])
+                               assembly.face_states(mesh, neo, state)[1])
 
 
 def test_histories_track_normalised_residuals(mesh8, neo):
