@@ -220,7 +220,7 @@ def assemble_system(mesh: CartesianMesh, material, table: BoundaryTable,
         pattern = mesh.jacobian_pattern
     h_blocks = material.face_linearisation(
         f_face, mesh.face_normal, (mesh.face_normal, mesh.face_tangent))
-    blocks = (pattern.fill @ np.concatenate(h_blocks).reshape(-1, 4)).reshape(-1, 2, 2)
+    blocks = (pattern.fill @ h_blocks.reshape(-1, 4)).reshape(-1, 2, 2)
     # Boundary rows are the block tail: each block times I - D there (as is on
     # traction rows, zero on displacement rows) and D added on the diagonal.
     n_cells, bface = mesh.n_cells, pattern.bface_block

