@@ -39,16 +39,19 @@ to ``A[i, j] * W[i]``.  It is filled, not built from that algebra: the
 mesh's ``jacobian_pattern`` (a symbolic analysis run once per mesh) holds
 the 2x2 block pattern and maps the per-face H(N), H(t) to every block's
 sum over faces in one sparse product.  ``assemble_system`` then weights
-the boundary rows by I - D, adds D on their diagonal and gathers the
-values into the pattern's CSC data: the mesh's natural layout, or its
-re-lay in a factor's column order (``BlockPattern.ordered``).  The stored
+the boundary rows by I - D (the table's ``free``, derived once per
+table), adds D on their diagonal and gathers the values into the
+pattern's CSC data: the mesh's natural layout, or its re-lay in a
+factor's column order (``BlockPattern.ordered``).  The gather fills a new
+matrix, or refills in place one that an earlier call returned for the
+same pattern, so a run builds and checks one matrix per layout.  The stored
 pattern is the mesh's: whole blocks, zeros included, so a prescribed-
 displacement row stores exact zeros off its diagonal (I - D = 0).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -85,9 +88,14 @@ class RigidBodyModeError(ValueError):
 @dataclass
 class BoundaryTable:
     """Per boundary face: the prescribed data and the row weight D, the
-    only record of the condition's kind (I, N x N or zero)."""
+    only record of the condition's kind (I, N x N or zero).  ``free``,
+    the flux weight I - D, is derived from D when the table is made."""
     value: np.ndarray   # (n_bfaces, 2) prescribed data at the current load
     disp: np.ndarray    # (n_bfaces, 2, 2) row weights D of the residual
+    free: np.ndarray = field(init=False, repr=False)    # (n_bfaces, 2, 2) I - D
+
+    def __post_init__(self):
+        self.free = IDENTITY - self.disp
 
 
 def build_boundary_table(mesh: CartesianMesh, bcs: dict, t: float = 1.0) -> BoundaryTable:
@@ -202,7 +210,7 @@ def newton_rhs(mesh: CartesianMesh, state: State, table: BoundaryTable,
     # 0.0 - x, not -x: a zero row stays +0.0.
     rhs = 0.0 - mesh.face_rows @ flux_density
     tail = rhs[mesh.n_cells:]
-    tail[...] = (table.value + matvec2(IDENTITY - table.disp, tail)
+    tail[...] = (table.value + matvec2(table.free, tail)
                  - matvec2(table.disp, state.displacement[mesh.n_cells:]))
     return rhs
 
@@ -212,10 +220,16 @@ def newton_rhs(mesh: CartesianMesh, state: State, table: BoundaryTable,
 # ----------------------------------------------------------------------
 
 def assemble_system(mesh: CartesianMesh, material, table: BoundaryTable,
-                    f_face: np.ndarray, pattern: BlockPattern | None = None) -> sp.csc_matrix:
+                    f_face: np.ndarray, pattern: BlockPattern | None = None,
+                    out: sp.csc_matrix | None = None) -> sp.csc_matrix:
     """One Newton correction's (2N, 2N) CSC matrix from ``face_states``' F:
     the numeric fill of ``pattern`` (by default the mesh's
-    ``jacobian_pattern``, in natural order) under the table's row weights."""
+    ``jacobian_pattern``, in natural order) under the table's row weights.
+
+    Given ``out``, a matrix that an earlier call returned for the same
+    pattern, the values are written into its data in place and ``out`` is
+    returned: scipy's constructor checks, and ``splu``'s scan for a
+    canonical format, then run once per matrix object, not once per fill."""
     if pattern is None:
         pattern = mesh.jacobian_pattern
     h_blocks = material.face_linearisation(
@@ -225,10 +239,14 @@ def assemble_system(mesh: CartesianMesh, material, table: BoundaryTable,
     # traction rows, zero on displacement rows) and D added on the diagonal.
     n_cells, bface = mesh.n_cells, pattern.bface_block
     tail = blocks[blocks.shape[0] - bface.size:]
-    tail[...] = mul2(IDENTITY - table.disp[bface], tail)
+    tail[...] = mul2(table.free[bface], tail)
     blocks[pattern.diagonal[n_cells:]] += table.disp
-    return sp.csc_matrix((blocks.ravel()[pattern.gather], pattern.indices, pattern.indptr),
-                         shape=(pattern.indptr.size - 1,) * 2)
+    if out is None:
+        out = sp.csc_matrix((np.empty(pattern.gather.size), pattern.indices, pattern.indptr),
+                            shape=(pattern.indptr.size - 1,) * 2)
+    # mode="clip" (the gather is in range): "raise" would buffer the output.
+    np.take(blocks.ravel(), pattern.gather, out=out.data, mode="clip")
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -77,9 +77,10 @@ class InvertedElementError(RuntimeError):
 
 def check_positive_jacobian(det_f: np.ndarray, label: str) -> None:
     """Raise InvertedElementError at the first non-finite det(F), or else
-    at the smallest one if it is not positive."""
+    at the smallest one if it is not positive.  One min and one max clear
+    a stack that is all finite and positive (NaN fails both tests)."""
     det_f = np.atleast_1d(det_f)
-    if det_f.size == 0:
+    if det_f.size == 0 or (det_f.min() > 0.0 and det_f.max() < np.inf):
         return
     finite = np.isfinite(det_f)
     bad = int(np.argmin(det_f) if finite.all() else np.argmin(finite))
@@ -140,8 +141,7 @@ class NeoHookean:
         log_j = np.log(det_f)
         lam, mu = self.lam, self.mu
 
-        def block(m):
-            m0, m1 = m[..., 0], m[..., 1]
+        def block(m0, m1):
             am0, am1 = a00 * m0 + a01 * m1, a10 * m0 + a11 * m1
             nm = n0 * m0 + n1 * m1
             # (A m x a)_ij; a x A m is its transpose
@@ -186,8 +186,7 @@ class LinearElastic:
         lam, mu = self.lam, self.mu
         n0, n1 = n[..., 0], n[..., 1]
 
-        def block(m):
-            m0, m1 = m[..., 0], m[..., 1]
+        def block(m0, m1):
             # (N x m)_ij; m x N is its transpose, and N.m its trace
             q00, q01, q10, q11 = n0 * m0, n0 * m1, n1 * m0, n1 * m1
             nm = q00 + q11
@@ -198,17 +197,18 @@ class LinearElastic:
 
 
 def _flux_blocks(block, directions) -> np.ndarray:
-    """Stack the four components (00, 01, 10, 11) that ``block(m)`` returns
-    for each direction m into one (n_directions, ..., 2, 2) array.
+    """The four components (00, 01, 10, 11) that ``block(m0, m1)`` returns
+    for the stacked directions' components, as one (n_directions, ..., 2, 2)
+    array: every direction in one pass, each operand one (n_directions,
+    ...) stack.
 
     Component by component, not as (n, 1, 1) x (2, 2) broadcasts, which
     numpy runs in inner loops of two to four elements: several times
     faster on face stacks, with the same grouping and so the same rounding.
     """
-    components = [block(m) for m in directions]
-    shape = np.broadcast_shapes(*(np.shape(c) for comps in components for c in comps))
-    out = np.empty((len(components),) + shape + (2, 2))
-    for h, comps in zip(out, components):
-        for (i, j), c in zip(((0, 0), (0, 1), (1, 0), (1, 1)), comps):
-            h[..., i, j] = c
+    m = np.stack(directions)
+    components = block(m[..., 0], m[..., 1])
+    out = np.empty(np.broadcast_shapes(*(np.shape(c) for c in components)) + (2, 2))
+    for (i, j), c in zip(((0, 0), (0, 1), (1, 0), (1, 1)), components):
+        out[..., i, j] = c
     return out

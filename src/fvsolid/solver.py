@@ -141,15 +141,18 @@ def _coupled(mesh: CartesianMesh, material, table: BoundaryTable,
     the table's, which every load step shares.  The first factorisation
     orders the pattern by minimum degree; the second re-lays the pattern
     in that order, and every later matrix is filled straight into it.
+    Each pattern gets one CSC matrix, built by its first assembly and
+    refilled in place by every later one (``assemble_system``'s ``out``).
     """
     pattern = mesh.jacobian_pattern
     order = None                    # the first factor's column order
+    matrix = None                   # the current pattern's matrix
 
     def solve(f_face, rhs: np.ndarray, dump_dir: str | None) -> np.ndarray:
-        nonlocal pattern, order
+        nonlocal pattern, order, matrix
         if order is not None and pattern is mesh.jacobian_pattern:
-            pattern = pattern.ordered(order)
-        matrix = assemble_system(mesh, material, table, f_face, pattern)
+            pattern, matrix = pattern.ordered(order), None
+        matrix = assemble_system(mesh, material, table, f_face, pattern, matrix)
         if dump_dir:
             linsolve.dump_system(dump_dir, matrix, rhs.ravel())
         solution = linsolve.solve(matrix, rhs.ravel(), order)

@@ -60,14 +60,10 @@ def dirichlet_data(case: MMSCase, t: float, x: np.ndarray) -> np.ndarray:
     return np.asarray(x) @ (mms_deformation_gradient(case, t) - IDENTITY).T
 
 
-def traction_data(case: MMSCase, material, t: float, normal: np.ndarray) -> np.ndarray:
-    """Exact boundary traction P(F(t) - I) N; constant over a patch."""
-    grad = mms_deformation_gradient(case, t) - IDENTITY
-    return material.stress_state(grad)[1] @ np.asarray(normal)
-
-
 def mms_bcs(case: MMSCase, material) -> dict:
-    """Boundary-condition map feeding the solver for a manufactured run."""
+    """Boundary-condition map feeding the solver for a manufactured run.
+    A traction patch prescribes the exact P(F(t) - I) N, and the three
+    patches share one stress evaluation per load factor."""
 
     def dirichlet(x, t):
         return dirichlet_data(case, t, x)
@@ -76,9 +72,17 @@ def mms_bcs(case: MMSCase, material) -> dict:
         return {p: BoundaryCondition(DISPLACEMENT, dirichlet)
                 for p in (LEFT, RIGHT, BOTTOM, TOP)}
 
+    # The patches are evaluated one after another at each load factor, so
+    # one cached entry serves all three (a dict: lru_cache takes 7 us to build).
+    stress = {}
+
     def traction_for(normal):
         def value(x, t):
-            return traction_data(case, material, t, normal)
+            if t not in stress:
+                stress.clear()
+                grad = mms_deformation_gradient(case, t) - IDENTITY
+                stress[t] = material.stress_state(grad)[1]
+            return stress[t] @ normal
         return value
 
     return {

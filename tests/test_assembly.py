@@ -579,6 +579,36 @@ def test_stored_pattern_is_the_mesh_pattern(rng):
             assert np.all(entries.data[off] == 0.0)
 
 
+def test_refill_in_place_matches_fresh_assembly():
+    """A run's successive face states (Newton on a neo-Hookean traction
+    stretch), assembled into one matrix object per layout, the natural one
+    and its re-lay in the first factor's order: every refill's data equals
+    a fresh assembly's bit for bit, and so does its solve."""
+    mesh = build_mesh(6, 5, 1.2, 1.0)
+    table = build_boundary_table(mesh, mms_bcs(MMSCase("uniaxial", TRACTION, 1.3), UNIT))
+    state, order, steps = zero_state(mesh), None, []
+    for _ in range(4):
+        f_face, flux = face_states(mesh, UNIT, state)
+        rhs = newton_rhs(mesh, state, table, flux).ravel()
+        solution = linsolve.solve(assemble_system(mesh, UNIT, table, f_face), rhs)
+        order = solution.order if order is None else order
+        steps.append((f_face, rhs))
+        state = State(state.displacement + solution.x.reshape(-1, 2))
+
+    natural = mesh.jacobian_pattern
+    for pattern, layout_order in ((natural, None), (natural.ordered(order), order)):
+        matrix = None
+        for f_face, rhs in steps:
+            kept = matrix
+            matrix = assemble_system(mesh, UNIT, table, f_face, pattern, matrix)
+            assert kept is None or matrix is kept
+            fresh = assemble_system(mesh, UNIT, table, f_face, pattern)
+            for name in ("data", "indices", "indptr"):
+                npt.assert_array_equal(getattr(matrix, name), getattr(fresh, name))
+            npt.assert_array_equal(linsolve.solve(matrix, rhs, layout_order).x,
+                                   linsolve.solve(fresh, rhs, layout_order).x)
+
+
 @pytest.mark.parametrize("material", [UNIT, HOOKE], ids=["neo", "linear"])
 @pytest.mark.parametrize("dims,bcs", [((3, 4, 1.5, 1.0), MIXED), ((8, 8, 2.0, 0.1), BEAM)],
                          ids=["mixed", "beam"])

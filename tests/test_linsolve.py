@@ -5,6 +5,8 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import warnings
+from decimal import Decimal, localcontext
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -89,6 +91,50 @@ def test_norm2_passes_zero_inf_and_nan_through():
     assert linsolve.norm2(np.zeros(3)) == 0.0
     assert linsolve.norm2(np.array([1.0, -np.inf])) == np.inf
     assert np.isnan(linsolve.norm2(np.array([1.0, np.nan, np.inf])))
+
+
+def test_norm2_one_pass_is_as_accurate_as_scaled_form(rng):
+    """On random arrays of 1 to 700 entries at magnitudes from 1e-150 to
+    1e150, the norm is within 2 ulp of the exact one (60 decimal digits);
+    the scaled form's worst there is 3 ulp, so the two can differ by 4."""
+    for _ in range(300):
+        size = int(rng.integers(1, 700))
+        values = (10.0 ** rng.uniform(-150.0, 150.0)
+                  * rng.standard_normal(size) * 10.0 ** rng.uniform(-3.0, 3.0, size))
+        with localcontext() as context:
+            context.prec = 60
+            exact = float(sum(Decimal(value) ** 2 for value in values.tolist()).sqrt())
+        assert abs(linsolve.norm2(values) - exact) <= 2 * np.spacing(exact)
+        assert abs(linsolve._scaled_norm2(values) - exact) <= 3 * np.spacing(exact)
+
+
+@pytest.mark.parametrize("values, one_pass", [
+    (np.full(4, np.sqrt(linsolve._ONE_PASS_MIN / 4)), True),
+    (np.full(4, 0.99 * np.sqrt(linsolve._ONE_PASS_MIN / 4)), False),
+    (np.full(4, np.sqrt(np.finfo(float).max / 4)) * [1.0, 1.0, 1.0, 0.99], True),
+    (np.full(4, np.sqrt(np.finfo(float).max / 4)) * [1.0, 1.0, 1.0, 1.01], False),
+], ids=["low_inside", "low_below", "high_inside", "high_overflows"])
+def test_norm2_takes_scaled_form_outside_thresholds(monkeypatch, values, one_pass):
+    """A sum of squares below ``_ONE_PASS_MIN`` or past overflow takes the
+    scaled form, one just inside either end takes the one-pass sum; both
+    give the norm to 2 ulp."""
+    calls = []
+    scaled = linsolve._scaled_norm2
+    monkeypatch.setattr(linsolve, "_scaled_norm2",
+                        lambda v: calls.append(v) or scaled(v))
+    norm = linsolve.norm2(values)
+    assert calls == ([] if one_pass else [values])
+    assert abs(norm - scaled(values)) <= 2 * np.spacing(norm)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-170])
+def test_norm2_raises_no_warning(scale):
+    """Squares that overflow or underflow warn nowhere, however warnings
+    are filtered."""
+    values = scale * np.array([3.0, -4.0, 12.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert linsolve.norm2(values) == pytest.approx(13.0 * scale, rel=1e-15)
 
 
 def test_zero_rhs_short_circuits(rng):

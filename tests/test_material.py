@@ -93,6 +93,22 @@ def test_non_finite_jacobian_is_not_an_inversion():
         check_positive_jacobian(det_f[:2], "face")
 
 
+@pytest.mark.parametrize("det_f, message", [
+    ([np.inf], "non-finite deformation: det(F) = inf at face 0"),
+    ([1.0, 2.0, np.nan, 3.0], "non-finite deformation: det(F) = nan at face 2"),
+    ([1.0, 2.0, 0.0, 3.0], "inverted element: det(F) = 0.000000e+00 at face 2"),
+    ([1.0, 2.0, -0.0, 3.0], "inverted element: det(F) = -0.000000e+00 at face 2"),
+    ([1.0, 2.0, -0.5, 3.0], "inverted element: det(F) = -5.000000e-01 at face 2"),
+    ([1.0, 2.0, np.inf, 3.0], "non-finite deformation: det(F) = inf at face 2"),
+], ids=["inf", "nan", "zero", "negative_zero", "negative", "positive_with_inf"])
+def test_jacobian_check_messages(det_f, message):
+    """Every stack that is not all finite and positive fails the check's
+    one-min-one-max test and gets the full report, word for word."""
+    with pytest.raises(InvertedElementError) as info:
+        check_positive_jacobian(np.array(det_f), "face")
+    assert str(info.value) == message
+
+
 def test_stress_state_raises_on_inversion():
     grad = np.zeros((3, 2, 2))
     grad[1] = np.diag([-1.5, 0.0])

@@ -8,14 +8,20 @@ import pytest
 
 from fvsolid import (LinearElastic, MMSCase, NeoHookean, build_mesh,
                      cantilever_deflection, compute_errors, lame_from_E_nu)
-from fvsolid.assembly import DISPLACEMENT, SYMMETRY, TRACTION
+from fvsolid.assembly import DISPLACEMENT, SYMMETRY, TRACTION, boundary_values
 from fvsolid.mesh import BOTTOM, LEFT, RIGHT, TOP
 from fvsolid.verification import (
     dirichlet_data,
     mms_bcs,
     mms_deformation_gradient,
-    traction_data,
 )
+
+NORMALS = ((RIGHT, [1.0, 0.0]), (BOTTOM, [0.0, -1.0]), (TOP, [0.0, 1.0]))
+
+
+def traction_data(case, material, t, patch):
+    """The traction that ``mms_bcs`` prescribes on a patch at load factor t."""
+    return mms_bcs(case, material)[patch].value(np.zeros((1, 2)), t)
 
 
 def test_uniaxial_gradient_interpolates_in_load():
@@ -52,18 +58,18 @@ def test_traction_data_from_scalar_formulas(neo):
     phi, mu, lam = 2.0, neo.mu, neo.lam
     s11 = mu * (1.0 - 1.0 / phi**2) + lam * np.log(phi) / phi**2
     s22 = lam * np.log(phi)
-    t_right = traction_data(case, neo, 1.0, np.array([1.0, 0.0]))
+    t_right = traction_data(case, neo, 1.0, RIGHT)
     npt.assert_allclose(t_right, [phi * s11, 0.0], rtol=1e-14)
-    t_top = traction_data(case, neo, 1.0, np.array([0.0, 1.0]))
+    t_top = traction_data(case, neo, 1.0, TOP)
     npt.assert_allclose(t_top, [0.0, s22], rtol=1e-14)
 
 
 def test_shear_traction_is_exactly_mu_omega(neo):
     """Simple shear of this model carries P12 = mu * omega on the top face."""
     case = MMSCase("shear", TRACTION, 0.45)
-    t_top = traction_data(case, neo, 1.0, np.array([0.0, 1.0]))
+    t_top = traction_data(case, neo, 1.0, TOP)
     npt.assert_allclose(t_top[0], neo.mu * 0.45, rtol=1e-14)
-    t_right = traction_data(case, neo, 1.0, np.array([1.0, 0.0]))
+    t_right = traction_data(case, neo, 1.0, RIGHT)
     npt.assert_allclose(t_right[1], neo.mu * 0.45, rtol=1e-14)
 
 
@@ -78,9 +84,9 @@ def test_traction_data_is_flux_of_stress_state(law, kind, amplitude):
     for t in (0.025, 0.5, 1.0):
         grad = mms_deformation_gradient(case, t) - np.eye(2)
         _, p = material.stress_state(grad)
-        for normal in ([1.0, 0.0], [0.0, -1.0], [0.0, 1.0]):
+        for patch, normal in NORMALS:
             normal = np.array(normal)
-            traction = traction_data(case, material, t, normal)
+            traction = traction_data(case, material, t, patch)
             npt.assert_allclose(traction, p @ normal, rtol=1e-15,
                                 atol=1e-15 * np.abs(p).max())
             if material.linear:
@@ -154,3 +160,31 @@ def test_cantilever_deflection_scales_linearly():
     base = cantilever_deflection(200e9, 0.3, 2.0, 1e5, 8.33e-5)
     npt.assert_allclose(cantilever_deflection(200e9, 0.3, 2.0, 2e5, 8.33e-5),
                         2.0 * base)
+
+
+@pytest.mark.parametrize("law", [NeoHookean, LinearElastic])
+def test_mms_bcs_traction_patches_share_one_stress_per_load_factor(law):
+    """Each load step's boundary values evaluate the exact stress once for
+    the three traction patches, and every patch's traction is P N of a
+    fresh evaluation bit for bit."""
+    lame = lame_from_E_nu(0.02e9, 0.3)
+
+    class Counting(law):
+        calls = 0
+
+        def stress_state(self, grad_u):
+            Counting.calls += 1
+            return super().stress_state(grad_u)
+
+    case = MMSCase("uniaxial", TRACTION, 1.5)
+    mesh = build_mesh(3, 4, 1.5, 1.0)
+    bcs = mms_bcs(case, Counting(lame))
+    loads = (0.025, 0.05, 0.5, 1.0)
+    for t in loads:
+        values = boundary_values(mesh, bcs, t)
+        _, p = law(lame).stress_state(mms_deformation_gradient(case, t) - np.eye(2))
+        for patch, normal in NORMALS:
+            rows = mesh.face_boundary_index[mesh.patch_faces(patch)]
+            npt.assert_array_equal(values[rows],
+                                   np.broadcast_to(p @ np.array(normal), (rows.size, 2)))
+    assert Counting.calls == len(loads)
