@@ -10,7 +10,15 @@ gradient along the tangent on the boundary):
 
     grad U_f = (Q U)_f x N_f + (Dt U)_f x t_f
 
-evaluated as one product with the mesh's ``face_gradient``.
+evaluated with the mesh's ``face_gradient``.
+
+Every field here follows the layout rule of ``tensors``: the face
+gradients, F, P and the flux density P N per face, and the right-hand
+side per unknown, are component-major, each operator applied one
+component at a time (``kinematics.apply``).  The layout affects speed
+only: a caller's interleaved state gives the same arrays bit for bit.
+The flux coefficients H stay C-ordered: the Jacobian fill reads them as
+one (2 n_faces, 4) matrix.
 
 The residual collects the face fluxes P N (the first Piola traction of
 the material's ``stress_state``) onto the unknown rows with ``face_rows``
@@ -56,7 +64,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .kinematics import State, cell_gradient
+from .kinematics import State, apply, cell_gradient
 from .material import InvertedElementError, check_positive_jacobian
 from .mesh import BlockPattern, CartesianMesh
 from .tensors import IDENTITY, det2, matvec2, mul2, outer
@@ -174,8 +182,9 @@ def force_row_mask(mesh: CartesianMesh, table: BoundaryTable) -> np.ndarray:
 def face_states(mesh: CartesianMesh, material, state: State):
     """Deformation gradient and flux density P N per face.
 
-    Face gradients are ``(Q U) x N + (Dt U) x t``, a (n_faces, 2, 2) view
-    of one product with ``face_gradient``.  The material is evaluated at
+    Face gradients are ``(Q U) x N + (Dt U) x t``, a component-major
+    (n_faces, 2, 2) view of ``face_gradient`` applied to each displacement
+    component.  The material is evaluated at
     them, so the assembled coefficients are the exact derivative of the
     flux each face reports.  Cells only get the inversion check (det F > 0,
     finite) on their Gauss gradient.
@@ -186,7 +195,7 @@ def face_states(mesh: CartesianMesh, material, state: State):
         with np.errstate(over="ignore", invalid="ignore"):  # reported as non-finite
             det_f = (1.0 + g[:, 0, 0]) * (1.0 + g[:, 1, 1]) - g[:, 0, 1] * g[:, 1, 0]
         check_positive_jacobian(det_f, "cell")
-    grad = (mesh.face_gradient @ u).reshape(2, mesh.n_faces, 2).transpose(1, 2, 0)
+    grad = apply(mesh.face_gradient, u).T.reshape(2, 2, mesh.n_faces).transpose(2, 0, 1)
     try:
         f_face, p_face = material.stress_state(grad)
     except InvertedElementError:
@@ -208,7 +217,8 @@ def newton_rhs(mesh: CartesianMesh, state: State, table: BoundaryTable,
     traction and symmetry rows in stress, displacement rows in length.
     """
     # 0.0 - x, not -x: a zero row stays +0.0.
-    rhs = 0.0 - mesh.face_rows @ flux_density
+    rhs = apply(mesh.face_rows, flux_density)
+    np.subtract(0.0, rhs, out=rhs)
     tail = rhs[mesh.n_cells:]
     tail[...] = (table.value + matvec2(table.free, tail)
                  - matvec2(table.disp, state.displacement[mesh.n_cells:]))
@@ -256,8 +266,8 @@ def assemble_system(mesh: CartesianMesh, material, table: BoundaryTable,
 def assemble_scalar_operator(mesh: CartesianMesh, table: BoundaryTable,
                              coefficient: float) -> tuple[sp.csr_matrix, np.ndarray]:
     """The segregated method's constant implicit operator, shared by both
-    components, and the (n_unknowns, 2) step that scales their right-hand
-    sides.
+    components, and the component-major (n_unknowns, 2) step that scales
+    their right-hand sides.
 
     Cell rows are a scalar Laplacian with the given diffusion coefficient
     and every boundary row is an identity row, so the operator depends only
@@ -270,7 +280,7 @@ def assemble_scalar_operator(mesh: CartesianMesh, table: BoundaryTable,
     """
     bfaces = mesh.bface_face
     fixed = np.diagonal(table.disp, axis1=1, axis2=2) > 0.5
-    step = np.ones((mesh.n_unknowns, 2))
+    step = np.ones((mesh.n_unknowns, 2), order="F")
     step[mesh.n_cells:] = np.where(fixed, 1.0, mesh.face_distance[bfaces, None] / coefficient)
     matrix = coefficient * (mesh.cell_divergence @ mesh.face_quotient)
     matrix.resize(mesh.n_unknowns, mesh.n_unknowns)

@@ -16,6 +16,10 @@ gradient (or the deformation gradient reconstructed from it):
 The linear model keeps the geometry frozen (F = I, P = sigma, no stress
 term in H) so the coupled solver reduces to one exact small-strain solve.
 
+``stress_state`` returns F and P in the layout of the gradient it is
+given, component-major on the solver's path (see ``tensors``);
+``face_linearisation`` returns a C-ordered stack for the Jacobian fill.
+
 Every tensor is the in-plane 2x2 block.  Plane strain fixes F_33 = 1, so
 J is the 2x2 determinant, F^-T is block diagonal, and the in-plane blocks
 of P and H are exactly the 2-D formulas below.
@@ -101,8 +105,9 @@ class NeoHookean:
         self.lam = lame.lam
 
     def stress_state(self, grad_u: np.ndarray):
-        # Through the diagonal: adding the (2, 2) identity to a strided face
-        # stack broadcasts in runs of two and takes ten times as long.
+        # The copy keeps the input's layout, so a component-major face
+        # gradient gives component-major F and P.  The identity goes in
+        # through the two diagonal components, not as a (2, 2) broadcast.
         f = np.array(grad_u, dtype=float)
         f[..., 0, 0] += 1.0
         f[..., 1, 1] += 1.0
@@ -173,7 +178,7 @@ class LinearElastic:
                               grad_u[..., 1, 0], grad_u[..., 1, 1])
         lam_tr = self.lam * (g00 + g11)
         shear = self.mu * (g01 + g10)
-        p = np.empty(np.shape(grad_u))
+        p = np.empty_like(grad_u, dtype=float)     # in grad_u's layout
         p[..., 0, 0] = self.mu * (g00 + g00) + lam_tr
         p[..., 0, 1] = shear
         p[..., 1, 0] = shear

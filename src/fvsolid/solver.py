@@ -50,6 +50,7 @@ from .assembly import (BoundaryTable, assemble_scalar_operator,
 from .kinematics import State, advance_state, zero_state
 from .material import InvertedElementError, Lame, LinearElastic
 from .mesh import CartesianMesh
+from .tensors import interleaved
 
 
 @dataclass(frozen=True)
@@ -98,15 +99,17 @@ class _Monitor:
     first reads all rows and fixes the denominator (floored), so a pending
     prescribed-displacement defect cannot pass for convergence at
     correction zero; every later one reads the force rows only.
+    ``weight`` and the mask ``force_rows`` have the right-hand side's shape
+    and layout; a run builds them once and every load step shares them.
     """
 
     def __init__(self, tolerance: float, floor: float, weight: np.ndarray,
                  force_rows: np.ndarray):
         self.tolerance = tolerance
         self.floor = floor
-        # (N, 2) like rhs; a mask, not zero weights, so 0 * NaN never occurs.
-        self.weight = np.repeat(weight[:, None], 2, axis=1)
-        self.force_rows = np.repeat(force_rows[:, None], 2, axis=1)
+        # A mask, not zero weights, so 0 * NaN never occurs.
+        self.weight = weight
+        self.force_rows = force_rows
         self.denominator: float | None = None
         self.previous = np.inf
         self.rises = 0
@@ -115,7 +118,10 @@ class _Monitor:
     def update(self, rhs: np.ndarray) -> str:
         first = self.denominator is None
         weighted = rhs * self.weight
-        raw = linsolve.norm2(weighted if first else np.where(self.force_rows, weighted, 0.0))
+        if not first:
+            weighted = np.where(self.force_rows, weighted, 0.0)
+        # Summed in C (interleaved) order whatever the layout of rhs.
+        raw = linsolve.norm2(interleaved(weighted))
         if first:
             self.denominator = max(raw, self.floor)
         value = raw / self.denominator
@@ -135,14 +141,18 @@ def _coupled(mesh: CartesianMesh, material, table: BoundaryTable,
 
     Every method's set-up returns ``solve(f_face, rhs, dump_dir)``,
     which turns the face states and right-hand side of the loop's residual
-    evaluation into the (N, 2) increment.  Here it assembles the matrix
-    from those face states, writes it to ``dump_dir`` if one is given, and
-    solves it.  The stored pattern is the mesh's, and the row weights are
-    the table's, which every load step shares.  The first factorisation
-    orders the pattern by minimum degree; the second re-lays the pattern
-    in that order, and every later matrix is filled straight into it.
+    evaluation into the component-major (N, 2) increment.  Here it
+    assembles the matrix from those face states, writes it to ``dump_dir``
+    if one is given, and solves it.  The stored pattern is the mesh's, and
+    the row weights are the table's, which every load step shares.  The
+    first factorisation orders the pattern by minimum degree; the second
+    re-lays the pattern in that order, and every later matrix is filled
+    straight into it.
     Each pattern gets one CSC matrix, built by its first assembly and
     refilled in place by every later one (``assemble_system``'s ``out``).
+    The block system is interleaved (one 2x2 block per unknown pair): the
+    right-hand side is copied into that order once, and the solution back
+    to component-major once.
     """
     pattern = mesh.jacobian_pattern
     order = None                    # the first factor's column order
@@ -153,11 +163,12 @@ def _coupled(mesh: CartesianMesh, material, table: BoundaryTable,
         if order is not None and pattern is mesh.jacobian_pattern:
             pattern, matrix = pattern.ordered(order), None
         matrix = assemble_system(mesh, material, table, f_face, pattern, matrix)
+        flat = interleaved(rhs).ravel()
         if dump_dir:
-            linsolve.dump_system(dump_dir, matrix, rhs.ravel())
-        solution = linsolve.solve(matrix, rhs.ravel(), order)
+            linsolve.dump_system(dump_dir, matrix, flat)
+        solution = linsolve.solve(matrix, flat, order)
         order = solution.order
-        return solution.x.reshape(-1, 2)
+        return np.asfortranarray(solution.x.reshape(-1, 2))     # component-major
 
     return solve
 
@@ -166,7 +177,9 @@ def _segregated(mesh: CartesianMesh, material, table: BoundaryTable,
                 force_rows: np.ndarray, cfg: SolveConfig):
     """seg: one scalar operator for both components, factorised once per
     run, with relaxed force rows.  The dumped system is that operator and
-    the x-component's stepped right-hand side."""
+    the x-component's stepped right-hand side.  The step, scale and
+    relaxation arrays are component-major like the right-hand side, and
+    SuperLU solves and returns both components that way."""
     operator, step = assemble_scalar_operator(mesh, table, 2.0 * material.mu + material.lam)
     # Equilibrate before factorising: the identity boundary rows are tiny
     # next to the Laplacian rows and would otherwise soak up the
@@ -182,7 +195,9 @@ def _segregated(mesh: CartesianMesh, material, table: BoundaryTable,
     def solve(f_face, rhs: np.ndarray, dump_dir: str | None) -> np.ndarray:
         if dump_dir:
             linsolve.dump_system(dump_dir, operator, step[:, 0] * rhs[:, 0])
-        return factor.solve(scale * rhs) * relax
+        increment = factor.solve(scale * rhs)
+        increment *= relax
+        return increment
 
     return solve
 
@@ -210,6 +225,10 @@ def run(mesh: CartesianMesh, material, bcs: dict, cfg: SolveConfig) -> RunReport
     weight[mesh.n_cells:] = np.where(force_rows[mesh.n_cells:],
                                      mesh.face_area[mesh.bface_face], material.mu)
     solve = _SOLVERS[cfg.method](mesh, material, table, force_rows, cfg)
+    # The monitor's row weights and force-row mask, once per component in
+    # the right-hand side's component-major layout.
+    weight = np.stack((weight, weight)).T
+    force_components = np.stack((force_rows, force_rows)).T
     # Face states depend only on the state: the check that ends a load step
     # also serves the next step's first correction.
     states = None
@@ -218,7 +237,7 @@ def run(mesh: CartesianMesh, material, bcs: dict, cfg: SolveConfig) -> RunReport
         if step > 0:
             table = replace(table, value=boundary_values(
                 mesh, bcs, (step + 1) / cfg.n_load_steps))
-        monitor = _Monitor(cfg.outer_tolerance, floor, weight, force_rows)
+        monitor = _Monitor(cfg.outer_tolerance, floor, weight, force_components)
         corrections = 0
         while True:
             if states is None:

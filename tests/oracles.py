@@ -28,6 +28,11 @@ face-gradient reconstruction written face by face, and the face gradient
 as the outer products of the two face-derivative operators' values with
 N and t, against which the solver's prebuilt sparse operators are held.
 
+Interleaved residual route: ``face_states`` and ``newton_rhs`` as they
+were before fields went component-major, with C-ordered (interleaved)
+fields and each operator applied as one two-column product, against
+which the solver's per-component route is held bit for bit.
+
 Mesh construction: the face, cell-face and vertex-stencil arrays built face
 by face and vertex by vertex, against which the mesh's vectorised index
 arithmetic is held, and the tangential face-derivative operator as a sum
@@ -236,6 +241,26 @@ def face_gradient(mesh, values: np.ndarray) -> np.ndarray:
     (Dt U) x t, one product per face-derivative operator."""
     return (outer(mesh.face_quotient @ values, mesh.face_normal)
             + outer(mesh.face_tangential @ values, mesh.face_tangent))
+
+
+def interleaved_face_states(mesh, material, state):
+    """F and the flux density P N per face by the interleaved route: one
+    two-column product of ``face_gradient`` with the C-ordered
+    displacement, then the material on the C-ordered face gradients."""
+    u = np.ascontiguousarray(state.displacement)
+    grad = (mesh.face_gradient @ u).reshape(2, mesh.n_faces, 2).transpose(1, 2, 0)
+    f, p = material.stress_state(np.ascontiguousarray(grad))
+    return np.ascontiguousarray(f), np.ascontiguousarray(matvec2(p, mesh.face_normal))
+
+
+def interleaved_newton_rhs(mesh, state, table, flux_density):
+    """-r by the interleaved route: one two-column product of
+    ``face_rows`` with the C-ordered flux density."""
+    rhs = 0.0 - mesh.face_rows @ np.ascontiguousarray(flux_density)
+    tail = rhs[mesh.n_cells:]
+    tail[...] = (table.value + matvec2(table.free, tail)
+                 - matvec2(table.disp, state.displacement[mesh.n_cells:]))
+    return rhs
 
 
 def face_tangential(mesh):

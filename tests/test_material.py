@@ -296,8 +296,9 @@ def test_neo_hookean_tangent_at_rest_is_hookean_bit_for_bit(rng):
 
 def _kernel_layout(rng, layout, n=40):
     """A displacement gradient, a face normal and the three directions of
-    ``_directions`` as a batched stack, as ``swapaxes`` views (strided, as
-    the face gradient is), or as one unbatched matrix and vectors."""
+    ``_directions`` as a batched stack, as ``swapaxes`` views (strided),
+    component-major (each component contiguous, as the solver's face
+    stacks are), or as one unbatched matrix and vectors."""
     g = random_gradients(rng, n)
     normal = _unit_vectors(rng, n)
     directions = _directions(rng, normal)
@@ -305,12 +306,15 @@ def _kernel_layout(rng, layout, n=40):
         g = np.swapaxes(np.ascontiguousarray(np.swapaxes(g, -1, -2)), -1, -2)
         stacked = np.stack((normal,) + directions, axis=-1)     # (n, 2, 4)
         normal, *directions = (stacked[..., k] for k in range(4))
+    elif layout == "component-major":
+        g = np.asfortranarray(g)
+        normal, *directions = (np.asfortranarray(m) for m in (normal,) + directions)
     elif layout == "single":
         g, normal, directions = g[0], normal[0], [m[0] for m in directions]
     return g, normal, directions
 
 
-@pytest.mark.parametrize("layout", ["batched", "swapaxes", "single"])
+@pytest.mark.parametrize("layout", ["batched", "swapaxes", "component-major", "single"])
 def test_kernels_match_matrix_forms_bit_for_bit(rng, layout):
     """The per-component stress and flux coefficients of both laws round
     exactly as the matrix forms of the test oracles (dyads, dot2 and

@@ -53,7 +53,8 @@ def test_monitor_norm_row_selection(rng):
     rhs = rng.standard_normal((6, 2))
     scale = rng.uniform(0.5, 2.0, 6)
     rows = np.array([True, False, True, True, False, False])
-    monitor = _Monitor(tolerance=1e-12, floor=0.0, weight=scale, force_rows=rows)
+    monitor = _Monitor(tolerance=1e-12, floor=0.0, weight=per_component(scale),
+                       force_rows=per_component(rows))
     monitor.update(rhs)
     full = np.linalg.norm((rhs * scale[:, None]).ravel())
     assert monitor.denominator == pytest.approx(full)
@@ -63,9 +64,15 @@ def test_monitor_norm_row_selection(rng):
     assert full >= expected
 
 
+def per_component(rows: np.ndarray) -> np.ndarray:
+    """A per-row array once per component, in the right-hand side's
+    component-major layout, as ``run`` gives it to the monitor."""
+    return np.stack((rows, rows)).T
+
+
 # One cell row (force) and one prescribed-displacement row weighted by 2.
-ROW_WEIGHT = np.array([1.0, 2.0])
-FORCE_ROWS = np.array([True, False])
+ROW_WEIGHT = per_component(np.array([1.0, 2.0]))
+FORCE_ROWS = per_component(np.array([True, False]))
 
 
 def rows(force: float, displacement: float = 0.0) -> np.ndarray:
@@ -121,7 +128,9 @@ def test_run_weights_rows_force_like(mesh8, neo, monkeypatch):
            BOTTOM: BoundaryCondition(SYMMETRY),
            TOP: BoundaryCondition(TRACTION, (0.0, 0.0))}
     run(mesh8, neo, bcs, SolveConfig(max_corrections=0))
-    (_, _, weight, _), _ = monitors[0]
+    (_, _, weights, _), _ = monitors[0]
+    npt.assert_array_equal(weights[:, 0], weights[:, 1])
+    weight = weights[:, 0]
     m = mesh8
     npt.assert_allclose(weight[: m.n_cells], 1.0)
     npt.assert_allclose(weight[m.n_cells + m.face_boundary_index[m.patch_faces(LEFT)]],
@@ -129,6 +138,21 @@ def test_run_weights_rows_force_like(mesh8, neo, monkeypatch):
     for patch in (RIGHT, BOTTOM):
         faces = m.patch_faces(patch)
         npt.assert_allclose(weight[m.face_across[faces]], m.face_area[faces])
+
+
+def test_monitor_arrays_built_once_per_run(mesh8, neo, monkeypatch):
+    """Every load step's monitor gets the same weight and force-row arrays,
+    built once per run in the right-hand side's component-major layout."""
+    monitors = counting(monkeypatch, solver, "_Monitor")
+    case = MMSCase("uniaxial", DISPLACEMENT, 1.2)
+    report = run(mesh8, neo, mms_bcs(case, neo), SolveConfig(method="seg", n_load_steps=3))
+    assert report.converged and len(monitors) == 3
+    (_, _, weight, force_rows), _ = monitors[0]
+    for (_, _, w, rows), _ in monitors[1:]:
+        assert w is weight and rows is force_rows
+    for array in (weight, force_rows):
+        assert array.shape == (mesh8.n_unknowns, 2)
+        assert all(array[:, k].flags.c_contiguous for k in range(2))
 
 
 # ---------------------------------------------------------------------------
