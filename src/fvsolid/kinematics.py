@@ -19,10 +19,8 @@ same values bit for bit, only more slowly: layout is speed, not answers.
 ``apply`` calls scipy's CSR kernel ``csr_matvec`` itself, the kernel
 that ``operator @ vector`` runs: it accumulates each component straight
 into its row of the output, where ``@`` would allocate a vector per
-product for a copy into that row, and it skips ``@``'s dispatch.  On the
-seg 64x64 workload that copy and dispatch cost about 5 % of the solve
-(paired runs, 2-core VM).  The summation order, and so every value, is
-``@``'s.
+product for a copy into that row, and it skips ``@``'s dispatch.  The
+summation order, and so every value, is ``@``'s.
 """
 
 from __future__ import annotations

@@ -20,16 +20,11 @@ monitor's, is ``norm2``: one dot product while the sum of squares is
 finite and far above the subnormal range, the scaled form only outside
 it (the pattern of Blue's norm, ACM TOMS 4, 1978).
 
-SuperLU factorises in panels of ``PANEL_SIZE`` = 4 columns, not scipy's
-default 20, which is sized for larger fronts than these 2-D systems
-have.  Measured on one core with one BLAS thread, median factor time
-against the default: -15 % (60x3 beam, 612 unknowns), -13 % (100x5),
--27 % (300x15, 10k unknowns), -2 % on a first and -14 % on a later
-16x16 neo-Hookean matrix, -6 to -7 % at 128x128 and -5 to +2 % at
-256x256 (traction-stretch Newton matrix, 133k unknowns).  Narrower
-panels were slower at 256x256 (2 columns +16 %, 1 column +35 %).
-``relax`` stays at SuperLU's default of 10; neither setting is raised
-above scipy's defaults, as relax 50 with panels of 40 corrupted the heap.
+SuperLU factorises in panels of ``PANEL_SIZE`` = 4 columns, a measured
+width: scipy's default of 20 is sized for larger fronts than these 2-D
+systems have.  ``relax`` stays at SuperLU's default of 10; neither
+setting is raised above scipy's defaults, as relax 50 with panels of 40
+corrupted the heap.
 """
 
 from __future__ import annotations

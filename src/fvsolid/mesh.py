@@ -26,6 +26,12 @@ face-derivative operators ``face_quotient`` (normal) and ``face_tangential``
 and ``face_rows`` (faces to unknown rows).  ``jacobian_pattern`` is the
 symbolic analysis of the coupled Jacobian built from them (see
 ``BlockPattern``).  Each is built on first use and then kept with the mesh.
+Where the face arrays give a row's entries, the CSR arrays are written
+directly; sparse products remain only where a row sums several stencils
+(the Gauss gradient, the tangential derivative and the block pattern).
+Every array is bit for bit what scipy's COO conversions, stacks and
+products of the defining formulas store (the reference builds in the
+tests), so no product with an operator changes in its last bit.
 """
 
 from __future__ import annotations
@@ -180,26 +186,29 @@ class CartesianMesh:
         """(n_faces, n_unknowns) face values of a per-unknown field: the
         two-cell average on interior faces, the face's own unknown on the
         boundary."""
-        interior, boundary = self.interior_faces, self.boundary_faces
-        rows = np.concatenate((interior, interior, boundary))
-        cols = np.concatenate((self.face_owner[interior],
-                               self.face_neighbour[interior],
-                               self.face_across[boundary]))
-        vals = np.concatenate((np.full(2 * interior.size, 0.5),
-                               np.ones(boundary.size)))
-        return sp.csr_matrix((vals, (rows, cols)),
+        interior = self.face_neighbour >= 0
+        counts = 1 + interior
+        cols = np.column_stack((np.where(interior, self.face_owner, self.face_across),
+                                self.face_neighbour))
+        return sp.csr_matrix((np.repeat(np.where(interior, 0.5, 1.0), counts),
+                              cols[np.column_stack((np.ones_like(interior), interior))],
+                              np.concatenate(([0], np.cumsum(counts)))),
                              shape=(self.n_faces, self.n_unknowns))
 
     @cached_property
     def cell_divergence(self) -> sp.csr_matrix:
         """(n_cells, n_faces) net outward surface integral per cell: each
         face value times its area, added to the owner and subtracted from
-        the neighbour."""
-        interior = self.interior_faces
-        rows = np.concatenate((self.face_owner, self.face_neighbour[interior]))
-        cols = np.concatenate((np.arange(self.n_faces), interior))
-        vals = np.concatenate((self.face_area, -self.face_area[interior]))
-        return sp.csr_matrix((vals, (rows, cols)),
+        the neighbour.  Row c holds the cell's left, right, bottom and top
+        faces, in face order."""
+        nx, ny = self.nx, self.ny
+        i, j = np.arange(nx), np.arange(ny)[:, None]
+        lo = (nx + 1) * ny + j * nx + i
+        faces = np.stack((i * ny + j, (i + 1) * ny + j, lo, lo + nx), axis=-1).reshape(-1, 4)
+        area = self.face_area[faces]
+        owned = self.face_owner[faces] == np.arange(self.n_cells)[:, None]
+        return sp.csr_matrix((np.where(owned, area, -area).ravel(), faces.ravel(),
+                              np.arange(0, 4 * self.n_cells + 1, 4)),
                              shape=(self.n_cells, self.n_faces))
 
     @cached_property
@@ -234,11 +243,10 @@ class CartesianMesh:
     def face_quotient(self) -> sp.csr_matrix:
         """(n_faces, n_unknowns) normal difference quotient per face: the
         across unknown minus the owner cell, over their distance."""
-        faces = np.arange(self.n_faces)
         inv_d = 1.0 / self.face_distance
-        return sp.csr_matrix((np.concatenate((-inv_d, inv_d)),
-                              (np.concatenate((faces, faces)),
-                               np.concatenate((self.face_owner, self.face_across)))),
+        return sp.csr_matrix((np.column_stack((-inv_d, inv_d)).ravel(),
+                              np.column_stack((self.face_owner, self.face_across)).ravel(),
+                              np.arange(0, 2 * self.n_faces + 1, 2)),
                              shape=(self.n_faces, self.n_unknowns))
 
     @cached_property
@@ -248,16 +256,17 @@ class CartesianMesh:
         cell's ``gauss_gradient`` along the face tangent on the boundary.
         Stored with sorted indices, so that no later call (scipy's ``abs``
         sums duplicates, which sorts) reorders it in place."""
-        interior, boundary = self.interior_faces, self.boundary_faces
-        inv_area = 1.0 / self.face_area[interior]
-        owner = self.n_vertices + self.face_owner[boundary]
+        interior = self.face_neighbour >= 0
+        inv_area = 1.0 / self.face_area
+        owner = self.n_vertices + self.face_owner
         # One product picks rows of the vertex stencils over the Gauss gradient.
-        vals = np.concatenate((inv_area, -inv_area, self.face_tangent[boundary].T.ravel()))
-        pick = sp.csr_matrix((vals, (np.concatenate((interior, interior, boundary, boundary)),
-                                     np.concatenate((self.face_vertex_hi[interior],
-                                                     self.face_vertex_lo[interior],
-                                                     owner, self.n_cells + owner)))),
-                             shape=(self.n_faces, self.n_vertices + 2 * self.n_cells))
+        pick = sp.csr_matrix((
+            np.where(interior[:, None], np.column_stack((-inv_area, inv_area)),
+                     self.face_tangent).ravel(),
+            np.where(interior[:, None], np.column_stack((self.face_vertex_lo, self.face_vertex_hi)),
+                     np.column_stack((owner, self.n_cells + owner))).ravel(),
+            np.arange(0, 2 * self.n_faces + 1, 2)),
+            shape=(self.n_faces, self.n_vertices + 2 * self.n_cells))
         out = pick @ sp.vstack((self.vertex_stencil, self.gauss_gradient), format="csr")
         out.sort_indices()
         return out
@@ -268,67 +277,87 @@ class CartesianMesh:
         d/dX_b at cell c, diag(1/V) ``cell_divergence`` diag(N_b) ``face_average``."""
         div = self.cell_divergence
         data = div.data * np.repeat(1.0 / self.cell_volume, np.diff(div.indptr))
-        stacked = sp.vstack([sp.csr_matrix((data * n, div.indices, div.indptr), shape=div.shape)
-                             for n in self.face_normal[div.indices].T], format="csr")
+        normal = self.face_normal[div.indices]
+        stacked = sp.csr_matrix((np.concatenate((data * normal[:, 0], data * normal[:, 1])),
+                                 np.tile(div.indices, 2),
+                                 np.concatenate((div.indptr, div.nnz + div.indptr[1:]))),
+                                shape=(2 * self.n_cells, self.n_faces))
         return stacked @ self.face_average
 
     @cached_property
     def face_gradient(self) -> sp.csr_matrix:
         """(2 n_faces, n_unknowns) face gradient: row b n_faces + f is N_b Q +
-        t_b Dt at face f (Q = ``face_quotient``, Dt = ``face_tangential``)."""
-        n = self.n_faces
-        pick = sp.csr_matrix((np.stack((self.face_normal.T, self.face_tangent.T), axis=-1).ravel(),
-                              np.tile(np.column_stack((np.arange(n), n + np.arange(n))).ravel(), 2),
-                              np.arange(0, 4 * n + 1, 2)), shape=(2 * n, 2 * n))
-        pick.eliminate_zeros()
-        out = pick @ sp.vstack((self.face_quotient, self.face_tangential), format="csr")
-        out.sort_indices()      # each row summed in column order
-        return out
+        t_b Dt at face f (Q = ``face_quotient``, Dt = ``face_tangential``).
+        Vertical faces (numbered first) have N = (+-1, 0) and t = (0, 1),
+        horizontal ones N = (0, +-1) and t = (1, 0), so the rows are, in
+        turn, N_x Q on vertical faces, Dt on horizontal ones, Dt on
+        vertical ones and N_y Q on horizontal ones."""
+        nv = (self.nx + 1) * self.ny
+        q, dt = self.face_quotient, self.face_tangential
+        # Each row of Q holds two entries; times the normal's nonzero component.
+        q_data = q.data * np.repeat(self.face_normal.sum(axis=1), 2)
+        cut, n_dt = dt.indptr[nv], dt.nnz
+        return sp.csr_matrix((
+            np.concatenate((q_data[:2 * nv], dt.data[cut:], dt.data[:cut], q_data[2 * nv:])),
+            np.concatenate((q.indices[:2 * nv], dt.indices[cut:], dt.indices[:cut],
+                            q.indices[2 * nv:])),
+            np.concatenate((q.indptr[:nv + 1], 2 * nv - cut + dt.indptr[nv + 1:],
+                            2 * nv + n_dt - cut + dt.indptr[1:nv + 1],
+                            n_dt + q.indptr[nv + 1:]))),
+            shape=(2 * self.n_faces, self.n_unknowns))
 
     @cached_property
     def face_rows(self) -> sp.csr_matrix:
         """(n_unknowns, n_faces) face values onto unknown rows:
         ``cell_divergence`` on the cell rows, each boundary face's own value
         on its boundary-face row."""
-        select = sp.csr_matrix((np.ones(self.n_bfaces), self.bface_face,
-                                np.arange(self.n_bfaces + 1)),
-                               shape=(self.n_bfaces, self.n_faces))
-        return sp.vstack((self.cell_divergence, select), format="csr")
+        div = self.cell_divergence
+        return sp.csr_matrix((np.concatenate((div.data, np.ones(self.n_bfaces))),
+                              np.concatenate((div.indices, self.bface_face)),
+                              np.concatenate((div.indptr,
+                                              div.nnz + np.arange(1, self.n_bfaces + 1)))),
+                             shape=(self.n_unknowns, self.n_faces))
 
     @cached_property
     def jacobian_pattern(self) -> BlockPattern:
         """Block pattern and fill operators of the coupled Jacobian (see
         ``BlockPattern``), built on first use."""
-        n = self.n_unknowns
-        ops = (self.face_quotient, self.face_tangential)
-        # The diagonal is among these blocks: Q joins every unknown to itself.
-        reach = abs(self.face_rows) @ (abs(ops[0]) + abs(ops[1]))
+        n, nf = self.n_unknowns, self.n_faces
+        q, dt = self.face_quotient, self.face_tangential
+        # The blocks are the structure of face_rows @ (Q + Dt), as booleans;
+        # the diagonal is among them: Q joins every unknown to itself.
+        reach = _structure(self.face_rows) @ (_structure(q) + _structure(dt))
         reach.sort_indices()
-        n_blocks = reach.nnz
-        block_id = sp.csr_matrix((np.arange(1.0, n_blocks + 1), reach.indices, reach.indptr),
-                                 shape=(n, n))
+        block_id = sp.csr_matrix((np.arange(reach.nnz, dtype=np.int32), reach.indices,
+                                  reach.indptr), shape=(n, n))
         # Every (i, f, j) of face_rows[i, f] op[f, j], in face order, so the
-        # fill operator comes out in column (CSC) form without a sort.
-        by_face = self.face_rows.tocsc().tocoo()
-        chains = [_chain(by_face.row, by_face.col, by_face.data, op) for op in ops]
-        i, f, j, value = (np.concatenate(pair) for pair in zip(*chains))
-        f[chains[0][1].size:] += self.n_faces
-        k = np.asarray(block_id[i, j]).ravel().astype(np.int32) - 1
-        indptr = np.zeros(2 * self.n_faces + 1, dtype=np.int32)
-        np.cumsum(np.bincount(f, minlength=2 * self.n_faces), out=indptr[1:])
-        fill = sp.csc_matrix((value, k, indptr), shape=(n_blocks, 2 * self.n_faces))
+        # fill operator comes out in column (CSC) form without a sort.  Face
+        # f's column of face_rows holds its owner (weight: the area), then
+        # its across unknown (minus the area inside, 1 on the boundary), so
+        # column r of the fill is row r of the stacked [Q; Dt] taken for the
+        # owner, then again for the across unknown.
+        ptr = np.concatenate((q.indptr, q.nnz + dt.indptr[1:]))
+        cols, vals = np.concatenate((q.indices, dt.indices)), np.concatenate((q.data, dt.data))
+        counts = np.diff(ptr)
+        owner_at = np.arange(ptr[-1]) + np.repeat(ptr[:-1], counts)
+        block, value = np.empty(2 * ptr[-1], dtype=np.int32), np.empty(2 * ptr[-1])
+        for at, unknown, weight in (
+                (owner_at, self.face_owner, self.face_area),
+                (owner_at + np.repeat(counts, counts), self.face_across,
+                 np.where(self.face_neighbour >= 0, -self.face_area, 1.0))):
+            block[at] = block_id[np.repeat(np.tile(unknown.astype(np.int32), 2), counts), cols].A1
+            value[at] = np.repeat(np.tile(weight, 2), counts) * vals
+        fill = sp.csc_matrix((value, block, 2 * ptr), shape=(reach.nnz, 2 * nf))
         # The scalar layout of the whole pattern, with block k's entry
-        # (a, b) stored as 4 k + 2 a + b + 1 (nonzero, so none is dropped).
-        # CSC as the CSR of the BSR transpose: block-wise conversions only.
-        layout = sp.bsr_matrix((np.arange(1.0, 4 * n_blocks + 1).reshape(-1, 2, 2),
-                                reach.indices, reach.indptr), shape=(2 * n, 2 * n))
-        layout = layout.T.tocsr()
-        counts = np.diff(reach.indptr)[self.n_cells:]
+        # (a, b) stored as 4 k + 2 a + b.  CSC as the CSR of the BSR
+        # transpose: block-wise conversions only.
+        layout = sp.bsr_matrix((np.arange(4 * reach.nnz, dtype=np.int32).reshape(-1, 2, 2),
+                                reach.indices, reach.indptr), shape=(2 * n, 2 * n)).T.tocsr()
         return BlockPattern(
-            fill=fill, diagonal=(block_id.diagonal() - 1).astype(np.int32),
-            indptr=layout.indptr.astype(np.int32), indices=layout.indices.astype(np.int32),
-            gather=(layout.data - 1).astype(np.int32),
-            bface_block=np.repeat(np.arange(self.n_bfaces, dtype=np.int32), counts))
+            fill=fill, diagonal=block_id.diagonal(),
+            indptr=layout.indptr, indices=layout.indices, gather=layout.data,
+            bface_block=np.repeat(np.arange(self.n_bfaces, dtype=np.int32),
+                                  np.diff(reach.indptr)[self.n_cells:]))
 
     # ------------------------------------------------------------------
     # queries
@@ -347,15 +376,9 @@ def _freeze(obj) -> None:
             arr.flags.writeable = False
 
 
-def _chain(rows: np.ndarray, mids: np.ndarray, weights: np.ndarray,
-           op: sp.csr_matrix):
-    """Expand each (row, mid, weight) by row ``mid`` of ``op``: returns the
-    (row, mid, col, weight * op[mid, col]) of every stored op entry."""
-    counts = np.diff(op.indptr)[mids]
-    starts = np.repeat(op.indptr[mids] - np.cumsum(counts) + counts, counts)
-    pos = starts + np.arange(starts.size)
-    return (np.repeat(rows, counts), np.repeat(mids, counts), op.indices[pos],
-            np.repeat(weights, counts) * op.data[pos])
+def _structure(op: sp.csr_matrix) -> sp.csr_matrix:
+    """The stored pattern of ``op`` as a boolean matrix."""
+    return sp.csr_matrix((np.ones(op.nnz, dtype=bool), op.indices, op.indptr), shape=op.shape)
 
 
 def build_mesh(nx: int, ny: int, lx: float, ly: float) -> CartesianMesh:

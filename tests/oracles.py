@@ -36,7 +36,10 @@ which the solver's per-component route is held bit for bit.
 Mesh construction: the face, cell-face and vertex-stencil arrays built face
 by face and vertex by vertex, against which the mesh's vectorised index
 arithmetic is held, and the tangential face-derivative operator as a sum
-of sparse products.
+of sparse products.  Every sparse operator of the mesh and its coupled
+Jacobian pattern as scipy builds them from COO triples, stacks and
+products (the mesh's former construction), against which the mesh's
+direct CSR builds are held bit for bit.
 
 Boundary kinds: the per-face int kind codes and the three rules that
 once decoded them (force rows, the segregated step's fixed components and
@@ -54,6 +57,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from fvsolid.mesh import BlockPattern
 from fvsolid.tensors import IDENTITY, det2, matvec2, outer
 
 
@@ -407,6 +411,126 @@ def mesh_arrays(mesh) -> dict:
     out["vertex_stencil.data"] = np.asarray(weights)
     return out
 
+
+
+def product_operators(mesh) -> dict:
+    """Every sparse operator of the mesh built through scipy's COO
+    conversion, ``vstack`` and sparse products, each from the others here
+    (not from the mesh's), keyed by the mesh's attribute name."""
+    nx, ny, nc, nf = mesh.nx, mesh.ny, mesh.n_cells, mesh.n_faces
+    n_unknowns, n_vertices = mesh.n_unknowns, mesh.n_vertices
+    interior, boundary = mesh.interior_faces, mesh.boundary_faces
+    owner, across = mesh.face_owner, mesh.face_across
+    ops = {}
+
+    ops["face_average"] = sp.csr_matrix(
+        (np.concatenate((np.full(2 * interior.size, 0.5), np.ones(boundary.size))),
+         (np.concatenate((interior, interior, boundary)),
+          np.concatenate((owner[interior], mesh.face_neighbour[interior], across[boundary])))),
+        shape=(nf, n_unknowns))
+
+    ops["cell_divergence"] = div = sp.csr_matrix(
+        (np.concatenate((mesh.face_area, -mesh.face_area[interior])),
+         (np.concatenate((owner, mesh.face_neighbour[interior])),
+          np.concatenate((np.arange(nf), interior)))),
+        shape=(nc, nf))
+
+    vi, vj = (a.ravel() for a in np.meshgrid(np.arange(nx + 1), np.arange(ny + 1),
+                                              indexing="xy"))
+    on_x, on_y = (vi == 0) | (vi == nx), (vj == 0) | (vj == ny)
+    inner, corner = ~(on_x | on_y), on_x & on_y
+    side = np.where(vi == 0, 0, ny)
+    first = np.where(on_x, side + vj - 1, 2 * ny + np.where(vj == 0, 0, nx) + vi - 1)
+    first = np.where(corner, side + np.where(vj == 0, 0, ny - 1), first)
+    counts = np.where(inner, 4, np.where(corner, 1, 2))
+    cols = np.where(inner[:, None],
+                    ((vj - 1) * nx + vi - 1)[:, None] + np.array([0, 1, nx, nx + 1]),
+                    nc + first[:, None] + np.arange(4))
+    keep = np.arange(4) < counts[:, None]
+    weights = np.broadcast_to(1.0 / counts[:, None], keep.shape)
+    ops["vertex_stencil"] = sp.csr_matrix(
+        (weights[keep], cols[keep], np.concatenate(([0], np.cumsum(counts)))),
+        shape=(n_vertices, n_unknowns))
+
+    data = div.data * np.repeat(1.0 / mesh.cell_volume, np.diff(div.indptr))
+    stacked = sp.vstack([sp.csr_matrix((data * n, div.indices, div.indptr), shape=div.shape)
+                         for n in mesh.face_normal[div.indices].T], format="csr")
+    ops["gauss_gradient"] = stacked @ ops["face_average"]
+
+    inv_d = 1.0 / mesh.face_distance
+    faces = np.arange(nf)
+    ops["face_quotient"] = sp.csr_matrix(
+        (np.concatenate((-inv_d, inv_d)),
+         (np.concatenate((faces, faces)), np.concatenate((owner, across)))),
+        shape=(nf, n_unknowns))
+
+    inv_area = 1.0 / mesh.face_area[interior]
+    cell_col = n_vertices + owner[boundary]
+    pick = sp.csr_matrix(
+        (np.concatenate((inv_area, -inv_area, mesh.face_tangent[boundary].T.ravel())),
+         (np.concatenate((interior, interior, boundary, boundary)),
+          np.concatenate((mesh.face_vertex_hi[interior], mesh.face_vertex_lo[interior],
+                          cell_col, nc + cell_col)))),
+        shape=(nf, n_vertices + 2 * nc))
+    tangential = pick @ sp.vstack((ops["vertex_stencil"], ops["gauss_gradient"]), format="csr")
+    tangential.sort_indices()
+    ops["face_tangential"] = tangential
+
+    pick = sp.csr_matrix(
+        (np.stack((mesh.face_normal.T, mesh.face_tangent.T), axis=-1).ravel(),
+         np.tile(np.column_stack((faces, nf + faces)).ravel(), 2),
+         np.arange(0, 4 * nf + 1, 2)), shape=(2 * nf, 2 * nf))
+    pick.eliminate_zeros()
+    gradient = pick @ sp.vstack((ops["face_quotient"], tangential), format="csr")
+    gradient.sort_indices()
+    ops["face_gradient"] = gradient
+
+    select = sp.csr_matrix((np.ones(mesh.n_bfaces), mesh.bface_face,
+                            np.arange(mesh.n_bfaces + 1)), shape=(mesh.n_bfaces, nf))
+    ops["face_rows"] = sp.vstack((div, select), format="csr")
+    return ops
+
+
+def product_jacobian_pattern(mesh, ops: dict) -> BlockPattern:
+    """The coupled Jacobian's ``BlockPattern`` from the operators of
+    ``product_operators``: the block pattern as the structure of the
+    product |face_rows| (|Q| + |Dt|), every (i, f, j) triple expanded from
+    face_rows in CSC (face) order, block ids looked up by fancy indexing,
+    and the CSC layout as the CSR of a float BSR transpose."""
+    n, nf = mesh.n_unknowns, mesh.n_faces
+    pair = (ops["face_quotient"], ops["face_tangential"])
+    reach = abs(ops["face_rows"]) @ (abs(pair[0]) + abs(pair[1]))
+    reach.sort_indices()
+    n_blocks = reach.nnz
+    block_id = sp.csr_matrix((np.arange(1.0, n_blocks + 1), reach.indices, reach.indptr),
+                             shape=(n, n))
+    by_face = ops["face_rows"].tocsc().tocoo()
+    chains = [_chain(by_face.row, by_face.col, by_face.data, op) for op in pair]
+    i, f, j, value = (np.concatenate(part) for part in zip(*chains))
+    f[chains[0][1].size:] += nf
+    k = np.asarray(block_id[i, j]).ravel().astype(np.int32) - 1
+    indptr = np.zeros(2 * nf + 1, dtype=np.int32)
+    np.cumsum(np.bincount(f, minlength=2 * nf), out=indptr[1:])
+    fill = sp.csc_matrix((value, k, indptr), shape=(n_blocks, 2 * nf))
+    layout = sp.bsr_matrix((np.arange(1.0, 4 * n_blocks + 1).reshape(-1, 2, 2),
+                            reach.indices, reach.indptr), shape=(2 * n, 2 * n))
+    layout = layout.T.tocsr()
+    counts = np.diff(reach.indptr)[mesh.n_cells:]
+    return BlockPattern(
+        fill=fill, diagonal=(block_id.diagonal() - 1).astype(np.int32),
+        indptr=layout.indptr.astype(np.int32), indices=layout.indices.astype(np.int32),
+        gather=(layout.data - 1).astype(np.int32),
+        bface_block=np.repeat(np.arange(mesh.n_bfaces, dtype=np.int32), counts))
+
+
+def _chain(rows: np.ndarray, mids: np.ndarray, weights: np.ndarray, op):
+    """Expand each (row, mid, weight) by row ``mid`` of ``op``: the
+    (row, mid, col, weight * op[mid, col]) of every stored op entry."""
+    counts = np.diff(op.indptr)[mids]
+    starts = np.repeat(op.indptr[mids] - np.cumsum(counts) + counts, counts)
+    pos = starts + np.arange(starts.size)
+    return (np.repeat(rows, counts), np.repeat(mids, counts), op.indices[pos],
+            np.repeat(weights, counts) * op.data[pos])
 
 KIND_CODE = {"displacement": 0, "traction": 1, "symmetry": 2}
 

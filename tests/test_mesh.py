@@ -268,6 +268,36 @@ def test_face_gradient_matches_outer_form(dims, rng):
     assert np.abs(grad - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
+def assert_bitwise_equal(actual, ref, name):
+    assert actual.dtype == ref.dtype and actual.shape == ref.shape, name
+    assert actual.tobytes() == ref.tobytes(), name
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1.0, 1.0), (1, 3, 1.0, 2.0), (3, 1, 2.0, 1.0),
+                                  (7, 2, 0.3, 5.0), (3, 4, 1.5, 1.0), (16, 16, 1.0, 1.0),
+                                  (64, 64, 1.0, 1.0), (300, 15, 2.0, 0.1)])
+def test_operators_and_pattern_match_product_construction(dims):
+    """Every operator and every ``BlockPattern`` array is built directly
+    from the face arrays, yet stores what scipy's COO conversions, stacks
+    and products store: the same indptr, indices and data, bit for bit,
+    and the same index dtype.  So no product with them, and no fill,
+    changes in its last bit."""
+    m = build_mesh(*dims)
+    ops = oracles.product_operators(m)
+    for name, ref in ops.items():
+        op = getattr(m, name)
+        assert type(op) is type(ref) and op.shape == ref.shape, name
+        for part in ("indptr", "indices", "data"):
+            assert_bitwise_equal(getattr(op, part), getattr(ref, part), f"{name}.{part}")
+    pattern = m.jacobian_pattern
+    ref = oracles.product_jacobian_pattern(m, ops)
+    assert type(pattern.fill) is type(ref.fill) and pattern.fill.shape == ref.fill.shape
+    for part in ("indptr", "indices", "data"):
+        assert_bitwise_equal(getattr(pattern.fill, part), getattr(ref.fill, part), f"fill.{part}")
+    for name in ("diagonal", "indptr", "indices", "gather", "bface_block"):
+        assert_bitwise_equal(getattr(pattern, name), getattr(ref, name), name)
+
+
 def test_jacobian_pattern_is_built_on_first_use():
     """The symbolic analysis belongs to the coupled assembly: building a
     mesh (and its residual operators) does not run it."""

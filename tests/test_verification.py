@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from fvsolid import (LinearElastic, MMSCase, NeoHookean, build_mesh,
+from fvsolid import (LinearElastic, MMSCase, NeoHookean, SolveConfig, build_mesh,
                      cantilever_deflection, compute_errors, lame_from_E_nu)
 from fvsolid.assembly import DISPLACEMENT, SYMMETRY, TRACTION, boundary_values
 from fvsolid.mesh import BOTTOM, LEFT, RIGHT, TOP
+from fvsolid.solver import run
 from fvsolid.verification import (
+    CASES,
     dirichlet_data,
     mms_bcs,
     mms_deformation_gradient,
@@ -160,6 +164,25 @@ def test_cantilever_deflection_scales_linearly():
     base = cantilever_deflection(200e9, 0.3, 2.0, 1e5, 8.33e-5)
     npt.assert_allclose(cantilever_deflection(200e9, 0.3, 2.0, 2e5, 8.33e-5),
                         2.0 * base)
+
+
+def test_cantilever_locks_near_incompressibility():
+    """Volumetric locking of the default discretisation, recorded: the
+    plane-strain cantilever case at nu = 0.499 (Hookean, ``nlbc``) is far
+    too stiff.  Its end-deflection error falls under refinement but stays
+    above 50 % at 300x15, where nu = 0.3 gives 0.2 %.  A remedy for
+    locking must change this test."""
+    cfg = SimpleNamespace(E=200e9, nu=0.499, regime="plane_strain", traction=1e6)
+    case = CASES["cantilever"]
+    material = LinearElastic(lame_from_E_nu(cfg.E, cfg.nu, cfg.regime))
+    errors = []
+    for nx, ny in ((100, 5), (300, 15)):
+        mesh = build_mesh(nx, ny, *case.domain)
+        report = run(mesh, material, case.bcs(cfg, material), SolveConfig(method="nlbc"))
+        assert report.converged, f"{nx}x{ny}: {report.failure}"
+        fields, _ = case.reference(mesh, report.state.displacement, cfg)
+        errors.append(fields["deflection_rel_error"])
+    assert errors[0] > errors[1] > 0.5, f"deflection errors {errors}"
 
 
 @pytest.mark.parametrize("law", [NeoHookean, LinearElastic])
