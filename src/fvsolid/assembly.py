@@ -12,12 +12,8 @@ gradient along the tangent on the boundary):
 
 evaluated with the mesh's ``face_gradient``.
 
-Every field here follows the layout rule of ``tensors``: the face
-gradients, F, P and the flux density P N per face, and the right-hand
-side per unknown, are component-major, each operator applied one
-component at a time (``kinematics.apply``).  The layout affects speed
-only: a caller's interleaved state gives the same arrays bit for bit.
-The flux coefficients H stay C-ordered: the Jacobian fill reads them as
+Fields follow the layout rule of ``tensors``, except the flux
+coefficients H, which stay C-ordered: the Jacobian fill reads them as
 one (2 n_faces, 4) matrix.
 
 The residual collects the face fluxes P N (the first Piola traction of
@@ -47,19 +43,19 @@ to ``A[i, j] * W[i]``.  It is filled, not built from that algebra: the
 mesh's ``jacobian_pattern`` (a symbolic analysis run once per mesh) holds
 the 2x2 block pattern and maps the per-face H(N), H(t) to every block's
 sum over faces in one sparse product.  ``assemble_system`` then weights
-the boundary rows by I - D (the table's ``free``, derived once per
-table), adds D on their diagonal and gathers the values into the
-pattern's CSC data: the mesh's natural layout, or its re-lay in a
-factor's column order (``BlockPattern.ordered``).  The gather fills a new
-matrix, or refills in place one that an earlier call returned for the
-same pattern, so a run builds and checks one matrix per layout.  The stored
-pattern is the mesh's: whole blocks, zeros included, so a prescribed-
-displacement row stores exact zeros off its diagonal (I - D = 0).
+the boundary rows by I - D, adds D on their diagonal and gathers the
+values into the pattern's CSC data: the mesh's natural layout, or its
+re-lay in a factor's column order (``BlockPattern.ordered``).  The
+gather fills a new matrix, or refills in place one that an earlier call
+returned for the same pattern, so a run builds and checks one matrix
+per layout.  The stored pattern is the mesh's: whole blocks, zeros
+included, so a prescribed-displacement row stores exact zeros off its
+diagonal (I - D = 0).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -96,14 +92,9 @@ class RigidBodyModeError(ValueError):
 @dataclass
 class BoundaryTable:
     """Per boundary face: the prescribed data and the row weight D, the
-    only record of the condition's kind (I, N x N or zero).  ``free``,
-    the flux weight I - D, is derived from D when the table is made."""
+    only record of the condition's kind (I, N x N or zero)."""
     value: np.ndarray   # (n_bfaces, 2) prescribed data at the current load
     disp: np.ndarray    # (n_bfaces, 2, 2) row weights D of the residual
-    free: np.ndarray = field(init=False, repr=False)    # (n_bfaces, 2, 2) I - D
-
-    def __post_init__(self):
-        self.free = IDENTITY - self.disp
 
 
 def build_boundary_table(mesh: CartesianMesh, bcs: dict, t: float = 1.0) -> BoundaryTable:
@@ -220,7 +211,7 @@ def newton_rhs(mesh: CartesianMesh, state: State, table: BoundaryTable,
     rhs = apply(mesh.face_rows, flux_density)
     np.subtract(0.0, rhs, out=rhs)
     tail = rhs[mesh.n_cells:]
-    tail[...] = (table.value + matvec2(table.free, tail)
+    tail[...] = (table.value + matvec2(IDENTITY - table.disp, tail)
                  - matvec2(table.disp, state.displacement[mesh.n_cells:]))
     return rhs
 
@@ -249,7 +240,7 @@ def assemble_system(mesh: CartesianMesh, material, table: BoundaryTable,
     # traction rows, zero on displacement rows) and D added on the diagonal.
     n_cells, bface = mesh.n_cells, pattern.bface_block
     tail = blocks[blocks.shape[0] - bface.size:]
-    tail[...] = mul2(table.free[bface], tail)
+    tail[...] = mul2(IDENTITY - table.disp[bface], tail)
     blocks[pattern.diagonal[n_cells:]] += table.disp
     if out is None:
         out = sp.csc_matrix((np.empty(pattern.gather.size), pattern.indices, pattern.indptr),

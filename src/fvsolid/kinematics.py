@@ -6,21 +6,20 @@ reference mesh, so F = I + grad(U) at any time, with the gradient taken
 from the current displacement: the Gauss cell gradient here, the face
 gradients from the mesh's face-derivative operators in ``assembly``.
 
-Fields are component-major (the layout rule of ``tensors``): the states
-this module makes, and every field ``apply`` returns, keep each
-displacement component in one contiguous vector.  ``apply`` takes a mesh
+Fields follow the layout rule of ``tensors``.  ``apply`` takes a mesh
 operator to a field one component at a time, as single-vector sparse
 products; scipy runs a two-column product through a slower two-wide
 loop.  The Gauss gradient (``gauss_gradient``, both derivative
 directions stacked) and the vertex interpolation (``vertex_stencil``)
-are such products.  A caller's interleaved (C-ordered) state gives the
-same values bit for bit, only more slowly: layout is speed, not answers.
+are such products.
 
 ``apply`` calls scipy's CSR kernel ``csr_matvec`` itself, the kernel
 that ``operator @ vector`` runs: it accumulates each component straight
 into its row of the output, where ``@`` would allocate a vector per
 product for a copy into that row, and it skips ``@``'s dispatch.  The
-summation order, and so every value, is ``@``'s.
+summation order, and so every value, is ``@``'s.  The kernel's module,
+``scipy.sparse._sparsetools``, is private: it is the package's one
+private scipy import, kept because every public route costs more.
 """
 
 from __future__ import annotations

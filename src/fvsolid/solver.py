@@ -50,7 +50,6 @@ from .assembly import (BoundaryTable, assemble_scalar_operator,
 from .kinematics import State, advance_state, zero_state
 from .material import InvertedElementError, Lame, LinearElastic
 from .mesh import CartesianMesh
-from .tensors import interleaved
 
 
 @dataclass(frozen=True)
@@ -72,9 +71,13 @@ class SolveConfig:
         if not (np.isfinite(self.relaxation) and self.relaxation > 0):
             raise ValueError(f"relaxation must be finite and positive, got {self.relaxation}")
         # The first normalised residual is at most 1: a tolerance of 1 or
-        # more would pass it without a single correction.
+        # more would pass it without a single correction, and one of 0 or
+        # less could never be met.
         if not self.outer_tolerance < 1:
             raise ValueError(f"outer_tolerance must be below 1, got {self.outer_tolerance}")
+        if not self.outer_tolerance > 0:
+            raise ValueError("outer_tolerance must be finite and positive, "
+                             f"got {self.outer_tolerance}")
 
 
 @dataclass
@@ -120,8 +123,8 @@ class _Monitor:
         weighted = rhs * self.weight
         if not first:
             weighted = np.where(self.force_rows, weighted, 0.0)
-        # Summed in C (interleaved) order whatever the layout of rhs.
-        raw = linsolve.norm2(interleaved(weighted))
+        # Summed one component after the other whatever the layout of rhs.
+        raw = linsolve.norm2(weighted.T)
         if first:
             self.denominator = max(raw, self.floor)
         value = raw / self.denominator
@@ -163,7 +166,7 @@ def _coupled(mesh: CartesianMesh, material, table: BoundaryTable,
         if order is not None and pattern is mesh.jacobian_pattern:
             pattern, matrix = pattern.ordered(order), None
         matrix = assemble_system(mesh, material, table, f_face, pattern, matrix)
-        flat = interleaved(rhs).ravel()
+        flat = rhs.ravel()
         if dump_dir:
             linsolve.dump_system(dump_dir, matrix, flat)
         solution = linsolve.solve(matrix, flat, order)

@@ -8,24 +8,22 @@ any layout: C-ordered stacks, strided views and read-only
 ``broadcast_to`` stacks, so per-cell and per-face quantities can be
 processed in one call.
 
-Layout rule: the stacks these routines return, and every per-unknown,
-per-face and per-cell field of the correction path, are stored
-component-major.  The shapes are the usual (n, 2) and (n, 2, 2), but
-each component ``a[:, i]`` or ``a[:, i, j]`` is one contiguous vector:
-an (n, 2) field is the transpose view of a C-ordered (2, n) buffer.  New
-stacks are allocated in Fortran order, which is component-major for
-these shapes.  The per-component kernels below and the sparse operators
-(one single-vector product per component, ``kinematics.apply``) then
-stream through memory.  The layout affects speed only, never answers:
-every value is formed by the same operations in the same order whatever
-the layout, so a caller's C-ordered stack gives the same values bit for
-bit.
+Layout rule, for the whole package: the stacks these routines return,
+and every per-unknown, per-face and per-cell field of the correction
+path, are stored component-major.  The shapes are the usual (n, 2) and
+(n, 2, 2), but each component ``a[:, i]`` or ``a[:, i, j]`` is one
+contiguous vector: an (n, 2) field is the transpose view of a C-ordered
+(2, n) buffer, and new stacks are allocated in Fortran order.  The
+per-component kernels below and the sparse operators (one single-vector
+product per component, ``kinematics.apply``) then stream through
+memory.  The layout affects speed only, never answers: every value is
+formed by the same operations in the same order whatever the layout, so
+a caller's C-ordered array gives the same values bit for bit.
 
 Every routine is a closed form, written as elementwise operations on the
 component arrays.  Batched ``@``, ``np.linalg`` and ``einsum`` treat a
 face stack as many tiny matrices and pay a fixed cost per matrix, and
-more again on strided views; on the stacks the residual path evaluates
-the closed forms are several times faster.
+more again on strided views.
 """
 
 from __future__ import annotations
@@ -33,18 +31,6 @@ from __future__ import annotations
 import numpy as np
 
 IDENTITY = np.eye(2)
-
-
-def interleaved(a: np.ndarray) -> np.ndarray:
-    """A C-ordered (interleaved) copy of an (n, k) field, written one
-    component at a time.  For a component-major field this is several
-    times faster than numpy's own C-order copy (``ravel``,
-    ``ascontiguousarray``), which walks the k components in inner loops
-    of k elements."""
-    out = np.empty(np.shape(a))
-    for k in range(out.shape[1]):
-        out[:, k] = a[:, k]
-    return out
 
 
 def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:

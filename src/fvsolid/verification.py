@@ -73,7 +73,7 @@ def mms_bcs(case: MMSCase, material) -> dict:
                 for p in (LEFT, RIGHT, BOTTOM, TOP)}
 
     # The patches are evaluated one after another at each load factor, so
-    # one cached entry serves all three (a dict: lru_cache takes 7 us to build).
+    # one cached entry serves all three.
     stress = {}
 
     def traction_for(normal):

@@ -262,7 +262,7 @@ def interleaved_newton_rhs(mesh, state, table, flux_density):
     ``face_rows`` with the C-ordered flux density."""
     rhs = 0.0 - mesh.face_rows @ np.ascontiguousarray(flux_density)
     tail = rhs[mesh.n_cells:]
-    tail[...] = (table.value + matvec2(table.free, tail)
+    tail[...] = (table.value + matvec2(IDENTITY - table.disp, tail)
                  - matvec2(table.disp, state.displacement[mesh.n_cells:]))
     return rhs
 

@@ -19,7 +19,7 @@ from fvsolid import MMSCase, SolveConfig, build_mesh, mms_bcs, solver
 from fvsolid.assembly import build_boundary_table, face_states, newton_rhs
 from fvsolid.kinematics import State, advance_state, apply, cell_gradient, zero_state
 from fvsolid.material import Lame, LinearElastic, NeoHookean
-from fvsolid.tensors import interleaved, matvec2, mul2, outer
+from fvsolid.tensors import matvec2, mul2, outer
 from tests import oracles
 from tests.test_assembly import MIXED, SYMMETRY_PLANES
 
@@ -105,14 +105,19 @@ def test_increments_are_component_major(method, monkeypatch):
 
 def test_apply_is_the_product_per_component(mesh_small, rng):
     """``apply`` equals the two-column product bit for bit, from either
-    layout, and refuses an operator that is not CSR or whose columns do
-    not match the field's rows."""
+    layout, for every operator it serves on meshes down to one cell, and
+    refuses an operator that is not CSR or whose columns do not match the
+    field's rows."""
+    for mesh in (mesh_small, build_mesh(1, 1, 1.0, 1.0), build_mesh(3, 1, 3.0, 0.5)):
+        for operator in (mesh.face_gradient, mesh.gauss_gradient, mesh.face_rows,
+                         mesh.vertex_stencil):
+            v = rng.standard_normal((operator.shape[1], 2))
+            for values in (v, np.asfortranarray(v)):
+                out = apply(operator, values)
+                assert component_major(out)
+                npt.assert_array_equal(out, operator @ v)
     u = rng.standard_normal((mesh_small.n_unknowns, 2))
     operator = mesh_small.face_gradient
-    for values in (u, np.asfortranarray(u)):
-        out = apply(operator, values)
-        assert component_major(out)
-        npt.assert_array_equal(out, operator @ u)
     with pytest.raises(ValueError, match="CSR"):
         apply(operator, u[1:])
     with pytest.raises(ValueError, match="CSR"):
@@ -124,6 +129,3 @@ def test_tensor_kernels_return_component_major(rng):
     v = rng.standard_normal((7, 2))
     for out in (mul2(a, b), matvec2(a, v), outer(v, v)):
         assert component_major(out)
-    copy = interleaved(np.asfortranarray(v))
-    assert copy.flags.c_contiguous
-    npt.assert_array_equal(copy, v)

@@ -49,18 +49,26 @@ def mean_error(mesh, report, case):
 
 def test_monitor_norm_row_selection(rng):
     """One weighted 2-norm per update: all rows on the first, which fixes
-    the denominator, and the force rows alone on every later one."""
-    rhs = rng.standard_normal((6, 2))
-    scale = rng.uniform(0.5, 2.0, 6)
-    rows = np.array([True, False, True, True, False, False])
-    monitor = _Monitor(tolerance=1e-12, floor=0.0, weight=per_component(scale),
-                       force_rows=per_component(rows))
-    monitor.update(rhs)
+    the denominator, and the force rows alone on every later one.  A
+    C-ordered and a component-major right-hand side give the same
+    history bit for bit, over a run of further updates."""
+    rhs, *later = rng.standard_normal((11, 60, 2))
+    scale = rng.uniform(0.5, 2.0, 60)
+    rows = np.tile([True, False, True, True, False, False], 10)
     full = np.linalg.norm((rhs * scale[:, None]).ravel())
-    assert monitor.denominator == pytest.approx(full)
-    monitor.update(rhs)
     expected = np.linalg.norm((rhs[rows] * scale[rows, None]).ravel())
-    assert monitor.history == pytest.approx([1.0, expected / full])
+    histories = []
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        monitor = _Monitor(tolerance=1e-12, floor=0.0, weight=per_component(scale),
+                           force_rows=per_component(rows))
+        monitor.update(layout(rhs))
+        assert monitor.denominator == pytest.approx(full)
+        monitor.update(layout(rhs))
+        assert monitor.history == pytest.approx([1.0, expected / full])
+        for values in later:
+            monitor.update(layout(values))
+        histories.append(monitor.history)
+    assert histories[0] == histories[1]
     assert full >= expected
 
 
@@ -290,10 +298,13 @@ def test_unknown_method_rejected(mesh8, neo):
     (dict(method="seg", relaxation=np.inf), "relaxation must be finite and positive, got inf"),
     (dict(method="seg", relaxation=-0.5), "relaxation must be finite and positive, got -0.5"),
     (dict(method="seg", relaxation=0.0), "relaxation must be finite and positive, got 0.0"),
+    (dict(outer_tolerance=0.0), "outer_tolerance must be finite and positive, got 0.0"),
+    (dict(outer_tolerance=-1.0), "outer_tolerance must be finite and positive, got -1.0"),
 ])
 def test_solve_config_rejects(kwargs, message):
     """The library refuses what the CLI refuses, at construction: a negative
-    budget, and a relaxation that would fold an element or never move."""
+    budget, a relaxation that would fold an element or never move, and a
+    tolerance that could never be met."""
     with pytest.raises(ValueError, match=message):
         SolveConfig(**kwargs)
 
@@ -486,10 +497,10 @@ def test_verdicts_do_not_depend_on_the_modulus(mesh8):
 
 @pytest.mark.parametrize("method", ["nlbc", "bc", "seg"])
 def test_budget_exhaustion_reports_failure(mesh8, neo, method):
-    # a zero tolerance is never met, and three corrections are too few for
-    # the five consecutive rises that would call the run diverged
+    # a tolerance of 1e-300 is never met, and three corrections are too few
+    # for the five consecutive rises that would call the run diverged
     case = MMSCase("uniaxial", TRACTION, 2.0)
-    cfg = SolveConfig(method=method, max_corrections=3, outer_tolerance=0.0)
+    cfg = SolveConfig(method=method, max_corrections=3, outer_tolerance=1e-300)
     report = run(mesh8, neo, mms_bcs(case, neo), cfg)
     assert not report.converged
     assert report.failure == "no convergence within 3 corrections"
