@@ -156,10 +156,9 @@ def force_row_mask(mesh: CartesianMesh, table: BoundaryTable) -> np.ndarray:
     """Rows that state a force balance: every cell row plus the boundary
     rows whose D is not the identity (traction and symmetry planes).
 
-    Prescribed-displacement rows (D = I) are excluded: after any successful
-    linear solve their defect equals the solver's forward error, which no
-    outer correction can push below the matrix condition floor, so judging
-    convergence on them would test the linear solver instead of the state.
+    The rest are prescribed-displacement rows (D = I), which the residual
+    norm weights by mu instead of a face area and seg assigns without
+    relaxation.
     """
     mask = np.ones(mesh.n_unknowns, dtype=bool)
     mask[mesh.n_cells:] = (table.disp != IDENTITY).any(axis=(1, 2))

@@ -22,18 +22,17 @@ with a set-up done once per run:
   are assignments and take their full solved value)
 
 Residual bookkeeping: the assembly returns each evaluation's right-hand
-side and only the loop measures it, by one force-like norm per evaluation
-(row weights set once per run: face area on traction and symmetry rows,
-mu on displacement rows) normalised by the first evaluation's all-row
-norm, floored by the force scale mu * min cell spacing.  The verdict reads
-the force-balance rows only: prescribed-displacement rows seed the
-normalisation and block convergence before the first correction, but
-their post-solve defect is linear-solver forward error, which no outer
-iteration controls, so it never vetoes convergence afterwards.  A run is
-declared diverged after five consecutive residual increases, an inverted
-element, a failed linear solve, or exhausting the correction budget.  A
-boundary map that leaves a rigid-body mode free is rejected (ValueError)
-before the first correction.
+side and only the loop measures it, by one force-like norm of all rows
+per evaluation (row weights set once per run: face area on traction and
+symmetry rows, mu on displacement rows) normalised by the first
+evaluation's norm, floored by the force scale mu * min cell spacing.
+Every method solves a prescribed-displacement row as an identity row, so
+a correction meets its prescribed value to rounding; a prescribed value
+the state has not reached keeps blocking convergence, and a NaN or inf in
+any row never reads as converged.  A run is declared diverged after five
+consecutive residual increases, an inverted element, a failed linear
+solve, or exhausting the correction budget.  A boundary map that leaves a
+rigid-body mode free is rejected (ValueError) before the first correction.
 """
 
 from __future__ import annotations
@@ -64,6 +63,9 @@ class SolveConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        for key in ("n_load_steps", "max_corrections"):
+            if not isinstance(getattr(self, key), (int, np.integer)):
+                raise ValueError(f"{key} must be an integer, got {getattr(self, key)}")
         if self.n_load_steps < 1:
             raise ValueError(f"n_load_steps must be at least 1, got {self.n_load_steps}")
         if self.max_corrections < 0:
@@ -98,34 +100,25 @@ class RunReport:
 class _Monitor:
     """Normalised-residual tracking with divergence detection.
 
-    Every update takes one force-like norm of the right-hand side.  The
-    first reads all rows and fixes the denominator (floored), so a pending
-    prescribed-displacement defect cannot pass for convergence at
-    correction zero; every later one reads the force rows only.
-    ``weight`` and the mask ``force_rows`` have the right-hand side's shape
-    and layout; a run builds them once and every load step shares them.
+    Every update takes one force-like norm of all rows of the right-hand
+    side, and the first also fixes the denominator (floored).  ``weight``
+    has the right-hand side's shape and layout; a run builds it once and
+    every load step shares it.
     """
 
-    def __init__(self, tolerance: float, floor: float, weight: np.ndarray,
-                 force_rows: np.ndarray):
+    def __init__(self, tolerance: float, floor: float, weight: np.ndarray):
         self.tolerance = tolerance
         self.floor = floor
-        # A mask, not zero weights, so 0 * NaN never occurs.
         self.weight = weight
-        self.force_rows = force_rows
         self.denominator: float | None = None
         self.previous = np.inf
         self.rises = 0
         self.history: list[float] = []
 
     def update(self, rhs: np.ndarray) -> str:
-        first = self.denominator is None
-        weighted = rhs * self.weight
-        if not first:
-            weighted = np.where(self.force_rows, weighted, 0.0)
         # Summed one component after the other whatever the layout of rhs.
-        raw = linsolve.norm2(weighted.T)
-        if first:
+        raw = linsolve.norm2((rhs * self.weight).T)
+        if self.denominator is None:
             self.denominator = max(raw, self.floor)
         value = raw / self.denominator
         self.history.append(value)
@@ -228,10 +221,9 @@ def run(mesh: CartesianMesh, material, bcs: dict, cfg: SolveConfig) -> RunReport
     weight[mesh.n_cells:] = np.where(force_rows[mesh.n_cells:],
                                      mesh.face_area[mesh.bface_face], material.mu)
     solve = _SOLVERS[cfg.method](mesh, material, table, force_rows, cfg)
-    # The monitor's row weights and force-row mask, once per component in
-    # the right-hand side's component-major layout.
+    # The monitor's row weights, once per component in the right-hand
+    # side's component-major layout.
     weight = np.stack((weight, weight)).T
-    force_components = np.stack((force_rows, force_rows)).T
     # Face states depend only on the state: the check that ends a load step
     # also serves the next step's first correction.
     states = None
@@ -240,7 +232,7 @@ def run(mesh: CartesianMesh, material, bcs: dict, cfg: SolveConfig) -> RunReport
         if step > 0:
             table = replace(table, value=boundary_values(
                 mesh, bcs, (step + 1) / cfg.n_load_steps))
-        monitor = _Monitor(cfg.outer_tolerance, floor, weight, force_components)
+        monitor = _Monitor(cfg.outer_tolerance, floor, weight)
         corrections = 0
         while True:
             if states is None:

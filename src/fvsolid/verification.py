@@ -37,12 +37,15 @@ class MMSCase:
     amplitude: float        # stretch for uniaxial, shear factor for shear
 
     def __post_init__(self):
-        if self.kind == UNIAXIAL and self.amplitude <= 0.0:
-            raise ValueError(f"'stretch' must be positive, got {self.amplitude}")
         if self.kind not in (UNIAXIAL, SHEAR):
             raise ValueError(f"unknown manufactured case {self.kind!r}")
         if self.bc_kind not in (DISPLACEMENT, TRACTION):
             raise ValueError(f"unknown bc kind {self.bc_kind!r}")
+        key = "stretch" if self.kind == UNIAXIAL else "shear_factor"
+        if not np.isfinite(self.amplitude):
+            raise ValueError(f"{key!r} must be finite, got {self.amplitude}")
+        if self.kind == UNIAXIAL and self.amplitude <= 0.0:
+            raise ValueError(f"'stretch' must be positive, got {self.amplitude}")
 
 
 def mms_deformation_gradient(case: MMSCase, t: float) -> np.ndarray:

@@ -48,28 +48,24 @@ def mean_error(mesh, report, case):
 
 
 def test_monitor_norm_row_selection(rng):
-    """One weighted 2-norm per update: all rows on the first, which fixes
-    the denominator, and the force rows alone on every later one.  A
-    C-ordered and a component-major right-hand side give the same
-    history bit for bit, over a run of further updates."""
-    rhs, *later = rng.standard_normal((11, 60, 2))
+    """One weighted 2-norm of all rows per update; the first also fixes the
+    denominator.  A C-ordered and a component-major right-hand side give
+    the same history bit for bit, over a run of further updates."""
+    rhs, second, *later = rng.standard_normal((11, 60, 2))
     scale = rng.uniform(0.5, 2.0, 60)
-    rows = np.tile([True, False, True, True, False, False], 10)
     full = np.linalg.norm((rhs * scale[:, None]).ravel())
-    expected = np.linalg.norm((rhs[rows] * scale[rows, None]).ravel())
+    expected = np.linalg.norm((second * scale[:, None]).ravel())
     histories = []
     for layout in (np.ascontiguousarray, np.asfortranarray):
-        monitor = _Monitor(tolerance=1e-12, floor=0.0, weight=per_component(scale),
-                           force_rows=per_component(rows))
+        monitor = _Monitor(tolerance=1e-12, floor=0.0, weight=per_component(scale))
         monitor.update(layout(rhs))
         assert monitor.denominator == pytest.approx(full)
-        monitor.update(layout(rhs))
+        monitor.update(layout(second))
         assert monitor.history == pytest.approx([1.0, expected / full])
         for values in later:
             monitor.update(layout(values))
         histories.append(monitor.history)
     assert histories[0] == histories[1]
-    assert full >= expected
 
 
 def per_component(rows: np.ndarray) -> np.ndarray:
@@ -80,7 +76,6 @@ def per_component(rows: np.ndarray) -> np.ndarray:
 
 # One cell row (force) and one prescribed-displacement row weighted by 2.
 ROW_WEIGHT = per_component(np.array([1.0, 2.0]))
-FORCE_ROWS = per_component(np.array([True, False]))
 
 
 def rows(force: float, displacement: float = 0.0) -> np.ndarray:
@@ -89,38 +84,42 @@ def rows(force: float, displacement: float = 0.0) -> np.ndarray:
 
 
 def test_monitor_first_verdict_uses_all_rows():
-    monitor = _Monitor(1e-7, 1.0, ROW_WEIGHT, FORCE_ROWS)
+    monitor = _Monitor(1e-7, 1.0, ROW_WEIGHT)
     # tiny force residual but a pending boundary assignment: not converged
     assert monitor.update(rows(1e-12, 10.0)) == "continue"
     assert monitor.denominator == 10.0
     assert monitor.history == [1.0]
-    # once the assignments are in, the force rows alone decide
-    assert monitor.update(rows(1e-12, 5.0)) == "converged"
+    # a prescribed defect still pending keeps blocking convergence ...
+    assert monitor.update(rows(1e-12, 5.0)) == "continue"
+    # ... and once the assignments are in, the run has converged
+    assert monitor.update(rows(1e-12, 0.0)) == "converged"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_monitor_force_verdict_ignores_non_finite_prescribed_rows(bad):
-    """Later verdicts mask the prescribed rows out instead of weighting them
-    by zero, so a NaN or inf there cannot turn the norm into 0 * inf = NaN."""
-    monitor = _Monitor(1e-7, 1.0, ROW_WEIGHT, FORCE_ROWS)
-    monitor.update(rows(1.0, 10.0))
-    assert monitor.update(rows(1e-12, bad)) == "converged"
-    assert monitor.history[-1] == pytest.approx(1e-12 / np.hypot(1.0, 10.0))
+def test_monitor_never_converges_on_non_finite_rows(bad):
+    """A NaN or inf in any row, force or prescribed, on the first update or
+    a later one, never reads as converged."""
+    for bad_rows in (rows(bad), rows(1e-12, bad)):
+        monitor = _Monitor(1e-7, 1.0, ROW_WEIGHT)
+        assert monitor.update(bad_rows) != "converged"
+        monitor = _Monitor(1e-7, 1.0, ROW_WEIGHT)
+        monitor.update(rows(1.0, 10.0))
+        assert monitor.update(bad_rows) != "converged"
 
 
 def test_monitor_floor_bounds_denominator():
-    monitor = _Monitor(1e-7, 100.0, ROW_WEIGHT, FORCE_ROWS)
+    monitor = _Monitor(1e-7, 100.0, ROW_WEIGHT)
     monitor.update(rows(1e-3))
     assert monitor.denominator == 100.0
 
 
 def test_monitor_divergence_after_five_rises():
-    monitor = _Monitor(1e-12, 1.0, ROW_WEIGHT, FORCE_ROWS)
+    monitor = _Monitor(1e-12, 1.0, ROW_WEIGHT)
     verdicts = [monitor.update(rows(v)) for v in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)]
     assert verdicts[:-1] == ["continue"] * 5
     assert verdicts[-1] == "diverged"
     # a single drop resets the streak, so five fresh rises are needed
-    monitor = _Monitor(1e-12, 1.0, ROW_WEIGHT, FORCE_ROWS)
+    monitor = _Monitor(1e-12, 1.0, ROW_WEIGHT)
     verdicts = [monitor.update(rows(v))
                 for v in (1.0, 2.0, 3.0, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5)]
     assert verdicts[-2] == "continue"
@@ -136,7 +135,7 @@ def test_run_weights_rows_force_like(mesh8, neo, monkeypatch):
            BOTTOM: BoundaryCondition(SYMMETRY),
            TOP: BoundaryCondition(TRACTION, (0.0, 0.0))}
     run(mesh8, neo, bcs, SolveConfig(max_corrections=0))
-    (_, _, weights, _), _ = monitors[0]
+    (_, _, weights), _ = monitors[0]
     npt.assert_array_equal(weights[:, 0], weights[:, 1])
     weight = weights[:, 0]
     m = mesh8
@@ -149,18 +148,57 @@ def test_run_weights_rows_force_like(mesh8, neo, monkeypatch):
 
 
 def test_monitor_arrays_built_once_per_run(mesh8, neo, monkeypatch):
-    """Every load step's monitor gets the same weight and force-row arrays,
-    built once per run in the right-hand side's component-major layout."""
+    """Every load step's monitor gets the same weight array, built once per
+    run in the right-hand side's component-major layout."""
     monitors = counting(monkeypatch, solver, "_Monitor")
     case = MMSCase("uniaxial", DISPLACEMENT, 1.2)
     report = run(mesh8, neo, mms_bcs(case, neo), SolveConfig(method="seg", n_load_steps=3))
     assert report.converged and len(monitors) == 3
-    (_, _, weight, force_rows), _ = monitors[0]
-    for (_, _, w, rows), _ in monitors[1:]:
-        assert w is weight and rows is force_rows
-    for array in (weight, force_rows):
-        assert array.shape == (mesh8.n_unknowns, 2)
-        assert all(array[:, k].flags.c_contiguous for k in range(2))
+    (_, _, weight), _ = monitors[0]
+    for (_, _, w), _ in monitors[1:]:
+        assert w is weight
+    assert weight.shape == (mesh8.n_unknowns, 2)
+    assert all(weight[:, k].flags.c_contiguous for k in range(2))
+
+
+RAMP = 0.01     # amplitude of the prescribed ramp below
+
+
+def sign_changing_ramp(x, t):
+    """Prescribed displacement that changes sign along the patch (sin 7y)
+    and between load steps (cos 3t)."""
+    f = RAMP * np.sin(7.0 * x[:, 1]) * np.cos(3.0 * t)
+    return np.stack((f, -0.5 * f), axis=1)
+
+
+@pytest.mark.parametrize("method", solver.METHODS)
+def test_prescribed_rows_hold_after_every_correction(neo, method, monkeypatch):
+    """The verdict reads every row, prescribed-displacement rows included,
+    because every method solves such a row as an identity row: after each
+    correction the state meets the prescribed value to rounding, so the
+    row's part of -r is a few ulp of the prescribed values.  An iterative
+    coupled solve would leave its forward error there."""
+    mesh = build_mesh(8, 6, 1.0, 1.0)
+    prescribed = mesh.n_cells + mesh.face_boundary_index[mesh.patch_faces(LEFT)]
+    defects = []
+    update = _Monitor.update
+
+    def recording_update(self, rhs):
+        if self.denominator is not None:
+            defects.append(np.abs(rhs[prescribed]).max())
+        return update(self, rhs)
+
+    monkeypatch.setattr(_Monitor, "update", recording_update)
+    bcs = {LEFT: BoundaryCondition(DISPLACEMENT, sign_changing_ramp),
+           RIGHT: BoundaryCondition(TRACTION, (2e5, 1e5)),
+           BOTTOM: BoundaryCondition(SYMMETRY),
+           TOP: BoundaryCondition(TRACTION, (0.0, 0.0))}
+    # seg needs about 700 corrections per load step here
+    report = run(mesh, neo, bcs, SolveConfig(method=method, n_load_steps=5,
+                                             max_corrections=1000))
+    assert report.converged and len(report.n_corr) == 5
+    assert len(defects) == report.total_corrections >= 5
+    assert max(defects) <= 4 * np.spacing(RAMP)
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +338,21 @@ def test_unknown_method_rejected(mesh8, neo):
     (dict(method="seg", relaxation=0.0), "relaxation must be finite and positive, got 0.0"),
     (dict(outer_tolerance=0.0), "outer_tolerance must be finite and positive, got 0.0"),
     (dict(outer_tolerance=-1.0), "outer_tolerance must be finite and positive, got -1.0"),
+    (dict(n_load_steps=2.0), "n_load_steps must be an integer, got 2.0"),
+    (dict(n_load_steps=2.5), "n_load_steps must be an integer, got 2.5"),
+    (dict(max_corrections=2.5), "max_corrections must be an integer, got 2.5"),
 ])
 def test_solve_config_rejects(kwargs, message):
-    """The library refuses what the CLI refuses, at construction: a negative
-    budget, a relaxation that would fold an element or never move, and a
-    tolerance that could never be met."""
+    """The library refuses what the CLI refuses, at construction: a count
+    that is not an integer, a negative budget, a relaxation that would fold
+    an element or never move, and a tolerance that could never be met."""
     with pytest.raises(ValueError, match=message):
         SolveConfig(**kwargs)
+
+
+def test_solve_config_takes_numpy_integer_counts():
+    cfg = SolveConfig(n_load_steps=np.int64(3), max_corrections=np.int32(5))
+    assert (cfg.n_load_steps, cfg.max_corrections) == (3, 5)
 
 
 def test_zero_load_steps_rejected():
@@ -353,6 +399,24 @@ def test_seg_relaxation_spares_prescribed_rows(mesh8, neo):
     npt.assert_allclose(report.state.displacement[brows],
                         exact[brows], atol=1e-9)
     assert mean_error(mesh8, report, case) < 1e-8
+
+
+SEG_SHEAR_FOLD = "inverted element: det(F) = -3.950000e-01 at boundary face 15"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason=f"seg at relaxation 0.9: {SEG_SHEAR_FOLD}")
+def test_seg_default_relaxation_solves_displacement_shear(mesh16, neo):
+    """The command line's default seg shear case, 16^2 at shear 0.45 under
+    displacement drive: the prescribed values take their full step while
+    the relaxed cells lag 10 % behind, which folds a boundary face at the
+    first correction.  A fix makes this pass, and must then drop the mark."""
+    case = MMSCase("shear", DISPLACEMENT, 0.45)
+    report = run(mesh16, neo, mms_bcs(case, neo), SolveConfig(method="seg"))
+    if report.failure not in (None, SEG_SHEAR_FOLD):
+        pytest.fail(f"a new failure: {report.failure}")     # not the expected one
+    assert report.converged
+    assert mean_error(mesh16, report, case) < 1e-6
 
 
 def test_seg_factorises_once_per_run(mesh8, neo, monkeypatch):

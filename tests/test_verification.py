@@ -8,8 +8,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from fvsolid import (LinearElastic, MMSCase, NeoHookean, SolveConfig, build_mesh,
-                     cantilever_deflection, compute_errors, lame_from_E_nu)
+from fvsolid import (BoundaryCondition, LinearElastic, MMSCase, NeoHookean, SolveConfig,
+                     build_mesh, cantilever_deflection, compute_errors, lame_from_E_nu)
 from fvsolid.assembly import DISPLACEMENT, SYMMETRY, TRACTION, boundary_values
 from fvsolid.mesh import BOTTOM, LEFT, RIGHT, TOP
 from fvsolid.solver import run
@@ -127,6 +127,44 @@ def test_mms_case_validation():
         MMSCase("bending", DISPLACEMENT, 1.0)
     with pytest.raises(ValueError, match="unknown bc kind"):
         MMSCase("shear", SYMMETRY, 0.45)
+
+
+@pytest.mark.parametrize("bc_kind", [DISPLACEMENT, TRACTION])
+@pytest.mark.parametrize("kind,key", [("uniaxial", "stretch"), ("shear", "shear_factor")])
+@pytest.mark.parametrize("amplitude", [np.nan, np.inf, -np.inf])
+def test_mms_case_rejects_non_finite_amplitude(kind, key, bc_kind, amplitude):
+    """The library refuses what the CLI refuses, in the CLI's words: a
+    traction case would otherwise fold an element while building its
+    boundary table."""
+    with pytest.raises(ValueError, match=f"'{key}' must be finite, got {amplitude}"):
+        MMSCase(kind, bc_kind, amplitude)
+
+
+@pytest.mark.parametrize("method,law,stretch,tolerance,bound", [
+    ("nlbc", NeoHookean, 1.2, 1e-7, 1e-10),
+    ("nlbc", LinearElastic, 1.01, 1e-7, 1e-10),
+    ("bc", LinearElastic, 1.01, 1e-7, 1e-10),
+    ("seg", NeoHookean, 1.2, 1e-8, 1e-8),
+    ("seg", LinearElastic, 1.01, 1e-8, 1e-8),
+])
+def test_quarter_model_on_symmetry_planes(method, law, stretch, tolerance, bound):
+    """Uniaxial stretch solved on a quarter of the square: symmetry planes
+    on the left and bottom, the exact tractions of ``mms_bcs`` on the
+    right and top.  The homogeneous field satisfies both planes, so the
+    run must land on it and keep u . N exactly zero there."""
+    material = law(lame_from_E_nu(0.02e9, 0.3))
+    mesh = build_mesh(8, 8, 1.0, 1.0)
+    case = MMSCase("uniaxial", TRACTION, stretch)
+    bcs = mms_bcs(case, material)
+    bcs.update({LEFT: BoundaryCondition(SYMMETRY), BOTTOM: BoundaryCondition(SYMMETRY)})
+    report = run(mesh, material, bcs, SolveConfig(method=method, outer_tolerance=tolerance,
+                                                  max_corrections=2000))
+    assert report.converged
+    assert compute_errors(mesh, report.state.displacement, case).mean < bound
+    for patch in (LEFT, BOTTOM):
+        faces = mesh.patch_faces(patch)
+        u = report.state.displacement[mesh.n_cells + mesh.face_boundary_index[faces]]
+        npt.assert_array_equal((u * mesh.face_normal[faces]).sum(axis=1), 0.0)
 
 
 def test_compute_errors_metrics():
