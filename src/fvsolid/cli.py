@@ -175,6 +175,8 @@ def _validate(cfg: CaseConfig, given: set) -> None:
     if min(cfg.sweep, default=1) < 1:
         raise ConfigError("'sweep' sizes must be at least 1, "
                           f"got {','.join(map(str, cfg.sweep))}")
+    if {"mesh", "sweep"} <= given:
+        raise ConfigError("give 'mesh' or 'sweep', not both")
     for key in ("mesh", "E", "nu", "material"):
         if getattr(cfg, key) in (None, "", ()):
             setattr(cfg, key, getattr(case, key))

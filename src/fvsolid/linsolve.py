@@ -15,10 +15,10 @@ already laid out in it (CSC of P A P^T, filled into
 ``BlockPattern.ordered(order)``) and SuperLU keeps it (``NATURAL``), so a
 run of corrections analyses its pattern once.  The right-hand side is
 permuted in and the solution out; the post-check's norms do not depend on
-the order.  Every 2-norm, the post-check's and the solver's residual
-monitor's, is ``norm2``: one dot product while the sum of squares is
-finite and far above the subnormal range, the scaled form only outside
-it (the pattern of Blue's norm, ACM TOMS 4, 1978).
+the order.  Every 2-norm, the post-check's and the one that measures
+the solver's residual, is ``norm2``: one dot product while the sum of
+squares is finite and far above the subnormal range, the scaled form
+only outside it (the pattern of Blue's norm, ACM TOMS 4, 1978).
 
 SuperLU factorises in panels of ``PANEL_SIZE`` = 4 columns, a measured
 width: scipy's default of 20 is sized for larger fronts than these 2-D

@@ -96,10 +96,14 @@ class CartesianMesh:
     """Uniform nx-by-ny cell mesh on [0, lx] x [0, ly] with unit depth."""
 
     def __init__(self, nx: int, ny: int, lx: float, ly: float):
+        # A bool is an int to Python, but never a cell count.
+        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+                   for n in (nx, ny)):
+            raise ValueError(f"mesh cell counts must be integers, got {nx!r} x {ny!r}")
         if nx < 1 or ny < 1:
             raise ValueError(f"mesh needs at least one cell per direction, got {nx}x{ny}")
-        if lx <= 0.0 or ly <= 0.0:
-            raise ValueError(f"mesh extents must be positive, got {lx} x {ly}")
+        if not (0.0 < lx < np.inf and 0.0 < ly < np.inf):
+            raise ValueError(f"mesh extents must be finite and positive, got {lx} x {ly}")
         self.nx, self.ny = nx, ny
         self.lx, self.ly = float(lx), float(ly)
         self.dx, self.dy = self.lx / nx, self.ly / ny

@@ -23,16 +23,20 @@ with a set-up done once per run:
 
 Residual bookkeeping: the assembly returns each evaluation's right-hand
 side and only the loop measures it, by one force-like norm of all rows
-per evaluation (row weights set once per run: face area on traction and
-symmetry rows, mu on displacement rows) normalised by the first
-evaluation's norm, floored by the force scale mu * min cell spacing.
-Every method solves a prescribed-displacement row as an identity row, so
-a correction meets its prescribed value to rounding; a prescribed value
-the state has not reached keeps blocking convergence, and a NaN or inf in
-any row never reads as converged.  A run is declared diverged after five
-consecutive residual increases, an inverted element, a failed linear
-solve, or exhausting the correction budget.  A boundary map that leaves a
-rigid-body mode free is rejected (ValueError) before the first correction.
+per evaluation (``_residual``; row weights set once per run: face area
+on traction and symmetry rows, mu on displacement rows) normalised by
+the load step's first norm, floored by the force scale mu * min cell
+spacing.  Each load step's list of these values is its only record of
+the residual, and ``_verdict`` judges that list alone, so measuring a
+trial state does not touch it.  Every method solves a
+prescribed-displacement row as an identity row, so a correction meets
+its prescribed value to rounding; a prescribed value the state has not
+reached keeps blocking convergence, and a NaN or inf in any row never
+reads as converged.  A run is declared diverged after five consecutive
+residual increases, an inverted element, a failed linear solve, or
+exhausting the correction budget.  A boundary map that leaves a
+rigid-body mode free is rejected (ValueError) before the first
+correction.
 """
 
 from __future__ import annotations
@@ -97,38 +101,22 @@ class RunReport:
         return int(sum(self.n_corr))
 
 
-class _Monitor:
-    """Normalised-residual tracking with divergence detection.
+def _residual(rhs: np.ndarray, weight: np.ndarray) -> float:
+    """Force-like norm of all rows of ``rhs``, summed one component after
+    the other whatever its layout; ``weight`` has its shape and layout."""
+    return linsolve.norm2((rhs * weight).T)
 
-    Every update takes one force-like norm of all rows of the right-hand
-    side, and the first also fixes the denominator (floored).  ``weight``
-    has the right-hand side's shape and layout; a run builds it once and
-    every load step shares it.
-    """
 
-    def __init__(self, tolerance: float, floor: float, weight: np.ndarray):
-        self.tolerance = tolerance
-        self.floor = floor
-        self.weight = weight
-        self.denominator: float | None = None
-        self.previous = np.inf
-        self.rises = 0
-        self.history: list[float] = []
-
-    def update(self, rhs: np.ndarray) -> str:
-        # Summed one component after the other whatever the layout of rhs.
-        raw = linsolve.norm2((rhs * self.weight).T)
-        if self.denominator is None:
-            self.denominator = max(raw, self.floor)
-        value = raw / self.denominator
-        self.history.append(value)
-        if value < self.tolerance:
-            return "converged"
-        self.rises = self.rises + 1 if value > self.previous else 0
-        self.previous = value
-        if self.rises >= 5:
-            return "diverged"
-        return "continue"
+def _verdict(history: list[float], tolerance: float) -> str:
+    """Judge a load step's normalised residuals: converged once the last is
+    below the tolerance (a NaN never is), diverged once the last six rise
+    strictly (five consecutive increases), and continue otherwise."""
+    if history[-1] < tolerance:
+        return "converged"
+    last = history[-6:]
+    if len(last) == 6 and all(a < b for a, b in zip(last, last[1:])):
+        return "diverged"
+    return "continue"
 
 
 def _coupled(mesh: CartesianMesh, material, table: BoundaryTable,
@@ -221,8 +209,8 @@ def run(mesh: CartesianMesh, material, bcs: dict, cfg: SolveConfig) -> RunReport
     weight[mesh.n_cells:] = np.where(force_rows[mesh.n_cells:],
                                      mesh.face_area[mesh.bface_face], material.mu)
     solve = _SOLVERS[cfg.method](mesh, material, table, force_rows, cfg)
-    # The monitor's row weights, once per component in the right-hand
-    # side's component-major layout.
+    # The norm's row weights, once per component in the right-hand side's
+    # component-major layout.
     weight = np.stack((weight, weight)).T
     # Face states depend only on the state: the check that ends a load step
     # also serves the next step's first correction.
@@ -232,7 +220,7 @@ def run(mesh: CartesianMesh, material, bcs: dict, cfg: SolveConfig) -> RunReport
         if step > 0:
             table = replace(table, value=boundary_values(
                 mesh, bcs, (step + 1) / cfg.n_load_steps))
-        monitor = _Monitor(cfg.outer_tolerance, floor, weight)
+        history: list[float] = []
         corrections = 0
         while True:
             if states is None:
@@ -243,7 +231,11 @@ def run(mesh: CartesianMesh, material, bcs: dict, cfg: SolveConfig) -> RunReport
                     break
             f_face, flux_density = states
             rhs = newton_rhs(mesh, state, table, flux_density)
-            verdict = monitor.update(rhs)
+            residual = _residual(rhs, weight)
+            if not history:
+                denominator = max(residual, floor)
+            history.append(residual / denominator)
+            verdict = _verdict(history, cfg.outer_tolerance)
             if verdict == "converged":
                 break
             if verdict == "diverged":
@@ -262,7 +254,7 @@ def run(mesh: CartesianMesh, material, bcs: dict, cfg: SolveConfig) -> RunReport
             states = None
             corrections += 1
         n_corr.append(corrections)
-        histories.append(monitor.history)
+        histories.append(history)
         if failure is not None:
             break
     return RunReport(method=cfg.method, converged=failure is None,

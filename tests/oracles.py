@@ -50,6 +50,10 @@ Sparse algebra: the coupled Newton matrix by its defining block-sparse
 formula, against which the numeric fill of ``assemble_system`` is held,
 and the same formula with every row weight D = 0, whose block pattern is
 the mesh's stored pattern.
+
+Convergence verdict: the consecutive-rise counter that once judged each
+load step's residuals, against which the solver's verdict on the
+history alone is held.
 """
 
 from __future__ import annotations
@@ -580,3 +584,19 @@ def rigid_body_rows(mesh, kind: np.ndarray) -> np.ndarray:
                         mesh.face_normal[faces[sliding]]))
     p = np.concatenate((fixed, fixed, point[sliding]))
     return np.column_stack((d, d[:, 1] * p[:, 0] - d[:, 0] * p[:, 1]))
+
+
+def rise_counter_verdicts(history, tolerance: float) -> list[str]:
+    """The verdict after each value of ``history`` by the counter state
+    machine: converged below the tolerance (leaving the state alone),
+    otherwise count a rise over the previous value (reset on any other
+    value, NaN included) and call five in a row diverged."""
+    previous, rises, verdicts = np.inf, 0, []
+    for value in history:
+        if value < tolerance:
+            verdicts.append("converged")
+            continue
+        rises = rises + 1 if value > previous else 0
+        previous = value
+        verdicts.append("diverged" if rises >= 5 else "continue")
+    return verdicts

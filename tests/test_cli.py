@@ -151,6 +151,8 @@ def test_parse_config_sweep(tmp_path):
     ("case = uniaxial\nstretch = nan\n", "'stretch' must be finite"),
     ("case = shear\nmesh = 0x4\n", "'mesh' needs at least one cell per direction, got 0x4"),
     ("case = shear\nsweep = 0,4\n", "'sweep' sizes must be at least 1, got 0,4"),
+    ("case = uniaxial\nstretch = 1.2\nmesh = 5x3\nsweep = 3,4\n",
+     "give 'mesh' or 'sweep', not both"),
     ("case = shear\ntolerance = -1\n", "'tolerance' must be finite and positive"),
     ("case = shear\ntolerance = 1\n", "'tolerance' must be below 1, got 1.0"),
     ("case = uniaxial\nstretch = 1.5\ntolerance = 2\n", "'tolerance' must be below 1, got 2.0"),
@@ -656,6 +658,7 @@ def test_console_script_is_main():
 @pytest.mark.parametrize("argv,message", [
     (["--method", "fem"], "unknown method 'fem'"),     # as from the file
     (["--bogus"], "unrecognized arguments: --bogus"),
+    (["--sweep", "3,4"], "give 'mesh' or 'sweep', not both"),     # over the file's mesh
 ])
 def test_main_usage_errors_exit_1(tmp_path, capsys, argv, message):
     """A usage error exits 1 with one line, like a bad file: exit 2 would

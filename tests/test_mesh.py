@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from functools import cached_property
 
 import numpy as np
@@ -41,6 +42,29 @@ def test_invalid_arguments():
         build_mesh(0, 4, 1.0, 1.0)
     with pytest.raises(ValueError, match="positive"):
         build_mesh(3, 4, 1.0, -2.0)
+
+
+@pytest.mark.parametrize("args,message", [
+    ((2, 2, np.nan, 1.0), "extents must be finite and positive, got nan x 1.0"),
+    ((2, 2, 1.0, np.inf), "extents must be finite and positive, got 1.0 x inf"),
+    ((2, 2, -np.inf, 1.0), "extents must be finite and positive, got -inf x 1.0"),
+    ((True, 2, 1.0, 1.0), "cell counts must be integers, got True x 2"),
+    ((2, np.True_, 1.0, 1.0), "cell counts must be integers, got 2 x np.True_"),
+    ((2.5, 2, 1.0, 1.0), "cell counts must be integers, got 2.5 x 2"),
+    ((2, 2.0, 1.0, 1.0), "cell counts must be integers, got 2 x 2.0"),
+    (("3", 2, 1.0, 1.0), "cell counts must be integers, got '3' x 2"),
+])
+def test_build_mesh_rejects(args, message):
+    """Non-finite extents and non-integer counts (bool included) are a
+    ValueError naming the value, not a NaN geometry, a 1-cell mesh or a
+    numpy TypeError."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_mesh(*args)
+
+
+def test_build_mesh_takes_numpy_integer_counts():
+    mesh = build_mesh(np.int64(3), np.int32(2), 1.5, 1.0)
+    assert (mesh.nx, mesh.ny, mesh.n_cells) == (3, 2, 6)
 
 
 def test_cell_volumes_fill_domain(mesh_small):

@@ -8,6 +8,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fvsolid import (
     BOTTOM,
@@ -15,6 +17,7 @@ from fvsolid import (
     RIGHT,
     TOP,
     BoundaryCondition,
+    LinearElastic,
     MMSCase,
     NeoHookean,
     SolveConfig,
@@ -25,7 +28,8 @@ from fvsolid import (
 )
 from fvsolid.assembly import DISPLACEMENT, SYMMETRY, TRACTION, build_boundary_table
 from fvsolid import assembly, linsolve, solver
-from fvsolid.solver import _Monitor, run
+from fvsolid.solver import _residual, _verdict, run
+from tests import oracles
 
 ZERO_DISPLACEMENT = {
     p: BoundaryCondition(DISPLACEMENT, (0.0, 0.0))
@@ -48,29 +52,23 @@ def mean_error(mesh, report, case):
 
 
 def test_monitor_norm_row_selection(rng):
-    """One weighted 2-norm of all rows per update; the first also fixes the
-    denominator.  A C-ordered and a component-major right-hand side give
-    the same history bit for bit, over a run of further updates."""
-    rhs, second, *later = rng.standard_normal((11, 60, 2))
+    """One weighted 2-norm of all rows per evaluation.  A C-ordered and a
+    component-major right-hand side give the same value bit for bit, over
+    a run of draws, and each is the full weighted norm."""
+    draws = rng.standard_normal((11, 60, 2))
     scale = rng.uniform(0.5, 2.0, 60)
-    full = np.linalg.norm((rhs * scale[:, None]).ravel())
-    expected = np.linalg.norm((second * scale[:, None]).ravel())
-    histories = []
+    weight = per_component(scale)
+    values = []
     for layout in (np.ascontiguousarray, np.asfortranarray):
-        monitor = _Monitor(tolerance=1e-12, floor=0.0, weight=per_component(scale))
-        monitor.update(layout(rhs))
-        assert monitor.denominator == pytest.approx(full)
-        monitor.update(layout(second))
-        assert monitor.history == pytest.approx([1.0, expected / full])
-        for values in later:
-            monitor.update(layout(values))
-        histories.append(monitor.history)
-    assert histories[0] == histories[1]
+        values.append([_residual(layout(rhs), weight) for rhs in draws])
+    assert values[0] == values[1]
+    full = [np.linalg.norm((rhs * scale[:, None]).ravel()) for rhs in draws]
+    assert values[0] == pytest.approx(full)
 
 
 def per_component(rows: np.ndarray) -> np.ndarray:
     """A per-row array once per component, in the right-hand side's
-    component-major layout, as ``run`` gives it to the monitor."""
+    component-major layout, as ``run`` gives it to ``_residual``."""
     return np.stack((rows, rows)).T
 
 
@@ -83,59 +81,119 @@ def rows(force: float, displacement: float = 0.0) -> np.ndarray:
     return np.array([[force, 0.0], [displacement / 2.0, 0.0]])
 
 
+def verdicts(evaluations, tolerance: float, denominator: float = 1.0) -> list[str]:
+    """The verdict after each evaluation of a load step, as ``run`` reaches
+    it: each right-hand side's norm over the denominator joins the
+    history, which is then judged."""
+    history, out = [], []
+    for rhs in evaluations:
+        history.append(_residual(rhs, ROW_WEIGHT) / denominator)
+        out.append(_verdict(history, tolerance))
+    return out
+
+
 def test_monitor_first_verdict_uses_all_rows():
-    monitor = _Monitor(1e-7, 1.0, ROW_WEIGHT)
     # tiny force residual but a pending boundary assignment: not converged
-    assert monitor.update(rows(1e-12, 10.0)) == "continue"
-    assert monitor.denominator == 10.0
-    assert monitor.history == [1.0]
-    # a prescribed defect still pending keeps blocking convergence ...
-    assert monitor.update(rows(1e-12, 5.0)) == "continue"
-    # ... and once the assignments are in, the run has converged
-    assert monitor.update(rows(1e-12, 0.0)) == "converged"
+    first = rows(1e-12, 10.0)
+    assert _residual(first, ROW_WEIGHT) == 10.0
+    # a prescribed defect still pending keeps blocking convergence, and
+    # once the assignments are in, the step has converged
+    assert verdicts([first, rows(1e-12, 5.0), rows(1e-12, 0.0)], 1e-7, 10.0) == [
+        "continue", "continue", "converged"]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_monitor_never_converges_on_non_finite_rows(bad):
-    """A NaN or inf in any row, force or prescribed, on the first update or
-    a later one, never reads as converged."""
+    """A NaN or inf in any row, force or prescribed, as the first value of
+    a load step or a later one, never reads as converged."""
     for bad_rows in (rows(bad), rows(1e-12, bad)):
-        monitor = _Monitor(1e-7, 1.0, ROW_WEIGHT)
-        assert monitor.update(bad_rows) != "converged"
-        monitor = _Monitor(1e-7, 1.0, ROW_WEIGHT)
-        monitor.update(rows(1.0, 10.0))
-        assert monitor.update(bad_rows) != "converged"
+        assert verdicts([bad_rows], 1e-7) != ["converged"]
+        assert verdicts([rows(1.0, 10.0), bad_rows], 1e-7, 10.0)[-1] != "converged"
 
 
-def test_monitor_floor_bounds_denominator():
-    monitor = _Monitor(1e-7, 100.0, ROW_WEIGHT)
-    monitor.update(rows(1e-3))
-    assert monitor.denominator == 100.0
+def test_monitor_floor_bounds_denominator(mesh8, neo, monkeypatch):
+    """A load step whose first weighted norm is below the force scale
+    mu * min(dx, dy) is normalised by that scale, so its first value reads
+    below 1."""
+    norms = []
+    residual = solver._residual
+
+    def recording_residual(rhs, weight):
+        norms.append(residual(rhs, weight))
+        return norms[-1]
+
+    monkeypatch.setattr(solver, "_residual", recording_residual)
+    bcs = {LEFT: BoundaryCondition(DISPLACEMENT, (0.0, 0.0)),
+           RIGHT: BoundaryCondition(TRACTION, (1.0, 0.0)),
+           BOTTOM: BoundaryCondition(TRACTION, (0.0, 0.0)),
+           TOP: BoundaryCondition(TRACTION, (0.0, 0.0))}
+    report = run(mesh8, neo, bcs, SolveConfig(max_corrections=0))
+    floor = neo.mu * min(mesh8.dx, mesh8.dy)
+    assert 0.0 < norms[0] < floor
+    assert report.residual_history == [[norms[0] / floor]]
+    assert report.residual_history[0][0] < 1.0
 
 
 def test_monitor_divergence_after_five_rises():
-    monitor = _Monitor(1e-12, 1.0, ROW_WEIGHT)
-    verdicts = [monitor.update(rows(v)) for v in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)]
-    assert verdicts[:-1] == ["continue"] * 5
-    assert verdicts[-1] == "diverged"
+    assert verdicts([rows(v) for v in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)], 1e-12) == [
+        "continue"] * 5 + ["diverged"]
     # a single drop resets the streak, so five fresh rises are needed
-    monitor = _Monitor(1e-12, 1.0, ROW_WEIGHT)
-    verdicts = [monitor.update(rows(v))
-                for v in (1.0, 2.0, 3.0, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5)]
-    assert verdicts[-2] == "continue"
-    assert verdicts[-1] == "diverged"
+    got = verdicts([rows(v) for v in (1.0, 2.0, 3.0, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5)],
+                   1e-12)
+    assert got[-2] == "continue"
+    assert got[-1] == "diverged"
+
+
+# Normalised residuals as a load step can record them: ties, zeros, NaN and
+# inf among ordinary values, in any order or rising.
+HISTORY_VALUES = st.one_of(
+    st.sampled_from([0.0, 1e-8, 1e-7, np.nan, np.inf]),
+    st.integers(0, 6).map(float),
+    st.floats(allow_nan=True, allow_infinity=True))
+HISTORIES = st.lists(HISTORY_VALUES, min_size=1, max_size=14)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(history=HISTORIES | HISTORIES.map(sorted),
+       tolerance=st.sampled_from([1e-7, 1e-12, 1.5]))
+@example(history=[1.0, 2.0, 2.0, 3.0, 4.0, 5.0, 6.0], tolerance=1e-7)
+def test_verdict_matches_the_rise_counter(history, tolerance):
+    """``_verdict`` reads only the history, yet gives the verdict of the
+    consecutive-rise counter it replaced, after every value up to and
+    including the first that ends the load step."""
+    expected = oracles.rise_counter_verdicts(history, tolerance)
+    for n, want in enumerate(expected, start=1):
+        assert _verdict(history[:n], tolerance) == want
+        if want != "continue":
+            break
+
+
+def test_seg_beam_diverges_after_five_rises():
+    """On a stiff slender beam, seg's residual rises from its first
+    correction on: the run stops after five rises with that failure."""
+    material = LinearElastic(lame_from_E_nu(200e9, 0.3, "plane_strain"))
+    bcs = {LEFT: BoundaryCondition(DISPLACEMENT, (0.0, 0.0)),
+           RIGHT: BoundaryCondition(TRACTION, (0.0, 1e4)),
+           BOTTOM: BoundaryCondition(TRACTION, (0.0, 0.0)),
+           TOP: BoundaryCondition(TRACTION, (0.0, 0.0))}
+    report = run(build_mesh(20, 4, 2.0, 0.1), material, bcs, SolveConfig(method="seg"))
+    assert not report.converged
+    assert report.failure == "residual rose over 5 consecutive corrections"
+    assert report.n_corr == [5]
+    last = report.residual_history[-1][-6:]
+    assert len(last) == 6 and all(a < b for a, b in zip(last, last[1:]))
 
 
 def test_run_weights_rows_force_like(mesh8, neo, monkeypatch):
     """The norm's row weights, set once per run: cell rows 1, prescribed
     displacement rows mu, traction and symmetry rows their face area."""
-    monitors = counting(monkeypatch, solver, "_Monitor")
+    calls = counting(monkeypatch, solver, "_residual")
     bcs = {LEFT: BoundaryCondition(DISPLACEMENT, (0.0, 0.0)),
            RIGHT: BoundaryCondition(TRACTION, (1e5, 0.0)),
            BOTTOM: BoundaryCondition(SYMMETRY),
            TOP: BoundaryCondition(TRACTION, (0.0, 0.0))}
     run(mesh8, neo, bcs, SolveConfig(max_corrections=0))
-    (_, _, weights), _ = monitors[0]
+    (_, weights), _ = calls[0]
     npt.assert_array_equal(weights[:, 0], weights[:, 1])
     weight = weights[:, 0]
     m = mesh8
@@ -148,14 +206,15 @@ def test_run_weights_rows_force_like(mesh8, neo, monkeypatch):
 
 
 def test_monitor_arrays_built_once_per_run(mesh8, neo, monkeypatch):
-    """Every load step's monitor gets the same weight array, built once per
-    run in the right-hand side's component-major layout."""
-    monitors = counting(monkeypatch, solver, "_Monitor")
+    """Every evaluation of every load step is weighted by the same array,
+    built once per run in the right-hand side's component-major layout."""
+    calls = counting(monkeypatch, solver, "_residual")
     case = MMSCase("uniaxial", DISPLACEMENT, 1.2)
     report = run(mesh8, neo, mms_bcs(case, neo), SolveConfig(method="seg", n_load_steps=3))
-    assert report.converged and len(monitors) == 3
-    (_, _, weight), _ = monitors[0]
-    for (_, _, w), _ in monitors[1:]:
+    assert report.converged and len(report.n_corr) == 3
+    assert len(calls) == sum(map(len, report.residual_history))
+    (_, weight), _ = calls[0]
+    for (_, w), _ in calls[1:]:
         assert w is weight
     assert weight.shape == (mesh8.n_unknowns, 2)
     assert all(weight[:, k].flags.c_contiguous for k in range(2))
@@ -181,14 +240,13 @@ def test_prescribed_rows_hold_after_every_correction(neo, method, monkeypatch):
     mesh = build_mesh(8, 6, 1.0, 1.0)
     prescribed = mesh.n_cells + mesh.face_boundary_index[mesh.patch_faces(LEFT)]
     defects = []
-    update = _Monitor.update
+    residual = solver._residual
 
-    def recording_update(self, rhs):
-        if self.denominator is not None:
-            defects.append(np.abs(rhs[prescribed]).max())
-        return update(self, rhs)
+    def recording_residual(rhs, weight):
+        defects.append(np.abs(rhs[prescribed]).max())
+        return residual(rhs, weight)
 
-    monkeypatch.setattr(_Monitor, "update", recording_update)
+    monkeypatch.setattr(solver, "_residual", recording_residual)
     bcs = {LEFT: BoundaryCondition(DISPLACEMENT, sign_changing_ramp),
            RIGHT: BoundaryCondition(TRACTION, (2e5, 1e5)),
            BOTTOM: BoundaryCondition(SYMMETRY),
@@ -197,6 +255,9 @@ def test_prescribed_rows_hold_after_every_correction(neo, method, monkeypatch):
     report = run(mesh, neo, bcs, SolveConfig(method=method, n_load_steps=5,
                                              max_corrections=1000))
     assert report.converged and len(report.n_corr) == 5
+    # each load step's first evaluation precedes its first correction
+    firsts = np.cumsum([0] + [len(h) for h in report.residual_history[:-1]])
+    defects = np.delete(defects, firsts)
     assert len(defects) == report.total_corrections >= 5
     assert max(defects) <= 4 * np.spacing(RAMP)
 
