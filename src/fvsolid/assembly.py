@@ -78,8 +78,8 @@ class BoundaryCondition:
     """Per-patch condition; ``value`` is a constant vector or a callable
     value(X, t) for load scalar t, called once per patch with the (n, 2)
     stack of the patch's face centroids and returning (n, 2) values or one
-    vector for the whole patch.  Only the first two components of a value
-    are read, so a third (out-of-plane) component is ignored."""
+    vector for the whole patch.  A value is finite, with 2 or 3 components
+    or one such row per face; a third (out-of-plane) component is ignored."""
 
     kind: str
     value: object = None
@@ -121,15 +121,23 @@ def build_boundary_table(mesh: CartesianMesh, bcs: dict, t: float = 1.0) -> Boun
 
 def boundary_values(mesh: CartesianMesh, bcs: dict, t: float) -> np.ndarray:
     """(n_bfaces, 2) prescribed values of a checked boundary map at load
-    factor t; a symmetry plane has none, whatever value it is given."""
+    factor t; a symmetry plane has none, whatever value it is given.  A
+    value must be finite, with 2 or 3 components or one such row per face
+    of its patch; anything else is a ValueError."""
     value = np.zeros((mesh.n_bfaces, 2))
     for patch, bc in bcs.items():
         if bc.kind == SYMMETRY or bc.value is None:
             continue
         faces = mesh.patch_faces(patch)
-        data = (bc.value(mesh.face_centroid[faces], t) if callable(bc.value)
-                else np.asarray(bc.value, dtype=float) * t)
-        value[mesh.face_boundary_index[faces]] = np.asarray(data)[..., :2]
+        data = np.asarray(bc.value(mesh.face_centroid[faces], t) if callable(bc.value)
+                          else np.asarray(bc.value, dtype=float) * t, dtype=float)
+        where = f"{bc.kind} value on patch {patch} at load factor {t:g}"
+        if data.shape not in {(2,), (3,), (len(faces), 2), (len(faces), 3)}:
+            raise ValueError(f"{where} must have 2 or 3 components or one such row "
+                             f"per face ({len(faces)} faces), got shape {data.shape}")
+        if not np.isfinite(data).all():
+            raise ValueError(f"{where} must be finite, got {data[~np.isfinite(data)][0]}")
+        value[mesh.face_boundary_index[faces]] = data[..., :2]
     return value
 
 

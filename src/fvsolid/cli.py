@@ -32,7 +32,7 @@ import typing
 from dataclasses import dataclass, replace
 
 from . import output
-from .assembly import DISPLACEMENT, RigidBodyModeError
+from .assembly import DISPLACEMENT
 from .material import LinearElastic, NeoHookean, lame_from_E_nu
 from .mesh import build_mesh
 from .solver import METHODS, SolveConfig, run
@@ -289,7 +289,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return run_case(cfg)
-    except (OSError, RigidBodyModeError) as err:
+    except (OSError, ValueError) as err:    # e.g. rigid-body modes, bad boundary values
         print(f"error: {err}", file=sys.stderr)
         return 1
 

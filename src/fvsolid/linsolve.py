@@ -16,9 +16,8 @@ already laid out in it (CSC of P A P^T, filled into
 run of corrections analyses its pattern once.  The right-hand side is
 permuted in and the solution out; the post-check's norms do not depend on
 the order.  Every 2-norm, the post-check's and the one that measures
-the solver's residual, is ``norm2``: one dot product while the sum of
-squares is finite and far above the subnormal range, the scaled form
-only outside it (the pattern of Blue's norm, ACM TOMS 4, 1978).
+the solver's residual, is ``norm2``: BLAS's ``nrm2``, which neither
+overflows nor underflows and passes NaN and inf through.
 
 SuperLU factorises in panels of ``PANEL_SIZE`` = 4 columns, a measured
 width: scipy's default of 20 is sized for larger fronts than these 2-D
@@ -29,7 +28,6 @@ corrupted the heap.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
@@ -37,16 +35,12 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.blas import dnrm2
 
 # Normwise backward error above which a solution is rejected.
 BACKWARD_ERROR_BOUND = 1e-9
 # Columns per SuperLU panel (scipy's default is 20), see the module notes.
 PANEL_SIZE = 4
-# Smallest sum of squares that ``norm2`` takes in one pass.  Below the
-# normal range each square rounds with an absolute error of at most
-# 2^-1075, so n of them move a sum of 2^-900 or more by n 2^-175 relative:
-# far under an ulp for any array that fits in memory.
-_ONE_PASS_MIN = 2.0 ** -900
 
 
 class LinearSolveError(RuntimeError):
@@ -84,23 +78,9 @@ def factorise(matrix: sp.csc_matrix, ordered: bool = False):
 
 
 def norm2(values: np.ndarray) -> float:
-    """The 2-norm of an array of any shape, without overflow or underflow
-    (Blue's pattern): one dot product while the sum of squares is finite
-    and at least ``_ONE_PASS_MIN``, else ``_scaled_norm2``; NaN gives NaN."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow takes the fallback
-        total = float(np.vdot(values, values))
-    if _ONE_PASS_MIN <= total < np.inf:
-        return math.sqrt(total)
-    return _scaled_norm2(values)
-
-
-def _scaled_norm2(values: np.ndarray) -> float:
-    """The 2-norm taken on the array divided by its largest magnitude, so
-    that no square overflows or underflows; zero, inf and NaN pass through."""
-    peak = float(np.max(np.abs(values), initial=0.0))
-    if not 0.0 < peak < np.inf:
-        return peak
-    return peak * float(np.linalg.norm(np.ravel(values) / peak))
+    """The 2-norm of an array of any shape, summed in C order: BLAS's
+    ``nrm2``, without overflow or underflow; NaN and inf pass through."""
+    return float(dnrm2(np.ravel(values)))
 
 
 def _norm_inf(matrix: sp.csc_matrix) -> float:

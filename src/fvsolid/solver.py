@@ -68,8 +68,10 @@ class SolveConfig:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         for key in ("n_load_steps", "max_corrections"):
-            if not isinstance(getattr(self, key), (int, np.integer)):
-                raise ValueError(f"{key} must be an integer, got {getattr(self, key)}")
+            value = getattr(self, key)
+            # A bool is an int to Python, but never a count.
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{key} must be an integer, got {value}")
         if self.n_load_steps < 1:
             raise ValueError(f"n_load_steps must be at least 1, got {self.n_load_steps}")
         if self.max_corrections < 0:

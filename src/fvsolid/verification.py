@@ -42,6 +42,8 @@ class MMSCase:
         if self.bc_kind not in (DISPLACEMENT, TRACTION):
             raise ValueError(f"unknown bc kind {self.bc_kind!r}")
         key = "stretch" if self.kind == UNIAXIAL else "shear_factor"
+        if isinstance(self.amplitude, (bool, np.bool_)):
+            raise ValueError(f"{key!r} must be a number, got {self.amplitude}")
         if not np.isfinite(self.amplitude):
             raise ValueError(f"{key!r} must be finite, got {self.amplitude}")
         if self.kind == UNIAXIAL and self.amplitude <= 0.0:
@@ -77,23 +79,24 @@ def mms_bcs(case: MMSCase, material) -> dict:
 
     # The patches are evaluated one after another at each load factor, so
     # one cached entry serves all three.
-    stress = {}
+    normals = {RIGHT: np.array([1.0, 0.0]), BOTTOM: np.array([0.0, -1.0]),
+               TOP: np.array([0.0, 1.0])}
+    tractions = {}
 
-    def traction_for(normal):
+    def traction_on(patch):
         def value(x, t):
-            if t not in stress:
-                stress.clear()
+            if t not in tractions:
+                tractions.clear()
                 grad = mms_deformation_gradient(case, t) - IDENTITY
-                stress[t] = material.stress_state(grad)[1]
-            return stress[t] @ normal
+                # A traction that overflows is left to the boundary table to refuse.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    stress = material.stress_state(grad)[1]
+                    tractions[t] = {p: stress @ normal for p, normal in normals.items()}
+            return tractions[t][patch]
         return value
 
-    return {
-        LEFT: BoundaryCondition(DISPLACEMENT, dirichlet),
-        RIGHT: BoundaryCondition(TRACTION, traction_for(np.array([1.0, 0.0]))),
-        BOTTOM: BoundaryCondition(TRACTION, traction_for(np.array([0.0, -1.0]))),
-        TOP: BoundaryCondition(TRACTION, traction_for(np.array([0.0, 1.0]))),
-    }
+    return {LEFT: BoundaryCondition(DISPLACEMENT, dirichlet),
+            **{p: BoundaryCondition(TRACTION, traction_on(p)) for p in normals}}
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ boundary-condition kind at a random nonlinear state.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -143,6 +144,62 @@ def test_boundary_table_callable_values(mesh_small):
     b = mesh_small.face_boundary_index[faces]
     npt.assert_allclose(table.value[b, 0],
                         2.0 * mesh_small.face_centroid[faces, 0])
+
+
+# A 4x2 beam: two faces on LEFT and RIGHT, four on TOP and BOTTOM.
+BEAM_4X2 = build_mesh(4, 2, 2.0, 0.1)
+ROWS = np.arange(8.0).reshape(4, 2) / 10.0
+
+
+@pytest.mark.parametrize("value, expected", [
+    ((0.3, -0.2), np.multiply((0.3, -0.2), 0.5)),
+    ((0.3, -0.2, 9.0), np.multiply((0.3, -0.2), 0.5)),
+    (ROWS, 0.5 * ROWS),
+    (np.column_stack((ROWS, np.ones(4))), 0.5 * ROWS),
+    (lambda x, t: np.array([0.3, -0.2]), [0.3, -0.2]),
+    (lambda x, t: np.array([0.3, -0.2, 9.0]), [0.3, -0.2]),
+    (lambda x, t: t * x, 0.5 * BEAM_4X2.face_centroid[BEAM_4X2.patch_faces(TOP)]),
+    (lambda x, t: np.column_stack((x, x[:, 0])),
+     BEAM_4X2.face_centroid[BEAM_4X2.patch_faces(TOP)]),
+], ids=["vector", "vector3", "rows", "rows3", "callable-vector", "callable-vector3",
+        "callable-rows", "callable-rows3"])
+def test_boundary_table_takes_vectors_and_face_rows(value, expected):
+    """A 2- or 3-vector, or one such row per face, constant (scaled by the
+    load factor) or from a callable, sets the patch's in-plane rows."""
+    bcs = dict(BEAM)
+    bcs[TOP] = BoundaryCondition(TRACTION, value)
+    table = build_boundary_table(BEAM_4X2, bcs, t=0.5)
+    npt.assert_array_equal(table.value[bfaces(BEAM_4X2, TOP)],
+                           np.broadcast_to(expected, (4, 2)))
+
+
+def _shape_message(faces, shape):
+    return re.escape(f"must have 2 or 3 components or one such row per face "
+                     f"({faces} faces), got shape {shape}")
+
+
+@pytest.mark.parametrize("patch, kind, value, message", [
+    (RIGHT, TRACTION, [5.0], _shape_message(2, (1,))),
+    (RIGHT, TRACTION, [1.0, 2.0, 3.0, 4.0], _shape_message(2, (4,))),
+    (TOP, TRACTION, lambda x, t: x[:, 0], _shape_message(4, (4,))),
+    (RIGHT, TRACTION, 5.0, _shape_message(2, ())),
+    (TOP, TRACTION, lambda x, t: np.zeros((3, 2)), _shape_message(4, (3, 2))),
+    (TOP, TRACTION, np.zeros((4, 4)), _shape_message(4, (4, 4))),
+    (RIGHT, TRACTION, [np.nan, 0.0], "must be finite, got nan"),
+    (LEFT, DISPLACEMENT, (0.0, 0.0, -np.inf), "must be finite, got -inf"),
+    (TOP, TRACTION, lambda x, t: np.where(x > 1.0, np.inf, 0.0), "must be finite, got inf"),
+], ids=["one-component", "four-components", "number-per-face", "scalar", "rows-short",
+        "rows-wide", "nan", "inf-third-component", "inf-row"])
+def test_boundary_table_rejects_bad_values(patch, kind, value, message):
+    """Any other value is refused, naming its patch, kind and load factor.
+    They used to be read: [5.0] as (5, 5) on every face, [1, 2, 3, 4] as
+    (1, 2), a number per face as one 2-vector from its first two entries;
+    5.0 raised numpy's IndexError and [nan, 0] ran to a backward error nan."""
+    bcs = dict(BEAM)
+    bcs[patch] = BoundaryCondition(kind, value)
+    with pytest.raises(ValueError,
+                       match=f"^{kind} value on patch {patch} at load factor 0.5 {message}$"):
+        build_boundary_table(BEAM_4X2, bcs, t=0.5)
 
 
 def test_boundary_table_matches_per_face_evaluation():

@@ -538,6 +538,17 @@ def test_main_rejects_beam_with_free_rotation(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_main_rejects_overflowing_exact_traction(tmp_path, capsys):
+    """At stretch 1e305 the manufactured traction overflows: exit 1 with the
+    boundary table's one line, and no RuntimeWarning on the way (pytest
+    makes one an error).  It used to warn three times and exit 2 on a
+    backward error nan."""
+    path = write_cfg(tmp_path, "case = uniaxial\nbc = traction\nstretch = 1e305\nmesh = 4x4\n")
+    assert main(["--config", path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == ("error: traction value on patch 1 at load "
+                                       "factor 1 must be finite, got inf\n")
+
+
 def test_main_rejects_beam_load_below_its_reference(tmp_path, capsys):
     """A cantilever load so small that its thin-beam deflection underflows
     to 0 leaves the relative error undefined: exit 1 with one line before

@@ -93,38 +93,35 @@ def test_norm2_passes_zero_inf_and_nan_through():
     assert np.isnan(linsolve.norm2(np.array([1.0, np.nan, np.inf])))
 
 
-def test_norm2_one_pass_is_as_accurate_as_scaled_form(rng):
-    """On random arrays of 1 to 700 entries at magnitudes from 1e-150 to
-    1e150, the norm is within 2 ulp of the exact one (60 decimal digits);
-    the scaled form's worst there is 3 ulp, so the two can differ by 4."""
+def _random_arrays(rng):
     for _ in range(300):
         size = int(rng.integers(1, 700))
-        values = (10.0 ** rng.uniform(-150.0, 150.0)
-                  * rng.standard_normal(size) * 10.0 ** rng.uniform(-3.0, 3.0, size))
+        yield (10.0 ** rng.uniform(-150.0, 150.0)
+               * rng.standard_normal(size) * 10.0 ** rng.uniform(-3.0, 3.0, size))
+
+
+# Edge arrays: sums of squares just inside and just below 2^-900, and just
+# inside and just past overflow, where a plain sum of squares reads inf.
+_TINY = np.sqrt(2.0 ** -900 / 4)
+_HUGE = np.sqrt(np.finfo(float).max / 4)
+
+
+@pytest.mark.parametrize("values", [
+    None,
+    np.full(4, _TINY),
+    np.full(4, 0.99 * _TINY),
+    np.full(4, _HUGE) * [1.0, 1.0, 1.0, 0.99],
+    np.full(4, _HUGE) * [1.0, 1.0, 1.0, 1.01],
+], ids=["random", "low_inside", "low_below", "high_inside", "high_overflows"])
+def test_norm2_is_within_2_ulp_of_exact(rng, values):
+    """The norm is within 2 ulp of the exact one (60 decimal digits): at
+    the four edge arrays, and with ``random`` on 300 arrays of 1 to 700
+    entries at magnitudes from 1e-150 to 1e150."""
+    for values in _random_arrays(rng) if values is None else [values]:
         with localcontext() as context:
             context.prec = 60
             exact = float(sum(Decimal(value) ** 2 for value in values.tolist()).sqrt())
         assert abs(linsolve.norm2(values) - exact) <= 2 * np.spacing(exact)
-        assert abs(linsolve._scaled_norm2(values) - exact) <= 3 * np.spacing(exact)
-
-
-@pytest.mark.parametrize("values, one_pass", [
-    (np.full(4, np.sqrt(linsolve._ONE_PASS_MIN / 4)), True),
-    (np.full(4, 0.99 * np.sqrt(linsolve._ONE_PASS_MIN / 4)), False),
-    (np.full(4, np.sqrt(np.finfo(float).max / 4)) * [1.0, 1.0, 1.0, 0.99], True),
-    (np.full(4, np.sqrt(np.finfo(float).max / 4)) * [1.0, 1.0, 1.0, 1.01], False),
-], ids=["low_inside", "low_below", "high_inside", "high_overflows"])
-def test_norm2_takes_scaled_form_outside_thresholds(monkeypatch, values, one_pass):
-    """A sum of squares below ``_ONE_PASS_MIN`` or past overflow takes the
-    scaled form, one just inside either end takes the one-pass sum; both
-    give the norm to 2 ulp."""
-    calls = []
-    scaled = linsolve._scaled_norm2
-    monkeypatch.setattr(linsolve, "_scaled_norm2",
-                        lambda v: calls.append(v) or scaled(v))
-    norm = linsolve.norm2(values)
-    assert calls == ([] if one_pass else [values])
-    assert abs(norm - scaled(values)) <= 2 * np.spacing(norm)
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-170])

@@ -402,11 +402,16 @@ def test_unknown_method_rejected(mesh8, neo):
     (dict(n_load_steps=2.0), "n_load_steps must be an integer, got 2.0"),
     (dict(n_load_steps=2.5), "n_load_steps must be an integer, got 2.5"),
     (dict(max_corrections=2.5), "max_corrections must be an integer, got 2.5"),
+    (dict(n_load_steps=True), "n_load_steps must be an integer, got True"),
+    (dict(max_corrections=False), "max_corrections must be an integer, got False"),
+    (dict(n_load_steps=np.True_), "n_load_steps must be an integer, got True"),
+    (dict(max_corrections=np.False_), "max_corrections must be an integer, got False"),
 ])
 def test_solve_config_rejects(kwargs, message):
     """The library refuses what the CLI refuses, at construction: a count
-    that is not an integer, a negative budget, a relaxation that would fold
-    an element or never move, and a tolerance that could never be met."""
+    that is not an integer (a bool, numpy's included, is not one), a
+    negative budget, a relaxation that would fold an element or never move,
+    and a tolerance that could never be met."""
     with pytest.raises(ValueError, match=message):
         SolveConfig(**kwargs)
 

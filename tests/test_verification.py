@@ -127,6 +127,11 @@ def test_mms_case_validation():
         MMSCase("bending", DISPLACEMENT, 1.0)
     with pytest.raises(ValueError, match="unknown bc kind"):
         MMSCase("shear", SYMMETRY, 0.45)
+    # A bool is a number to Python and numpy, but never an amplitude.
+    for kind, key in (("uniaxial", "stretch"), ("shear", "shear_factor")):
+        for flag in (True, False, np.True_, np.False_):
+            with pytest.raises(ValueError, match=f"'{key}' must be a number, got {flag}"):
+                MMSCase(kind, TRACTION, flag)
 
 
 @pytest.mark.parametrize("bc_kind", [DISPLACEMENT, TRACTION])
