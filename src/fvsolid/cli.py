@@ -287,9 +287,21 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    # The output directories that this run creates, deepest first.
+    created = []
+    path = os.path.abspath(cfg.out)
+    while not os.path.exists(path):
+        created.append(path)
+        path = os.path.dirname(path)
     try:
         return run_case(cfg)
     except (OSError, ValueError) as err:    # e.g. rigid-body modes, bad boundary values
+        # Leave none of them behind if empty; rmdir never removes a file.
+        for path in created:
+            try:
+                os.rmdir(path)
+            except OSError:
+                break
         print(f"error: {err}", file=sys.stderr)
         return 1
 

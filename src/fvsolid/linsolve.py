@@ -1,13 +1,33 @@
 """Linear solution of the assembled systems.
 
 Every matrix is held in scalar CSC form (the coupled one with its 2x2
-blocks flattened, as the assembly stores it) and solved by one path: a
-sparse LU factorisation in SuperLU's symmetric mode for the structurally
-symmetric stencil (diagonal pivots), one triangular solve, and a
-backward-error post-check.  The one solve suffices: on the package's
-systems its backward error is at roundoff (at most 2e-15 measured).  A
-tiny static pivot or an exactly singular matrix fails the solve; there
-is no partial-pivoting retry.
+blocks flattened, as the assembly stores it) and solved with a sparse LU
+factor from SuperLU's symmetric mode for the structurally symmetric
+stencil (diagonal pivots).  A fresh factor makes one triangular solve,
+and a backward-error post-check guards it.  The one solve suffices: on
+the package's systems its backward error is at roundoff (at most 2e-15
+measured).  A tiny static pivot or an exactly singular matrix fails the
+solve; there is no partial-pivoting retry.
+
+A coupled run keeps its latest factor F (``KeptFactor``) and solves each
+later correction's exact system by stationary iterative refinement,
+x <- x + F^-1 (b - A x) from x = 0: successive Newton matrices of a run
+differ little, so F is a strong preconditioner (Kelley 2003, the chord
+and Shamanskii methods), and refinement reaches a direct solve's
+backward error (Higham 2002, ch. 12).  It is accepted at a backward
+error of at most ``REFINE_BOUND`` = 1e-14.  An attempt makes at most
+``REFINE_SOLVES`` = 8 triangular solves and stops as soon as it
+contracts too slowly: once its backward error is not below
+``REFINE_DROP`` = 0.1 of its first, or the last step's rate predicts
+more than 8 solves.  The matrix is then factorised afresh (one solve,
+post-checked) and that factor is kept; the old one is released first,
+so two factors are never alive at once.  A ``nlbc-load-steps`` run (16²,
+40 load steps) makes 26-33 factorisations for 80-81 corrections, and a
+refined correction about 5 triangular solves of 69 us (a factorisation
+takes 0.93 ms).  Measured in-process medians: at 64² (traction 1.5, 4
+load steps) 4 or 6 solves per attempt cost 27 % or 5 % more time than
+8, and 12 saved nothing; ``REFINE_DROP`` at 0.03, 0.3 or off moved it by
+at most 3 %; at 16² every setting was within 1 %.
 
 The column order is minimum degree on A+A^T, unless the caller passes the
 order of an earlier factor of the same pattern: then the matrix is
@@ -15,7 +35,9 @@ already laid out in it (CSC of P A P^T, filled into
 ``BlockPattern.ordered(order)``) and SuperLU keeps it (``NATURAL``), so a
 run of corrections analyses its pattern once.  The right-hand side is
 permuted in and the solution out; the post-check's norms do not depend on
-the order.  Every 2-norm, the post-check's and the one that measures
+the order.  A run's first factor is of the natural layout, so refinement
+with it permutes each step's residual out of the re-laid order and the
+step back in.  Every 2-norm, the post-check's and the one that measures
 the solver's residual, is ``norm2``: BLAS's ``nrm2``, which neither
 overflows nor underflows and passes NaN and inf through.
 
@@ -41,6 +63,12 @@ from scipy.linalg.blas import dnrm2
 BACKWARD_ERROR_BOUND = 1e-9
 # Columns per SuperLU panel (scipy's default is 20), see the module notes.
 PANEL_SIZE = 4
+# Refinement with a kept factor, see the module notes: the backward error
+# that accepts a refined solution, the triangular solves per attempt, and
+# the fraction of its first backward error that an attempt must get below.
+REFINE_BOUND = 1e-14
+REFINE_SOLVES = 8
+REFINE_DROP = 0.1
 
 
 class LinearSolveError(RuntimeError):
@@ -52,6 +80,16 @@ class LinearSolution:
     x: np.ndarray
     residual: float                 # achieved normwise backward error
     order: np.ndarray | None = None  # the factor's column order (perm_c)
+
+
+@dataclass(slots=True)
+class KeptFactor:
+    """What a coupled run keeps between its solves.  The slots are released
+    in their order, the factor before the matrix."""
+    lu: object = None               # the latest factor
+    natural: bool = False           # lu factorises the natural layout
+    order: np.ndarray | None = None  # the first factor's column order
+    matrix: sp.csc_matrix | None = None  # the run's matrix, refilled in place
 
 
 def equilibrate(matrix: sp.spmatrix):
@@ -89,12 +127,54 @@ def _norm_inf(matrix: sp.csc_matrix) -> float:
     return float(np.bincount(matrix.indices, np.abs(matrix.data)).max())
 
 
+def _backward_error(matrix: sp.csc_matrix, x: np.ndarray, rhs: np.ndarray,
+                    norm_a: float, norm_rhs: float) -> tuple[float, np.ndarray]:
+    """Normwise backward error of x, and the residual rhs - A x."""
+    residual = rhs - matrix @ x
+    return norm2(residual) / (norm_a * norm2(x) + norm_rhs), residual
+
+
+def _refine(kept: KeptFactor, matrix: sp.csc_matrix, rhs: np.ndarray,
+            norm_a: float, norm_rhs: float):
+    """x and its backward error by refinement with the kept factor, or
+    None once the attempt contracts too slowly (see the module notes).
+    The rate test raises no rate of 1 or more to a power, and takes no
+    logarithm."""
+    lu, order = kept.lu, kept.order
+    correction = lu.solve
+    if kept.natural:
+        # The first factor's layout is natural, the re-laid matrix's is not.
+        def correction(r):
+            step = np.empty_like(r)
+            step[order] = lu.solve(r[order])
+            return step
+
+    x, residual = np.zeros_like(rhs), rhs
+    for k in range(REFINE_SOLVES):
+        x += correction(residual)
+        backward, residual = _backward_error(matrix, x, rhs, norm_a, norm_rhs)
+        if backward <= REFINE_BOUND:
+            return x, backward
+        if k == 0:
+            first = backward
+        elif not (backward < REFINE_DROP * first and backward < last
+                  and backward * (backward / last) ** (REFINE_SOLVES - 1 - k) <= REFINE_BOUND):
+            return None
+        last = backward
+    return None
+
+
 def solve(matrix: sp.spmatrix, rhs: np.ndarray,
-          order: np.ndarray | None = None) -> LinearSolution:
+          order: np.ndarray | KeptFactor | None = None) -> LinearSolution:
     """Solve A x = rhs, returning x, its backward error and the factor's
     column order.  ``matrix`` is taken to CSC (the assembly's form).  Given
     ``order``, it is the CSC form of P A P^T in that order (entry
-    (order[i], order[j]) is A's (i, j)); rhs and x keep A's order."""
+    (order[i], order[j]) is A's (i, j)); rhs and x keep A's order.
+
+    ``order`` may be a run's ``KeptFactor`` instead, whose order it is
+    then: its factor is refined first, and a fresh factor is kept in it."""
+    kept = order if isinstance(order, KeptFactor) else KeptFactor(order=order)
+    order = kept.order
     matrix = matrix.tocsc()
     rhs = np.asarray(rhs, dtype=float).ravel()
     norm_rhs = norm2(rhs)
@@ -104,7 +184,13 @@ def solve(matrix: sp.spmatrix, rhs: np.ndarray,
         permuted = np.empty_like(rhs)
         permuted[order] = rhs
         rhs = permuted
+    norm_a = _norm_inf(matrix)
 
+    refined = None if kept.lu is None else _refine(kept, matrix, rhs, norm_a, norm_rhs)
+    if refined is not None:
+        x, backward = refined
+        return LinearSolution(x[order], backward, order)
+    kept.lu = None                  # no second factor alive while splu runs
     try:
         lu = factorise(matrix, order is not None)
     except RuntimeError as err:     # SuperLU: "Factor is exactly singular"
@@ -114,12 +200,14 @@ def solve(matrix: sp.spmatrix, rhs: np.ndarray,
     # Backward-error post-check: robust to the mixed row scales of the
     # assembled systems, tight for any honestly solved one.  Written so
     # that a NaN backward error fails it.
-    backward = norm2(matrix @ x - rhs) / (_norm_inf(matrix) * norm2(x) + norm_rhs)
+    backward, _ = _backward_error(matrix, x, rhs, norm_a, norm_rhs)
     if not backward <= BACKWARD_ERROR_BOUND:
         raise LinearSolveError(f"direct post-check failed: backward error {backward:.3e}")
+    kept.lu, kept.natural = lu, order is None
     if order is None:
         # A copy: perm_c is a view that keeps the whole factor alive.
-        return LinearSolution(x, backward, lu.perm_c.copy())
+        kept.order = lu.perm_c.copy()
+        return LinearSolution(x, backward, kept.order)
     return LinearSolution(x[order], backward, order)
 
 

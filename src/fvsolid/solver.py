@@ -8,10 +8,12 @@ methods differ only in how they turn that evaluation into an increment,
 with a set-up done once per run:
 
 - ``nlbc``: Newton-Raphson on the momentum residual, one block-coupled
-  ``linsolve.solve`` (symmetric-mode LU, post-checked) per correction; the
-  block matrix is assembled only for a correction that is solved, never
-  for the converged check that ends a load step, and from the second
-  correction of a run on in the first factor's column order
+  ``linsolve.solve`` per correction: refinement with the run's latest
+  factor, or a fresh symmetric-mode LU with its post-check once that
+  stops contracting; the block matrix is assembled only for a correction
+  that is solved, never for the converged check that ends a load step,
+  and from the second correction of a run on in the first factor's
+  column order
 - ``bc``: the same linearisation with the material replaced by its
   small-strain linear counterpart, so one correction solves the problem
 - ``seg``: one constant implicit operator for both components (scalar
@@ -132,28 +134,28 @@ def _coupled(mesh: CartesianMesh, material, table: BoundaryTable,
     if one is given, and solves it.  The stored pattern is the mesh's, and
     the row weights are the table's, which every load step shares.  The
     first factorisation orders the pattern by minimum degree; the second
-    re-lays the pattern in that order, and every later matrix is filled
-    straight into it.
+    correction re-lays the pattern in that order, and every later matrix
+    is filled straight into it.
     Each pattern gets one CSC matrix, built by its first assembly and
     refilled in place by every later one (``assemble_system``'s ``out``).
+    The run's ``linsolve.KeptFactor`` holds that matrix, the column order
+    and the latest factor, which later corrections refine with.
     The block system is interleaved (one 2x2 block per unknown pair): the
     right-hand side is copied into that order once, and the solution back
     to component-major once.
     """
     pattern = mesh.jacobian_pattern
-    order = None                    # the first factor's column order
-    matrix = None                   # the current pattern's matrix
+    kept = linsolve.KeptFactor()
 
     def solve(f_face, rhs: np.ndarray, dump_dir: str | None) -> np.ndarray:
-        nonlocal pattern, order, matrix
-        if order is not None and pattern is mesh.jacobian_pattern:
-            pattern, matrix = pattern.ordered(order), None
-        matrix = assemble_system(mesh, material, table, f_face, pattern, matrix)
+        nonlocal pattern
+        if kept.order is not None and pattern is mesh.jacobian_pattern:
+            pattern, kept.matrix = pattern.ordered(kept.order), None
+        kept.matrix = assemble_system(mesh, material, table, f_face, pattern, kept.matrix)
         flat = rhs.ravel()
         if dump_dir:
-            linsolve.dump_system(dump_dir, matrix, flat)
-        solution = linsolve.solve(matrix, flat, order)
-        order = solution.order
+            linsolve.dump_system(dump_dir, kept.matrix, flat)
+        solution = linsolve.solve(kept.matrix, flat, kept)
         return np.asfortranarray(solution.x.reshape(-1, 2))     # component-major
 
     return solve
@@ -221,7 +223,7 @@ def run(mesh: CartesianMesh, material, bcs: dict, cfg: SolveConfig) -> RunReport
     for step in range(cfg.n_load_steps):
         if step > 0:
             table = replace(table, value=boundary_values(
-                mesh, bcs, (step + 1) / cfg.n_load_steps))
+                mesh, bcs, (step + 1) / cfg.n_load_steps, table.constant))
         history: list[float] = []
         corrections = 0
         while True:

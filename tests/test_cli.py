@@ -20,6 +20,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fvsolid import cli
 from fvsolid import (MMSCase, SolveConfig, build_mesh, cantilever_deflection,
                      lame_from_E_nu, mms_bcs, run)
 from fvsolid.assembly import assemble_system, build_boundary_table, face_states
@@ -678,6 +679,32 @@ def test_main_usage_errors_exit_1(tmp_path, capsys, argv, message):
     assert main(["--config", path, "--out", str(tmp_path / "out"), *argv]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_main_refused_run_leaves_no_directory_it_made(tmp_path, capsys, monkeypatch):
+    """A run that the boundary table refuses exits 1 and removes the empty
+    output directories that it made, nested ones too.  A directory that was
+    there before stays, and so does one that holds a file."""
+    path = write_cfg(tmp_path, "case = cantilever\nmesh = 10x1\n")
+    assert main(["--config", path, "--out", str(tmp_path / "a" / "b" / "out")]) == 1
+    assert "rigid-body mode" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    assert main(["--config", path, "--out", str(existing / "out")]) == 1
+    assert "rigid-body mode" in capsys.readouterr().err
+    assert list(existing.iterdir()) == []
+
+    def refused_after_a_write(cfg):
+        Path(cfg.out).mkdir(parents=True)
+        (Path(cfg.out) / "deformed.vtk").write_text("")
+        raise ValueError("refused after a write")
+
+    monkeypatch.setattr(cli, "run_case", refused_after_a_write)
+    assert main(["--config", path, "--out", str(existing / "a" / "out")]) == 1
+    assert capsys.readouterr().err == "error: refused after a write\n"
+    assert [p.name for p in (existing / "a" / "out").iterdir()] == ["deformed.vtk"]
 
 
 def test_main_requires_config_flag(capsys):

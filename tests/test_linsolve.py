@@ -255,6 +255,74 @@ def test_ordered_path_failures_are_fatal(monkeypatch, dense, message):
     assert calls[0]["diag_pivot_thresh"] == 0.0
 
 
+# Unknown 0 couples to both others, so minimum degree eliminates it last.
+ARROW = np.array([[4.0, 1.0, 1.0], [1.0, 3.0, 0.0], [1.0, 0.0, 2.0]])
+
+
+def kept_arrow_factor() -> linsolve.KeptFactor:
+    """A run's kept factor after its first solve, of ``ARROW`` in its
+    natural layout: every later matrix of the run comes laid out in that
+    factor's order, which is not the identity."""
+    kept = linsolve.KeptFactor()
+    linsolve.solve(sp.csc_matrix(ARROW), [1.0, 1.0, 1.0], kept)
+    assert kept.natural and kept.order[0] == 2
+    return kept
+
+
+@pytest.mark.parametrize("dense,rhs,message", [
+    (np.array([[4.0, 1.0, 0.0], [1.0, -3.0, 1.0], [0.0, 1.0, 5.0]]), [1.0, 2.0, 3.0], None),
+    (np.where(np.eye(3, dtype=bool), 1e-20, 1.0), [1.0, 2.0, 3.0], "direct post-check failed"),
+    (np.ones((3, 3)), [1.0, 2.0, 3.0], "exactly singular"),
+    (ARROW, [1.0, np.nan, 3.0], "backward error nan"),
+], ids=["far", "tiny-pivot", "singular", "nan-rhs"])
+def test_kept_factor_falls_back_to_a_fresh_one(monkeypatch, dense, rhs, message):
+    """Refinement with a kept factor far from the matrix stops at once
+    (its backward error does not fall), and the matrix is factorised afresh
+    in the kept order: the fresh factor passes the 1e-9 post-check and is
+    kept instead, or fails like any fresh factor, a tiny static pivot or an
+    exact singularity as a LinearSolveError.  A NaN fails the post-check
+    too, with no warning on the way (pytest makes one an error)."""
+    kept = kept_arrow_factor()
+    order = kept.order
+    inverse = np.argsort(order)
+    matrix = sp.csc_matrix(dense[np.ix_(inverse, inverse)])   # (P A P^T)
+    calls = []
+    splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(kwargs)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    if message is not None:
+        with pytest.raises(linsolve.LinearSolveError, match=message):
+            linsolve.solve(matrix, rhs, kept)
+    else:
+        first = kept.lu
+        solution = linsolve.solve(matrix, rhs, kept)
+        npt.assert_allclose(solution.x, np.linalg.solve(dense, rhs), rtol=1e-14)
+        assert solution.residual <= linsolve.BACKWARD_ERROR_BOUND
+        assert kept.lu is not first and not kept.natural
+        npt.assert_array_equal(kept.order, order)
+    assert len(calls) == 1
+    assert calls[0]["permc_spec"] == "NATURAL"
+
+
+def test_kept_factor_refines_a_nearby_matrix(rng):
+    """A kept factor of a nearby matrix solves without a factorisation, to
+    a backward error of at most ``REFINE_BOUND``, and stays kept: the
+    natural-layout first factor refines the matrix re-laid in its order."""
+    dense = ARROW + 1e-3 * rng.standard_normal((3, 3))
+    kept = kept_arrow_factor()
+    first = kept.lu
+    inverse = np.argsort(kept.order)
+    rhs = np.array([1.0, -2.0, 0.5])
+    solution = linsolve.solve(sp.csc_matrix(dense[np.ix_(inverse, inverse)]), rhs, kept)
+    assert kept.lu is first
+    assert solution.residual <= linsolve.REFINE_BOUND
+    npt.assert_allclose(solution.x, np.linalg.solve(dense, rhs), rtol=1e-13)
+
+
 # Factorises a 16x16 coupled matrix 300 times through linsolve.factorise,
 # alternately ordering it by minimum degree and re-laid in that order,
 # then exits.
