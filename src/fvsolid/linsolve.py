@@ -1,9 +1,9 @@
 """Linear solution of the assembled systems.
 
-Every matrix is held in scalar CSC form (the coupled one with its 2x2
-blocks flattened, as the assembly stores it) and solved with a sparse LU
-factor from SuperLU's symmetric mode for the structurally symmetric
-stencil (diagonal pivots).  A fresh factor makes one triangular solve,
+The coupled matrix is held in scalar CSC form (its 2x2 blocks flattened,
+as the assembly stores it) and solved with a sparse LU factor from
+SuperLU's symmetric mode for the structurally symmetric stencil
+(diagonal pivots).  A fresh factor makes one triangular solve,
 and a backward-error post-check guards it.  The one solve suffices: on
 the package's systems its backward error is at roundoff (at most 2e-15
 measured).  A tiny static pivot or an exactly singular matrix fails the
@@ -46,6 +46,13 @@ width: scipy's default of 20 is sized for larger fronts than these 2-D
 systems have.  ``relax`` stays at SuperLU's default of 10; neither
 setting is raised above scipy's defaults, as relax 50 with panels of 40
 corrupted the heap.
+
+The segregated method's constant operator needs no factor.  On the
+uniform mesh its cell block is a separable Laplacian, c ((dy/dx) I x T_nx
++ (dx/dy) T_ny x I) with cells numbered x-fastest, and ``sine_basis``
+gives T_n's eigenpairs in closed form, so fast diagonalisation (Lynch,
+Rice & Thomas 1964; Buzbee, Golub & Nielson 1970) inverts it exactly
+with four dense products per solve.
 """
 
 from __future__ import annotations
@@ -113,6 +120,20 @@ def factorise(matrix: sp.csc_matrix, ordered: bool = False):
     return spla.splu(matrix, permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A",
                      diag_pivot_thresh=0.0, panel_size=PANEL_SIZE,
                      options=dict(SymmetricMode=True))
+
+
+def sine_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthogonal S and eigenvalues lam of T_n = tridiag(1, -2, 1) with -3
+    in both corners (-4 when n = 1), the 1-D cell Laplacian with a boundary
+    value half a cell beyond each end: S T_n S^T = diag(lam).  Row k - 1 of
+    S is mode k = 1..n, sqrt(2/n) sin(k pi (2j + 1) / 2n) over cells j, and
+    the last row is divided by sqrt(2); lam_k = -4 sin^2(k pi / 2n) < 0.
+    The angle is reduced modulo 2 pi in integers before the sine."""
+    k = np.arange(1, n + 1)
+    angle = k[:, None] * (2 * np.arange(n) + 1) % (4 * n)
+    basis = np.sqrt(2.0 / n) * np.sin(np.pi / (2 * n) * angle)
+    basis[-1] /= np.sqrt(2.0)
+    return basis, -4.0 * np.sin(np.pi / (2 * n) * k) ** 2
 
 
 def norm2(values: np.ndarray) -> float:

@@ -17,11 +17,13 @@ with a set-up done once per run:
 - ``bc``: the same linearisation with the material replaced by its
   small-strain linear counterpart, so one correction solves the problem
 - ``seg``: one constant implicit operator for both components (scalar
-  Laplacian, identity boundary rows), factorised (symmetric-mode LU) once
-  per run, boundary kinds entering only as a right-hand-side step, all
-  coupling evaluated from the previous iterate, and a fixed under-relaxation
-  on the update of the force-balance unknowns (prescribed boundary values
-  are assignments and take their full solved value)
+  Laplacian, identity boundary rows), built once per run and inverted
+  exactly by fast diagonalisation, with no factorisation (on the uniform
+  mesh the Laplacian is separable), boundary kinds entering only as a
+  right-hand-side step, all coupling evaluated from the previous iterate,
+  and a fixed under-relaxation on the update of the force-balance
+  unknowns (prescribed boundary values are assignments and take their
+  full solved value)
 
 Residual bookkeeping: the assembly returns each evaluation's right-hand
 side and only the loop measures it, by one force-like norm of all rows
@@ -163,27 +165,38 @@ def _coupled(mesh: CartesianMesh, material, table: BoundaryTable,
 
 def _segregated(mesh: CartesianMesh, material, table: BoundaryTable,
                 force_rows: np.ndarray, cfg: SolveConfig):
-    """seg: one scalar operator for both components, factorised once per
-    run, with relaxed force rows.  The dumped system is that operator and
-    the x-component's stepped right-hand side.  The step, scale and
-    relaxation arrays are component-major like the right-hand side, and
-    SuperLU solves and returns both components that way."""
-    operator, step = assemble_scalar_operator(mesh, table, 2.0 * material.mu + material.lam)
-    # Equilibrate before factorising: the identity boundary rows are tiny
-    # next to the Laplacian rows and would otherwise soak up the
-    # elimination noise of the stiff rows.
-    matrix, row_scale = linsolve.equilibrate(operator)
-    factor = linsolve.factorise(matrix)
-    scale = row_scale[:, None] * step
+    """seg: one scalar operator for both components, inverted exactly by
+    fast diagonalisation (``linsolve.sine_basis``), with relaxed force
+    rows.  The dumped system is that operator and the x-component's stepped
+    right-hand side.  The step and relaxation arrays are component-major
+    like the right-hand side.
+
+    The boundary rows are identity rows, so a solve takes x_b = (step rhs)_b
+    and then x_c = L_cc^-1 ((step rhs)_c - L_cb x_b), where the cell block
+    L_cc = c ((dy/dx) I x T_nx + (dx/dy) T_ny x I) of the uniform mesh is
+    applied in the sine bases of both directions, on the (2, ny, nx) view
+    of the cell rows: S_y^T ((S_y R S_x^T) / eigenvalues) S_x.
+    """
+    coefficient = 2.0 * material.mu + material.lam
+    operator, step = assemble_scalar_operator(mesh, table, coefficient)
+    n, shape = mesh.n_cells, (2, mesh.ny, mesh.nx)
+    coupling = operator[:n, n:]                         # L_cb
+    basis_x, lam_x = linsolve.sine_basis(mesh.nx)
+    basis_y, lam_y = linsolve.sine_basis(mesh.ny)
+    eigenvalues = coefficient * (mesh.dy / mesh.dx * lam_x + mesh.dx / mesh.dy * lam_y[:, None])
     # Prescribed-displacement rows are assignments of known values; only
     # the force-balance unknowns are under-relaxed.
-    relax = np.ones_like(scale)
+    relax = np.ones_like(step)
     relax[force_rows] = cfg.relaxation
 
     def solve(f_face, rhs: np.ndarray, dump_dir: str | None) -> np.ndarray:
         if dump_dir:
             linsolve.dump_system(dump_dir, operator, step[:, 0] * rhs[:, 0])
-        increment = factor.solve(scale * rhs)
+        increment = step * rhs
+        cells = increment.T[:, :n]                      # (2, n_cells) view
+        cells -= (coupling @ increment[n:]).T
+        modes = basis_y @ cells.reshape(shape) @ basis_x.T
+        cells[:] = (basis_y.T @ (modes / eigenvalues) @ basis_x).reshape(2, n)
         increment *= relax
         return increment
 

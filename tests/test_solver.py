@@ -486,26 +486,6 @@ def test_seg_default_relaxation_solves_displacement_shear(mesh16, neo):
     assert mean_error(mesh16, report, case) < 1e-6
 
 
-def test_seg_factorises_once_per_run(mesh8, neo, monkeypatch):
-    """Both components share one scalar operator, and boundary kinds do
-    not change between load steps, so seg builds and factorises it once
-    per run, not once per component or step."""
-    calls = []
-    factorise = linsolve.factorise
-
-    def counting_factorise(matrix):
-        calls.append(1)
-        return factorise(matrix)
-
-    monkeypatch.setattr(linsolve, "factorise", counting_factorise)
-    case = MMSCase("uniaxial", DISPLACEMENT, 1.2)
-    report = run(mesh8, neo, mms_bcs(case, neo),
-                 SolveConfig(method="seg", n_load_steps=3))
-    assert report.converged and len(report.n_corr) == 3
-    assert len(calls) == 1
-    assert mean_error(mesh8, report, case) < 1e-7
-
-
 def counting(monkeypatch, owner, name: str) -> list:
     """Replace ``owner.name`` by a wrapper that records each call's
     arguments."""
@@ -518,6 +498,52 @@ def counting(monkeypatch, owner, name: str) -> list:
 
     monkeypatch.setattr(owner, name, wrapper)
     return calls
+
+
+def test_seg_builds_its_operator_once_and_never_factorises(mesh8, neo, monkeypatch):
+    """Both components share one scalar operator, and boundary kinds do
+    not change between load steps, so seg builds it once per run, not once
+    per component or step, and inverts it by fast diagonalisation with no
+    factorisation."""
+    built = counting(monkeypatch, solver, "assemble_scalar_operator")
+    factorised = counting(monkeypatch, linsolve, "factorise")
+    case = MMSCase("uniaxial", DISPLACEMENT, 1.2)
+    report = run(mesh8, neo, mms_bcs(case, neo),
+                 SolveConfig(method="seg", n_load_steps=3))
+    assert report.converged and len(report.n_corr) == 3
+    assert len(built) == 1
+    assert factorised == []
+    assert mean_error(mesh8, report, case) < 1e-7
+
+
+SEG_MESHES = [(1, 1, 1.0, 1.0), (1, 6, 1.0, 1.0), (6, 1, 1.0, 1.0), (7, 13, 0.5, 1.0),
+              (24, 10, 1.0, 1.0), (64, 64, 1.0, 1.0)]
+
+
+@pytest.mark.parametrize("dims", SEG_MESHES, ids=lambda d: f"{d[0]}x{d[1]}")
+def test_seg_solve_inverts_the_assembled_operator(dims, neo):
+    """Unrelaxed, seg's fast-diagonalisation solve is the exact inverse of
+    the assembled scalar operator: its cell rows reproduce the stepped
+    right-hand side to 1e-13 relative to the rows' terms (|A| |x|, which
+    the boundary values dominate at the fixture's moduli), and its
+    identity boundary rows reproduce it exactly.  The sine bases are
+    orthogonal."""
+    mesh = build_mesh(*dims)
+    for n in (mesh.nx, mesh.ny):
+        basis, _ = linsolve.sine_basis(n)
+        npt.assert_allclose(basis @ basis.T, np.eye(n), rtol=0, atol=1e-14)
+    table = build_boundary_table(mesh, mms_bcs(MMSCase("uniaxial", DISPLACEMENT, 1.2), neo), 1.0)
+    cfg = SolveConfig(method="seg", relaxation=1.0)
+    solve = solver._segregated(mesh, neo, table, assembly.force_row_mask(mesh, table), cfg)
+    operator, step = assembly.assemble_scalar_operator(mesh, table, 2.0 * neo.mu + neo.lam)
+    rhs = np.asfortranarray(np.random.default_rng(7).standard_normal((mesh.n_unknowns, 2)))
+    stepped = step * rhs
+    x = solve(None, rhs, None)
+    product = operator @ x
+    n = mesh.n_cells
+    npt.assert_array_equal(product[n:], stepped[n:])
+    terms = abs(operator) @ np.abs(x)
+    npt.assert_allclose(product[:n], stepped[:n], rtol=0, atol=1e-13 * terms[:n].max())
 
 
 def test_coupled_run_orders_its_pattern_once(mesh8, neo, monkeypatch):
