@@ -95,15 +95,13 @@ class BoundaryTable:
     only record of the condition's kind (I, N x N or zero)."""
     value: np.ndarray   # (n_bfaces, 2) prescribed data at the current load
     disp: np.ndarray    # (n_bfaces, 2, 2) row weights D of the residual
-    constant: np.ndarray    # (n_bfaces, 2) checked constant values at unit load
 
 
 def build_boundary_table(mesh: CartesianMesh, bcs: dict, t: float = 1.0) -> BoundaryTable:
     """Prescribed values at load factor t and the residual's row weight D
     per boundary face: I on prescribed displacement, N x N on symmetry
     planes, zero on traction.  Only the values depend on t: a later load
-    step of the same run needs only ``boundary_values`` with the table's
-    constant values, which are checked here once."""
+    step of the same run needs only ``boundary_values``."""
     unknown = set(bcs) - set(range(4))
     if unknown:
         raise ValueError(f"unknown boundary patches: {sorted(unknown, key=str)}")
@@ -117,24 +115,18 @@ def build_boundary_table(mesh: CartesianMesh, bcs: dict, t: float = 1.0) -> Boun
     if missing:
         raise ValueError(f"patches without a boundary condition: {sorted(missing)}")
     value = boundary_values(mesh, bcs, t)
-    constant = boundary_values(
-        mesh, {patch: bc for patch, bc in bcs.items() if not callable(bc.value)}, 1.0)
     _check_rigid_body_modes(mesh, disp)
-    return BoundaryTable(value, disp, constant)
+    return BoundaryTable(value, disp)
 
 
-def boundary_values(mesh: CartesianMesh, bcs: dict, t: float,
-                    constant: np.ndarray | None = None) -> np.ndarray:
+def boundary_values(mesh: CartesianMesh, bcs: dict, t: float) -> np.ndarray:
     """(n_bfaces, 2) prescribed values of a checked boundary map at load
     factor t; a symmetry plane has none, whatever value it is given.  A
     value must be finite, with 2 or 3 components or one such row per face
-    of its patch; anything else is a ValueError.  Given ``constant``, a
-    table's constant values at unit load, only the callables are
-    evaluated and checked, and the constant values are t * ``constant``."""
-    value = np.zeros((mesh.n_bfaces, 2)) if constant is None else constant * t
+    of its patch; anything else is a ValueError."""
+    value = np.zeros((mesh.n_bfaces, 2))
     for patch, bc in bcs.items():
-        if bc.kind == SYMMETRY or bc.value is None or (
-                constant is not None and not callable(bc.value)):
+        if bc.kind == SYMMETRY or bc.value is None:
             continue
         faces = mesh.patch_faces(patch)
         data = np.asarray(bc.value(mesh.face_centroid[faces], t) if callable(bc.value)

@@ -104,7 +104,7 @@ def parse_config(path: str, overrides: dict | None = None) -> CaseConfig:
     raw: dict = {}
     first_line: dict = {}
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             for lineno, line in enumerate(handle, 1):
                 line = line.split("#", 1)[0].strip()
                 if not line:

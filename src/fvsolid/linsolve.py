@@ -17,21 +17,20 @@ and Shamanskii methods), and refinement reaches a direct solve's
 backward error (Higham 2002, ch. 12).  It is accepted at a backward
 error of at most ``REFINE_BOUND`` = 1e-14.  An attempt makes at most
 ``REFINE_SOLVES`` = 8 triangular solves and stops as soon as it
-contracts too slowly: once its backward error is not below
-``REFINE_DROP`` = 0.1 of its first, or the last step's rate predicts
-more than 8 solves.  The matrix is then factorised afresh (one solve,
-post-checked) and that factor is kept; the old one is released first,
-so two factors are never alive at once.  A ``nlbc-load-steps`` run (16²,
-40 load steps) makes 26-33 factorisations for 80-81 corrections, and a
-refined correction about 5 triangular solves of 69 us (a factorisation
-takes 0.93 ms).  Measured in-process medians: at 64² (traction 1.5, 4
-load steps) 4 or 6 solves per attempt cost 27 % or 5 % more time than
-8, and 12 saved nothing; ``REFINE_DROP`` at 0.03, 0.3 or off moved it by
-at most 3 %; at 16² every setting was within 1 %.
+contracts too slowly: once its backward error does not fall, or the
+last step's rate predicts more than 8 solves.  The matrix is then
+factorised afresh (one solve, post-checked) and that factor is kept; the
+old one is released first, so two factors are never alive at once.  A
+``nlbc-load-steps`` run (16², 40 load steps) makes 26-33 factorisations
+for 80-81 corrections, and a refined correction about 5 triangular
+solves of 69 us (a factorisation takes 0.93 ms).  Measured in-process
+medians: at 64² (traction 1.5, 4 load steps) 4 or 6 solves per attempt
+cost 27 % or 5 % more time than 8, and 12 saved nothing; at 16² every
+setting was within 1 %.
 
-The column order is minimum degree on A+A^T, unless the caller passes the
-order of an earlier factor of the same pattern: then the matrix is
-already laid out in it (CSC of P A P^T, filled into
+The column order is minimum degree on A+A^T, unless the run's kept
+factor holds the order of an earlier factor of the same pattern: then
+the matrix is already laid out in it (CSC of P A P^T, filled into
 ``BlockPattern.ordered(order)``) and SuperLU keeps it (``NATURAL``), so a
 run of corrections analyses its pattern once.  The right-hand side is
 permuted in and the solution out; the post-check's norms do not depend on
@@ -71,11 +70,9 @@ BACKWARD_ERROR_BOUND = 1e-9
 # Columns per SuperLU panel (scipy's default is 20), see the module notes.
 PANEL_SIZE = 4
 # Refinement with a kept factor, see the module notes: the backward error
-# that accepts a refined solution, the triangular solves per attempt, and
-# the fraction of its first backward error that an attempt must get below.
+# that accepts a refined solution, and the triangular solves per attempt.
 REFINE_BOUND = 1e-14
 REFINE_SOLVES = 8
-REFINE_DROP = 0.1
 
 
 class LinearSolveError(RuntimeError):
@@ -86,7 +83,6 @@ class LinearSolveError(RuntimeError):
 class LinearSolution:
     x: np.ndarray
     residual: float                 # achieved normwise backward error
-    order: np.ndarray | None = None  # the factor's column order (perm_c)
 
 
 @dataclass(slots=True)
@@ -105,6 +101,10 @@ def equilibrate(matrix: sp.spmatrix):
     Brings boundary rows (unit or stress scale) and interior rows (force
     scale) to comparable size; the solution of (S A) x = S b is unchanged
     but factorisation noise stops being dominated by the largest rows.
+
+    Nothing in the package calls it.  It stays only because
+    ``bench/tracing.py`` wraps it by name and CI pins its calls at zero,
+    until ROADMAP item 2 deletes it with both.
     """
     row_max = np.abs(matrix).max(axis=1).toarray().ravel()
     row_max[row_max == 0.0] = 1.0
@@ -176,31 +176,29 @@ def _refine(kept: KeptFactor, matrix: sp.csc_matrix, rhs: np.ndarray,
         backward, residual = _backward_error(matrix, x, rhs, norm_a, norm_rhs)
         if backward <= REFINE_BOUND:
             return x, backward
-        if k == 0:
-            first = backward
-        elif not (backward < REFINE_DROP * first and backward < last
-                  and backward * (backward / last) ** (REFINE_SOLVES - 1 - k) <= REFINE_BOUND):
+        if k > 0 and not (
+                backward < last
+                and backward * (backward / last) ** (REFINE_SOLVES - 1 - k) <= REFINE_BOUND):
             return None
         last = backward
     return None
 
 
 def solve(matrix: sp.spmatrix, rhs: np.ndarray,
-          order: np.ndarray | KeptFactor | None = None) -> LinearSolution:
-    """Solve A x = rhs, returning x, its backward error and the factor's
-    column order.  ``matrix`` is taken to CSC (the assembly's form).  Given
-    ``order``, it is the CSC form of P A P^T in that order (entry
-    (order[i], order[j]) is A's (i, j)); rhs and x keep A's order.
-
-    ``order`` may be a run's ``KeptFactor`` instead, whose order it is
-    then: its factor is refined first, and a fresh factor is kept in it."""
-    kept = order if isinstance(order, KeptFactor) else KeptFactor(order=order)
+          kept: KeptFactor | None = None) -> LinearSolution:
+    """Solve A x = rhs, returning x and its backward error.  ``matrix`` is
+    taken to CSC (the assembly's form).  A run's ``kept`` factor is refined
+    first, and a fresh factor is kept in it.  Once ``kept`` holds a column
+    order, ``matrix`` is the CSC form of P A P^T in that order (entry
+    (order[i], order[j]) is A's (i, j)); rhs and x keep A's order."""
+    if kept is None:
+        kept = KeptFactor()
     order = kept.order
     matrix = matrix.tocsc()
     rhs = np.asarray(rhs, dtype=float).ravel()
     norm_rhs = norm2(rhs)
     if norm_rhs == 0.0:
-        return LinearSolution(np.zeros_like(rhs), 0.0, order)
+        return LinearSolution(np.zeros_like(rhs), 0.0)
     if order is not None:
         permuted = np.empty_like(rhs)
         permuted[order] = rhs
@@ -210,7 +208,7 @@ def solve(matrix: sp.spmatrix, rhs: np.ndarray,
     refined = None if kept.lu is None else _refine(kept, matrix, rhs, norm_a, norm_rhs)
     if refined is not None:
         x, backward = refined
-        return LinearSolution(x[order], backward, order)
+        return LinearSolution(x[order], backward)
     kept.lu = None                  # no second factor alive while splu runs
     try:
         lu = factorise(matrix, order is not None)
@@ -228,8 +226,8 @@ def solve(matrix: sp.spmatrix, rhs: np.ndarray,
     if order is None:
         # A copy: perm_c is a view that keeps the whole factor alive.
         kept.order = lu.perm_c.copy()
-        return LinearSolution(x, backward, kept.order)
-    return LinearSolution(x[order], backward, order)
+        return LinearSolution(x, backward)
+    return LinearSolution(x[order], backward)
 
 
 def dump_system(directory, matrix: sp.spmatrix, rhs: np.ndarray) -> None:

@@ -94,7 +94,6 @@ class SolveConfig:
 
 @dataclass
 class RunReport:
-    method: str
     converged: bool
     failure: str | None
     n_corr: list[int]               # corrections per load step
@@ -236,7 +235,7 @@ def run(mesh: CartesianMesh, material, bcs: dict, cfg: SolveConfig) -> RunReport
     for step in range(cfg.n_load_steps):
         if step > 0:
             table = replace(table, value=boundary_values(
-                mesh, bcs, (step + 1) / cfg.n_load_steps, table.constant))
+                mesh, bcs, (step + 1) / cfg.n_load_steps))
         history: list[float] = []
         corrections = 0
         while True:
@@ -274,7 +273,6 @@ def run(mesh: CartesianMesh, material, bcs: dict, cfg: SolveConfig) -> RunReport
         histories.append(history)
         if failure is not None:
             break
-    return RunReport(method=cfg.method, converged=failure is None,
-                     failure=failure, n_corr=n_corr,
+    return RunReport(converged=failure is None, failure=failure, n_corr=n_corr,
                      residual_history=histories, state=state,
                      wall_time=time.perf_counter() - start)

@@ -575,18 +575,20 @@ def test_ordered_layout_solves_like_a_fresh_ordering(dims, bcs, rtol, rng):
     rhs = newton_rhs(mesh, state, table, flux).ravel()
 
     matrix = assemble_system(mesh, UNIT, table, f_face)
-    fresh = linsolve.solve(matrix, rhs)
-    pattern = mesh.jacobian_pattern.ordered(fresh.order)
+    first = linsolve.KeptFactor()
+    fresh = linsolve.solve(matrix, rhs, first)
+    pattern = mesh.jacobian_pattern.ordered(first.order)
     ordered = assemble_system(mesh, UNIT, table, f_face, pattern)
     assert ordered.format == "csc" and ordered.has_sorted_indices
-    p = fresh.order
+    p = first.order
     npt.assert_array_equal(ordered.toarray()[np.ix_(p, p)], matrix.toarray())
 
-    solution = linsolve.solve(ordered, rhs, fresh.order)
+    relaid = linsolve.KeptFactor(order=first.order)
+    solution = linsolve.solve(ordered, rhs, relaid)
     assert np.linalg.norm(solution.x - fresh.x) <= rtol * np.linalg.norm(fresh.x)
     assert solution.residual <= linsolve.BACKWARD_ERROR_BOUND
     assert not any(holds_factor(value) for value in vars(pattern).values())
-    assert not holds_factor(fresh.order) and not holds_factor(solution.order)
+    assert not holds_factor(first.order) and not holds_factor(relaid.order)
 
 
 def test_ordered_pattern_shares_and_freezes(rng):
@@ -616,9 +618,10 @@ def test_stored_pattern_is_the_mesh_pattern(rng):
     u = linear_field(mesh, random_gradients(rng, 1, scale=0.15)[0])
     u += 0.01 * min(mesh.dx, mesh.dy) * rng.standard_normal(u.shape)
     f_face, _ = face_states(mesh, UNIT, State(u))
-    order = linsolve.solve(assemble_system(mesh, UNIT, build_boundary_table(mesh, MIXED),
-                                           f_face),
-                           np.ones(2 * mesh.n_unknowns)).order
+    kept = linsolve.KeptFactor()
+    linsolve.solve(assemble_system(mesh, UNIT, build_boundary_table(mesh, MIXED), f_face),
+                   np.ones(2 * mesh.n_unknowns), kept)
+    order = kept.order
     for pattern in (natural, natural.ordered(order)):
         for bcs in (MIXED, ALL_DISPLACEMENT, SYMMETRY_PLANES):
             table = build_boundary_table(mesh, bcs)
@@ -647,8 +650,9 @@ def test_refill_in_place_matches_fresh_assembly():
     for _ in range(4):
         f_face, flux = face_states(mesh, UNIT, state)
         rhs = newton_rhs(mesh, state, table, flux).ravel()
-        solution = linsolve.solve(assemble_system(mesh, UNIT, table, f_face), rhs)
-        order = solution.order if order is None else order
+        kept = linsolve.KeptFactor()
+        solution = linsolve.solve(assemble_system(mesh, UNIT, table, f_face), rhs, kept)
+        order = kept.order if order is None else order
         steps.append((f_face, rhs))
         state = State(state.displacement + solution.x.reshape(-1, 2))
 
@@ -662,8 +666,9 @@ def test_refill_in_place_matches_fresh_assembly():
             fresh = assemble_system(mesh, UNIT, table, f_face, pattern)
             for name in ("data", "indices", "indptr"):
                 npt.assert_array_equal(getattr(matrix, name), getattr(fresh, name))
-            npt.assert_array_equal(linsolve.solve(matrix, rhs, layout_order).x,
-                                   linsolve.solve(fresh, rhs, layout_order).x)
+            npt.assert_array_equal(
+                linsolve.solve(matrix, rhs, linsolve.KeptFactor(order=layout_order)).x,
+                linsolve.solve(fresh, rhs, linsolve.KeptFactor(order=layout_order)).x)
 
 
 @pytest.mark.parametrize("material", [UNIT, HOOKE], ids=["neo", "linear"])

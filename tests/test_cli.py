@@ -20,7 +20,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fvsolid import cli
+from fvsolid import cli, linsolve
 from fvsolid import (MMSCase, SolveConfig, build_mesh, cantilever_deflection,
                      lame_from_E_nu, mms_bcs, run)
 from fvsolid.assembly import assemble_system, build_boundary_table, face_states
@@ -29,6 +29,7 @@ from fvsolid.kinematics import zero_state
 from fvsolid.material import NeoHookean
 from fvsolid.verification import CASES
 from tests.test_acceptance import solve_cantilever
+from tests.test_solver import fail_factorisation
 
 
 def write_cfg(tmp_path, text, name="case.cfg"):
@@ -321,6 +322,29 @@ def test_run_case_reports_divergence_with_exit_2(tmp_path):
     assert (out / "deformed.vtk").exists()
 
 
+@pytest.mark.parametrize("method", ["nlbc", "bc"])
+def test_main_reports_a_failed_linear_solve_with_exit_2(tmp_path, monkeypatch, method):
+    """A factorisation that fails ends the run: exit 2, and report.json
+    carries the failure that names the cause."""
+    monkeypatch.setattr(linsolve, "factorise", fail_factorisation)
+    out = tmp_path / "singular"
+    path = write_cfg(tmp_path, f"""
+        case = uniaxial
+        bc = traction
+        stretch = 1.3
+        method = {method}
+        mesh = 8x8
+        load_steps = 2
+    """)
+    assert main(["--config", path, "--out", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["converged"] is False
+    (entry,) = report["runs"]
+    assert entry["failure"] == ("linear solve failed: LU factorisation failed: "
+                                "Factor is exactly singular")
+    assert entry["n_corr"] == [0]
+
+
 def reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -567,6 +591,16 @@ def test_parse_config_rejects_undecodable_file(tmp_path):
     path.write_bytes(b"case = shear\nout = \xff\n")
     with pytest.raises(ConfigError, match="cannot read config"):
         parse_config(str(path))
+
+
+def test_parse_config_reads_a_byte_order_mark(tmp_path):
+    """A file saved as UTF-8 with a byte order mark parses like the plain
+    file; the mark used to join the first key ('\\ufeffcase', unknown)."""
+    text = "case = shear\nmesh = 4x4\n"
+    plain = write_cfg(tmp_path, text)
+    marked = tmp_path / "marked.cfg"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert parse_config(str(marked)) == parse_config(plain)
 
 
 REMOVED_KEYS = ("linear_solver", "linear_tolerance", "linear_max_iterations",

@@ -249,7 +249,7 @@ def test_ordered_path_failures_are_fatal(monkeypatch, dense, message):
 
     monkeypatch.setattr(spla, "splu", counting_splu)
     with pytest.raises(linsolve.LinearSolveError, match=message):
-        linsolve.solve(matrix, [1.0, 2.0, 3.0], order)
+        linsolve.solve(matrix, [1.0, 2.0, 3.0], linsolve.KeptFactor(order=order))
     assert len(calls) == 1
     assert calls[0]["permc_spec"] == "NATURAL"
     assert calls[0]["diag_pivot_thresh"] == 0.0

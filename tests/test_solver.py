@@ -728,6 +728,25 @@ def test_budget_exhaustion_reports_failure(mesh8, neo, method):
     assert len(report.residual_history[0]) == report.n_corr[0] + 1
 
 
+def fail_factorisation(*args, **kwargs):
+    raise RuntimeError("Factor is exactly singular")   # SuperLU's message
+
+
+@pytest.mark.parametrize("method", ["nlbc", "bc"])
+def test_failed_linear_solve_ends_the_run(mesh8, neo, method, monkeypatch):
+    """A factorisation that fails ends the run at its first correction with
+    a failure that names the cause; the state is never advanced."""
+    monkeypatch.setattr(linsolve, "factorise", fail_factorisation)
+    case = MMSCase("uniaxial", TRACTION, 1.3)
+    report = run(mesh8, neo, mms_bcs(case, neo), SolveConfig(method=method, n_load_steps=2))
+    assert report.converged is False
+    assert report.failure == ("linear solve failed: LU factorisation failed: "
+                              "Factor is exactly singular")
+    assert report.n_corr == [0]
+    assert len(report.residual_history) == 1 and len(report.residual_history[0]) == 1
+    assert not report.state.displacement.any()
+
+
 @pytest.mark.parametrize("method,n,kind,amplitude", [
     ("nlbc", 8, "uniaxial", 0.3),
     ("seg", 16, "shear", 0.45),
