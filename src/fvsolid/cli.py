@@ -159,6 +159,8 @@ def _validate(cfg: CaseConfig, given: set) -> None:
         raise ConfigError(f"case {cfg.case!r} does not take key {key!r}")
     if cfg.method not in METHODS:
         raise ConfigError(f"unknown method {cfg.method!r}")
+    if not cfg.out:
+        raise ConfigError("'out' must name a directory, got ''")
     for key, least in (("load_steps", 1), ("max_corrections", 0)):
         if getattr(cfg, key) < least:
             raise ConfigError(f"{key!r} must be at least {least}, got {getattr(cfg, key)}")
@@ -174,6 +176,10 @@ def _validate(cfg: CaseConfig, given: set) -> None:
                           f"got {'x'.join(map(str, cfg.mesh))}")
     if min(cfg.sweep, default=1) < 1:
         raise ConfigError("'sweep' sizes must be at least 1, "
+                          f"got {','.join(map(str, cfg.sweep))}")
+    if len(set(cfg.sweep)) < len(cfg.sweep):
+        # A repeated size would overwrite its VTK and repeat its report rows.
+        raise ConfigError("'sweep' sizes must be distinct, "
                           f"got {','.join(map(str, cfg.sweep))}")
     if {"mesh", "sweep"} <= given:
         raise ConfigError("give 'mesh' or 'sweep', not both")
@@ -207,7 +213,6 @@ def _validate(cfg: CaseConfig, given: set) -> None:
 def run_case(cfg: CaseConfig) -> int:
     """Run every mesh of the configured case and write the artifacts."""
     case = CASES[cfg.case]
-    os.makedirs(cfg.out, exist_ok=True)
     material = _MATERIALS[cfg.material](lame_from_E_nu(cfg.E, cfg.nu, cfg.regime))
     solve_cfg = SolveConfig(method=cfg.method, outer_tolerance=cfg.tolerance,
                             max_corrections=cfg.max_corrections,
@@ -281,27 +286,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output directory")
     try:
         args = parser.parse_args(argv)
-        cfg = parse_config(args.config, {
+        return run_case(parse_config(args.config, {
             "method": args.method, "mesh": args.mesh, "sweep": args.sweep,
-            "out": args.out, "dump_matrix": args.dump_matrix})
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    # The output directories that this run creates, deepest first.
-    created = []
-    path = os.path.abspath(cfg.out)
-    while not os.path.exists(path):
-        created.append(path)
-        path = os.path.dirname(path)
-    try:
-        return run_case(cfg)
-    except (OSError, ValueError) as err:    # e.g. rigid-body modes, bad boundary values
-        # Leave none of them behind if empty; rmdir never removes a file.
-        for path in created:
-            try:
-                os.rmdir(path)
-            except OSError:
-                break
+            "out": args.out, "dump_matrix": args.dump_matrix}))
+    # A bad flag or file, or a run refused: a rigid-body mode, a bad boundary value.
+    except (ConfigError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -51,16 +51,14 @@ uniform mesh its cell block is a separable Laplacian, c ((dy/dx) I x T_nx
 + (dx/dy) T_ny x I) with cells numbered x-fastest, and ``sine_basis``
 gives T_n's eigenpairs in closed form, so fast diagonalisation (Lynch,
 Rice & Thomas 1964; Buzbee, Golub & Nielson 1970) inverts it exactly
-with four dense products per solve.
+with four dense products per solve.  It writes no file.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.blas import dnrm2
@@ -228,11 +226,3 @@ def solve(matrix: sp.spmatrix, rhs: np.ndarray,
         kept.order = lu.perm_c.copy()
         return LinearSolution(x, backward)
     return LinearSolution(x[order], backward)
-
-
-def dump_system(directory, matrix: sp.spmatrix, rhs: np.ndarray) -> None:
-    """Write the system in Matrix Market form (A.mtx, R.mtx) for inspection,
-    every stored entry included, explicit zeros too."""
-    scipy.io.mmwrite(os.path.join(directory, "A.mtx"), matrix.tocoo())
-    scipy.io.mmwrite(os.path.join(directory, "R.mtx"),
-                     np.asarray(rhs, dtype=float).reshape(-1, 1))

@@ -1,4 +1,6 @@
-"""Artifact writers: CSV tables, legacy VTK meshes, and JSON run reports.
+"""Artifact writers: CSV tables, legacy VTK meshes, JSON run reports, and
+Matrix Market systems.  The only module that writes a file or makes a
+directory: a directory is made as the first file is written into it.
 
 Column order of the CSV files is part of the interface and documented in
 docs/output_schema.md.  All floats are written with repr-level precision so
@@ -9,8 +11,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 
 import numpy as np
+import scipy.io
 
 from .kinematics import vertex_values
 from .mesh import CartesianMesh
@@ -28,8 +32,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _with_directory(path):
+    """``path``, once its directory exists."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    return path
+
+
 def write_csv(path, columns, rows) -> None:
-    with open(path, "w", newline="") as handle:
+    with open(_with_directory(path), "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(columns)
         for row in rows:
@@ -37,7 +47,7 @@ def write_csv(path, columns, rows) -> None:
 
 
 def write_report(path, report: dict) -> None:
-    with open(path, "w") as handle:
+    with open(_with_directory(path), "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
@@ -47,7 +57,7 @@ def write_vtk(path, mesh: CartesianMesh, displacement: np.ndarray) -> None:
     and vectors carry a literal 0 as their z component."""
     u = vertex_values(mesh, displacement)
     nx, ny = mesh.nx, mesh.ny
-    with open(path, "w") as handle:
+    with open(_with_directory(path), "w") as handle:
         handle.write("# vtk DataFile Version 3.0\ndeformed configuration\n"
                      "ASCII\nDATASET UNSTRUCTURED_GRID\n")
         handle.write(f"POINTS {mesh.n_vertices} double\n")
@@ -65,3 +75,11 @@ def write_vtk(path, mesh: CartesianMesh, displacement: np.ndarray) -> None:
         handle.write("VECTORS displacement double\n")
         for vector in u:
             handle.write(f"{vector[0]:.17g} {vector[1]:.17g} 0\n")
+
+
+def write_system(directory, matrix, rhs: np.ndarray) -> None:
+    """Write the system in Matrix Market form (A.mtx, R.mtx) for inspection,
+    every stored entry included, explicit zeros too."""
+    scipy.io.mmwrite(_with_directory(os.path.join(directory, "A.mtx")), matrix.tocoo())
+    scipy.io.mmwrite(_with_directory(os.path.join(directory, "R.mtx")),
+                     np.asarray(rhs, dtype=float).reshape(-1, 1))

@@ -50,7 +50,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import linsolve
+from . import linsolve, output
 from .assembly import (BoundaryTable, assemble_scalar_operator,
                        assemble_system, boundary_values, build_boundary_table,
                        face_states, force_row_mask, newton_rhs)
@@ -155,7 +155,7 @@ def _coupled(mesh: CartesianMesh, material, table: BoundaryTable,
         kept.matrix = assemble_system(mesh, material, table, f_face, pattern, kept.matrix)
         flat = rhs.ravel()
         if dump_dir:
-            linsolve.dump_system(dump_dir, kept.matrix, flat)
+            output.write_system(dump_dir, kept.matrix, flat)
         solution = linsolve.solve(kept.matrix, flat, kept)
         return np.asfortranarray(solution.x.reshape(-1, 2))     # component-major
 
@@ -190,7 +190,7 @@ def _segregated(mesh: CartesianMesh, material, table: BoundaryTable,
 
     def solve(f_face, rhs: np.ndarray, dump_dir: str | None) -> np.ndarray:
         if dump_dir:
-            linsolve.dump_system(dump_dir, operator, step[:, 0] * rhs[:, 0])
+            output.write_system(dump_dir, operator, step[:, 0] * rhs[:, 0])
         increment = step * rhs
         cells = increment.T[:, :n]                      # (2, n_cells) view
         cells -= (coupling @ increment[n:]).T

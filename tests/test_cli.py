@@ -153,6 +153,9 @@ def test_parse_config_sweep(tmp_path):
     ("case = uniaxial\nstretch = nan\n", "'stretch' must be finite"),
     ("case = shear\nmesh = 0x4\n", "'mesh' needs at least one cell per direction, got 0x4"),
     ("case = shear\nsweep = 0,4\n", "'sweep' sizes must be at least 1, got 0,4"),
+    ("case = shear\nsweep = 4,3,4\n", "'sweep' sizes must be distinct, got 4,3,4"),
+    ("case = uniaxial\nstretch = 1e-300\n",
+     r"'stretch' must be positive, got 1e-300, and not so small that 1 \+ \(stretch - 1\)"),
     ("case = uniaxial\nstretch = 1.2\nmesh = 5x3\nsweep = 3,4\n",
      "give 'mesh' or 'sweep', not both"),
     ("case = shear\ntolerance = -1\n", "'tolerance' must be finite and positive"),
@@ -669,10 +672,14 @@ ODD_ENTRY = st.sampled_from(sorted(SMALL)).flatmap(
 @given(case_and_good=CASE_AND_GOOD, odd=st.none() | ODD_ENTRY)
 # A load that dwarfs the modulus overflows det(F) in the first correction.
 @example(case_and_good=("cantilever", [("material", "neo")]), odd=("E", "1e-150"))
+# A cell error whose square overflows.
+@example(case_and_good=("shear", []), odd=("shear_factor", "1e200"))
+# A stretch whose full value 1 + (stretch - 1) rounds to 0: a singular F.
+@example(case_and_good=("uniaxial", [("bc", "traction")]), odd=("stretch", "1e-300"))
 def test_main_fuzz_exits_cleanly(tmp_path_factory, case_and_good, odd):
     """Any small config file ends with exit 0, 1 or 2, never with an
     exception escaping ``main`` (a traceback from the command line); exit 1
-    prints one error line."""
+    prints one error line, and leaves no empty output directory."""
     case, good = case_and_good
     out = tmp_path_factory.mktemp("main")
     path = out / "fuzz.cfg"
@@ -688,6 +695,7 @@ def test_main_fuzz_exits_cleanly(tmp_path_factory, case_and_good, odd):
     if code == 1:
         assert err.getvalue().startswith("error:")
         assert len(err.getvalue().splitlines()) == 1
+        assert not (out / "run").exists() or any((out / "run").iterdir())
 
 
 def test_console_script_is_main():
@@ -716,9 +724,10 @@ def test_main_usage_errors_exit_1(tmp_path, capsys, argv, message):
 
 
 def test_main_refused_run_leaves_no_directory_it_made(tmp_path, capsys, monkeypatch):
-    """A run that the boundary table refuses exits 1 and removes the empty
-    output directories that it made, nested ones too.  A directory that was
-    there before stays, and so does one that holds a file."""
+    """A run that the boundary table refuses exits 1 before its first
+    write, so it makes no output directory, nested ones included.  A
+    directory that was there before stays, and a run refused after a write
+    keeps what it wrote."""
     path = write_cfg(tmp_path, "case = cantilever\nmesh = 10x1\n")
     assert main(["--config", path, "--out", str(tmp_path / "a" / "b" / "out")]) == 1
     assert "rigid-body mode" in capsys.readouterr().err
@@ -739,6 +748,30 @@ def test_main_refused_run_leaves_no_directory_it_made(tmp_path, capsys, monkeypa
     assert main(["--config", path, "--out", str(existing / "a" / "out")]) == 1
     assert capsys.readouterr().err == "error: refused after a write\n"
     assert [p.name for p in (existing / "a" / "out").iterdir()] == ["deformed.vtk"]
+
+
+def test_main_run_that_raises_makes_no_directory(tmp_path, monkeypatch):
+    """An exception that ``main`` does not handle still escapes it, and the
+    output directory exists only once an artifact is written into it."""
+    def fail(*args):
+        raise RuntimeError("failed before any write")
+
+    monkeypatch.setattr(cli, "run", fail)
+    path = write_cfg(tmp_path, "case = shear\nmesh = 4x4\n")
+    with pytest.raises(RuntimeError, match="failed before any write"):
+        main(["--config", path, "--out", str(tmp_path / "a" / "b")])
+    assert not (tmp_path / "a").exists()
+
+
+@pytest.mark.parametrize("line,argv", [("out =\n", []), ("", ["--out", ""])])
+def test_main_refuses_an_empty_out(tmp_path, capsys, monkeypatch, line, argv):
+    """An empty ``out``, from the file or the flag, exits 1 with one line
+    rather than writing into the working directory."""
+    monkeypatch.chdir(tmp_path)
+    path = write_cfg(tmp_path, f"case = shear\nmesh = 4x4\n{line}")
+    assert main(["--config", path, *argv]) == 1
+    assert capsys.readouterr().err == "error: 'out' must name a directory, got ''\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["case.cfg"]
 
 
 def test_main_requires_config_flag(capsys):

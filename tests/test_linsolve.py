@@ -13,7 +13,6 @@ from types import SimpleNamespace
 import numpy as np
 import numpy.testing as npt
 import pytest
-import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -372,12 +371,3 @@ def test_factor_settings_are_memory_safe(monkeypatch):
     child = subprocess.run([sys.executable, "-c", _FACTOR_LOOP], env=env,
                            capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stderr[-2000:]
-
-
-def test_dump_system_roundtrip(tmp_path, rng):
-    matrix, rhs, _ = random_block_system(rng, 4)
-    linsolve.dump_system(tmp_path, matrix, rhs)
-    back = scipy.io.mmread(tmp_path / "A.mtx").tocsr()
-    npt.assert_allclose(back.toarray(), matrix.toarray())
-    back_rhs = np.asarray(scipy.io.mmread(tmp_path / "R.mtx")).ravel()
-    npt.assert_allclose(back_rhs, rhs)

@@ -1,4 +1,5 @@
-"""Artifact writers: formatting, stable bytes, and VTK structure."""
+"""Artifact writers: formatting, stable bytes, VTK structure, Matrix Market
+systems, and the directories they make."""
 
 from __future__ import annotations
 
@@ -6,6 +7,8 @@ import json
 
 import numpy as np
 import numpy.testing as npt
+import pytest
+import scipy.io
 
 from fvsolid import build_mesh
 from fvsolid.kinematics import vertex_values
@@ -15,8 +18,10 @@ from fvsolid.output import (
     _fmt,
     write_csv,
     write_report,
+    write_system,
     write_vtk,
 )
+from tests.test_linsolve import random_block_system
 
 
 def test_fmt_booleans_and_floats():
@@ -164,3 +169,33 @@ def test_write_vtk_vectors_are_the_displacement(tmp_path):
     points = np.array([line.split() for line in
                        lines[start + 1: start + 1 + mesh.n_vertices]], dtype=float)
     npt.assert_array_equal(points[:, :2], mesh.vertices + vertex_values(mesh, u))
+
+
+def test_write_system_roundtrip(tmp_path, rng):
+    matrix, rhs, _ = random_block_system(rng, 4)
+    write_system(tmp_path, matrix, rhs)
+    back = scipy.io.mmread(tmp_path / "A.mtx").tocsr()
+    npt.assert_allclose(back.toarray(), matrix.toarray())
+    back_rhs = np.asarray(scipy.io.mmread(tmp_path / "R.mtx")).ravel()
+    npt.assert_allclose(back_rhs, rhs)
+
+
+@pytest.mark.parametrize("name", ["report.json", "convergence.csv", "deformed.vtk", "A.mtx"])
+def test_writers_make_the_directory_they_write_into(tmp_path, rng, name):
+    """Each writer makes its file's missing directories, nested ones too,
+    and writes the same bytes as into a directory that was there."""
+    mesh = build_mesh(2, 2, 1.0, 1.0)
+    matrix, rhs, _ = random_block_system(rng, 2)
+    write = {
+        "report.json": lambda d: write_report(d / name, {"converged": True}),
+        "convergence.csv": lambda d: write_csv(d / name, CONVERGENCE_COLUMNS, []),
+        "deformed.vtk": lambda d: write_vtk(d / name, mesh, np.ones((mesh.n_unknowns, 2))),
+        "A.mtx": lambda d: write_system(d, matrix, rhs),
+    }[name]
+    write(tmp_path)
+    nested = tmp_path / "a" / "b"
+    write(nested)
+    written = sorted(p.name for p in nested.iterdir())
+    assert written == (["A.mtx", "R.mtx"] if name == "A.mtx" else [name])
+    for file in written:
+        assert (nested / file).read_bytes() == (tmp_path / file).read_bytes()

@@ -187,6 +187,24 @@ def test_compute_errors_metrics():
     npt.assert_allclose([metrics.mean, metrics.max, metrics.min], 5e-4)
 
 
+def test_compute_errors_of_huge_and_non_finite_fields():
+    """A cell error of 1e200 is measured without overflow (its square
+    would overflow), and inf and NaN displacements pass through."""
+    mesh = build_mesh(3, 3, 1.0, 1.0)
+    case = MMSCase("shear", DISPLACEMENT, 0.4)
+    exact = np.vstack([dirichlet_data(case, 1.0, mesh.cell_centroids),
+                       np.zeros((mesh.n_unknowns - mesh.n_cells, 2))])
+    shifted = exact.copy()
+    shifted[: mesh.n_cells] += [3e200, 4e200]
+    metrics = compute_errors(mesh, shifted, case)
+    npt.assert_allclose([metrics.mean, metrics.max, metrics.min], 5e200)
+    for bad in (np.inf, np.nan):
+        field = exact.copy()
+        field[4, 1] = bad
+        metrics = compute_errors(mesh, field, case)
+        npt.assert_array_equal([metrics.mean, metrics.max], bad)
+
+
 def test_compute_errors_partial_load():
     mesh = build_mesh(3, 3, 1.0, 1.0)
     case = MMSCase("shear", DISPLACEMENT, 0.4)
