@@ -16,6 +16,16 @@ Fields follow the layout rule of ``tensors``, except the flux
 coefficients H, which stay C-ordered: the Jacobian fill reads them as
 one (2 n_faces, 4) matrix.
 
+A residual evaluation allocates none of its stacks: ``face_states`` and
+``newton_rhs`` write them into a ``Workspace``, made once per run, and
+``face_states``' F and flux and ``newton_rhs``'s -r are views into it,
+valid until the next evaluation through the same workspace (a trial
+state that must not overwrite the loop's evaluation needs a second
+one).  A call without a workspace makes one and runs the same code.
+The flux coefficients H still come from ``face_linearisation`` as a new
+array per assembly: a buffer for them would live through the run's
+factorisations.
+
 The residual collects the face fluxes P N (the first Piola traction of
 the material's ``stress_state``) onto the unknown rows with ``face_rows``
 (cell divergence, then each boundary face's own flux) and mixes each
@@ -177,7 +187,37 @@ def force_row_mask(mesh: CartesianMesh, table: BoundaryTable) -> np.ndarray:
 # face states and right-hand side
 # ----------------------------------------------------------------------
 
-def face_states(mesh: CartesianMesh, material, state: State):
+class Workspace:
+    """Buffers for the residual evaluations of one mesh and material.
+    ``face_states`` and ``newton_rhs`` write every face and unknown stack
+    into them, so an evaluation allocates none of its arrays; the flux and
+    -r they return, and a neo-Hookean F, are views of these buffers, valid
+    until the next evaluation through the same workspace.  Without a material it serves
+    ``newton_rhs`` alone."""
+
+    def __init__(self, mesh: CartesianMesh, material=None):
+        n_faces, n_cells, n_bfaces = mesh.n_faces, mesh.n_cells, mesh.n_bfaces
+        # The face gradient per displacement component, and the same buffer
+        # as a component-major (n_faces, 2, 2) stack: grad U, then F (or P).
+        self.grad = np.empty((2, 2 * n_faces))
+        self.face_grad = self.grad.reshape(2, 2, n_faces).transpose(2, 0, 1)
+        self.flux = np.empty((2, n_faces))
+        self.rhs = np.empty((2, mesh.n_unknowns))
+        # newton_rhs's boundary rows: I - D, then b + (I - D) times the
+        # rows' flux, and one product
+        self.free = np.empty((n_bfaces, 2, 2))
+        self.defect = np.empty((n_bfaces, 2), order="F")
+        self.scratch = np.empty(n_bfaces)
+        if material is None:
+            return
+        self.stress = material.buffers(self.face_grad)
+        if not material.linear:
+            self.cells = np.empty((2, 2 * n_cells))     # grad U, then F
+            self.cell_det = np.empty(n_cells)
+            self.cell_scratch = np.empty(n_cells)
+
+
+def face_states(mesh: CartesianMesh, material, state: State, work: Workspace | None = None):
     """Deformation gradient and flux density P N per face.
 
     Face gradients are ``(Q U) x N + (Dt U) x t``, a component-major
@@ -185,41 +225,56 @@ def face_states(mesh: CartesianMesh, material, state: State):
     component.  The material is evaluated at
     them, so the assembled coefficients are the exact derivative of the
     flux each face reports.  Cells only get the inversion check (det F > 0,
-    finite) on their Gauss gradient.
+    finite) on their Gauss gradient.  Every stack is written into ``work``
+    (a new workspace if not given): P N, and the neo-Hookean F, are views
+    of it.
     """
+    if work is None:
+        work = Workspace(mesh, material)
     u = state.displacement
     if not material.linear:     # frozen geometry cannot invert
-        g = cell_gradient(mesh, u)
+        f = cell_gradient(mesh, u, work.cells)
+        f[:, 0, 0] += 1.0
+        f[:, 1, 1] += 1.0
         with np.errstate(over="ignore", invalid="ignore"):  # reported as non-finite
-            det_f = (1.0 + g[:, 0, 0]) * (1.0 + g[:, 1, 1]) - g[:, 0, 1] * g[:, 1, 0]
+            det_f = det2(f, work.cell_det, work.cell_scratch)
         check_positive_jacobian(det_f, "cell")
-    grad = apply(mesh.face_gradient, u).T.reshape(2, 2, mesh.n_faces).transpose(2, 0, 1)
+    apply(mesh.face_gradient, u, work.grad)
+    grad = work.face_grad
     try:
-        f_face, p_face = material.stress_state(grad)
+        f_face, p_face = material.stress_state(grad, work.stress)
     except InvertedElementError:
-        # Name the fold by kind, numbered within its kind: interior first.
+        # F is formed in the gradient buffer.  Name the fold by kind,
+        # numbered within its kind: interior first.
         with np.errstate(over="ignore", invalid="ignore"):
-            det_f = det2(IDENTITY + grad)
+            det_f = det2(grad)
         check_positive_jacobian(det_f[mesh.interior_faces], "face")
         check_positive_jacobian(det_f[mesh.boundary_faces], "boundary face")
         raise
-    return f_face, matvec2(p_face, mesh.face_normal)
+    flux = matvec2(p_face, mesh.face_normal, work.flux.T, work.stress.scratch)
+    return f_face, flux
 
 
 def newton_rhs(mesh: CartesianMesh, state: State, table: BoundaryTable,
-               flux_density: np.ndarray) -> np.ndarray:
-    """Residual right-hand side -r.
+               flux_density: np.ndarray, work: Workspace | None = None) -> np.ndarray:
+    """Residual right-hand side -r, a view of ``work`` (a new workspace if
+    not given).
 
     Cell rows carry the negative accumulated surface force (force units).
     Boundary rows carry the boundary-condition defect in its native units:
     traction and symmetry rows in stress, displacement rows in length.
     """
+    if work is None:
+        work = Workspace(mesh)
     # 0.0 - x, not -x: a zero row stays +0.0.
-    rhs = apply(mesh.face_rows, flux_density)
+    rhs = apply(mesh.face_rows, flux_density, work.rhs)
     np.subtract(0.0, rhs, out=rhs)
     tail = rhs[mesh.n_cells:]
-    tail[...] = (table.value + matvec2(IDENTITY - table.disp, tail)
-                 - matvec2(table.disp, state.displacement[mesh.n_cells:]))
+    free = np.subtract(IDENTITY, table.disp, out=work.free)
+    defect = matvec2(free, tail, work.defect, work.scratch)
+    np.add(table.value, defect, out=defect)
+    held = matvec2(table.disp, state.displacement[mesh.n_cells:], tail, work.scratch)
+    np.subtract(defect, held, out=tail)
     return rhs
 
 

@@ -19,6 +19,10 @@ term in H) so the coupled solver reduces to one exact small-strain solve.
 ``stress_state`` returns F and P in the layout of the gradient it is
 given, component-major on the solver's path (see ``tensors``);
 ``face_linearisation`` returns a C-ordered stack for the Jacobian fill.
+Given buffers (``buffers``, made once per run), ``stress_state``
+allocates nothing: it forms its result in the gradient itself (F for
+the neo-Hookean law, P for the linear one) and writes the rest into
+them; without, it copies the gradient first and makes them.
 
 Every tensor is the in-plane 2x2 block.  Plane strain fixes F_33 = 1, so
 J is the 2x2 determinant, F^-T is block diagonal, and the in-plane blocks
@@ -35,6 +39,13 @@ import numpy as np
 from .tensors import IDENTITY, det2
 
 
+# The largest 2 mu + lam accepted.  The solver's coefficients are it times
+# face-area ratios, summed over a cell's faces, and its stresses it times
+# strains: 1e-7 of the largest float leaves room for both, where E = 5e307
+# (2 mu + lam = 6.7e307) overflowed the coupled matrix of a 3x3 mesh.
+MAX_STIFFNESS = 1e-7 * sys.float_info.max
+
+
 @dataclass(frozen=True)
 class Lame:
     mu: float
@@ -48,7 +59,8 @@ def lame_from_E_nu(E: float, nu: float, regime: str = "plane_strain") -> Lame:
     plane stress substitutes the usual reduced value.  E must be finite
     and positive and nu must lie in (-1, 0.5), the range where the shear
     and bulk moduli are finite and positive.  A subnormal E is refused too:
-    the force scale mu h that floors the residual norm can round to 0.
+    the force scale mu h that floors the residual norm can round to 0.  So
+    are moduli whose P-wave modulus 2 mu + lam exceeds ``MAX_STIFFNESS``.
     """
     if not (np.isfinite(E) and E > 0.0):
         raise ValueError(f"Young's modulus E must be finite and positive, got {E}")
@@ -64,6 +76,9 @@ def lame_from_E_nu(E: float, nu: float, regime: str = "plane_strain") -> Lame:
         lam = E * nu / ((1.0 + nu) * (1.0 - nu))
     else:
         raise ValueError(f"unknown regime {regime!r}")
+    if not 2.0 * mu + lam <= MAX_STIFFNESS:
+        raise ValueError(f"Young's modulus E = {E} with nu = {nu} gives 2 mu + lam = "
+                         f"{2.0 * mu + lam:.6g}, which must not exceed {MAX_STIFFNESS:.6g}")
     return Lame(mu=mu, lam=lam)
 
 
@@ -92,6 +107,17 @@ def check_positive_jacobian(det_f: np.ndarray, label: str) -> None:
         raise InvertedElementError(bad, float(det_f[bad]), label)
 
 
+@dataclass
+class StressBuffers:
+    """What ``stress_state`` writes besides its input, for one stack of
+    gradients (``material.buffers``): one scratch value per tensor, and
+    the neo-Hookean P (in the gradient's layout), det F and k."""
+    scratch: np.ndarray
+    p: np.ndarray | None = None
+    det: np.ndarray | None = None
+    k: np.ndarray | None = None
+
+
 class NeoHookean:
     """Compressible neo-Hookean solid.
 
@@ -104,22 +130,35 @@ class NeoHookean:
         self.mu = lame.mu
         self.lam = lame.lam
 
-    def stress_state(self, grad_u: np.ndarray):
-        # The copy keeps the input's layout, so a component-major face
+    def buffers(self, grad_u: np.ndarray) -> StressBuffers:
+        """``stress_state``'s buffers for gradients shaped like grad_u."""
+        batch = grad_u.shape[:-2]
+        return StressBuffers(np.empty(batch), p=np.empty_like(grad_u, dtype=float),
+                             det=np.empty(batch), k=np.empty(batch))
+
+    def stress_state(self, grad_u: np.ndarray, out: StressBuffers | None = None):
+        # F is formed in place, in the input with ``out`` and otherwise in a
+        # copy that keeps the input's layout, so a component-major face
         # gradient gives component-major F and P.  The identity goes in
         # through the two diagonal components, not as a (2, 2) broadcast.
-        f = np.array(grad_u, dtype=float)
+        if out is None:
+            grad_u = np.array(grad_u, dtype=float)
+            out = self.buffers(grad_u)
+        f, scratch = grad_u, out.scratch
         f[..., 0, 0] += 1.0
         f[..., 1, 1] += 1.0
         with np.errstate(over="ignore", invalid="ignore"):  # reported as non-finite
-            det_f = det2(f)
+            det_f = det2(f, out.det, scratch)
         check_positive_jacobian(det_f, "cell")
-        k = (self.lam * np.log(det_f) - self.mu) / det_f
-        p = self.mu * f
-        p[..., 0, 0] += k * f[..., 1, 1]
-        p[..., 0, 1] -= k * f[..., 1, 0]
-        p[..., 1, 0] -= k * f[..., 0, 1]
-        p[..., 1, 1] += k * f[..., 0, 0]
+        k = np.log(det_f, out=out.k)        # (lam ln J - mu) / J
+        k *= self.lam
+        k -= self.mu
+        k /= det_f
+        p = np.multiply(self.mu, f, out=out.p)
+        p[..., 0, 0] += np.multiply(k, f[..., 1, 1], out=scratch)
+        p[..., 0, 1] -= np.multiply(k, f[..., 1, 0], out=scratch)
+        p[..., 1, 0] -= np.multiply(k, f[..., 0, 1], out=scratch)
+        p[..., 1, 1] += np.multiply(k, f[..., 0, 0], out=scratch)
         return f, p
 
     def face_linearisation(self, f: np.ndarray, n: np.ndarray, directions) -> np.ndarray:
@@ -173,16 +212,27 @@ class LinearElastic:
         self.mu = lame.mu
         self.lam = lame.lam
 
-    def stress_state(self, grad_u: np.ndarray):
-        g00, g01, g10, g11 = (grad_u[..., 0, 0], grad_u[..., 0, 1],
-                              grad_u[..., 1, 0], grad_u[..., 1, 1])
-        lam_tr = self.lam * (g00 + g11)
-        shear = self.mu * (g01 + g10)
-        p = np.empty_like(grad_u, dtype=float)     # in grad_u's layout
-        p[..., 0, 0] = self.mu * (g00 + g00) + lam_tr
-        p[..., 0, 1] = shear
-        p[..., 1, 0] = shear
-        p[..., 1, 1] = self.mu * (g11 + g11) + lam_tr
+    def buffers(self, grad_u: np.ndarray) -> StressBuffers:
+        """``stress_state``'s buffers for gradients shaped like grad_u."""
+        return StressBuffers(np.empty(grad_u.shape[:-2]))
+
+    def stress_state(self, grad_u: np.ndarray, out: StressBuffers | None = None):
+        # P is formed in place, in the input with ``out`` and otherwise in a
+        # copy that keeps the input's layout.
+        if out is None:
+            grad_u = np.array(grad_u, dtype=float)
+            out = self.buffers(grad_u)
+        p = grad_u
+        g00, g01, g10, g11 = p[..., 0, 0], p[..., 0, 1], p[..., 1, 0], p[..., 1, 1]
+        lam_tr = np.add(g00, g11, out=out.scratch)
+        lam_tr *= self.lam
+        shear = np.add(g01, g10, out=g01)
+        shear *= self.mu
+        g10[...] = shear
+        for g in (g00, g11):
+            np.add(g, g, out=g)
+            g *= self.mu
+            g += lam_tr
         return np.broadcast_to(IDENTITY, grad_u.shape), p
 
     def face_linearisation(self, f: np.ndarray, n: np.ndarray, directions) -> np.ndarray:

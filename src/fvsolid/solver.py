@@ -41,6 +41,14 @@ residual increases, an inverted element, a failed linear solve, or
 exhausting the correction budget.  A boundary map that leaves a
 rigid-body mode free is rejected (ValueError) before the first
 correction.
+
+Buffers: a run makes one ``assembly.Workspace``, which every residual
+evaluation writes its face and unknown stacks into, and one array for
+the residual's weighted rows; seg's set-up makes its increment and the
+buffers of its dense products; the state advances in place.  A seg
+correction therefore allocates no stack.  Each evaluation overwrites the
+last, so a trial that must keep the loop's evaluation needs a second
+workspace.
 """
 
 from __future__ import annotations
@@ -51,10 +59,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linsolve, output
-from .assembly import (BoundaryTable, assemble_scalar_operator,
+from .assembly import (BoundaryTable, Workspace, assemble_scalar_operator,
                        assemble_system, boundary_values, build_boundary_table,
                        face_states, force_row_mask, newton_rhs)
-from .kinematics import State, advance_state, zero_state
+from .kinematics import State, advance_state, apply, zero_state
 from .material import InvertedElementError, Lame, LinearElastic
 from .mesh import CartesianMesh
 
@@ -106,10 +114,15 @@ class RunReport:
         return int(sum(self.n_corr))
 
 
-def _residual(rhs: np.ndarray, weight: np.ndarray) -> float:
+def _residual(rhs: np.ndarray, weight: np.ndarray, out: np.ndarray | None = None) -> float:
     """Force-like norm of all rows of ``rhs``, summed one component after
-    the other whatever its layout; ``weight`` has its shape and layout."""
-    return linsolve.norm2((rhs * weight).T)
+    the other whatever its layout; ``weight`` has its shape and layout, and
+    so has ``out``, which takes the weighted rows if given.  A product
+    that overflows is inf, and so is the norm: the verdict reads it like
+    any non-finite residual."""
+    with np.errstate(over="ignore"):
+        product = np.multiply(rhs, weight, out=out)
+    return linsolve.norm2(product.T)
 
 
 def _verdict(history: list[float], tolerance: float) -> str:
@@ -187,17 +200,29 @@ def _segregated(mesh: CartesianMesh, material, table: BoundaryTable,
     # the force-balance unknowns are under-relaxed.
     relax = np.ones_like(step)
     relax[force_rows] = cfg.relaxation
+    # The increment, the coupling product and the two dense products of
+    # each solve, made once per run.
+    increment = np.empty_like(step)
+    coupled = np.empty((2, n))
+    product, modes = np.empty(shape), np.empty(shape)
 
     def solve(f_face, rhs: np.ndarray, dump_dir: str | None) -> np.ndarray:
         if dump_dir:
             output.write_system(dump_dir, operator, step[:, 0] * rhs[:, 0])
-        increment = step * rhs
-        cells = increment.T[:, :n]                      # (2, n_cells) view
-        cells -= (coupling @ increment[n:]).T
-        modes = basis_y @ cells.reshape(shape) @ basis_x.T
-        cells[:] = (basis_y.T @ (modes / eigenvalues) @ basis_x).reshape(2, n)
-        increment *= relax
-        return increment
+        # A load that overflows gives a non-finite increment, which the next
+        # face states report.
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(step, rhs, out=increment)
+            cells = increment.T[:, :n]                  # (2, n_cells) view
+            cells -= apply(coupling, increment[n:], coupled).T
+            np.matmul(basis_y, cells.reshape(shape), out=product)
+            np.matmul(product, basis_x.T, out=modes)
+            for component in modes:     # a broadcast divide would buffer
+                np.divide(component, eigenvalues, out=component)
+            np.matmul(basis_y.T, modes, out=product)
+            np.matmul(product, basis_x, out=modes)
+        cells[...] = modes.reshape(2, n)
+        return np.multiply(increment, relax, out=increment)
 
     return solve
 
@@ -228,6 +253,9 @@ def run(mesh: CartesianMesh, material, bcs: dict, cfg: SolveConfig) -> RunReport
     # The norm's row weights, once per component in the right-hand side's
     # component-major layout.
     weight = np.stack((weight, weight)).T
+    # Every stack of a residual evaluation is written into the run's
+    # workspace, and the weighted rows into one buffer of the weights' shape.
+    work, weighted = Workspace(mesh, material), np.empty_like(weight)
     # Face states depend only on the state: the check that ends a load step
     # also serves the next step's first correction.
     states = None
@@ -241,13 +269,13 @@ def run(mesh: CartesianMesh, material, bcs: dict, cfg: SolveConfig) -> RunReport
         while True:
             if states is None:
                 try:
-                    states = face_states(mesh, material, state)
+                    states = face_states(mesh, material, state, work)
                 except InvertedElementError as err:
                     failure = str(err)
                     break
             f_face, flux_density = states
-            rhs = newton_rhs(mesh, state, table, flux_density)
-            residual = _residual(rhs, weight)
+            rhs = newton_rhs(mesh, state, table, flux_density, work)
+            residual = _residual(rhs, weight, weighted)
             if not history:
                 denominator = max(residual, floor)
             history.append(residual / denominator)
@@ -266,7 +294,7 @@ def run(mesh: CartesianMesh, material, bcs: dict, cfg: SolveConfig) -> RunReport
             except linsolve.LinearSolveError as err:
                 failure = f"linear solve failed: {err}"
                 break
-            state = advance_state(state, increment)
+            state = advance_state(state, increment, state)
             states = None
             corrections += 1
         n_corr.append(corrections)

@@ -21,7 +21,9 @@ formed by the same operations in the same order whatever the layout, so
 a caller's C-ordered array gives the same values bit for bit.
 
 Every routine is a closed form, written as elementwise operations on the
-component arrays.  Batched ``@``, ``np.linalg`` and ``einsum`` treat a
+component arrays.  ``matvec2`` and ``det2`` write into a caller's output
+and scratch buffers if given, so the correction path allocates nothing
+in them.  Batched ``@``, ``np.linalg`` and ``einsum`` treat a
 face stack as many tiny matrices and pay a fixed cost per matrix, and
 more again on strided views.
 """
@@ -52,14 +54,30 @@ def mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def matvec2(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Product a @ v of (batched) 2x2 matrices and 2-vectors."""
-    out = np.empty(np.broadcast_shapes(np.shape(a)[:-1], np.shape(v)), order="F")
+def matvec2(a: np.ndarray, v: np.ndarray, out: np.ndarray | None = None,
+            scratch: np.ndarray | None = None) -> np.ndarray:
+    """Product a @ v of (batched) 2x2 matrices and 2-vectors, written into
+    ``out`` (made if not given) with ``scratch`` (one component's shape)
+    holding the second product."""
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(a)[:-1], np.shape(v)), order="F")
+    if scratch is None:
+        scratch = np.empty(out.shape[:-1])
     for i in range(2):
-        out[..., i] = a[..., i, 0] * v[..., 0] + a[..., i, 1] * v[..., 1]
+        np.multiply(a[..., i, 0], v[..., 0], out=out[..., i])
+        np.multiply(a[..., i, 1], v[..., 1], out=scratch)
+        np.add(out[..., i], scratch, out=out[..., i])
     return out
 
 
-def det2(a: np.ndarray) -> np.ndarray:
-    """Determinant of (batched) 2x2 matrices."""
-    return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+def det2(a: np.ndarray, out: np.ndarray | None = None,
+         scratch: np.ndarray | None = None) -> np.ndarray:
+    """Determinant of (batched) 2x2 matrices, written into ``out`` (made if
+    not given) with ``scratch`` (its shape) holding the second product."""
+    if out is None:
+        out = np.empty(np.shape(a)[:-2])
+    if scratch is None:
+        scratch = np.empty_like(out)
+    np.multiply(a[..., 0, 0], a[..., 1, 1], out=out)
+    np.multiply(a[..., 0, 1], a[..., 1, 0], out=scratch)
+    return np.subtract(out, scratch, out=out)

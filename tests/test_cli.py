@@ -363,6 +363,37 @@ def test_huge_modulus_converges_with_finite_report(tmp_path):
     assert entry["converged"] and entry["final_residual"] < 1e-7
 
 
+@pytest.mark.parametrize("method", ["nlbc", "bc", "seg"])
+def test_overflowing_prescribed_stretch_reports_non_finite(tmp_path, capsys, method):
+    """At stretch 1e306 the prescribed defect times mu overflows the
+    residual's weighted rows.  The run exits 2 with nothing on stderr (no
+    RuntimeWarning: pytest makes one an error) and the failure in the
+    report."""
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, f"case = uniaxial\nbc = displacement\nstretch = 1e306\n"
+                               f"mesh = 3x3\nmethod = {method}\n")
+    assert main(["--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    (entry,) = json.loads((out / "report.json").read_text())["runs"]
+    assert not entry["converged"] and entry["failure"]
+
+
+@pytest.mark.parametrize("bc", ["displacement", "traction"])
+@pytest.mark.parametrize("method", ["nlbc", "bc", "seg"])
+@pytest.mark.parametrize("E", ["5e307", "1e308", "1.7e308"])
+def test_huge_moduli_are_refused(tmp_path, capsys, E, method, bc):
+    """A modulus whose 2 mu + lam would overflow the solver's coefficients
+    (the coupled matrix, seg's operator, the face linearisation) is refused
+    before the first write: exit 1 and one line naming E."""
+    path = write_cfg(tmp_path, f"case = uniaxial\nbc = {bc}\nstretch = 1.5\nE = {E}\n"
+                               f"mesh = 3x3\nmethod = {method}\n")
+    assert main(["--config", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: Young's modulus E = {float(E)} ")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_load_that_dwarfs_the_modulus_is_not_an_inversion(tmp_path):
     """At E = 1e-150 the default beam load overflows det(F) after the first
     correction.  The run exits 2 naming a non-finite state, with no
@@ -676,6 +707,15 @@ ODD_ENTRY = st.sampled_from(sorted(SMALL)).flatmap(
 @example(case_and_good=("shear", []), odd=("shear_factor", "1e200"))
 # A stretch whose full value 1 + (stretch - 1) rounds to 0: a singular F.
 @example(case_and_good=("uniaxial", [("bc", "traction")]), odd=("stretch", "1e-300"))
+# A prescribed stretch whose weighted defect overflows the residual norm.
+@example(case_and_good=("uniaxial", [("mesh", "3x3"), ("method", "seg")]),
+         odd=("stretch", "1e306"))
+@example(case_and_good=("uniaxial", [("mesh", "3x3"), ("method", "nlbc")]),
+         odd=("stretch", "1e306"))
+# Moduli whose 2 mu + lam is too large for the solver's coefficients.
+@example(case_and_good=("uniaxial", [("mesh", "3x3"), ("method", "nlbc")]),
+         odd=("E", "1.7e308"))
+@example(case_and_good=("shear", [("mesh", "3x3"), ("method", "seg")]), odd=("E", "5e307"))
 def test_main_fuzz_exits_cleanly(tmp_path_factory, case_and_good, odd):
     """Any small config file ends with exit 0, 1 or 2, never with an
     exception escaping ``main`` (a traceback from the command line); exit 1

@@ -90,9 +90,9 @@ def test_increments_are_component_major(method, monkeypatch):
     increments = []
     advance = solver.advance_state
 
-    def recording(state, increment):
+    def recording(state, increment, *out):
         increments.append(increment)
-        return advance(state, increment)
+        return advance(state, increment, *out)
 
     monkeypatch.setattr(solver, "advance_state", recording)
     case = MMSCase("uniaxial", "displacement", 1.1)
@@ -105,23 +105,27 @@ def test_increments_are_component_major(method, monkeypatch):
 
 def test_apply_is_the_product_per_component(mesh_small, rng):
     """``apply`` equals the two-column product bit for bit, from either
-    layout, for every operator it serves on meshes down to one cell, and
-    refuses an operator that is not CSR or whose columns do not match the
-    field's rows."""
+    layout, for every operator it serves on meshes down to one cell, also
+    into a used output buffer, and refuses an operator that is not CSR or
+    whose columns do not match the field's rows, and an output of the
+    wrong shape."""
     for mesh in (mesh_small, build_mesh(1, 1, 1.0, 1.0), build_mesh(3, 1, 3.0, 0.5)):
         for operator in (mesh.face_gradient, mesh.gauss_gradient, mesh.face_rows,
                          mesh.vertex_stencil):
             v = rng.standard_normal((operator.shape[1], 2))
+            used = rng.standard_normal((2, operator.shape[0]))
             for values in (v, np.asfortranarray(v)):
-                out = apply(operator, values)
-                assert component_major(out)
-                npt.assert_array_equal(out, operator @ v)
+                for out in (apply(operator, values), apply(operator, values, used)):
+                    assert component_major(out)
+                    npt.assert_array_equal(out, operator @ v)
     u = rng.standard_normal((mesh_small.n_unknowns, 2))
     operator = mesh_small.face_gradient
     with pytest.raises(ValueError, match="CSR"):
         apply(operator, u[1:])
     with pytest.raises(ValueError, match="CSR"):
         apply(operator.tocsc(), u)
+    with pytest.raises(ValueError, match="output"):
+        apply(operator, u, np.empty((2, operator.shape[0] - 1)))
 
 
 def test_tensor_kernels_return_component_major(rng):

@@ -59,6 +59,8 @@ def test_lame_unknown_regime():
 @pytest.mark.parametrize("E,nu", [
     (1.0, 0.5), (1.0, -1.0), (1.0, 0.7), (np.nan, 0.3), (np.inf, 0.3),
     (0.0, 0.3), (-1.0, 0.3), (1.0, np.nan),
+    # 2 mu + lam above MAX_STIFFNESS: from E, or from nu next to 0.5
+    (5e307, 0.3), (1.7e308, 0.3), (1e300, 0.4999999999999999),
 ])
 def test_lame_rejects_bad_moduli(E, nu):
     with pytest.raises(ValueError, match="must"):

@@ -22,6 +22,7 @@ from fvsolid import (
     MMSCase,
     NeoHookean,
     SolveConfig,
+    State,
     build_mesh,
     compute_errors,
     lame_from_E_nu,
@@ -119,8 +120,8 @@ def test_monitor_floor_bounds_denominator(mesh8, neo, monkeypatch):
     norms = []
     residual = solver._residual
 
-    def recording_residual(rhs, weight):
-        norms.append(residual(rhs, weight))
+    def recording_residual(rhs, weight, *out):
+        norms.append(residual(rhs, weight, *out))
         return norms[-1]
 
     monkeypatch.setattr(solver, "_residual", recording_residual)
@@ -194,7 +195,7 @@ def test_run_weights_rows_force_like(mesh8, neo, monkeypatch):
            BOTTOM: BoundaryCondition(SYMMETRY),
            TOP: BoundaryCondition(TRACTION, (0.0, 0.0))}
     run(mesh8, neo, bcs, SolveConfig(max_corrections=0))
-    (_, weights), _ = calls[0]
+    (_, weights, _), _ = calls[0]
     npt.assert_array_equal(weights[:, 0], weights[:, 1])
     weight = weights[:, 0]
     m = mesh8
@@ -208,17 +209,19 @@ def test_run_weights_rows_force_like(mesh8, neo, monkeypatch):
 
 def test_monitor_arrays_built_once_per_run(mesh8, neo, monkeypatch):
     """Every evaluation of every load step is weighted by the same array,
-    built once per run in the right-hand side's component-major layout."""
+    built once per run in the right-hand side's component-major layout,
+    into the same buffer."""
     calls = counting(monkeypatch, solver, "_residual")
     case = MMSCase("uniaxial", DISPLACEMENT, 1.2)
     report = run(mesh8, neo, mms_bcs(case, neo), SolveConfig(method="seg", n_load_steps=3))
     assert report.converged and len(report.n_corr) == 3
     assert len(calls) == sum(map(len, report.residual_history))
-    (_, weight), _ = calls[0]
-    for (_, w), _ in calls[1:]:
-        assert w is weight
-    assert weight.shape == (mesh8.n_unknowns, 2)
-    assert all(weight[:, k].flags.c_contiguous for k in range(2))
+    (_, weight, weighted), _ = calls[0]
+    for (_, w, out), _ in calls[1:]:
+        assert w is weight and out is weighted
+    for array in (weight, weighted):
+        assert array.shape == (mesh8.n_unknowns, 2)
+        assert all(array[:, k].flags.c_contiguous for k in range(2))
 
 
 RAMP = 0.01     # amplitude of the prescribed ramp below
@@ -243,9 +246,9 @@ def test_prescribed_rows_hold_after_every_correction(neo, method, monkeypatch):
     defects = []
     residual = solver._residual
 
-    def recording_residual(rhs, weight):
+    def recording_residual(rhs, weight, *out):
         defects.append(np.abs(rhs[prescribed]).max())
-        return residual(rhs, weight)
+        return residual(rhs, weight, *out)
 
     monkeypatch.setattr(solver, "_residual", recording_residual)
     bcs = {LEFT: BoundaryCondition(DISPLACEMENT, sign_changing_ramp),
@@ -659,21 +662,30 @@ def test_load_steps_redo_only_what_the_load_changes(mesh8, neo, monkeypatch):
     next step's first correction starts from, so a run evaluates its face
     states once per correction plus once.  Every residual still reads the
     prescribed values of a full table build at its load factor and the
-    face states of its own state, bit for bit."""
+    face states of its own state, bit for bit.  The state and the flux
+    live in buffers that the run overwrites, so each call's are copied."""
     checks = counting(monkeypatch, assembly, "_check_rigid_body_modes")
     evaluations = counting(monkeypatch, solver, "face_states")
-    residuals = counting(monkeypatch, solver, "newton_rhs")
+    residuals = []
+    newton_rhs = solver.newton_rhs
+
+    def copying_rhs(mesh, state, table, flux_density, *work):
+        residuals.append((table.value.copy(), State(state.displacement.copy()),
+                          flux_density.copy()))
+        return newton_rhs(mesh, state, table, flux_density, *work)
+
+    monkeypatch.setattr(solver, "newton_rhs", copying_rhs)
     bcs = mms_bcs(MMSCase("uniaxial", TRACTION, 1.3), neo)
     report = run(mesh8, neo, bcs, SolveConfig(method="nlbc", n_load_steps=4))
     assert report.converged and len(checks) == 1
     assert len(evaluations) == report.total_corrections + 1
     steps = np.repeat(np.arange(4), [n + 1 for n in report.n_corr])
     assert len(residuals) == steps.size
-    for step, ((mesh, state, table, flux_density), _) in zip(steps, residuals):
-        npt.assert_array_equal(table.value,
-                               build_boundary_table(mesh, bcs, (step + 1) / 4).value)
+    for step, (value, state, flux_density) in zip(steps, residuals):
+        npt.assert_array_equal(value,
+                               build_boundary_table(mesh8, bcs, (step + 1) / 4).value)
         npt.assert_array_equal(flux_density,
-                               assembly.face_states(mesh, neo, state)[1])
+                               assembly.face_states(mesh8, neo, state)[1])
 
 
 def test_histories_track_normalised_residuals(mesh8, neo):
